@@ -81,7 +81,7 @@ Pipeline Pipeline::GenerateProfiled(workloads::SuiteId suite,
         telemetry::Count("workloads.invocations_generated", n);
         telemetry::Record("workloads.trace_invocations",
                           static_cast<double>(n));
-        // The deserialized trace has the same element counts as the one
+        // The decoded trace has the same element counts as the one
         // Generate would have built, so this charge keeps a warm run's
         // logical "trace" peak byte-identical to the cold run's.
         resource::Account("trace", trace->ApproxBytes());

@@ -12,7 +12,6 @@
 #include "common/resource.h"
 #include "common/telemetry.h"
 #include "trace/chunked.h"
-#include "trace/serialize.h"
 
 namespace stemroot::eval {
 
@@ -27,7 +26,7 @@ void AppendField(std::string& out, std::string_view value) {
 
 std::string TraceCacheKey::KeyString() const {
   std::string key(kTraceCacheSchema);
-  AppendField(key, "srtr" + std::to_string(TraceFormatVersion()));
+  AppendField(key, "srtc" + std::to_string(ChunkedTraceFormatVersion()));
   AppendField(key, build_stamp);
   AppendField(key, suite);
   AppendField(key, workload);
@@ -37,13 +36,6 @@ std::string TraceCacheKey::KeyString() const {
   AppendField(key, "scale=" + json::Number(scale));
   AppendField(key, "seed=" + std::to_string(seed));
   return key;
-}
-
-std::string ChunkKeyString(const TraceCacheKey& key, uint64_t chunk_index) {
-  std::string out = key.KeyString();
-  AppendField(out, "srtc" + std::to_string(ChunkedTraceFormatVersion()));
-  AppendField(out, "chunk=" + std::to_string(chunk_index));
-  return out;
 }
 
 std::string GpuDigest(const hw::HardwareModel& gpu) {
@@ -87,57 +79,25 @@ TraceCache::TraceCache(std::string dir) : cache_(std::move(dir)) {}
 std::optional<KernelTrace> TraceCache::Load(const TraceCacheKey& key) const {
   const std::optional<std::string> payload = cache_.Get(key.KeyString());
   if (!payload) return std::nullopt;
-  // Serialized payload bytes held while deserializing; the serialization
-  // is canonical, so a warm Load charges exactly what the cold Store did.
+  // Encoded payload bytes held while decoding; the encoding is canonical,
+  // so a warm Load charges exactly what the cold Store did.
   resource::Account("cache", payload->size());
   try {
-    return DeserializeTrace(*payload);
+    return DecodeTrace(*payload);
   } catch (const std::exception& e) {
     // The entry checksum passed but the payload is not one well-formed
     // trace (e.g. a hand-edited or foreign entry). Same contract as any
     // other defect: recompute.
     telemetry::Count("cache.corrupt");
-    Warn("trace cache: undeserializable entry treated as a miss: %s",
-         e.what());
+    Warn("trace cache: undecodable entry treated as a miss: %s", e.what());
     return std::nullopt;
-  }
-}
-
-std::optional<std::string> TraceCache::LoadChunk(const TraceCacheKey& key,
-                                                 uint64_t chunk_index) const {
-  std::optional<std::string> payload =
-      cache_.Get(ChunkKeyString(key, chunk_index));
-  if (!payload) return std::nullopt;
-  resource::Account("cache", payload->size());
-  try {
-    // Structural validation beyond the entry checksum: the payload must be
-    // exactly one well-formed chunk, or it is a miss like any other defect.
-    (void)DecodeChunk(*payload, /*first_seq=*/0);
-  } catch (const std::exception& e) {
-    telemetry::Count("cache.corrupt");
-    Warn("trace cache: undecodable chunk entry treated as a miss: %s",
-         e.what());
-    return std::nullopt;
-  }
-  return payload;
-}
-
-bool TraceCache::StoreChunk(const TraceCacheKey& key, uint64_t chunk_index,
-                            std::string payload) const {
-  try {
-    resource::Account("cache", payload.size());
-    cache_.Put(ChunkKeyString(key, chunk_index), std::move(payload));
-    return true;
-  } catch (const std::exception& e) {
-    Warn("trace cache: chunk store failed, continuing uncached: %s", e.what());
-    return false;
   }
 }
 
 bool TraceCache::Store(const TraceCacheKey& key,
                        const KernelTrace& trace) const {
   try {
-    std::string payload = SerializeTrace(trace);
+    std::string payload = EncodeTrace(trace);
     resource::Account("cache", payload.size());
     cache_.Put(key.KeyString(), std::move(payload));
     return true;

@@ -6,14 +6,16 @@
 /// the wall time of every CLI command and bench, yet both stages are pure
 /// functions of (suite, workload, gpu spec, scale, seed) plus the code
 /// revision. The cache exploits that: the key digests exactly those
-/// inputs, the value is the versioned binary serialization of the profiled
-/// trace (trace/serialize.h) stored in a self-verifying ArtifactCache
-/// entry (common/cache.h). A warm `stemroot run` therefore skips straight
-/// to cluster+sample+evaluate, byte-identical to the cold run.
+/// inputs, the value is the profiled trace in the versioned SRTC encoding
+/// (EncodeTrace in trace/chunked.h: header plus one chunk payload) stored
+/// in a self-verifying ArtifactCache entry (common/cache.h), whose
+/// checksum covers the whole payload. A warm `stemroot run` therefore
+/// skips straight to cluster+sample+evaluate, byte-identical to the cold
+/// run.
 ///
 /// Key / invalidation contract (DESIGN.md "The profiled-trace cache"):
 ///
-///   key = schema tag | trace format version | build stamp |
+///   key = schema tag | srtc<format version> | build stamp |
 ///         suite | workload | gpu digest | scale | seed
 ///
 ///   - *gpu digest* hashes every numeric field of the GpuSpec AND the
@@ -25,7 +27,7 @@
 ///     detected late. Note the dirty-tree caveat: two different
 ///     uncommitted edits share a stamp; run `stemroot cache evict` when
 ///     iterating on generator/model code with a dirty tree.
-///   - the serialization version retires whole generations of entries on
+///   - the SRTC format version retires whole generations of entries on
 ///     format changes.
 ///
 /// Defects of any kind (truncation, checksum, key echo, version) are
@@ -66,12 +68,6 @@ struct TraceCacheKey {
   std::string KeyString() const;
 };
 
-/// Canonical key of one chunk of a chunked trace (trace/chunked.h): the
-/// base KeyString() plus the "SRTC" format version and the chunk index,
-/// so chunk entries share the whole-trace key's invalidation story (build
-/// stamp, gpu digest, ...) and a chunked-format bump retires them all.
-std::string ChunkKeyString(const TraceCacheKey& key, uint64_t chunk_index);
-
 /// Digest of the full hardware-model configuration: every GpuSpec field
 /// (including the name) and every TimingParams field.
 std::string GpuDigest(const hw::HardwareModel& gpu);
@@ -84,25 +80,13 @@ class TraceCache {
  public:
   explicit TraceCache(std::string dir);
 
-  /// Deserialized trace on a verified hit; std::nullopt on a miss, any
-  /// entry defect, or an undeserializable payload. Never throws.
+  /// Decoded trace on a verified hit; std::nullopt on a miss, any entry
+  /// defect, or an undecodable payload. Never throws.
   std::optional<KernelTrace> Load(const TraceCacheKey& key) const;
 
-  /// Serialize + store. Best effort: returns false (with a warning log)
+  /// Encode + store. Best effort: returns false (with a warning log)
   /// instead of throwing -- a failed store must never fail the run.
   bool Store(const TraceCacheKey& key, const KernelTrace& trace) const;
-
-  /// One chunk's payload (EncodeChunk bytes) on a verified hit;
-  /// std::nullopt on a miss, any entry defect, or an undecodable payload
-  /// -- a corrupt chunk is a plain miss (recomputed, never served), the
-  /// same contract as Load. Never throws.
-  std::optional<std::string> LoadChunk(const TraceCacheKey& key,
-                                       uint64_t chunk_index) const;
-
-  /// Store one chunk payload under ChunkKeyString(key, chunk_index).
-  /// Best effort like Store: returns false instead of throwing.
-  bool StoreChunk(const TraceCacheKey& key, uint64_t chunk_index,
-                  std::string payload) const;
 
   /// The underlying entry store (stats/verify/evict for `stemroot cache`).
   const ArtifactCache& Artifacts() const { return cache_; }

@@ -7,15 +7,14 @@
 #include <stdexcept>
 
 #include "common/cache.h"
-#include "common/str.h"
 
 namespace stemroot {
 
-// Same byte-order contract as "SRTR" (trace/serialize.cc): chunk payloads
-// and index records are raw little-endian object bytes.
+// One byte-order contract for every SRTC container: headers, chunk
+// payloads and index records are raw little-endian object bytes.
 static_assert(std::endian::native == std::endian::little,
-              "SRTC chunked trace format assumes a little-endian host; "
-              "port trace/chunked.cc with explicit byte swapping before "
+              "SRTC trace format assumes a little-endian host; port "
+              "trace/chunked.cc with explicit byte swapping before "
               "building for big-endian targets");
 
 namespace {
@@ -30,52 +29,105 @@ constexpr uint64_t kTrailerBytes = 3 * sizeof(uint64_t) + sizeof(uint32_t) +
                                    sizeof(kTrailerMagic);
 constexpr uint64_t kFooterRecordBytes = 3 * sizeof(uint64_t);
 
-/// One invocation's footprint in a columnar chunk payload: 8 u32 columns
+/// Minimum bytes of one kernel-type record: empty name (u32 length),
+/// num_basic_blocks, and an empty weight table (u32 count).
+constexpr uint64_t kTypeMinWireBytes = 3 * sizeof(uint32_t);
+
+/// Visit the fields of one invocation in wire-column order: 8 u32 columns
 /// (ids + launch geometry), 2 u64 columns, 10 f32 behaviour columns, and
-/// the f64 duration column.
-constexpr uint64_t kColumnarBytesPerInvocation =
-    8 * sizeof(uint32_t) + 2 * sizeof(uint64_t) + 10 * sizeof(float) +
-    sizeof(double);
+/// the f64 duration column. The encoder and the decoder both walk this one
+/// list, so the two directions cannot drift apart.
+template <typename Invocation, typename Fn>
+constexpr void ForEachColumn(Invocation& inv, Fn&& fn) {
+  fn(inv.kernel_id);
+  fn(inv.context_id);
+  fn(inv.launch.grid_x);
+  fn(inv.launch.grid_y);
+  fn(inv.launch.grid_z);
+  fn(inv.launch.block_x);
+  fn(inv.launch.block_y);
+  fn(inv.launch.block_z);
+  fn(inv.behavior.instructions);
+  fn(inv.behavior.footprint_bytes);
+  fn(inv.behavior.mem_fraction);
+  fn(inv.behavior.shared_fraction);
+  fn(inv.behavior.locality);
+  fn(inv.behavior.coalescing);
+  fn(inv.behavior.branch_divergence);
+  fn(inv.behavior.fp16_fraction);
+  fn(inv.behavior.fp32_fraction);
+  fn(inv.behavior.ilp);
+  fn(inv.behavior.input_scale);
+  fn(inv.behavior.store_fraction);
+  fn(inv.duration_us);
+}
+
+constexpr uint64_t RowWireBytes() {
+  KernelInvocation inv;
+  uint64_t bytes = 0;
+  ForEachColumn(inv, [&bytes](const auto& field) { bytes += sizeof(field); });
+  return bytes;
+}
+
+/// One invocation's footprint in a columnar chunk payload.
+constexpr uint64_t kColumnarBytesPerInvocation = RowWireBytes();
+static_assert(kColumnarBytesPerInvocation == 96,
+              "changing the column list changes the SRTC wire format");
 
 template <typename T>
 void AppendPod(std::string& out, const T& value) {
   out.append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-/// Bounds-checked cursor over a chunk payload. Like the SRTR reader, every
-/// count is validated against the bytes remaining before any allocation is
-/// sized from it.
-class PayloadCursor {
+/// Bounds-checked cursor over encoded bytes: the one decoder for headers,
+/// chunk payloads, footers and trailers. Every length or count prefix is
+/// checked against the bytes remaining before anything is sized from it,
+/// so corrupt input throws std::runtime_error instead of over-allocating.
+class ByteReader {
  public:
-  explicit PayloadCursor(std::string_view bytes) : bytes_(bytes) {}
+  ByteReader(std::string_view bytes, std::string who)
+      : bytes_(bytes), who_(std::move(who)) {}
 
   uint64_t Remaining() const { return bytes_.size() - pos_; }
 
+  [[noreturn]] void Fail(const std::string& what) const {
+    throw std::runtime_error(who_ + ": " + what);
+  }
+
+  /// Throw unless `count` records of at least `width` bytes remain.
+  void Require(uint64_t count, uint64_t width, const char* what) const {
+    if (count > Remaining() / width)
+      Fail(std::string(what) +
+           " exceeds bytes remaining (corrupt or truncated input)");
+  }
+
+  const char* Take(uint64_t n, const char* what) {
+    Require(n, 1, what);
+    const char* p = bytes_.data() + pos_;
+    pos_ += n;
+    return p;
+  }
+
   template <typename T>
-  T Read() {
-    if (Remaining() < sizeof(T))
-      throw std::runtime_error("DecodeChunk: truncated chunk payload");
+  T Read(const char* what) {
     T value;
-    std::memcpy(&value, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
+    std::memcpy(&value, Take(sizeof(T), what), sizeof(T));
     return value;
   }
 
-  /// Read one column of `count` elements, invoking set(i, value).
-  template <typename T, typename Setter>
-  void ReadColumn(uint64_t count, Setter set) {
-    if (Remaining() < count * sizeof(T))
-      throw std::runtime_error("DecodeChunk: truncated chunk payload");
-    for (uint64_t i = 0; i < count; ++i) {
-      T value;
-      std::memcpy(&value, bytes_.data() + pos_, sizeof(T));
-      pos_ += sizeof(T);
-      set(i, value);
-    }
+  std::string ReadString(const char* what) {
+    const uint32_t len = Read<uint32_t>(what);
+    return std::string(Take(len, what), len);
+  }
+
+  bool ReadMagic(const char (&magic)[4]) {
+    return std::memcmp(Take(sizeof(magic), "magic"), magic, sizeof(magic)) ==
+           0;
   }
 
  private:
   std::string_view bytes_;
+  std::string who_;
   uint64_t pos_ = 0;
 };
 
@@ -100,19 +152,80 @@ std::string EncodeHeader(const KernelTrace& header,
   return out;
 }
 
-std::string ReadFileString(std::ifstream& in, uint64_t remaining_bound,
-                           const char* what) {
-  uint32_t len = 0;
-  in.read(reinterpret_cast<char*>(&len), sizeof(len));
-  if (!in || len > remaining_bound)
-    throw std::runtime_error(std::string("ChunkedTraceReader: corrupt ") +
-                             what);
-  std::string s(len, '\0');
-  in.read(s.data(), len);
-  if (!in)
-    throw std::runtime_error(std::string("ChunkedTraceReader: truncated ") +
-                             what);
-  return s;
+/// Decode a header written by EncodeHeader into `header` (workload name
+/// and kernel-type table); returns the chunk capacity.
+uint64_t DecodeHeader(ByteReader& in, KernelTrace& header) {
+  if (!in.ReadMagic(kMagic)) in.Fail("bad magic (not an SRTC trace)");
+  if (in.Read<uint32_t>("version") != kVersion) in.Fail("unsupported version");
+  const uint64_t chunk_invocations = in.Read<uint64_t>("chunk capacity");
+  if (chunk_invocations == 0) in.Fail("corrupt chunk capacity");
+  header.SetWorkloadName(in.ReadString("workload-name length"));
+  const uint32_t num_types = in.Read<uint32_t>("kernel-type count");
+  in.Require(num_types, kTypeMinWireBytes, "kernel-type count");
+  for (uint32_t k = 0; k < num_types; ++k) {
+    KernelType type;
+    type.name = in.ReadString("kernel-type name length");
+    type.num_basic_blocks = in.Read<uint32_t>("basic-block count");
+    const uint32_t weights = in.Read<uint32_t>("block-weight count");
+    in.Require(weights, sizeof(float), "block-weight count");
+    type.block_weights.resize(weights);
+    for (float& w : type.block_weights) w = in.Read<float>("block weight");
+    if (header.AddKernelType(std::move(type)) != k)
+      in.Fail("duplicate kernel-type name");
+  }
+  return chunk_invocations;
+}
+
+/// Append one self-delimiting columnar chunk payload to `out`.
+void AppendChunk(std::string& out,
+                 std::span<const KernelInvocation> invocations) {
+  const uint64_t count = invocations.size();
+  AppendPod(out, count);
+  const size_t body = out.size();
+  out.resize(body + count * kColumnarBytesPerInvocation);
+  char* const columns = out.data() + body;
+  for (uint64_t i = 0; i < count; ++i) {
+    char* column = columns;
+    ForEachColumn(invocations[i], [&](const auto& field) {
+      std::memcpy(column + i * sizeof(field), &field, sizeof(field));
+      column += count * sizeof(field);
+    });
+  }
+}
+
+/// Decode one chunk payload that must fill the rest of `in`, in a single
+/// row-wise pass that keeps one cursor per column.
+std::vector<KernelInvocation> DecodeRows(ByteReader& in, uint64_t first_seq) {
+  const uint64_t count = in.Read<uint64_t>("invocation count");
+  // Bound the count against the payload size BEFORE sizing the vector from
+  // it -- a corrupt count must throw, never attempt a huge allocation.
+  in.Require(count, kColumnarBytesPerInvocation, "invocation count");
+  const char* const columns =
+      in.Take(count * kColumnarBytesPerInvocation, "invocation count");
+  if (in.Remaining() != 0) in.Fail("trailing bytes after chunk payload");
+  std::vector<KernelInvocation> out;
+  out.reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    KernelInvocation& inv = out.emplace_back();
+    inv.seq = first_seq + i;
+    const char* column = columns;
+    ForEachColumn(inv, [&](auto& field) {
+      std::memcpy(&field, column + i * sizeof(field), sizeof(field));
+      column += count * sizeof(field);
+    });
+  }
+  return out;
+}
+
+/// Read exactly `n` bytes at `offset` of an open file.
+std::string ReadAt(std::ifstream& in, uint64_t offset, uint64_t n,
+                   const std::string& path) {
+  std::string bytes(n, '\0');
+  in.clear();
+  in.seekg(static_cast<std::streamoff>(offset));
+  in.read(bytes.data(), static_cast<std::streamsize>(n));
+  if (!in) throw std::runtime_error("ChunkedTraceReader: short read: " + path);
+  return bytes;
 }
 
 }  // namespace
@@ -122,101 +235,37 @@ uint32_t ChunkedTraceFormatVersion() { return kVersion; }
 uint64_t ChunkWireBytesPerInvocation() { return kColumnarBytesPerInvocation; }
 
 std::string EncodeChunk(std::span<const KernelInvocation> invocations) {
-  const uint64_t count = invocations.size();
   std::string out;
-  out.reserve(sizeof(uint64_t) + count * kColumnarBytesPerInvocation);
-  AppendPod(out, count);
-  for (const auto& inv : invocations) AppendPod(out, inv.kernel_id);
-  for (const auto& inv : invocations) AppendPod(out, inv.context_id);
-  for (const auto& inv : invocations) AppendPod(out, inv.launch.grid_x);
-  for (const auto& inv : invocations) AppendPod(out, inv.launch.grid_y);
-  for (const auto& inv : invocations) AppendPod(out, inv.launch.grid_z);
-  for (const auto& inv : invocations) AppendPod(out, inv.launch.block_x);
-  for (const auto& inv : invocations) AppendPod(out, inv.launch.block_y);
-  for (const auto& inv : invocations) AppendPod(out, inv.launch.block_z);
-  for (const auto& inv : invocations) AppendPod(out, inv.behavior.instructions);
-  for (const auto& inv : invocations)
-    AppendPod(out, inv.behavior.footprint_bytes);
-  for (const auto& inv : invocations) AppendPod(out, inv.behavior.mem_fraction);
-  for (const auto& inv : invocations)
-    AppendPod(out, inv.behavior.shared_fraction);
-  for (const auto& inv : invocations) AppendPod(out, inv.behavior.locality);
-  for (const auto& inv : invocations) AppendPod(out, inv.behavior.coalescing);
-  for (const auto& inv : invocations)
-    AppendPod(out, inv.behavior.branch_divergence);
-  for (const auto& inv : invocations)
-    AppendPod(out, inv.behavior.fp16_fraction);
-  for (const auto& inv : invocations)
-    AppendPod(out, inv.behavior.fp32_fraction);
-  for (const auto& inv : invocations) AppendPod(out, inv.behavior.ilp);
-  for (const auto& inv : invocations) AppendPod(out, inv.behavior.input_scale);
-  for (const auto& inv : invocations)
-    AppendPod(out, inv.behavior.store_fraction);
-  for (const auto& inv : invocations) AppendPod(out, inv.duration_us);
+  AppendChunk(out, invocations);
   return out;
 }
 
 std::vector<KernelInvocation> DecodeChunk(std::string_view payload,
                                           uint64_t first_seq) {
-  PayloadCursor cur(payload);
-  const uint64_t count = cur.Read<uint64_t>();
-  // Bound the count against the payload size BEFORE sizing the vector from
-  // it -- a corrupt count must throw, never attempt a huge allocation.
-  if (count > cur.Remaining() / kColumnarBytesPerInvocation ||
-      count * kColumnarBytesPerInvocation != cur.Remaining())
-    throw std::runtime_error(
-        "DecodeChunk: invocation count prefix exceeds bytes remaining in "
-        "chunk payload (corrupt or truncated input)");
-  std::vector<KernelInvocation> out(count);
-  cur.ReadColumn<uint32_t>(count,
-                           [&](uint64_t i, uint32_t v) { out[i].kernel_id = v; });
-  cur.ReadColumn<uint32_t>(
-      count, [&](uint64_t i, uint32_t v) { out[i].context_id = v; });
-  cur.ReadColumn<uint32_t>(
-      count, [&](uint64_t i, uint32_t v) { out[i].launch.grid_x = v; });
-  cur.ReadColumn<uint32_t>(
-      count, [&](uint64_t i, uint32_t v) { out[i].launch.grid_y = v; });
-  cur.ReadColumn<uint32_t>(
-      count, [&](uint64_t i, uint32_t v) { out[i].launch.grid_z = v; });
-  cur.ReadColumn<uint32_t>(
-      count, [&](uint64_t i, uint32_t v) { out[i].launch.block_x = v; });
-  cur.ReadColumn<uint32_t>(
-      count, [&](uint64_t i, uint32_t v) { out[i].launch.block_y = v; });
-  cur.ReadColumn<uint32_t>(
-      count, [&](uint64_t i, uint32_t v) { out[i].launch.block_z = v; });
-  cur.ReadColumn<uint64_t>(count, [&](uint64_t i, uint64_t v) {
-    out[i].behavior.instructions = v;
-  });
-  cur.ReadColumn<uint64_t>(count, [&](uint64_t i, uint64_t v) {
-    out[i].behavior.footprint_bytes = v;
-  });
-  cur.ReadColumn<float>(
-      count, [&](uint64_t i, float v) { out[i].behavior.mem_fraction = v; });
-  cur.ReadColumn<float>(
-      count, [&](uint64_t i, float v) { out[i].behavior.shared_fraction = v; });
-  cur.ReadColumn<float>(
-      count, [&](uint64_t i, float v) { out[i].behavior.locality = v; });
-  cur.ReadColumn<float>(
-      count, [&](uint64_t i, float v) { out[i].behavior.coalescing = v; });
-  cur.ReadColumn<float>(count, [&](uint64_t i, float v) {
-    out[i].behavior.branch_divergence = v;
-  });
-  cur.ReadColumn<float>(
-      count, [&](uint64_t i, float v) { out[i].behavior.fp16_fraction = v; });
-  cur.ReadColumn<float>(
-      count, [&](uint64_t i, float v) { out[i].behavior.fp32_fraction = v; });
-  cur.ReadColumn<float>(count,
-                        [&](uint64_t i, float v) { out[i].behavior.ilp = v; });
-  cur.ReadColumn<float>(
-      count, [&](uint64_t i, float v) { out[i].behavior.input_scale = v; });
-  cur.ReadColumn<float>(
-      count, [&](uint64_t i, float v) { out[i].behavior.store_fraction = v; });
-  cur.ReadColumn<double>(
-      count, [&](uint64_t i, double v) { out[i].duration_us = v; });
-  if (cur.Remaining() != 0)
-    throw std::runtime_error("DecodeChunk: trailing bytes after chunk payload");
-  for (uint64_t i = 0; i < count; ++i) out[i].seq = first_seq + i;
+  ByteReader in(payload, "DecodeChunk");
+  return DecodeRows(in, first_seq);
+}
+
+std::string EncodeTrace(const KernelTrace& trace) {
+  std::string out = EncodeHeader(
+      trace, std::max<uint64_t>(1, trace.NumInvocations()));
+  AppendChunk(out, trace.Invocations());
   return out;
+}
+
+KernelTrace DecodeTrace(std::string_view bytes) {
+  ByteReader in(bytes, "DecodeTrace");
+  KernelTrace trace;
+  const uint64_t chunk_invocations = DecodeHeader(in, trace);
+  std::vector<KernelInvocation> invocations = DecodeRows(in, 0);
+  if (invocations.size() > chunk_invocations)
+    in.Fail("chunk holds more invocations than the header's chunk capacity");
+  try {
+    trace.SetInvocations(std::move(invocations));
+  } catch (const std::invalid_argument& e) {
+    in.Fail(e.what());
+  }
+  return trace;
 }
 
 // ---------------------------------------------------------------------------
@@ -317,7 +366,6 @@ struct ChunkedTraceReader::Impl {
   // Opened once; ReadChunk seeks within it. mutable because chunk reads are
   // logically const (the file is immutable after Finish()).
   mutable std::ifstream in;
-  uint64_t file_size = 0;
 };
 
 ChunkedTraceReader::ChunkedTraceReader(const std::string& path)
@@ -326,116 +374,74 @@ ChunkedTraceReader::ChunkedTraceReader(const std::string& path)
   in.open(path, std::ios::binary);
   if (!in) throw std::runtime_error("ChunkedTraceReader: cannot open " + path);
   in.seekg(0, std::ios::end);
-  impl_->file_size = static_cast<uint64_t>(in.tellg());
-  if (impl_->file_size < kTrailerBytes)
+  const uint64_t file_size = static_cast<uint64_t>(in.tellg());
+  if (file_size < kTrailerBytes)
     throw std::runtime_error("ChunkedTraceReader: file too small: " + path);
+  const std::string who = "ChunkedTraceReader " + path;
 
   // Trailer first: it locates the footer without scanning any chunks.
-  in.seekg(static_cast<std::streamoff>(impl_->file_size - kTrailerBytes));
-  uint64_t footer_offset = 0, num_chunks = 0;
-  in.read(reinterpret_cast<char*>(&footer_offset), sizeof(footer_offset));
-  in.read(reinterpret_cast<char*>(&num_chunks), sizeof(num_chunks));
-  in.read(reinterpret_cast<char*>(&total_invocations_),
-          sizeof(total_invocations_));
-  uint32_t version = 0;
-  char magic[4];
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kTrailerMagic, sizeof(kTrailerMagic)) != 0)
-    throw std::runtime_error("ChunkedTraceReader: bad trailer (unfinished or "
-                             "not an SRTC file): " +
-                             path);
-  if (version != kVersion)
-    throw std::runtime_error("ChunkedTraceReader: unsupported version: " +
-                             path);
-  const uint64_t footer_end = impl_->file_size - kTrailerBytes;
+  const uint64_t footer_end = file_size - kTrailerBytes;
+  const std::string trailer_bytes = ReadAt(in, footer_end, kTrailerBytes, path);
+  ByteReader trailer(trailer_bytes, who);
+  const uint64_t footer_offset = trailer.Read<uint64_t>("footer offset");
+  const uint64_t num_chunks = trailer.Read<uint64_t>("chunk count");
+  total_invocations_ = trailer.Read<uint64_t>("invocation total");
+  const uint32_t version = trailer.Read<uint32_t>("version");
+  if (!trailer.ReadMagic(kTrailerMagic))
+    trailer.Fail("bad trailer (unfinished or not an SRTC file)");
+  if (version != kVersion) trailer.Fail("unsupported version");
   if (footer_offset > footer_end ||
       num_chunks > (footer_end - footer_offset) / kFooterRecordBytes ||
       num_chunks * kFooterRecordBytes != footer_end - footer_offset)
-    throw std::runtime_error("ChunkedTraceReader: inconsistent footer: " +
-                             path);
-
-  // Header.
-  in.seekg(0);
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-    throw std::runtime_error("ChunkedTraceReader: bad magic: " + path);
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  if (!in || version != kVersion)
-    throw std::runtime_error("ChunkedTraceReader: unsupported version: " +
-                             path);
-  in.read(reinterpret_cast<char*>(&chunk_invocations_),
-          sizeof(chunk_invocations_));
-  if (!in || chunk_invocations_ == 0)
-    throw std::runtime_error("ChunkedTraceReader: corrupt chunk capacity: " +
-                             path);
-  header_.SetWorkloadName(
-      ReadFileString(in, impl_->file_size, "workload name"));
-  uint32_t num_types = 0;
-  in.read(reinterpret_cast<char*>(&num_types), sizeof(num_types));
-  if (!in || num_types > impl_->file_size / (3 * sizeof(uint32_t)))
-    throw std::runtime_error("ChunkedTraceReader: corrupt kernel-type count: " +
-                             path);
-  for (uint32_t k = 0; k < num_types; ++k) {
-    KernelType type;
-    type.name = ReadFileString(in, impl_->file_size, "kernel-type name");
-    in.read(reinterpret_cast<char*>(&type.num_basic_blocks),
-            sizeof(type.num_basic_blocks));
-    uint32_t weights = 0;
-    in.read(reinterpret_cast<char*>(&weights), sizeof(weights));
-    if (!in || weights > impl_->file_size / sizeof(float))
-      throw std::runtime_error(
-          "ChunkedTraceReader: corrupt block-weight count: " + path);
-    type.block_weights.resize(weights);
-    in.read(reinterpret_cast<char*>(type.block_weights.data()),
-            static_cast<std::streamsize>(weights * sizeof(float)));
-    if (!in)
-      throw std::runtime_error("ChunkedTraceReader: truncated header: " +
-                               path);
-    header_.AddKernelType(std::move(type));
-  }
+    trailer.Fail("inconsistent footer");
 
   // Footer index.
-  in.seekg(static_cast<std::streamoff>(footer_offset));
+  const std::string footer_bytes =
+      ReadAt(in, footer_offset, footer_end - footer_offset, path);
+  ByteReader footer(footer_bytes, who);
   chunks_.resize(num_chunks);
+  for (ChunkInfo& c : chunks_) {
+    c.offset = footer.Read<uint64_t>("chunk offset");
+    c.count = footer.Read<uint64_t>("chunk count");
+    c.digest = footer.Read<uint64_t>("chunk digest");
+  }
+
+  // Header: chunks sit back to back after it, so it ends where chunk 0
+  // starts (or where the footer starts when there are no chunks).
+  const uint64_t header_end =
+      chunks_.empty() ? footer_offset : chunks_.front().offset;
+  if (header_end > footer_offset) footer.Fail("chunk 0 index out of bounds");
+  const std::string header_bytes = ReadAt(in, 0, header_end, path);
+  ByteReader head(header_bytes, who);
+  chunk_invocations_ = DecodeHeader(head, header_);
+  if (head.Remaining() != 0) head.Fail("trailing bytes after header");
+
+  uint64_t next_offset = header_end;
   uint64_t running_total = 0;
-  for (uint64_t i = 0; i < num_chunks; ++i) {
-    ChunkInfo& c = chunks_[i];
-    in.read(reinterpret_cast<char*>(&c.offset), sizeof(c.offset));
-    in.read(reinterpret_cast<char*>(&c.count), sizeof(c.count));
-    in.read(reinterpret_cast<char*>(&c.digest), sizeof(c.digest));
-    if (!in)
-      throw std::runtime_error("ChunkedTraceReader: truncated footer: " + path);
-    const uint64_t payload_bytes =
-        sizeof(uint64_t) + c.count * kColumnarBytesPerInvocation;
-    if (c.offset > footer_offset || payload_bytes > footer_offset - c.offset ||
+  for (size_t i = 0; i < chunks_.size(); ++i) {
+    const ChunkInfo& c = chunks_[i];
+    const uint64_t room = footer_offset - next_offset;
+    if (c.offset != next_offset || room < sizeof(uint64_t) ||
+        c.count > (room - sizeof(uint64_t)) / kColumnarBytesPerInvocation ||
         c.count > chunk_invocations_ ||
-        (c.count < chunk_invocations_ && i + 1 != num_chunks))
-      throw std::runtime_error("ChunkedTraceReader: chunk " +
-                               std::to_string(i) +
-                               " index out of bounds: " + path);
+        (c.count < chunk_invocations_ && i + 1 != chunks_.size()))
+      footer.Fail("chunk " + std::to_string(i) + " index out of bounds");
+    next_offset += sizeof(uint64_t) + c.count * kColumnarBytesPerInvocation;
     running_total += c.count;
   }
+  if (next_offset != footer_offset)
+    footer.Fail("chunks do not end where the footer starts");
   if (running_total != total_invocations_)
-    throw std::runtime_error(
-        "ChunkedTraceReader: chunk counts disagree with trailer total: " +
-        path);
+    footer.Fail("chunk counts disagree with trailer total");
 }
 
 ChunkedTraceReader::~ChunkedTraceReader() = default;
 
 std::string ChunkedTraceReader::ReadChunkPayload(size_t i) const {
   const ChunkInfo& c = chunks_.at(i);
-  const uint64_t payload_bytes =
-      sizeof(uint64_t) + c.count * kColumnarBytesPerInvocation;
-  std::string payload(payload_bytes, '\0');
-  std::ifstream& in = impl_->in;
-  in.clear();
-  in.seekg(static_cast<std::streamoff>(c.offset));
-  in.read(payload.data(), static_cast<std::streamsize>(payload_bytes));
-  if (!in)
-    throw std::runtime_error("ChunkedTraceReader: short read of chunk " +
-                             std::to_string(i) + ": " + path_);
+  std::string payload =
+      ReadAt(impl_->in, c.offset,
+             sizeof(uint64_t) + c.count * kColumnarBytesPerInvocation, path_);
   if (Fnv1a64(payload) != c.digest)
     throw std::runtime_error("ChunkedTraceReader: digest mismatch on chunk " +
                              std::to_string(i) + " (corrupt data): " + path_);

@@ -1,24 +1,18 @@
 /// \file
-/// Chunked, columnar, out-of-core trace storage -- the on-disk format and
-/// the chunk-iterator abstraction that let the pipeline stream a
-/// billion-invocation workload past the engine in bounded memory
-/// (ROADMAP item 2, DESIGN.md §16).
+/// The one binary trace encoding ("SRTC") and the chunk-iterator
+/// abstraction that lets the pipeline stream a billion-invocation workload
+/// past the engine in bounded memory (DESIGN.md §16).
 ///
-/// # The "SRTC" file format (version 1, explicitly little-endian)
+/// # Encoding (version 1, explicitly little-endian)
 ///
 ///   [header]
 ///     magic "SRTC" | u32 version | u64 chunk_capacity |
 ///     workload name (u32 len + bytes) | u32 num_types |
 ///     per type: name (u32 len + bytes) | u32 num_basic_blocks |
 ///               u32 num_weights | f32 weights[num_weights]
-///   [chunk 0] .. [chunk N-1]     -- back-to-back chunk payloads
-///   [footer]
-///     per chunk: u64 offset | u64 count | u64 digest
-///   [trailer]  (fixed 36 bytes at end of file)
-///     u64 footer_offset | u64 num_chunks | u64 total_invocations |
-///     u32 version | magic "SRTF"
 ///
-/// Each chunk payload is self-delimiting and columnar:
+/// followed by chunk payloads. Each chunk payload is self-delimiting and
+/// columnar:
 ///
 ///     u64 count |
 ///     kernel_id u32[count] | context_id u32[count] |
@@ -29,21 +23,42 @@
 ///     input_scale, store_fraction f32[count] each |
 ///     duration_us f64[count]
 ///
-/// and its footer `digest` is FNV-1a64 over exactly those payload bytes,
-/// so every chunk is independently loadable and independently verifiable:
-/// a reader seeks the footer, picks any chunk, reads `offset..offset+len`
+/// The invocation `seq` field is implicit: chunk i spans global indices
+/// [i * chunk_capacity, i * chunk_capacity + count).
+///
+/// # Two containers
+///
+/// An in-memory trace (EncodeTrace) is the header plus exactly one chunk
+/// payload, with chunk_capacity = max(1, invocations). It is the payload
+/// of a trace-cache entry (eval/trace_cache.h), whose SRCE checksum
+/// already covers every byte, so it carries no digest of its own.
+///
+/// A file (ChunkedTraceWriter, SpillTraceChunked) is the header, then
+/// back-to-back chunk payloads, then an index:
+///
+///   [footer]
+///     per chunk: u64 offset | u64 count | u64 digest
+///   [trailer]  (fixed 32 bytes at end of file)
+///     u64 footer_offset | u64 num_chunks | u64 total_invocations |
+///     u32 version | magic "SRTF"
+///
+/// where `digest` is FNV-1a64 over exactly one chunk's payload bytes, so
+/// every chunk is independently loadable and independently verifiable: a
+/// reader seeks the footer, picks any chunk, reads `offset..offset+len`
 /// and checks the digest -- no scan of preceding chunks, which also makes
 /// the layout mmap-friendly (all addressing is absolute offsets into an
-/// immutable file). The invocation `seq` field is implicit: chunk i spans
-/// global indices [i * chunk_capacity, i * chunk_capacity + count).
+/// immutable file). CLI trace files, `--trace-spill` spills and
+/// out-of-core streams all use this container.
 ///
-/// Failure contract mirrors the artifact cache (common/cache.h): any
-/// defect found while *opening* a file (bad magic/version, inconsistent
-/// footer, offsets outside the file) or while *reading* a chunk (short
-/// read, digest mismatch) throws std::runtime_error. Callers that treat a
-/// chunked file as a cache entry (eval::Pipeline's spill reuse) catch and
-/// rebuild -- corrupt bytes on disk can only cost a recompute, never
-/// serve wrong data (the PR 5 corrupt-entry-is-a-miss contract).
+/// Every decoder shares one bounds-checked byte reader: each length or
+/// count prefix is checked against the bytes remaining before anything is
+/// sized from it. Failure contract mirrors the artifact cache
+/// (common/cache.h): any defect found while decoding, *opening* a file
+/// (bad magic/version, inconsistent footer, offsets outside the file) or
+/// *reading* a chunk (short read, digest mismatch) throws
+/// std::runtime_error. Callers that treat a chunked file as a cache entry
+/// (eval::Pipeline's spill reuse) catch and rebuild -- corrupt bytes on
+/// disk can only cost a recompute, never serve wrong data.
 ///
 /// # ChunkSource
 ///
@@ -75,7 +90,7 @@
 
 namespace stemroot {
 
-/// Version tag of the "SRTC" chunked trace format.
+/// Version tag of the "SRTC" trace encoding.
 uint32_t ChunkedTraceFormatVersion();
 
 /// Default invocations per chunk (2^20 invocations ~= 96 MiB resident).
@@ -92,7 +107,7 @@ struct ChunkInfo {
 };
 
 /// Encode one chunk of invocations as a self-delimiting columnar payload
-/// (the byte string a chunk occupies on disk and in the chunk cache).
+/// (the byte string a chunk occupies on disk).
 std::string EncodeChunk(std::span<const KernelInvocation> invocations);
 
 /// Decode a payload produced by EncodeChunk. `first_seq` rebuilds the
@@ -101,6 +116,15 @@ std::string EncodeChunk(std::span<const KernelInvocation> invocations);
 /// std::runtime_error on truncation or trailing bytes.
 std::vector<KernelInvocation> DecodeChunk(std::string_view payload,
                                           uint64_t first_seq);
+
+/// Encode a whole trace as the SRTC header plus one chunk payload (the
+/// trace-cache payload; no footer, no digest).
+std::string EncodeTrace(const KernelTrace& trace);
+
+/// Decode bytes produced by EncodeTrace. Throws std::runtime_error on any
+/// defect: a corrupt prefix, truncation, trailing bytes, or an
+/// invocation whose kernel_id is not in the kernel-type table.
+KernelTrace DecodeTrace(std::string_view bytes);
 
 /// Streaming writer: header up front, invocations appended in timeline
 /// order, chunks flushed as they fill, footer on Finish(). `header`
@@ -144,8 +168,9 @@ class ChunkedTraceWriter {
 };
 
 /// Random-access reader over an "SRTC" file. Opening validates the
-/// header, trailer, and footer index (offsets inside the file, counts
-/// consistent); chunk payload digests are verified on each ReadChunk.
+/// header, trailer, and footer index (chunks back to back between header
+/// and footer, counts consistent); chunk payload digests are verified on
+/// each ReadChunk.
 class ChunkedTraceReader {
  public:
   /// Throws std::runtime_error on any open/format defect.
@@ -168,8 +193,7 @@ class ChunkedTraceReader {
   /// short read or digest mismatch.
   std::vector<KernelInvocation> ReadChunk(size_t i) const;
 
-  /// Raw verified payload bytes of chunk i (the chunk-cache
-  /// representation). Throws like ReadChunk.
+  /// Raw verified payload bytes of chunk i. Throws like ReadChunk.
   std::string ReadChunkPayload(size_t i) const;
 
   /// Digest-check chunk i without materializing invocations; false on
@@ -285,9 +309,9 @@ class ReplicatedChunkSource : public ChunkSource {
 size_t SpillTraceChunked(const KernelTrace& trace, const std::string& path,
                          uint64_t chunk_invocations = kDefaultChunkInvocations);
 
-/// Reassemble a full in-memory trace from any chunk source (tests and
-/// small traces only -- this is exactly the materialization streaming
-/// avoids). Throws on storage defects.
+/// Reassemble a full in-memory trace from any chunk source (CLI trace
+/// files, tests and small traces -- this is exactly the materialization
+/// streaming avoids). Throws on storage defects.
 KernelTrace AssembleTrace(const ChunkSource& source);
 
 }  // namespace stemroot

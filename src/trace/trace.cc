@@ -2,6 +2,9 @@
 
 #include <stdexcept>
 
+#include "common/csv.h"
+#include "common/str.h"
+
 namespace stemroot {
 
 uint32_t KernelTrace::AddKernelType(KernelType type) {
@@ -25,6 +28,16 @@ void KernelTrace::Add(KernelInvocation inv) {
     throw std::invalid_argument("KernelTrace::Add: unregistered kernel_id");
   inv.seq = invocations_.size();
   invocations_.push_back(inv);
+}
+
+void KernelTrace::SetInvocations(std::vector<KernelInvocation> invocations) {
+  for (size_t i = 0; i < invocations.size(); ++i) {
+    if (invocations[i].kernel_id >= types_.size())
+      throw std::invalid_argument(
+          "KernelTrace::SetInvocations: unregistered kernel_id");
+    invocations[i].seq = i;
+  }
+  invocations_ = std::move(invocations);
 }
 
 KernelTrace KernelTrace::HeaderClone() const {
@@ -62,6 +75,26 @@ std::vector<std::vector<uint32_t>> KernelTrace::GroupByKernel() const {
   for (size_t i = 0; i < invocations_.size(); ++i)
     groups[invocations_[i].kernel_id].push_back(static_cast<uint32_t>(i));
   return groups;
+}
+
+void ExportTimelineCsv(const KernelTrace& trace, const std::string& path) {
+  CsvWriter csv(path);
+  csv.WriteHeader({"kernel", "seq", "duration_us", "grid", "block",
+                   "instructions"});
+  // Kernel names are the one externally-controlled cell: CsvWriter::
+  // WriteRow applies RFC-4180 quoting to every cell, so names carrying
+  // commas, quotes, or newlines round-trip through CsvTable::Parse
+  // (pinned by the hostile-name test in tests/trace/trace_test.cc).
+  for (const KernelInvocation& inv : trace.Invocations()) {
+    csv.WriteRow({trace.NameOf(inv), std::to_string(inv.seq),
+                  Format("%.4f", inv.duration_us),
+                  Format("%ux%ux%u", inv.launch.grid_x, inv.launch.grid_y,
+                         inv.launch.grid_z),
+                  Format("%ux%ux%u", inv.launch.block_x, inv.launch.block_y,
+                         inv.launch.block_z),
+                  std::to_string(inv.behavior.instructions)});
+  }
+  csv.Flush();
 }
 
 }  // namespace stemroot

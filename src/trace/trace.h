@@ -1,7 +1,7 @@
 /// \file
 /// KernelTrace: an ordered workload of kernel invocations plus the kernel
 /// type (name) table, with the group-by-name view that every kernel-level
-/// sampler starts from (paper Fig. 3, step 1).
+/// sampler starts from (paper Fig. 3, step 1), and its CSV timeline export.
 
 #pragma once
 
@@ -71,6 +71,11 @@ class KernelTrace {
   /// Index k of the result holds the invocation indices of kernel id k.
   std::vector<std::vector<uint32_t>> GroupByKernel() const;
 
+  /// Replace the timeline with `invocations`, moved in without a copy.
+  /// seq is reassigned as the timeline position; throws
+  /// std::invalid_argument, like Add, on an unregistered kernel_id.
+  void SetInvocations(std::vector<KernelInvocation> invocations);
+
   /// Reserve capacity for n invocations (generators know their size).
   void Reserve(size_t n) { invocations_.reserve(n); }
 
@@ -94,5 +99,9 @@ class KernelTrace {
   std::unordered_map<std::string, uint32_t> name_to_id_;
   std::vector<KernelInvocation> invocations_;
 };
+
+/// Export the profiled timeline as CSV (header: kernel,seq,duration_us,
+/// grid,block,instructions). Throws std::runtime_error on I/O failure.
+void ExportTimelineCsv(const KernelTrace& trace, const std::string& path);
 
 }  // namespace stemroot

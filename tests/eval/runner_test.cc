@@ -5,6 +5,7 @@
 #include "baselines/random_sampler.h"
 #include "core/sampler.h"
 #include "common/csv.h"
+#include "eval/pipeline.h"
 #include "eval/report.h"
 
 namespace stemroot::eval {
@@ -47,27 +48,18 @@ TEST(RunnerTest, StemBeatsRandomOnErrors) {
   EXPECT_LT(stem_agg.error_pct, random_agg.error_pct);
 }
 
-// These two tests pin the deprecated MakeProfiledWorkload shim on purpose:
-// it must keep producing bit-exact traces until the last caller migrates.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(RunnerTest, MakeProfiledWorkloadIsReady) {
-  hw::HardwareModel gpu(hw::GpuSpec::Rtx2080());
-  const KernelTrace trace = MakeProfiledWorkload(
-      workloads::SuiteId::kRodinia, "lud", gpu, 3, 0.1);
-  EXPECT_GT(trace.NumInvocations(), 0u);
-  EXPECT_GT(trace.TotalDurationUs(), 0.0);
-}
-
 TEST(RunnerTest, SeedChangesWorkloadRealization) {
-  hw::HardwareModel gpu(hw::GpuSpec::Rtx2080());
-  const KernelTrace a = MakeProfiledWorkload(
-      workloads::SuiteId::kRodinia, "lud", gpu, 3, 0.1);
-  const KernelTrace b = MakeProfiledWorkload(
-      workloads::SuiteId::kRodinia, "lud", gpu, 4, 0.1);
-  EXPECT_NE(a.TotalDurationUs(), b.TotalDurationUs());
+  const auto total_us = [](uint64_t seed) {
+    return Pipeline::GenerateProfiled(
+               {.suite = workloads::SuiteId::kRodinia,
+                .workload = "lud",
+                .options = {.seed = seed, .size_scale = 0.1}},
+               hw::GpuSpec::Rtx2080())
+        .Trace()
+        .TotalDurationUs();
+  };
+  EXPECT_NE(total_us(3), total_us(4));
 }
-#pragma GCC diagnostic pop
 
 TEST(SuiteResultsIndexTest, ThousandRowResultSet) {
   // Regression for the quadratic Methods()/ForWorkload() scans: a DSE-sized

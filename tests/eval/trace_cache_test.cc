@@ -16,7 +16,6 @@
 #include "hw/gpu_spec.h"
 #include "hw/hardware_model.h"
 #include "trace/chunked.h"
-#include "trace/serialize.h"
 #include "workloads/suite.h"
 
 namespace stemroot::eval {
@@ -149,7 +148,7 @@ TEST_F(TraceCacheTest, StoreLoadRoundTripsTheExactBytes) {
   EXPECT_TRUE(cache.Store(key, cold.Trace()));
   const std::optional<KernelTrace> warm = cache.Load(key);
   ASSERT_TRUE(warm.has_value());
-  EXPECT_EQ(SerializeTrace(*warm), SerializeTrace(cold.Trace()));
+  EXPECT_EQ(EncodeTrace(*warm), EncodeTrace(cold.Trace()));
 }
 
 TEST_F(TraceCacheTest, GenerateProfiledColdThenWarmIsByteIdentical) {
@@ -163,7 +162,7 @@ TEST_F(TraceCacheTest, GenerateProfiledColdThenWarmIsByteIdentical) {
 
   const Pipeline warm =
       Pipeline::GenerateProfiled(kSuite, kWorkload, spec, options);
-  EXPECT_EQ(SerializeTrace(warm.Trace()), SerializeTrace(cold.Trace()));
+  EXPECT_EQ(EncodeTrace(warm.Trace()), EncodeTrace(cold.Trace()));
   EXPECT_TRUE(warm.Profiled());
   EXPECT_EQ(warm.SuiteName(), cold.SuiteName());
   EXPECT_EQ(warm.WorkloadName(), cold.WorkloadName());
@@ -182,21 +181,21 @@ TEST_F(TraceCacheTest, WarmHitIsByteIdenticalAtAnyThreadCount) {
 
   SetNumThreads(1);
   const std::string cold =
-      SerializeTrace(Pipeline::GenerateProfiled(kSuite, kWorkload, spec,
-                                                options)
-                         .Trace());
+      EncodeTrace(Pipeline::GenerateProfiled(kSuite, kWorkload, spec,
+                                             options)
+                      .Trace());
   SetNumThreads(4);
   const std::string warm =
-      SerializeTrace(Pipeline::GenerateProfiled(kSuite, kWorkload, spec,
-                                                options)
-                         .Trace());
+      EncodeTrace(Pipeline::GenerateProfiled(kSuite, kWorkload, spec,
+                                             options)
+                      .Trace());
   // And uncached at yet another thread count for the same bytes.
   SetTraceCacheDir("none");
   SetNumThreads(3);
   const std::string uncached =
-      SerializeTrace(Pipeline::GenerateProfiled(kSuite, kWorkload, spec,
-                                                options)
-                         .Trace());
+      EncodeTrace(Pipeline::GenerateProfiled(kSuite, kWorkload, spec,
+                                             options)
+                      .Trace());
   EXPECT_EQ(cold, warm);
   EXPECT_EQ(cold, uncached);
 }
@@ -251,7 +250,7 @@ TEST_F(TraceCacheTest, TruncatedEntryFallsBackToRecompute) {
 
   const Pipeline again =
       Pipeline::GenerateProfiled(kSuite, kWorkload, spec, options);
-  EXPECT_EQ(SerializeTrace(again.Trace()), SerializeTrace(cold.Trace()));
+  EXPECT_EQ(EncodeTrace(again.Trace()), EncodeTrace(cold.Trace()));
   // The recompute re-stored a valid entry; the next run hits it.
   const TraceCache cache(DirStr());
   EXPECT_TRUE(cache.Load(MakeKey()).has_value());
@@ -273,7 +272,22 @@ TEST_F(TraceCacheTest, ChecksumMismatchFallsBackToRecompute) {
   }
   const Pipeline again =
       Pipeline::GenerateProfiled(kSuite, kWorkload, spec, options);
-  EXPECT_EQ(SerializeTrace(again.Trace()), SerializeTrace(cold.Trace()));
+  EXPECT_EQ(EncodeTrace(again.Trace()), EncodeTrace(cold.Trace()));
+}
+
+TEST_F(TraceCacheTest, UndecodablePayloadIsAMiss) {
+  // The entry checksum passes but the payload is not one well-formed SRTC
+  // trace (a truncated encoding): a plain miss, never served.
+  const TraceCacheKey key = MakeKey();
+  KernelTrace trace("wl");
+  trace.InternKernel("k");
+  const std::string payload = EncodeTrace(trace);
+  ArtifactCache(DirStr()).Put(key.KeyString(),
+                              payload.substr(0, payload.size() - 1));
+  telemetry::SetEnabled(true);
+  telemetry::Reset();
+  EXPECT_FALSE(TraceCache(DirStr()).Load(key).has_value());
+  EXPECT_EQ(telemetry::Capture().Counter("cache.corrupt"), 1u);
 }
 
 TEST_F(TraceCacheTest, StaleBuildStampIsUnreachableNotServed) {
@@ -298,59 +312,6 @@ TEST_F(TraceCacheTest, DisabledCacheWritesNothing) {
   Pipeline::GenerateProfiled(kSuite, kWorkload, hw::GpuSpec::Rtx2080(),
                              {.seed = kSeed, .size_scale = kScale});
   EXPECT_FALSE(fs::exists(dir_));
-}
-
-// ---------------------------------------------------------------------------
-// Chunk entries (trace/chunked.h payloads in the content-addressed store)
-
-TEST(TraceCacheKeyTest, ChunkKeyCoversBaseKeyVersionAndIndex) {
-  const TraceCacheKey base = MakeKey();
-  const std::string chunk0 = ChunkKeyString(base, 0);
-  const std::string chunk1 = ChunkKeyString(base, 1);
-  // The chunk key extends the whole-trace key: same invalidation story
-  // (seed, build stamp, gpu digest...), plus format version and index.
-  EXPECT_EQ(chunk0.rfind(base.KeyString(), 0), 0u);
-  EXPECT_NE(chunk0, chunk1);
-  EXPECT_NE(chunk0.find("srtc"), std::string::npos);
-  TraceCacheKey other = base;
-  other.seed = kSeed + 1;
-  EXPECT_NE(ChunkKeyString(other, 0), chunk0);
-}
-
-TEST_F(TraceCacheTest, ChunkStoreLoadRoundTripsTheExactBytes) {
-  const TraceCache cache(DirStr());
-  const TraceCacheKey key = MakeKey();
-  KernelTrace trace("wl");
-  const uint32_t k = trace.InternKernel("k");
-  for (int i = 0; i < 5; ++i) {
-    KernelInvocation inv;
-    inv.kernel_id = k;
-    inv.duration_us = 1.0 + i;
-    trace.Add(inv);
-  }
-  const std::string payload = EncodeChunk(trace.Invocations());
-  EXPECT_FALSE(cache.LoadChunk(key, 0).has_value());  // cold miss
-  ASSERT_TRUE(cache.StoreChunk(key, 0, payload));
-  const auto loaded = cache.LoadChunk(key, 0);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(*loaded, payload);
-  // Chunk indices are distinct entries.
-  EXPECT_FALSE(cache.LoadChunk(key, 1).has_value());
-}
-
-TEST_F(TraceCacheTest, CorruptChunkPayloadIsAMiss) {
-  const TraceCache cache(DirStr());
-  const TraceCacheKey key = MakeKey();
-  // A stored payload whose count prefix lies about the bytes available
-  // must come back as a plain miss (decode-validated on load), never be
-  // served to a chunk consumer -- the corrupt-entry-is-a-miss contract
-  // extended to chunk granularity.
-  KernelInvocation inv;
-  inv.duration_us = 2.0;
-  std::string payload = EncodeChunk(std::span<const KernelInvocation>(&inv, 1));
-  payload.resize(payload.size() / 2);  // truncate mid-record
-  ASSERT_TRUE(cache.StoreChunk(key, 3, payload));
-  EXPECT_FALSE(cache.LoadChunk(key, 3).has_value());
 }
 
 TEST_F(TraceCacheTest, SetTraceCacheDirTogglesTheDefault) {

@@ -15,7 +15,7 @@
 #include "eval/pipeline.h"
 #include "eval/runner.h"
 #include "hw/hardware_model.h"
-#include "trace/serialize.h"
+#include "trace/chunked.h"
 #include "workloads/context_model.h"
 #include "workloads/rodinia.h"
 #include "workloads/suite.h"
@@ -133,19 +133,23 @@ TEST_P(RoundTripTest, EveryRodiniaWorkloadRoundTrips) {
   hw::HardwareModel gpu(hw::GpuSpec::Rtx2080());
   gpu.ProfileTrace(original, 1);
 
-  const std::string path = testing::TempDir() + "/rt_" + name + ".bin";
-  SaveTraceBinary(original, path);
-  const KernelTrace loaded = LoadTraceBinary(path);
-  ASSERT_EQ(loaded.NumInvocations(), original.NumInvocations());
-  EXPECT_DOUBLE_EQ(loaded.TotalDurationUs(), original.TotalDurationUs());
+  // Through a multi-chunk SRTC file and through the in-memory encoding.
+  const std::string path = testing::TempDir() + "/rt_" + name + ".srtc";
+  SpillTraceChunked(original, path, original.NumInvocations() / 3 + 1);
+  const KernelTrace from_file = AssembleTrace(FileChunkSource(path));
+  const KernelTrace decoded = DecodeTrace(EncodeTrace(original));
 
   // Sampling the loaded trace gives the exact same plan.
   core::StemRootSampler sampler;
   const core::SamplingPlan a = sampler.BuildPlan(original, 9);
-  const core::SamplingPlan b = sampler.BuildPlan(loaded, 9);
-  ASSERT_EQ(a.entries.size(), b.entries.size());
-  for (size_t i = 0; i < a.entries.size(); ++i)
-    EXPECT_EQ(a.entries[i].invocation, b.entries[i].invocation);
+  for (const KernelTrace* loaded : {&from_file, &decoded}) {
+    ASSERT_EQ(loaded->NumInvocations(), original.NumInvocations());
+    EXPECT_DOUBLE_EQ(loaded->TotalDurationUs(), original.TotalDurationUs());
+    const core::SamplingPlan b = sampler.BuildPlan(*loaded, 9);
+    ASSERT_EQ(a.entries.size(), b.entries.size());
+    for (size_t i = 0; i < a.entries.size(); ++i)
+      EXPECT_EQ(a.entries[i].invocation, b.entries[i].invocation);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRodiniaWorkloads, RoundTripTest,

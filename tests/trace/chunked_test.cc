@@ -17,6 +17,17 @@ std::string TempPath(const char* name) {
   return testing::TempDir() + "/" + name;
 }
 
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+std::string WriteBytes(const char* name, const std::string& bytes) {
+  const std::string path = TempPath(name);
+  std::ofstream(path, std::ios::binary) << bytes;
+  return path;
+}
+
 /// Profiled deterministic trace: durations derived from seq so every
 /// field of the columnar payload carries distinguishable data.
 KernelTrace MakeTrace(size_t min_invocations = 0) {
@@ -98,8 +109,7 @@ TEST(ChunkPayloadTest, SingleInvocationRoundTripsWithSeqRebase) {
 TEST(ChunkPayloadTest, HugeCountPrefixThrowsWithoutAllocating) {
   // A hostile count prefix far beyond the payload bytes must throw
   // std::runtime_error from the bounds check, never reach a
-  // count-driven allocation (the serialize.cc hardening contract
-  // applied to the chunk layer).
+  // count-driven allocation.
   std::string payload = EncodeChunk({});
   payload.resize(8);
   const uint64_t huge = ~uint64_t{0} / 2;
@@ -210,13 +220,7 @@ TEST(ChunkedFileTest, WriterBatchAndSingleAppendsAgree) {
       writer.Append(trace.At(i));
     writer.Finish();
   }
-  std::ifstream a(batch_path, std::ios::binary);
-  std::ifstream b(single_path, std::ios::binary);
-  const std::string bytes_a((std::istreambuf_iterator<char>(a)),
-                            std::istreambuf_iterator<char>());
-  const std::string bytes_b((std::istreambuf_iterator<char>(b)),
-                            std::istreambuf_iterator<char>());
-  EXPECT_EQ(bytes_a, bytes_b);
+  EXPECT_EQ(ReadBytes(batch_path), ReadBytes(single_path));
 }
 
 // ---------------------------------------------------------------------------
@@ -254,9 +258,7 @@ TEST(ChunkedFileTest, TruncatedFileIsRejectedAtOpen) {
   const KernelTrace trace = MakeTrace(2);
   const std::string full = TempPath("trunc_full.srtc");
   SpillTraceChunked(trace, full, 8);
-  std::ifstream in(full, std::ios::binary);
-  const std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
+  const std::string bytes = ReadBytes(full);
   // Chop at several depths: inside the trailer, inside the footer, and
   // down to a stub shorter than any trailer. All must throw at open.
   for (const size_t keep :
@@ -288,14 +290,216 @@ TEST(ChunkedFileTest, UnfinishedWriterLeavesRejectedFile) {
   }
   const std::string crashed = TempPath("crashed.srtc");
   {
-    std::ifstream in(path, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    ASSERT_GT(bytes.size(), 36u);
+    const std::string bytes = ReadBytes(path);
+    ASSERT_GT(bytes.size(), 32u);
     std::ofstream(crashed, std::ios::binary)
-        << bytes.substr(0, bytes.size() - 36);  // strip the trailer
+        << bytes.substr(0, bytes.size() - 32);  // strip the trailer
   }
   EXPECT_THROW(ChunkedTraceReader{crashed}, std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Whole-trace encoding (EncodeTrace/DecodeTrace) and hostile input. Every
+// length/count prefix is bounds-checked against the bytes actually
+// remaining, so a corrupt or truncated prefix throws std::runtime_error
+// *before* any allocation is sized from it. The header cases also run
+// through a file, whose reader decodes its header the same way.
+
+/// Overwrite a little-endian POD at `offset` in encoded bytes.
+template <typename T>
+std::string CorruptAt(std::string bytes, size_t offset, T value) {
+  EXPECT_LE(offset + sizeof(T), bytes.size());
+  bytes.replace(offset, sizeof(T), reinterpret_cast<const char*>(&value),
+                sizeof(T));
+  return bytes;
+}
+
+/// A tiny trace with deterministic prefix offsets: workload "wl" (2
+/// bytes), one interned kernel type, `n` invocations.
+KernelTrace TinyTrace(int n) {
+  KernelTrace trace("wl");
+  const uint32_t k = trace.InternKernel("k");
+  for (int i = 0; i < n; ++i) {
+    KernelInvocation inv;
+    inv.kernel_id = k;
+    inv.duration_us = 1.0 + i;
+    trace.Add(inv);
+  }
+  return trace;
+}
+
+// Prefix offsets in TinyTrace headers: magic(4) version(4) capacity(8),
+// then the workload-name length at 16, num_types at 16 + 4 + 2, the first
+// type-name length at 26, and (after name "k" and num_basic_blocks) the
+// block-weight count at 26 + 4 + 1 + 4 = 35.
+constexpr size_t kWorkloadLenOffset = 16;
+constexpr size_t kNumTypesOffset = 22;
+constexpr size_t kTypeNameLenOffset = 26;
+constexpr size_t kWeightCountOffset = 35;
+
+/// Expect both DecodeTrace and the file reader to reject a header with
+/// `value` written at `offset`.
+template <typename T>
+void ExpectHeaderRejected(size_t offset, T value) {
+  EXPECT_THROW(DecodeTrace(CorruptAt(EncodeTrace(TinyTrace(2)), offset, value)),
+               std::runtime_error)
+      << "in memory, offset " << offset;
+  // Per-case file names: ctest runs the cases as concurrent processes.
+  const std::string name = "header_" + std::to_string(offset) + "_" +
+                           std::to_string(value) + ".srtc";
+  const std::string good = TempPath(("good_" + name).c_str());
+  SpillTraceChunked(TinyTrace(2), good, 8);
+  const std::string bad = WriteBytes(("bad_" + name).c_str(),
+                                     CorruptAt(ReadBytes(good), offset, value));
+  EXPECT_THROW(ChunkedTraceReader{bad}, std::runtime_error)
+      << "in a file, offset " << offset;
+}
+
+TEST(ChunkedFileTest, ChunksMustTileHeaderToFooter) {
+  const KernelTrace trace = MakeTrace(5);
+  const std::string path = TempPath("tiling.srtc");
+  SpillTraceChunked(trace, path, trace.NumInvocations() / 2 + 1);
+  const std::string bytes = ReadBytes(path);
+  ChunkInfo first, second;
+  {
+    const ChunkedTraceReader reader(path);
+    ASSERT_EQ(reader.NumChunks(), 2u);
+    first = reader.Chunk(0);
+    second = reader.Chunk(1);
+  }
+  // The footer (one 24-byte record per chunk) follows the last chunk.
+  const size_t footer =
+      second.offset + 8 + second.count * ChunkWireBytesPerInvocation();
+  // Chunk 1 moved back by one row into chunk 0: still inside the file, so
+  // only the tiling check can reject it before a chunk is read.
+  EXPECT_THROW(ChunkedTraceReader{WriteBytes(
+                   "tiling_bad.srtc",
+                   CorruptAt<uint64_t>(bytes, footer + 24,
+                                       second.offset -
+                                           ChunkWireBytesPerInvocation()))},
+               std::runtime_error);
+  // Chunk 0 moved into the header.
+  EXPECT_THROW(ChunkedTraceReader{WriteBytes(
+                   "tiling_bad.srtc",
+                   CorruptAt<uint64_t>(bytes, footer, first.offset - 4))},
+               std::runtime_error);
+}
+
+TEST(SerializeTest, BinaryRoundTripPreservesEverything) {
+  const KernelTrace original = MakeTrace(3);
+  const std::string bytes = EncodeTrace(original);
+  ExpectTraceEq(DecodeTrace(bytes), original);
+  // Canonical: re-encoding the decoded trace yields the same bytes.
+  EXPECT_EQ(EncodeTrace(DecodeTrace(bytes)), bytes);
+
+  const std::string path = TempPath("trace_roundtrip.srtc");
+  SpillTraceChunked(original, path);
+  ExpectTraceEq(AssembleTrace(FileChunkSource(path)), original);
+}
+
+TEST(SerializeTest, EmptyTraceRoundTrips) {
+  KernelTrace trace("empty");
+  trace.InternKernel("unused");
+  const KernelTrace decoded = DecodeTrace(EncodeTrace(trace));
+  EXPECT_EQ(decoded.NumInvocations(), 0u);
+  ExpectTraceEq(decoded, trace);
+}
+
+TEST(SerializeTest, LoadRejectsMissingFile) {
+  EXPECT_THROW(AssembleTrace(FileChunkSource("/nonexistent/trace.srtc")),
+               std::runtime_error);
+}
+
+TEST(SerializeTest, LoadRejectsBadMagic) {
+  EXPECT_THROW(DecodeTrace("NOPE this is not a trace"), std::runtime_error);
+  EXPECT_THROW(
+      FileChunkSource{WriteBytes("bad_magic.srtc", "NOPE this is not a trace")},
+      std::runtime_error);
+  // A well-formed file whose leading magic alone is wrong.
+  const std::string path = TempPath("bad_magic_full.srtc");
+  SpillTraceChunked(TinyTrace(2), path, 8);
+  std::string bytes = ReadBytes(path);
+  bytes[0] = 'X';
+  EXPECT_THROW(FileChunkSource{WriteBytes("bad_magic_full.srtc", bytes)},
+               std::runtime_error);
+}
+
+TEST(SerializeTest, LoadRejectsTruncatedFile) {
+  const std::string path = TempPath("full.srtc");
+  SpillTraceChunked(MakeTrace(2), path);
+  const std::string bytes = ReadBytes(path);
+  EXPECT_THROW(AssembleTrace(FileChunkSource(
+                   WriteBytes("cut.srtc", bytes.substr(0, bytes.size() / 2)))),
+               std::runtime_error);
+}
+
+TEST(SerializeTest, CorruptWorkloadNameLengthThrows) {
+  ExpectHeaderRejected<uint32_t>(kWorkloadLenOffset, 0xffffffffu);
+  // Plausible but past the end of the header.
+  ExpectHeaderRejected<uint32_t>(kWorkloadLenOffset, 4096);
+}
+
+TEST(SerializeTest, CorruptKernelTypeCountThrows) {
+  ExpectHeaderRejected<uint32_t>(kNumTypesOffset, 0xffffffu);
+}
+
+TEST(SerializeTest, CorruptTypeNameLengthThrows) {
+  ExpectHeaderRejected<uint32_t>(kTypeNameLenOffset, 0xffffffffu);
+  ExpectHeaderRejected<uint32_t>(kTypeNameLenOffset, 4096);
+}
+
+TEST(SerializeTest, CorruptBlockWeightCountThrows) {
+  ExpectHeaderRejected<uint32_t>(kWeightCountOffset, 0xffffffffu);
+  ExpectHeaderRejected<uint32_t>(kWeightCountOffset, 4096);
+}
+
+TEST(SerializeTest, CorruptInvocationCountThrows) {
+  // The chunk's u64 count follows the header; derive its offset from an
+  // empty-timeline encoding so the test never hardcodes header sizes.
+  const size_t count_offset = EncodeTrace(TinyTrace(0)).size() - 8;
+  const std::string bytes = EncodeTrace(TinyTrace(3));
+  // Claiming more rows than the payload holds must throw from the bounds
+  // check, never reach a count-sized allocation.
+  EXPECT_THROW(DecodeTrace(CorruptAt<uint64_t>(bytes, count_offset,
+                                               uint64_t{1} << 60)),
+               std::runtime_error);
+  EXPECT_THROW(DecodeTrace(CorruptAt<uint64_t>(bytes, count_offset, 4)),
+               std::runtime_error);
+  // Undercounting leaves trailing bytes: a payload must be exactly one
+  // trace.
+  EXPECT_THROW(DecodeTrace(CorruptAt<uint64_t>(bytes, count_offset, 2)),
+               std::runtime_error);
+}
+
+TEST(SerializeTest, TrailingBytesThrow) {
+  EXPECT_THROW(DecodeTrace(EncodeTrace(TinyTrace(2)) + "x"),
+               std::runtime_error);
+}
+
+TEST(SerializeTest, OutOfRangeKernelIdThrows) {
+  // The first kernel_id cell sits right after the chunk's u64 count.
+  const size_t first_id = EncodeTrace(TinyTrace(0)).size();
+  EXPECT_THROW(DecodeTrace(CorruptAt<uint32_t>(EncodeTrace(TinyTrace(2)),
+                                               first_id, 7)),
+               std::runtime_error);
+}
+
+TEST(SerializeTest, DuplicateKernelTypeNameThrows) {
+  KernelTrace trace("dup");
+  trace.InternKernel("type_one");
+  trace.InternKernel("type_two");
+  std::string bytes = EncodeTrace(trace);
+  // Rename the second type to the first: the type table would silently
+  // shrink to one entry.
+  bytes.replace(bytes.find("type_two"), 8, "type_one");
+  EXPECT_THROW(DecodeTrace(bytes), std::runtime_error);
+}
+
+TEST(SerializeTest, TruncationAtEveryByteThrowsNotCrashes) {
+  const std::string bytes = EncodeTrace(TinyTrace(2));
+  for (size_t keep = 0; keep < bytes.size(); ++keep)
+    EXPECT_THROW(DecodeTrace(bytes.substr(0, keep)), std::runtime_error)
+        << "kept " << keep << " of " << bytes.size() << " bytes";
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/csv.h"
+
 namespace stemroot {
 namespace {
 
@@ -35,6 +37,19 @@ TEST(KernelTraceTest, AddAssignsSequenceNumbers) {
 TEST(KernelTraceTest, AddRejectsUnknownKernel) {
   KernelTrace trace("test");
   EXPECT_THROW(trace.Add(MakeInvocation(0)), std::invalid_argument);
+}
+
+TEST(KernelTraceTest, SetInvocationsRenumbersAndRejectsUnknownKernel) {
+  KernelTrace trace("test");
+  const uint32_t k = trace.InternKernel("k");
+  std::vector<KernelInvocation> invocations(3, MakeInvocation(k));
+  invocations[2].seq = 99;
+  trace.SetInvocations(invocations);
+  ASSERT_EQ(trace.NumInvocations(), 3u);
+  for (size_t i = 0; i < 3; ++i) EXPECT_EQ(trace.At(i).seq, i);
+  invocations.push_back(MakeInvocation(k + 1));
+  EXPECT_THROW(trace.SetInvocations(invocations), std::invalid_argument);
+  EXPECT_EQ(trace.NumInvocations(), 3u);  // unchanged on rejection
 }
 
 TEST(KernelTraceTest, FindKernel) {
@@ -82,6 +97,41 @@ TEST(KernelTraceTest, GroupByKernelIncludesEmptyGroups) {
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_TRUE(groups[0].empty());
   EXPECT_EQ(groups[1].size(), 1u);
+}
+
+TEST(SerializeTest, TimelineCsvHasHeaderAndAllRows) {
+  KernelTrace trace("wl");
+  const uint32_t k = trace.InternKernel("sgemm");
+  for (int i = 0; i < 3; ++i) trace.Add(MakeInvocation(k, 1.0));
+  const std::string path = testing::TempDir() + "/timeline.csv";
+  ExportTimelineCsv(trace, path);
+  const CsvTable table = CsvTable::ReadFile(path);
+  ASSERT_EQ(table.rows.size(), 4u);  // header + 3
+  EXPECT_EQ(table.rows[0][0], "kernel");
+  EXPECT_EQ(table.rows[1][0], "sgemm");
+}
+
+TEST(SerializeTest, HostileKernelNamesRoundTripThroughCsv) {
+  // Kernel names are the one externally-controlled CSV cell. RFC-4180
+  // quoting in CsvWriter::WriteRow must carry commas, quotes, newlines,
+  // and leading/trailing spaces through CsvTable's parser unchanged.
+  const std::vector<std::string> hostile = {
+      "plain",
+      "with,comma",
+      "with\"quote",
+      "with\nnewline",
+      " padded ",
+      "\"quoted,mix\"\nall",
+  };
+  KernelTrace trace("hostile");
+  for (const std::string& name : hostile)
+    trace.Add(MakeInvocation(trace.InternKernel(name)));
+  const std::string path = testing::TempDir() + "/hostile.csv";
+  ExportTimelineCsv(trace, path);
+  const CsvTable table = CsvTable::ReadFile(path);
+  ASSERT_EQ(table.rows.size(), hostile.size() + 1);  // header + rows
+  for (size_t i = 0; i < hostile.size(); ++i)
+    EXPECT_EQ(table.rows[i + 1][0], hostile[i]) << "row " << i;
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 # a bounded-memory `stemroot stream` must keep its logical trace peak
 # under the chunk budget, a warm rerun must reuse the verified spill,
 # and a corrupted or truncated spill file must trigger a clean rebuild,
-# never a crash or silent bad data.
+# never a crash or silent bad data. The CLI trace-file drill round-trips
+# an SRTC trace file through generate, an in-place profile and info, and
+# a flipped chunk byte must fail info cleanly.
 #
 # After ctest, every mode smoke-runs the `stemroot run` pipeline with
 # --telemetry (JSON and CSV, gated on tools/telemetry_check) and --trace
@@ -445,6 +447,40 @@ EARLY
   env "${san_env[@]}" \
     "$dir/tools/stemroot" cache evict --cache "$cdir" --max-bytes 0 \
       >/dev/null
+
+  echo "=== [$mode] trace-file drill (CLI SRTC files, DESIGN.md SS16) ==="
+  # generate -> profile in place (same --in/--out path) -> info must
+  # succeed. Then one byte flipped inside the chunk must make info fail
+  # cleanly: exit 1 with an error message, no crash, no sanitizer report.
+  local tdir="$dir/trace-file-drill"
+  rm -rf "$tdir"; mkdir -p "$tdir"
+  local tfile="$tdir/t.srtc"
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" generate --suite casio --workload bert_infer \
+      --scale 0.02 --out "$tfile" >/dev/null
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" profile --in "$tfile" --out "$tfile" >/dev/null
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" info --in "$tfile" >"$tdir/info.out"
+  grep -q 'top kernels by time' "$tdir/info.out" || {
+    echo "trace-file drill FAILED: info did not see a profiled trace" >&2
+    exit 1; }
+  local tsz toff tbyte trc=0
+  tsz="$(wc -c < "$tfile")"
+  toff=$((tsz / 2))
+  tbyte="$(od -An -tu1 -j "$toff" -N1 "$tfile" | tr -d ' ')"
+  printf "$(printf '\\%03o' $((tbyte ^ 255)))" | \
+    dd of="$tfile" bs=1 seek="$toff" conv=notrunc 2>/dev/null
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" info --in "$tfile" >/dev/null \
+      2>"$tdir/info.err" || trc=$?
+  if [ "$trc" -ne 1 ] || ! grep -q '^error: .*digest mismatch' \
+      "$tdir/info.err" || grep -q 'Sanitizer\|runtime error' \
+      "$tdir/info.err"; then
+    echo "trace-file drill FAILED: flipped chunk byte not rejected" \
+         "cleanly (exit $trc)" >&2
+    cat "$tdir/info.err" >&2; exit 1
+  fi
 
   echo "=== [$mode] out-of-core drill (chunked spill, DESIGN.md SS16) ==="
   # (a) Byte-identity: the same seed with and without chunked spill, at

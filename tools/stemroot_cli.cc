@@ -2,11 +2,11 @@
 /// stemroot — command-line front end to the library, mirroring the
 /// paper's Fig. 5 pipeline as composable steps over trace files:
 ///
-///   stemroot generate --suite casio --workload bert_infer --out t.bin
-///   stemroot profile  --in t.bin --gpu rtx2080 --out t.bin
-///   stemroot info     --in t.bin
-///   stemroot sample   --in t.bin --method stem --epsilon 0.05 --out p.csv
-///   stemroot evaluate --in t.bin --method stem --reps 10
+///   stemroot generate --suite casio --workload bert_infer --out t.srtc
+///   stemroot profile  --in t.srtc --gpu rtx2080 --out t.srtc
+///   stemroot info     --in t.srtc
+///   stemroot sample   --in t.srtc --method stem --epsilon 0.05 --out p.csv
+///   stemroot evaluate --in t.srtc --method stem --reps 10
 ///   stemroot run      --suite casio --workload bert_infer --method stem
 ///   stemroot serve    --socket /tmp/stemroot.sock
 ///   stemroot session  --socket /tmp/stemroot.sock --script requests.jsonl
@@ -41,8 +41,9 @@
 /// `--cache DIR|none`; see src/eval/trace_cache.h for the key contract).
 /// `stemroot cache` inspects and maintains it.
 ///
-/// Traces use the library's binary format; sampling plans are CSVs of
-/// (invocation, weight) -- the "sampling information" a simulator embeds.
+/// Trace files are chunked "SRTC" files (trace/chunked.h); sampling plans
+/// are CSVs of (invocation, weight) -- the "sampling information" a
+/// simulator embeds.
 
 #include <chrono>
 #include <cstdio>
@@ -81,7 +82,6 @@
 #include "service/server.h"
 #include "service/service.h"
 #include "trace/chunked.h"
-#include "trace/serialize.h"
 #include "workloads/suite.h"
 
 using namespace stemroot;
@@ -124,6 +124,9 @@ commands:
   journal   tail FILE [--min-severity debug|info|warn|error] [--verb EVENT]
             [--follow true] [--poll-ms N]
   cache     stats|verify|evict [--cache DIR] [--max-bytes N]
+
+trace FILEs are chunked SRTC trace files (e.g. t.srtc); profile may
+write its --out over its own --in.
 
 methods come from the sampler registry (stem random pka sieve photon
 tbpoint); sampler parameters (--epsilon, --probability, --confidence, ...)
@@ -307,7 +310,7 @@ int CmdGenerate(const Flags& flags, const eval::CommonOptions& common,
        .workload = workload,
        .options = common.ToPipelineOptions()});
   pipeline.FillManifest(manifest);
-  SaveTraceBinary(pipeline.Trace(), out);
+  SpillTraceChunked(pipeline.Trace(), out);
   std::printf("wrote %s: %zu invocations, %zu kernel types (unprofiled)\n",
               out.c_str(), pipeline.Trace().NumInvocations(),
               pipeline.Trace().NumKernelTypes());
@@ -322,11 +325,13 @@ int CmdProfile(const Flags& flags, const eval::CommonOptions& common,
   const std::string csv = flags.GetString("csv", "");
   flags.CheckAllRead();
 
+  // The temporary FileChunkSource closes its reader before the spill
+  // below truncates `out`, which may be the same path as `in`.
   eval::Pipeline pipeline = eval::Pipeline::FromTrace(
-      LoadTraceBinary(in), common.ToPipelineOptions());
+      AssembleTrace(FileChunkSource(in)), common.ToPipelineOptions());
   pipeline.Profile(spec);
   pipeline.FillManifest(manifest);
-  SaveTraceBinary(pipeline.Trace(), out);
+  SpillTraceChunked(pipeline.Trace(), out);
   if (!csv.empty()) ExportTimelineCsv(pipeline.Trace(), csv);
   std::printf("profiled %zu invocations on %s: total %s\n",
               pipeline.Trace().NumInvocations(), spec.name.c_str(),
@@ -339,7 +344,7 @@ int CmdInfo(const Flags& flags, eval::RunManifest& manifest) {
   const int64_t top = flags.GetInt("top", 10);
   flags.CheckAllRead();
 
-  const KernelTrace trace = LoadTraceBinary(in);
+  const KernelTrace trace = AssembleTrace(FileChunkSource(in));
   manifest.config.workload = trace.WorkloadName();
   std::printf("%s: %zu invocations, %zu kernel types\n",
               trace.WorkloadName().c_str(), trace.NumInvocations(),
@@ -373,7 +378,7 @@ int CmdSample(const Flags& flags, const eval::CommonOptions& common,
   flags.CheckAllRead();
 
   const eval::Pipeline pipeline = eval::Pipeline::FromTrace(
-      LoadTraceBinary(in), common.ToPipelineOptions());
+      AssembleTrace(FileChunkSource(in)), common.ToPipelineOptions());
   pipeline.FillManifest(manifest);
   const core::SamplingPlan plan = pipeline.Sample(*sampler);
   CsvWriter csv(out);
@@ -410,7 +415,7 @@ int CmdEvaluate(const Flags& flags, const eval::CommonOptions& common,
   flags.CheckAllRead();
 
   const eval::Pipeline pipeline = eval::Pipeline::FromTrace(
-      LoadTraceBinary(in), common.ToPipelineOptions());
+      AssembleTrace(FileChunkSource(in)), common.ToPipelineOptions());
   pipeline.FillManifest(manifest);
   const eval::EvalResult result = pipeline.Evaluate(*sampler, reps);
   FillMetrics(manifest, result);
