@@ -174,8 +174,9 @@ BENCHMARK(BM_SuiteSweepThreads)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/// EvaluateRepeated across reps at 1/2/4/8 threads (the third parallel
-/// loop): one workload, one sampler, many repetitions.
+/// EvaluateRepeated at 1/2/4/8 threads: one workload, STEM, 16 reps. The
+/// reps share one clustering, so an iteration is one ROOT pass fanned out
+/// per kernel plus KKT, then 16 parallel draws and plan evaluations.
 void BM_EvaluateRepeatedThreads(benchmark::State& state) {
   ScopedThreads scoped(static_cast<int>(state.range(0)));
   hw::HardwareModel gpu(hw::GpuSpec::Rtx2080());

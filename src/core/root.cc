@@ -23,15 +23,16 @@ void RootConfig::Validate() const {
 namespace {
 
 /// Recursive worker. `values` are the durations of `members` (parallel
-/// arrays). Appends final clusters to `out`.
+/// arrays) and `stats` is ClusterStats::Of(values), which the parent
+/// already computed for its split test. Appends final clusters to `out`.
 void Recurse(std::vector<double> values, std::vector<uint32_t> members,
-             uint32_t depth, const RootConfig& config,
-             std::vector<RootCluster>& out) {
+             const ClusterStats& stats, uint32_t depth,
+             const RootConfig& config, std::vector<RootCluster>& out) {
   // Nested begin/end pairs make the split tree's shape visible in a
   // `--trace` timeline: stack depth == recursion depth.
   trace_events::Scope recurse_scope("root.recurse");
   RootCluster cluster;
-  cluster.stats = ClusterStats::Of(values);
+  cluster.stats = stats;
   cluster.depth = depth;
 
   const bool splittable = values.size() >= config.min_split_size &&
@@ -75,7 +76,7 @@ void Recurse(std::vector<double> values, std::vector<uint32_t> members,
       telemetry::Count("core.root.splits");
       for (uint32_t c = 0; c < config.branch_k; ++c)
         Recurse(std::move(child_values[c]), std::move(child_members[c]),
-                depth + 1, config, out);
+                child_stats[c], depth + 1, config, out);
       return;
     }
   }
@@ -100,8 +101,8 @@ std::vector<RootCluster> RootCluster1D(std::span<const double> durations,
   std::vector<RootCluster> out;
   if (durations.empty()) return out;
   Recurse(std::vector<double>(durations.begin(), durations.end()),
-          std::vector<uint32_t>(indices.begin(), indices.end()), 0, config,
-          out);
+          std::vector<uint32_t>(indices.begin(), indices.end()),
+          ClusterStats::Of(durations), 0, config, out);
   return out;
 }
 

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/plan.h"
 #include "core/root.h"
@@ -39,6 +40,16 @@ class Sampler {
   /// runs (the paper averages 10) differ.
   virtual SamplingPlan BuildPlan(const KernelTrace& trace,
                                  uint64_t seed) const = 0;
+
+  /// Build `count` plans, index-aligned: plan r equals
+  /// BuildPlan(trace, base_seed + r) entry for entry. The default maps
+  /// BuildPlan over the reps in parallel; samplers whose seed only feeds
+  /// a final draw override it to share the seed-independent work.
+  /// Must be const-thread-safe (EvaluateRepeated and the audit rely on
+  /// it); the result is identical at any thread count.
+  virtual std::vector<SamplingPlan> BuildPlans(const KernelTrace& trace,
+                                               uint64_t base_seed,
+                                               uint32_t count) const;
 };
 
 /// STEM+ROOT configuration.
@@ -58,8 +69,11 @@ struct StemClustering {
 };
 
 /// Deterministic for a given (trace, config): ROOT clustering draws no
-/// randomness. Throws std::invalid_argument on an empty or unprofiled
-/// trace. Runs inside the "cluster" telemetry span.
+/// randomness. Kernel groups are clustered in parallel and concatenated
+/// in kernel-id order, so the result (and the core.root.* / core.kmeans.*
+/// telemetry) is identical at any thread count. Throws
+/// std::invalid_argument on an empty or unprofiled trace. Runs inside the
+/// "cluster" telemetry span.
 StemClustering BuildStemClusters(const KernelTrace& trace,
                                  const RootConfig& config);
 
@@ -69,8 +83,15 @@ class StemRootSampler : public Sampler {
   explicit StemRootSampler(StemRootConfig config = {});
 
   std::string Name() const override { return "STEM"; }
+  /// BuildPlans(trace, seed, 1)[0].
   SamplingPlan BuildPlan(const KernelTrace& trace,
                          uint64_t seed) const override;
+  /// Steps 1-3 (ROOT + joint KKT) depend only on the trace, so they run
+  /// once; only step 4's random draw is per plan, and the `count` draws
+  /// run in parallel over the shared, read-only clustering.
+  std::vector<SamplingPlan> BuildPlans(const KernelTrace& trace,
+                                       uint64_t base_seed,
+                                       uint32_t count) const override;
 
   const StemRootConfig& Config() const { return config_; }
 

@@ -106,17 +106,18 @@ WorkloadAudit AuditWorkload(const KernelTrace& trace,
   const double true_workload_us = trace.TotalDurationUs();
 
   // One seeded plan per trial; trial r uses base_seed + r so audit trial r
-  // reproduces evaluation rep r. Index-ordered merge keeps the result
-  // invariant to the thread count.
+  // reproduces evaluation rep r. BuildPlans builds them in one call (STEM
+  // clusters once for all trials), and the index-ordered merge keeps the
+  // result invariant to the thread count.
+  const std::vector<core::SamplingPlan> plans =
+      sampler.BuildPlans(trace, base_seed, trials);
   const std::vector<Trial> results =
       ParallelMap(trials, [&](size_t r) {
         trace_events::Scope trial_scope("audit.trial");
         Trial t;
         t.estimate_us.assign(num_clusters, 0.0);
         t.draws.assign(num_clusters, 0);
-        const core::SamplingPlan plan =
-            sampler.BuildPlan(trace, base_seed + static_cast<uint64_t>(r));
-        for (const core::SampleEntry& entry : plan.entries) {
+        for (const core::SampleEntry& entry : plans[r].entries) {
           const double contrib =
               entry.weight * trace.At(entry.invocation).duration_us;
           const uint32_t c = cluster_of[entry.invocation];

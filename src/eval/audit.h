@@ -105,11 +105,12 @@ struct AuditReport {
   std::string ToJson() const;
 };
 
-/// Audit one profiled trace. `base_seed` seeds trial r's BuildPlan with
+/// Audit one profiled trace. `base_seed` seeds trial r's plan with
 /// base_seed + r; pass the Pipeline-derived sampler stream to reproduce
-/// evaluation reps. Trials run in parallel over NumThreads() lanes and
-/// merge in trial order, so the result is thread-count invariant. Runs
-/// inside an "audit" telemetry span.
+/// evaluation reps. The plans come from one `sampler.BuildPlans` call,
+/// which must be const-thread-safe. Trials run in parallel over
+/// NumThreads() lanes and merge in trial order, so the result is
+/// thread-count invariant. Runs inside an "audit" telemetry span.
 WorkloadAudit AuditWorkload(const KernelTrace& trace,
                             const core::Sampler& sampler,
                             const core::RootConfig& root, uint32_t trials,

@@ -67,22 +67,22 @@ EvalResult EvaluateRepeated(const core::Sampler& sampler,
   telemetry::Count("eval.evaluations");
   telemetry::Count("eval.plans_built", runs);
 
-  // Repetitions are independent by construction (rep r seeds BuildPlan
-  // with base_seed + r), so they fan out over threads; per-rep results
-  // land in rep order and the averages below see the exact sequence the
-  // serial loop produced.
+  // Rep r's plan is BuildPlan(trace, base_seed + r); BuildPlans shares
+  // whatever the sampler can between reps (STEM clusters once). The reps'
+  // evaluations are independent, so they fan out over threads; per-rep
+  // results land in rep order and the averages below see the exact
+  // sequence the serial loop produced.
+  const std::vector<core::SamplingPlan> plans = [&] {
+    telemetry::Span span("sample");
+    return sampler.BuildPlans(trace, base_seed, runs);
+  }();
   const std::vector<EvalResult> per_rep =
       ParallelMap(runs, [&](size_t r) {
-        const core::SamplingPlan plan = [&] {
-          telemetry::Span span("sample");
-          return sampler.BuildPlan(trace,
-                                   base_seed + static_cast<uint64_t>(r));
-        }();
         // Each rep's plan bytes depend only on (trace, base_seed + r);
         // AccountPeak's max over the rep set is schedule-invariant, so
         // the logical "plan" peak matches at any thread count.
-        resource::AccountPeak("plan", plan.ApproxBytes());
-        return EvaluatePlan(trace, plan);
+        resource::AccountPeak("plan", plans[r].ApproxBytes());
+        return EvaluatePlan(trace, plans[r]);
       });
 
   // Evaluation scratch: per-rep results plus the reduction vectors. A

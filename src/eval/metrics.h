@@ -47,8 +47,10 @@ EvalResult EvaluatePlanOnDurations(const core::SamplingPlan& plan,
 /// speedup, arithmetic-mean error. Sample/cluster counts are from the
 /// first run. Repetitions execute in parallel over NumThreads() lanes;
 /// rep r always uses seed base_seed + r and results are accumulated in rep
-/// order, so the output is identical at any thread count. Requires
-/// `sampler.BuildPlan` to be const-thread-safe (all in-tree samplers are).
+/// order, so the output is identical at any thread count. Plans come from
+/// one `sampler.BuildPlans(trace, base_seed, reps)` call (STEM clusters
+/// the trace once for all reps), which must be const-thread-safe (all
+/// in-tree samplers are).
 EvalResult EvaluateRepeated(const core::Sampler& sampler,
                             const KernelTrace& trace, uint32_t reps,
                             uint64_t base_seed);

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <string>
 
 #include "common/rng.h"
 
@@ -83,6 +88,110 @@ TEST(Kmeans1DTest, Validation) {
   const std::vector<double> values = {1.0};
   EXPECT_THROW(Kmeans1D(values, 0), std::invalid_argument);
   EXPECT_THROW(Kmeans1D({}, 2), std::invalid_argument);
+}
+
+/// The full-sort quantile seeding Kmeans1D used before it switched to
+/// nth_element, with the unchanged Lloyd loop: the reference the
+/// production result must match bit for bit.
+KmeansResult SortSeededKmeans1D(const std::vector<double>& values,
+                                uint32_t k) {
+  const size_t n = values.size();
+  KmeansResult result;
+  result.k = k;
+  result.assignment.assign(n, 0);
+  result.centers.resize(k);
+  std::vector<double> sorted(values);
+  std::sort(sorted.begin(), sorted.end());
+  for (uint32_t c = 0; c < k; ++c) {
+    const double q = (c + 0.5) / static_cast<double>(k);
+    result.centers[c] =
+        sorted[std::min(n - 1, static_cast<size_t>(q * static_cast<double>(n)))];
+  }
+  std::vector<double> sums(k);
+  std::vector<uint64_t> counts(k);
+  for (uint32_t iter = 0; iter < 50; ++iter) {
+    bool moved = false;
+    std::fill(sums.begin(), sums.end(), 0.0);
+    std::fill(counts.begin(), counts.end(), 0);
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t best = 0;
+      double best_dist = std::numeric_limits<double>::infinity();
+      for (uint32_t c = 0; c < k; ++c) {
+        const double d = std::abs(values[i] - result.centers[c]);
+        if (d < best_dist) {
+          best_dist = d;
+          best = c;
+        }
+      }
+      if (result.assignment[i] != best) {
+        result.assignment[i] = best;
+        moved = true;
+      }
+      sums[best] += values[i];
+      ++counts[best];
+    }
+    for (uint32_t c = 0; c < k; ++c) {
+      if (counts[c] > 0) {
+        result.centers[c] = sums[c] / static_cast<double>(counts[c]);
+        continue;
+      }
+      size_t far_idx = 0;
+      double far_dist = -1.0;
+      for (size_t i = 0; i < n; ++i) {
+        const double d =
+            std::abs(values[i] - result.centers[result.assignment[i]]);
+        if (d > far_dist) {
+          far_dist = d;
+          far_idx = i;
+        }
+      }
+      result.centers[c] = values[far_idx];
+      moved = true;
+    }
+    if (!moved && iter > 0) break;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const double d = values[i] - result.centers[result.assignment[i]];
+    result.inertia += d * d;
+  }
+  return result;
+}
+
+void ExpectBitIdentical(const KmeansResult& got, const KmeansResult& want,
+                        const std::string& where) {
+  EXPECT_EQ(got.assignment, want.assignment) << where;
+  ASSERT_EQ(got.centers.size(), want.centers.size()) << where;
+  EXPECT_EQ(std::memcmp(got.centers.data(), want.centers.data(),
+                        got.centers.size() * sizeof(double)),
+            0)
+      << where;
+  EXPECT_EQ(std::memcmp(&got.inertia, &want.inertia, sizeof(double)), 0)
+      << where;
+}
+
+TEST(Kmeans1DTest, SelectionSeedingMatchesFullSortSeeding) {
+  Rng rng(23);
+  std::map<std::string, std::vector<double>> inputs;
+  for (int i = 0; i < 400; ++i)  // few distinct values, many duplicates
+    inputs["duplicates"].push_back(static_cast<double>(rng.NextBounded(5)));
+  inputs["all_equal"] = std::vector<double>(64, 7.25);
+  inputs["single"] = {3.0};
+  inputs["two"] = {9.0, 1.0};
+  inputs["three_descending"] = {5.0, 4.0, 3.0};
+  for (int i = 0; i < 2000; ++i)  // heavy tail: log-normal, sigma 2
+    inputs["heavy_tail"].push_back(rng.NextLogNormal(2.0, 2.0));
+  for (int i = 0; i < 1000; ++i)  // bimodal with exact ties at the modes
+    inputs["bimodal_ties"].push_back(i % 3 == 0 ? 100.0 : 10.0);
+  for (int i = 0; i < 777; ++i)
+    inputs["uniform_odd_n"].push_back(rng.NextDouble(0, 1));
+
+  for (const auto& [name, values] : inputs) {
+    for (const uint32_t k : {1u, 2u, 3u, 5u, 8u}) {
+      const std::string where = name + " k=" + std::to_string(k);
+      ExpectBitIdentical(Kmeans1D(values, k), SortSeededKmeans1D(values, k),
+                         where);
+    }
+  }
 }
 
 TEST(KmeansNdTest, SeparatesBlobs) {

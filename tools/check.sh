@@ -17,12 +17,13 @@
 # After ctest, every mode smoke-runs the `stemroot run` pipeline with
 # --telemetry (JSON and CSV, gated on tools/telemetry_check) and --trace
 # (gated on tools/trace_check), then `stemroot audit` with a 95%
-# within-budget floor: a malformed export, a missing pipeline stage span
-# or trace event, or a broken error model fails the sweep. Each mode then
-# drills the content-addressed profile cache: a cold run must store, a
-# warm run must hit (and compare byte-identical to the cold run at a
-# different thread count), and a deliberately truncated entry must fall
-# back to a clean recompute.
+# within-budget floor at --threads 1 and 4: a malformed export, a missing
+# pipeline stage span or trace event, a broken error model, or audit
+# exports that differ between the two thread counts fail the sweep.
+# Each mode then drills the content-addressed profile cache: a cold run
+# must store, a warm run must hit (and compare byte-identical to the cold
+# run at a different thread count), and a deliberately truncated entry
+# must fall back to a clean recompute.
 #
 # Usage:
 #   tools/check.sh            # plain + tsan + asan, full ctest each
@@ -106,10 +107,17 @@ run_mode() {
   "$dir/tools/telemetry_check" "$smoke_csv"
 
   echo "=== [$mode] audit smoke (stemroot audit --min-within 0.95) ==="
-  env "${san_env[@]}" \
-    "$dir/tools/stemroot" audit --suite rodinia --workload bfs,hotspot \
-      --seed 42 --trials 3 --min-within 0.95 --cache "$smoke_cache" \
-      --json "$dir/audit-smoke.json" >/dev/null
+  # Once at --threads 1 and once at --threads 4: the trials' plans come
+  # from one shared clustering (fanned out per kernel) and parallel
+  # draws, and the two exports must be byte-identical.
+  for t in 1 4; do
+    env "${san_env[@]}" \
+      "$dir/tools/stemroot" audit --suite rodinia --workload bfs,hotspot \
+        --seed 42 --trials 3 --min-within 0.95 --threads "$t" \
+        --cache "$smoke_cache" --json "$dir/audit-smoke-t$t.json" >/dev/null
+  done
+  cmp "$dir/audit-smoke-t1.json" "$dir/audit-smoke-t4.json" || {
+    echo "audit smoke FAILED: --threads 1 and 4 exports differ" >&2; exit 1; }
 
   echo "=== [$mode] manifest smoke (run manifests + manifest_check) ==="
   # Two identical-seed runs at different --threads: the manifests must
