@@ -137,32 +137,6 @@ void LogHistogram::Record(double value) {
   }
 }
 
-void LogHistogram::Merge(const LogHistogram& other) {
-  if (lo_ != other.lo_ || growth_ != other.growth_ ||
-      counts_.size() != other.counts_.size())
-    throw std::invalid_argument(
-        "LogHistogram::Merge: geometry mismatch (lo/growth/bins)");
-  for (size_t i = 0; i < counts_.size(); ++i)
-    counts_[i].fetch_add(other.BinCount(i), std::memory_order_relaxed);
-  count_.fetch_add(other.Count(), std::memory_order_relaxed);
-  dropped_.fetch_add(other.DroppedCount(), std::memory_order_relaxed);
-  const double add = other.Sum();
-  uint64_t prev_sum = sum_bits_.load(std::memory_order_relaxed);
-  while (true) {
-    const double next = std::bit_cast<double>(prev_sum) + add;
-    if (sum_bits_.compare_exchange_weak(prev_sum,
-                                        std::bit_cast<uint64_t>(next),
-                                        std::memory_order_relaxed))
-      break;
-  }
-  const uint64_t other_max = std::bit_cast<uint64_t>(other.Max());
-  uint64_t prev_max = max_bits_.load(std::memory_order_relaxed);
-  while (other_max > prev_max &&
-         !max_bits_.compare_exchange_weak(prev_max, other_max,
-                                          std::memory_order_relaxed)) {
-  }
-}
-
 double LogHistogram::Sum() const {
   return std::bit_cast<double>(sum_bits_.load(std::memory_order_relaxed));
 }

@@ -107,16 +107,6 @@ class LogHistogram {
   /// bucket-bound semantics. q >= 1 reports Max().
   double Quantile(double q) const;
 
-  /// Fold `other` into this histogram: element-wise bucket-count add,
-  /// plus count/dropped/sum accumulation and max of maxima. Both
-  /// histograms must share (lo, growth, bins) — throws
-  /// std::invalid_argument otherwise. This is the snapshot/aggregation
-  /// path for a non-copyable type: readers Merge into a fresh instance
-  /// (resource::MergeRssHistogram), aggregators Merge several shards.
-  /// Reads of `other` are relaxed-atomic, so merging a live histogram
-  /// yields the same consistent-enough view Snapshot() gives.
-  void Merge(const LogHistogram& other);
-
   size_t NumBins() const { return counts_.size(); }
   /// Upper bound of bucket `bin` (inclusive range end for readout); the
   /// overflow bucket reports +inf.

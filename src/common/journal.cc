@@ -1,11 +1,13 @@
 #include "common/journal.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <fstream>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 
-#include "common/json.h"
 #include "common/log.h"
 #include "common/str.h"
 
@@ -35,6 +37,25 @@ struct State {
 State& S() {
   static State* state = new State;
   return *state;
+}
+
+/// A JSON number that is a whole value in [0, 2^53]; anything else
+/// (negative, fractional, huge, NaN) has no exact uint64_t and is refused
+/// before the cast.
+std::optional<uint64_t> ExactUint(const json::Value& value) {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  if (!value.IsNumber() || !(value.number >= 0.0) ||
+      value.number > kMaxExact || value.number != std::floor(value.number))
+    return std::nullopt;
+  return static_cast<uint64_t>(value.number);
+}
+
+constexpr Severity kSeverities[] = {Severity::kDebug, Severity::kInfo,
+                                    Severity::kWarn, Severity::kError};
+
+bool Fail(std::string* error, std::string why) {
+  if (error != nullptr) *error = std::move(why);
+  return false;
 }
 
 }  // namespace
@@ -174,6 +195,76 @@ void ResetStats() {
   s.dropped.store(0, std::memory_order_relaxed);
   s.errors.store(0, std::memory_order_relaxed);
   s.write_errors.store(0, std::memory_order_relaxed);
+}
+
+std::optional<Line> ReadLine(std::string_view text) {
+  json::Value value;
+  if (!json::Parse(text, value, nullptr) || !value.IsObject())
+    return std::nullopt;
+  Line line;
+  for (auto& [key, field] : *value.object) {
+    std::optional<uint64_t>* uint_slot =
+        key == "ts_us"                ? &line.ts_us
+        : key == "tid"                ? &line.tid
+        : key == "seq"                ? &line.seq
+        : key == "dropped_since_last" ? &line.dropped_since_last
+                                      : nullptr;
+    std::optional<std::string>* string_slot =
+        key == "sev" ? &line.sev : key == "event" ? &line.event : nullptr;
+    if (uint_slot != nullptr) {
+      *uint_slot = ExactUint(field);
+      line.malformed |= !uint_slot->has_value();
+    } else if (string_slot != nullptr) {
+      if (field.IsString()) *string_slot = std::move(field.string);
+      line.malformed |= !field.IsString();
+    } else {
+      line.fields.emplace_back(key, std::move(field));
+    }
+  }
+  return line;
+}
+
+bool ValidateJournal(std::string_view text,
+                     const std::vector<std::string>& required_events,
+                     std::string* error) {
+  std::set<std::string> seen_events;
+  uint64_t last_ts = 0;
+  std::optional<uint64_t> next_seq;
+  size_t lineno = 0;
+  for (size_t start = 0; start < text.size();) {
+    const size_t end = std::min(text.find('\n', start), text.size());
+    const std::string_view raw = text.substr(start, end - start);
+    start = end + 1;
+    ++lineno;
+    if (raw.empty()) continue;
+    const std::string where = "line " + std::to_string(lineno) + ": ";
+    const std::optional<Line> line = ReadLine(raw);
+    if (!line) {
+      if (start >= text.size()) break;  // torn final line
+      return Fail(error, where + "unparseable journal line");
+    }
+    if (!line->WellFormed())
+      return Fail(error, where +
+                             "missing or invalid reserved key "
+                             "(ts_us/tid/seq/sev/event/dropped_since_last)");
+    const std::string& sev = *line->sev;
+    if (std::none_of(std::begin(kSeverities), std::end(kSeverities),
+                     [&](Severity s) { return sev == SeverityName(s); }))
+      return Fail(error, where + "unknown severity '" + sev + "'");
+    if (*line->ts_us < last_ts)
+      return Fail(error, where + "ts_us went backwards");
+    last_ts = *line->ts_us;
+    if (next_seq && *line->seq != *next_seq)
+      return Fail(error, where + "seq gap (want " +
+                             std::to_string(*next_seq) + ", got " +
+                             std::to_string(*line->seq) + ")");
+    next_seq = *line->seq + 1;
+    seen_events.insert(*line->event);
+  }
+  for (const std::string& required : required_events)
+    if (seen_events.count(required) == 0)
+      return Fail(error, "required event '" + required + "' never emitted");
+  return true;
 }
 
 }  // namespace stemroot::journal

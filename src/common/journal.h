@@ -31,13 +31,22 @@
 /// "dropped_since_last" field so the gap is visible in the file itself.
 /// Error-severity events bypass the limiter (losing errors would defeat
 /// the regress gate).
+///
+/// **Read side.** ReadLine is the one parser of the line format: `stemroot
+/// validate journal` (ValidateJournal), `stemroot regress --journal`
+/// (eval::SummarizeJournalFile) and `stemroot journal tail`
+/// (eval::FormatJournalLine) all go through it.
 
 #pragma once
 
 #include <cstdint>
 #include <initializer_list>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
+
+#include "common/json.h"
 
 namespace stemroot::journal {
 
@@ -107,5 +116,40 @@ Stats GetStats();
 /// Reset the Stats() counters to zero (tests; the seq counter is not
 /// reset — seq numbers stay unique for the process lifetime).
 void ResetStats();
+
+/// One journal line read back. Each reserved field is typed and absent
+/// when the key is missing or its value is invalid: the integers must be
+/// whole JSON numbers in [0, 2^53] (the range a double holds exactly),
+/// the strings must be JSON strings. An invalid value also sets
+/// `malformed`, so a hostile line can never pass for a well-formed one.
+struct Line {
+  std::optional<uint64_t> ts_us;
+  std::optional<uint64_t> tid;
+  std::optional<uint64_t> seq;
+  std::optional<uint64_t> dropped_since_last;
+  std::optional<std::string> sev;  ///< raw token; may be unknown
+  std::optional<std::string> event;
+  bool malformed = false;  ///< a reserved key held an invalid value
+  json::Object fields;     ///< the caller's fields, in emit order
+
+  /// Every key Emit always writes (ts_us, tid, seq, sev, event) is
+  /// present and no reserved key is malformed.
+  bool WellFormed() const {
+    return ts_us && tid && seq && sev && event && !malformed;
+  }
+};
+
+/// Parse one JSONL line; std::nullopt when it is not a JSON object (a
+/// torn append or corruption).
+std::optional<Line> ReadLine(std::string_view text);
+
+/// Validate a whole journal: every line well formed with a known
+/// severity, ts_us non-decreasing, seq gap-free, and every name in
+/// `required_events` emitted at least once. Only a torn *final* line is
+/// tolerated (a crash mid-append). On failure, `error` (when non-null)
+/// gets a one-line reason with its 1-based line number.
+bool ValidateJournal(std::string_view text,
+                     const std::vector<std::string>& required_events,
+                     std::string* error);
 
 }  // namespace stemroot::journal

@@ -6,8 +6,8 @@
 /// numbers) every exporter in the tree uses so their byte-level output
 /// conventions cannot drift apart.
 ///
-/// The parser exists for *validation* (tools/telemetry_check,
-/// tools/trace_check, the audit tests): it keeps \u escapes verbatim
+/// The parser exists for *validation* (`stemroot validate`, the journal
+/// reader, the audit tests): it keeps \u escapes verbatim
 /// instead of decoding them, rejects trailing garbage, and reports a
 /// character offset with every error.
 

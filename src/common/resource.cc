@@ -17,7 +17,6 @@
 #define STEMROOT_HAVE_RUSAGE 1
 #endif
 
-#include "common/histogram.h"
 #include "common/journal.h"
 #include "common/str.h"
 #include "common/telemetry.h"
@@ -25,12 +24,6 @@
 namespace stemroot::resource {
 
 namespace {
-
-// Resource-histogram geometry: [1 MiB, 1 MiB * 1.3^62 ~= 10 TiB) — RSS
-// from megabytes to far past any machine we run on.
-constexpr double kRssHistLo = 1024.0 * 1024.0;
-constexpr double kRssHistGrowth = 1.3;
-constexpr size_t kRssHistBins = 64;
 
 // A new high-water mark is journal-worthy when it beats the last
 // reported one by this factor (hysteresis: growth is logged in ~20%
@@ -70,12 +63,6 @@ std::atomic<uint64_t> g_reported_hwm{0};  ///< last journal-logged peak
 std::mutex g_cpu_mu;
 double g_user_cpu_seconds = 0.0;
 double g_system_cpu_seconds = 0.0;
-
-LogHistogram& RssHist() {
-  static LogHistogram* hist =
-      new LogHistogram(kRssHistLo, kRssHistGrowth, kRssHistBins);
-  return *hist;
-}
 
 void FoldMax(std::atomic<uint64_t>& target, uint64_t value) {
   uint64_t seen = target.load(std::memory_order_relaxed);
@@ -127,7 +114,6 @@ void FoldSample(const PhysicalSample& sample) {
   if (rss > 0) {
     g_current_rss.store(rss, std::memory_order_relaxed);
     FoldMax(g_peak_rss, rss);
-    RssHist().Record(static_cast<double>(rss));
     if (telemetry::Enabled())
       telemetry::Record("resource.rss_mb",
                         static_cast<double>(rss) / (1024.0 * 1024.0));
@@ -357,12 +343,6 @@ Stats GetStats() {
   stats.user_cpu_seconds = g_user_cpu_seconds;
   stats.system_cpu_seconds = g_system_cpu_seconds;
   return stats;
-}
-
-void MergeRssHistogram(LogHistogram& into) { into.Merge(RssHist()); }
-
-LogHistogram MakeRssHistogram() {
-  return LogHistogram(kRssHistLo, kRssHistGrowth, kRssHistBins);
 }
 
 }  // namespace stemroot::resource

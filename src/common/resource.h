@@ -31,10 +31,10 @@
 /// mirroring the `cache.*`/`service.*` telemetry-counter exclusions.
 ///
 /// **Physical sampling** reads `/proc/self/statm`, `/proc/self/status`
-/// (VmRSS/VmHWM) and getrusage into monotonic high-water atomics and a
-/// lock-free RSS histogram, either on demand (`SamplePhysical`) or from a
-/// background sampler thread (`StartSampler`; serve mode turns it on,
-/// `--resource-sample-ms N` opts in everywhere else). Physical numbers
+/// (VmRSS/VmHWM) and getrusage into monotonic high-water atomics, either
+/// on demand (`SamplePhysical`) or from a background sampler thread
+/// (`StartSampler`; serve mode turns it on, `--resource-sample-ms N` opts
+/// in everywhere else). Physical numbers
 /// are environmental: they go into the manifest `mem` block and the
 /// Prometheus exposition but never into fingerprints or compare gates.
 /// Missing or truncated `/proc` files are absent-not-fatal (containers
@@ -52,10 +52,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-
-namespace stemroot {
-class LogHistogram;
-}  // namespace stemroot
 
 namespace stemroot::resource {
 
@@ -144,12 +140,11 @@ uint64_t CurrentRssBytes();
 // ---------------------------------------------------------------------------
 
 /// Start the background sampler thread at the given tick interval. Each
-/// tick takes one SamplePhysical(), records the RSS into the process
-/// histogram (and, when telemetry is enabled, into the
-/// "resource.rss_mb" distribution), and emits a warn-severity
-/// "mem_highwater" journal event when RSS crosses a new high-water mark
-/// by >= 20% (slow-request-style: visible, never gated — regress gates
-/// errors only). No-op when already running; interval_ms == 0 is
+/// tick takes one SamplePhysical(), records the RSS into the
+/// "resource.rss_mb" telemetry distribution (when telemetry is enabled),
+/// and emits a warn-severity "mem_highwater" journal event when RSS
+/// crosses a new high-water mark by >= 20% (slow-request-style: visible,
+/// never gated — regress gates errors only). No-op when already running; interval_ms == 0 is
 /// clamped to 1.
 void StartSampler(uint64_t interval_ms);
 
@@ -168,16 +163,5 @@ struct Stats {
   double system_cpu_seconds = 0.0;
 };
 Stats GetStats();
-
-/// Fold the process RSS histogram (one bucket per sampled RSS value)
-/// into `into`, which must share the default resource-histogram
-/// geometry (see MakeRssHistogram). This is the consistent-copy path:
-/// LogHistogram is non-copyable, Merge is how readers take a snapshot.
-void MergeRssHistogram(LogHistogram& into);
-
-/// A LogHistogram with the resource geometry (1 MiB lo, 1.3 growth, 64
-/// bins — spans ~1 MiB to ~10 TiB), matching the internal RSS histogram
-/// so MergeRssHistogram accepts it.
-LogHistogram MakeRssHistogram();
 
 }  // namespace stemroot::resource

@@ -6,19 +6,13 @@
 #include <stdexcept>
 #include <thread>
 
+#include "common/journal.h"
 #include "common/json.h"
 #include "common/str.h"
 
 namespace stemroot::eval {
 
 namespace {
-
-/// Keys the writer owns (common/journal.h Emit); everything else is an
-/// event-specific field and rendered as key=value.
-bool IsReservedKey(std::string_view key) {
-  return key == "ts_us" || key == "tid" || key == "seq" || key == "sev" ||
-         key == "event" || key == "dropped_since_last";
-}
 
 void AppendFieldValue(std::string& out, const json::Value& value) {
   switch (value.kind) {
@@ -51,19 +45,11 @@ int SeverityRank(std::string_view severity) {
 
 bool FormatJournalLine(std::string_view line,
                        const JournalTailOptions& options, std::string& out) {
-  json::Value event;
-  std::string error;
-  if (!json::Parse(line, event, &error))
-    throw std::invalid_argument("journal line is not JSON: " + error);
-  if (!event.IsObject())
-    throw std::invalid_argument("journal line is not an object");
-
-  std::string severity;
-  if (const json::Value* sev = event.Find("sev"); sev && sev->IsString())
-    severity = sev->string;
-  std::string name;
-  if (const json::Value* ev = event.Find("event"); ev && ev->IsString())
-    name = ev->string;
+  const std::optional<journal::Line> event = journal::ReadLine(line);
+  if (!event)
+    throw std::invalid_argument("journal line is not a JSON object");
+  const std::string severity = event->sev.value_or("");
+  const std::string name = event->event.value_or("");
 
   if (!options.min_severity.empty()) {
     const int floor = SeverityRank(options.min_severity);
@@ -74,27 +60,21 @@ bool FormatJournalLine(std::string_view line,
   }
   if (!options.event.empty() && name != options.event) return false;
 
-  double ts_us = 0.0;
-  if (const json::Value* ts = event.Find("ts_us"); ts && ts->IsNumber())
-    ts_us = ts->number;
-
-  out = Format("[%14.6fs] %-5s %-18s", ts_us / 1e6,
+  out = Format("[%14.6fs] %-5s %-18s",
+               static_cast<double>(event->ts_us.value_or(0)) / 1e6,
                severity.empty() ? "?" : severity.c_str(),
                name.empty() ? "?" : name.c_str());
-  for (const auto& [key, value] : *event.object) {
-    if (IsReservedKey(key)) continue;
+  for (const auto& [key, value] : event->fields) {
     out += ' ';
     out += key;
     out += '=';
     AppendFieldValue(out, value);
   }
-  if (const json::Value* d = event.Find("dropped_since_last");
-      d && d->IsNumber() && d->number > 0.0)
-    out += Format(" [+%llu dropped]",
-                  static_cast<unsigned long long>(d->number));
-  if (const json::Value* seq = event.Find("seq"); seq && seq->IsNumber())
-    out += Format("  (seq %llu)",
-                  static_cast<unsigned long long>(seq->number));
+  if (event->dropped_since_last.value_or(0) > 0)
+    out += Format(" [+%llu dropped]", static_cast<unsigned long long>(
+                                          *event->dropped_since_last));
+  if (event->seq)
+    out += Format("  (seq %llu)", static_cast<unsigned long long>(*event->seq));
   return true;
 }
 

@@ -3,11 +3,13 @@
 /// tail`): one pretty line per JSONL event, with severity and event-name
 /// filtering and an optional follow mode that polls for appended lines.
 ///
-/// The renderer is the read side of common/journal.h's writer: it knows
-/// the reserved keys (ts_us, tid, seq, sev, event, dropped_since_last)
-/// and prints every other field as key=value in emit order. Torn tails
-/// and malformed lines -- a crash mid-append, a truncated copy -- are
-/// counted, never fatal, matching SummarizeJournalFile's tolerance.
+/// The renderer reads lines through common/journal.h's journal::ReadLine:
+/// it shows the reserved fields (ts_us, sev, event, seq,
+/// dropped_since_last) in fixed places and every other field as key=value
+/// in emit order; an absent or invalid reserved field renders as "?" or
+/// is left out. Torn tails and malformed lines -- a crash mid-append, a
+/// truncated copy -- are counted, never fatal, matching
+/// SummarizeJournalFile's tolerance.
 
 #pragma once
 
@@ -53,8 +55,8 @@ int SeverityRank(std::string_view severity);
 ///   [      12.345678s] warn  mem_highwater  rss_bytes=123 ... (seq 5)
 ///
 /// Returns true and fills `out` when the line passes the filters; false
-/// when it is filtered out. Throws std::invalid_argument on a malformed
-/// line (not JSON / not an object) -- TailJournal catches and counts.
+/// when it is filtered out. Throws std::invalid_argument when the line is
+/// not a JSON object -- TailJournal catches and counts.
 bool FormatJournalLine(std::string_view line,
                        const JournalTailOptions& options, std::string& out);
 

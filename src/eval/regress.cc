@@ -6,7 +6,7 @@
 #include <set>
 #include <stdexcept>
 
-#include "common/json.h"
+#include "common/journal.h"
 #include "common/stats.h"
 #include "common/str.h"
 #include "common/table.h"
@@ -426,22 +426,18 @@ JournalSummary SummarizeJournalFile(const std::string& path) {
   if (!in)
     throw std::runtime_error("regress: cannot open journal '" + path + "'");
   JournalSummary summary;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    json::Value event;
-    if (!json::Parse(line, event, nullptr) || !event.IsObject()) {
+  std::string text;
+  while (std::getline(in, text)) {
+    if (text.empty()) continue;
+    const std::optional<journal::Line> line = journal::ReadLine(text);
+    if (!line || line->malformed) {
       ++summary.unparseable;  // torn tail or corruption; gate-neutral
       continue;
     }
     ++summary.events;
-    if (const json::Value* sev = event.Find("sev"); sev && sev->IsString()) {
-      if (sev->string == "error") ++summary.errors;
-      if (sev->string == "warn") ++summary.warnings;
-    }
-    if (const json::Value* d = event.Find("dropped_since_last");
-        d && d->IsNumber() && d->number > 0.0)
-      summary.dropped += static_cast<uint64_t>(d->number);
+    if (line->sev == "error") ++summary.errors;
+    if (line->sev == "warn") ++summary.warnings;
+    summary.dropped += line->dropped_since_last.value_or(0);
   }
   return summary;
 }

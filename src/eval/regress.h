@@ -156,10 +156,11 @@ RegressReport CheckRegression(const Ledger& ledger,
                               const RegressOptions& options);
 
 /// What a journal file (common/journal.h JSONL) contains, as the regress
-/// gate sees it. Torn final lines (crash mid-append) are tolerated and
+/// gate sees it, read through journal::ReadLine. Torn final lines (crash
+/// mid-append) and lines with an invalid reserved value are tolerated and
 /// counted as unparseable, not errors.
 struct JournalSummary {
-  uint64_t events = 0;       ///< well-formed lines
+  uint64_t events = 0;       ///< JSON-object lines, none malformed
   uint64_t errors = 0;       ///< sev == "error"
   uint64_t warnings = 0;     ///< sev == "warn"
   uint64_t dropped = 0;      ///< sum of dropped_since_last fields

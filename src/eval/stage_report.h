@@ -8,9 +8,9 @@
 /// - WriteTelemetry dumps a snapshot to disk (JSON, or CSV when the path
 ///   ends in ".csv").
 /// - ValidateTelemetryJson / ValidateTelemetryCsv are dependency-free
-///   schema checks (the JSON grammar lives in common/json.h) used by the
-///   telemetry_check tool and the telemetry tests, so CI can gate on a
-///   malformed export without external JSON libraries.
+///   schema checks (the JSON grammar lives in common/json.h) used by
+///   `stemroot validate telemetry` and the telemetry tests, so CI can
+///   gate on a malformed export without external JSON libraries.
 
 #pragma once
 

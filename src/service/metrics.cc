@@ -1,5 +1,9 @@
 #include "service/metrics.h"
 
+#include <cctype>
+#include <cmath>
+#include <sstream>
+
 #include "common/str.h"
 
 namespace stemroot::service {
@@ -55,6 +59,46 @@ std::string SanitizeCategory(std::string_view category) {
     out += ok ? c : '_';
   }
   return out;
+}
+
+bool ValidMetricName(std::string_view name) {
+  if (name.empty()) return false;
+  if (!std::isalpha(static_cast<unsigned char>(name[0])) && name[0] != '_' &&
+      name[0] != ':')
+    return false;
+  for (char c : name)
+    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_' && c != ':')
+      return false;
+  return true;
+}
+
+/// The process RSS high water only ratchets up, and the logical
+/// per-category peaks are running maxima (common/resource.h), so these
+/// gauges are held to the counter monotonicity rule.
+bool IsMonotoneGauge(std::string_view family) {
+  return family == "stemroot_process_hwm_bytes" ||
+         family.starts_with("stemroot_mem_");
+}
+
+/// Bytes and tick counts have no meaningful negative value, gauge type
+/// or not.
+bool IsNonNegativeFamily(std::string_view family) {
+  return family.starts_with("stemroot_process_") ||
+         family.starts_with("stemroot_mem_");
+}
+
+/// The family a sample belongs to: its name minus the summary/histogram
+/// component suffixes.
+std::string FamilyOf(std::string_view name) {
+  for (std::string_view suffix : {"_sum", "_count", "_bucket"})
+    if (name.size() > suffix.size() && name.ends_with(suffix))
+      return std::string(name.substr(0, name.size() - suffix.size()));
+  return std::string(name);
+}
+
+bool Fail(std::string* error, std::string why) {
+  if (error != nullptr) *error = std::move(why);
+  return false;
 }
 
 }  // namespace
@@ -165,7 +209,7 @@ std::string PrometheusText(const ServiceStats& stats) {
   }
 
   // Process-resource families (DESIGN.md §15). RSS/HWM are byte gauges
-  // (HWM is monotone by construction — metrics_check enforces it across
+  // (HWM is monotone by construction — CheckMonotonic enforces it across
   // scrapes); the sampler tick count is a counter; the logical
   // per-category peaks are one family per category, also monotone.
   Family(out, "stemroot_process_rss_bytes", "gauge");
@@ -199,6 +243,95 @@ std::string PrometheusText(const ServiceStats& stats) {
   Sample(out, "stemroot_journal_errors_total", "",
          static_cast<double>(stats.journal_errors));
   return out;
+}
+
+bool ValidateExposition(std::string_view text, std::string* error,
+                        Exposition* out) {
+  Exposition parsed;
+  std::istringstream in{std::string(text)};
+  std::string line;
+  size_t lineno = 0;
+  while (std::getline(in, line)) {
+    ++lineno;
+    if (line.empty()) continue;
+    const std::string where = "line " + std::to_string(lineno) + ": ";
+    if (line[0] == '#') {
+      std::istringstream comment(line);
+      std::string hash, kind, name, type;
+      comment >> hash >> kind;
+      if (kind != "TYPE") continue;  // # HELP and other comments pass
+      if (!(comment >> name >> type) ||
+          (type != "counter" && type != "gauge" && type != "summary" &&
+           type != "histogram"))
+        return Fail(error, where + "malformed TYPE line: " + line);
+      if (!ValidMetricName(name))
+        return Fail(error, where + "bad metric name '" + name + "'");
+      if (type == "counter" && !name.ends_with("_total"))
+        return Fail(error, where + "counter family '" + name +
+                               "' must end in _total");
+      parsed.types[name] = type;
+      continue;
+    }
+
+    // Sample line: name[{labels}] value
+    const size_t name_end = line.find_first_of("{ ");
+    if (name_end == std::string::npos)
+      return Fail(error, where + "malformed sample line: " + line);
+    const std::string name = line.substr(0, name_end);
+    if (!ValidMetricName(name))
+      return Fail(error, where + "bad metric name '" + name + "'");
+    std::string labels;
+    size_t value_start = name_end;
+    if (line[name_end] == '{') {
+      const size_t close = line.find('}', name_end);
+      if (close == std::string::npos)
+        return Fail(error, where + "unterminated label set: " + line);
+      labels = line.substr(name_end, close - name_end + 1);
+      value_start = close + 1;
+    }
+    value_start = line.find_first_not_of(' ', value_start);
+    const std::optional<double> value =
+        value_start == std::string::npos
+            ? std::nullopt
+            : ParseDouble(std::string_view(line).substr(value_start));
+    if (!value || !std::isfinite(*value))
+      return Fail(error, where +
+                             "sample value does not parse as a finite "
+                             "number: " + line);
+    const std::string family = FamilyOf(name);
+    const auto type = parsed.types.find(family);
+    if (type == parsed.types.end())
+      return Fail(error, where + "sample '" + name + "' has no preceding " +
+                             "# TYPE " + family + " declaration");
+    if (type->second == "counter" && *value < 0.0)
+      return Fail(error, where + "counter '" + name + "' is negative");
+    if (IsNonNegativeFamily(family) && *value < 0.0)
+      return Fail(error, where + "resource gauge '" + name + "' is negative");
+    parsed.samples[name + labels] = *value;
+  }
+  if (out != nullptr) *out = std::move(parsed);
+  return true;
+}
+
+bool CheckMonotonic(const Exposition& earlier, const Exposition& later,
+                    std::string* error) {
+  for (const auto& [key, before] : earlier.samples) {
+    const std::string family = FamilyOf(key.substr(0, key.find('{')));
+    const auto type = earlier.types.find(family);
+    if (type == earlier.types.end()) continue;
+    const bool counter = type->second == "counter";
+    if (!counter && !IsMonotoneGauge(family)) continue;
+    const std::string what =
+        std::string(counter ? "counter" : "high-water gauge") + " '" + key +
+        "'";
+    const auto it = later.samples.find(key);
+    if (it == later.samples.end())
+      return Fail(error, what + " vanished from the later scrape");
+    if (it->second < before)
+      return Fail(error, what + " went backwards (" + FormatDouble(before) +
+                             " -> " + FormatDouble(it->second) + ")");
+  }
+  return true;
 }
 
 }  // namespace stemroot::service

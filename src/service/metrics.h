@@ -21,9 +21,13 @@
 /// (Prometheus convention), `_us` for microsecond-valued families.
 /// Telemetry counters under the `service.*` prefix are environmental
 /// (excluded from the compare gate) and must be registered here:
-/// RegisteredServiceCounters() is the closed set that
-/// `metrics_check --lint-manifest` enforces, so a typo'd or undocumented
-/// service counter fails CI instead of silently escaping the gates.
+/// RegisteredServiceCounters() is the closed set that `stemroot validate
+/// manifest` enforces, so a typo'd or undocumented service counter fails
+/// CI instead of silently escaping the gates.
+///
+/// **Read side.** ValidateExposition parses and checks what
+/// PrometheusText writes, and CheckMonotonic compares two scrapes of one
+/// process; `stemroot validate metrics [--prev EARLIER]` wires both.
 
 #pragma once
 
@@ -140,7 +144,7 @@ class ServiceMetrics {
 
 /// The closed set of telemetry counter names the service may emit under
 /// the environmental `service.*` prefix (sorted). Adding a counter to
-/// the service REQUIRES adding it here — the metrics_check manifest lint
+/// the service REQUIRES adding it here — `stemroot validate manifest`
 /// rejects any `service.*` name outside this set.
 std::span<const std::string_view> RegisteredServiceCounters();
 bool IsRegisteredServiceCounter(std::string_view name);
@@ -149,7 +153,32 @@ bool IsRegisteredServiceCounter(std::string_view name);
 /// 0.0.4): `# TYPE` line per family, counters suffixed `_total`, the
 /// per-verb latency summaries with quantile labels. Deterministic for
 /// identical inputs (fixed family and label order). Validated by
-/// tools/metrics_check.
+/// ValidateExposition.
 std::string PrometheusText(const ServiceStats& stats);
+
+/// A parsed exposition: each family's declared type, and each sample's
+/// value keyed by "name{labels}" (the key CheckMonotonic compares on).
+struct Exposition {
+  std::map<std::string, std::string> types;  ///< family -> type
+  std::map<std::string, double> samples;     ///< "name{labels}" -> value
+};
+
+/// Strict validation of an exposition text: every line is a comment, a
+/// `# TYPE <name> counter|gauge|summary|histogram` declaration, or a
+/// `<name>[{labels}] <value>` sample; names match
+/// [a-zA-Z_:][a-zA-Z0-9_:]*; every sample follows its family's # TYPE;
+/// counter families end in `_total`; values are finite, and counters
+/// and the stemroot_process_* / stemroot_mem_* families are >= 0. On
+/// failure, `error` (when non-null) gets a one-line reason with its
+/// 1-based line number; `out` (when non-null) receives the parse.
+bool ValidateExposition(std::string_view text, std::string* error,
+                        Exposition* out = nullptr);
+
+/// Monotonicity between two scrapes of one process: no counter sample,
+/// and no high-water gauge sample (stemroot_process_hwm_bytes and every
+/// stemroot_mem_* logical peak, monotone by construction), may be lower
+/// in `later` than in `earlier` or missing from it.
+bool CheckMonotonic(const Exposition& earlier, const Exposition& later,
+                    std::string* error);
 
 }  // namespace stemroot::service

@@ -204,44 +204,6 @@ TEST(LogHistogramTest, BucketEdgesLandInTheRightBucket) {
   EXPECT_EQ(total, 1u);
 }
 
-TEST(LogHistogramTest, MergeAccumulatesCountsSumAndMax) {
-  LogHistogram a(1.0, 2.0, 10);
-  LogHistogram b(1.0, 2.0, 10);
-  a.Record(3.0);
-  a.Record(5.0);
-  b.Record(100.0);
-  b.Record(-1.0);  // dropped in b, carried across the merge
-  a.Merge(b);
-  EXPECT_EQ(a.Count(), 3u);
-  EXPECT_EQ(a.DroppedCount(), 1u);
-  EXPECT_DOUBLE_EQ(a.Sum(), 108.0);
-  EXPECT_DOUBLE_EQ(a.Max(), 100.0);
-  // Bucket counts are element-wise: the merged total matches Count().
-  uint64_t total = 0;
-  for (size_t i = 0; i < a.NumBins(); ++i) total += a.BinCount(i);
-  EXPECT_EQ(total, 3u);
-  // b is untouched.
-  EXPECT_EQ(b.Count(), 1u);
-  EXPECT_DOUBLE_EQ(b.Max(), 100.0);
-}
-
-TEST(LogHistogramTest, MergeEmptyIsIdentity) {
-  LogHistogram a;
-  LogHistogram empty;
-  a.Record(7.0);
-  a.Merge(empty);
-  EXPECT_EQ(a.Count(), 1u);
-  EXPECT_DOUBLE_EQ(a.Sum(), 7.0);
-  EXPECT_DOUBLE_EQ(a.Max(), 7.0);
-}
-
-TEST(LogHistogramTest, MergeRejectsGeometryMismatch) {
-  LogHistogram a(1.0, 2.0, 10);
-  EXPECT_THROW(a.Merge(LogHistogram(2.0, 2.0, 10)), std::invalid_argument);
-  EXPECT_THROW(a.Merge(LogHistogram(1.0, 1.5, 10)), std::invalid_argument);
-  EXPECT_THROW(a.Merge(LogHistogram(1.0, 2.0, 12)), std::invalid_argument);
-}
-
 TEST(LogHistogramTest, ConcurrentRecordsAllLand) {
   LogHistogram h;
   std::vector<std::thread> threads;

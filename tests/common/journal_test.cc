@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -194,6 +195,113 @@ TEST_F(JournalTest, StringEscaping) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].Find("text")->string,
             "line\nbreak \"quoted\" back\\slash");
+}
+
+TEST(JournalReadLineTest, TypesTheReservedFieldsAndKeepsTheRest) {
+  const std::optional<journal::Line> line = journal::ReadLine(
+      R"({"ts_us":12,"tid":3,"seq":7,"sev":"warn","event":"request.slow",)"
+      R"("session":2,"dropped_since_last":4,"verb":"feed"})");
+  ASSERT_TRUE(line.has_value());
+  EXPECT_TRUE(line->WellFormed());
+  EXPECT_EQ(line->ts_us, 12u);
+  EXPECT_EQ(line->tid, 3u);
+  EXPECT_EQ(line->seq, 7u);
+  EXPECT_EQ(line->dropped_since_last, 4u);
+  EXPECT_EQ(line->sev, "warn");
+  EXPECT_EQ(line->event, "request.slow");
+  ASSERT_EQ(line->fields.size(), 2u);
+  EXPECT_EQ(line->fields[0].first, "session");
+  EXPECT_EQ(line->fields[1].first, "verb");
+
+  EXPECT_FALSE(journal::ReadLine(R"({"ts_us":1,"tid":1,"seq":0,"se)"));
+  EXPECT_FALSE(journal::ReadLine("[1,2]"));
+  // Missing keys are absent, not malformed; 2^53 is the largest exact
+  // integer and still accepted.
+  const std::optional<journal::Line> sparse =
+      journal::ReadLine(R"({"ts_us":9007199254740992,"event":"e"})");
+  ASSERT_TRUE(sparse.has_value());
+  EXPECT_EQ(sparse->ts_us, 9007199254740992u);
+  EXPECT_FALSE(sparse->seq.has_value());
+  EXPECT_FALSE(sparse->malformed);
+  EXPECT_FALSE(sparse->WellFormed());
+}
+
+/// Lines whose reserved integers have no exact uint64_t value, or whose
+/// reserved keys have the wrong JSON type.
+const char* const kHostileLines[] = {
+    R"({"ts_us":-1,"tid":1,"seq":0,"sev":"info","event":"a"})",
+    R"({"ts_us":1,"tid":1,"seq":1e300,"sev":"info","event":"a"})",
+    R"({"ts_us":1.5,"tid":1,"seq":0,"sev":"info","event":"a"})",
+    R"({"ts_us":1,"tid":1,"seq":"0","sev":"info","event":"a"})",
+    R"({"ts_us":9007199254740994,"tid":1,"seq":0,"sev":"info","event":"a"})",
+    R"({"ts_us":1,"tid":1,"seq":0,"sev":"info","event":"a",)"
+    R"("dropped_since_last":-3})",
+    R"({"ts_us":1,"tid":1,"seq":0,"sev":7,"event":"a"})",
+};
+
+TEST(JournalReadLineTest, HostileReservedValuesAreAbsentAndMalformed) {
+  for (const char* text : kHostileLines) {
+    const std::optional<journal::Line> line = journal::ReadLine(text);
+    ASSERT_TRUE(line.has_value()) << text;
+    EXPECT_TRUE(line->malformed) << text;
+    EXPECT_FALSE(line->WellFormed()) << text;
+  }
+}
+
+TEST(ValidateJournalTest, AcceptsWriterOutputAndToleratesTornFinalLine) {
+  const std::string good =
+      R"({"ts_us":1,"tid":1,"seq":4,"sev":"info","event":"session.open"})"
+      "\n"
+      R"({"ts_us":1,"tid":2,"seq":5,"sev":"error","event":"b"})"
+      "\n";
+  std::string error;
+  EXPECT_TRUE(journal::ValidateJournal(good, {"session.open"}, &error))
+      << error;
+  EXPECT_TRUE(journal::ValidateJournal(
+      good + R"({"ts_us":2,"tid":1,"seq":6,"sev":"in)", {}, &error))
+      << error;
+  // A torn line anywhere but last is corruption.
+  EXPECT_FALSE(journal::ValidateJournal(
+      R"({"ts_us":2,"tid":1,"se)"
+      "\n" + good,
+      {}, &error));
+  EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+  EXPECT_FALSE(journal::ValidateJournal(good, {"session.close"}, &error));
+  EXPECT_NE(error.find("session.close"), std::string::npos) << error;
+}
+
+TEST(ValidateJournalTest, RejectsOrderingAndSeverityViolations) {
+  std::string error;
+  EXPECT_FALSE(journal::ValidateJournal(
+      R"({"ts_us":5,"tid":1,"seq":0,"sev":"info","event":"a"})"
+      "\n"
+      R"({"ts_us":4,"tid":1,"seq":1,"sev":"info","event":"a"})",
+      {}, &error));
+  EXPECT_NE(error.find("ts_us went backwards"), std::string::npos) << error;
+  EXPECT_FALSE(journal::ValidateJournal(
+      R"({"ts_us":1,"tid":1,"seq":0,"sev":"info","event":"a"})"
+      "\n"
+      R"({"ts_us":2,"tid":1,"seq":2,"sev":"info","event":"a"})",
+      {}, &error));
+  EXPECT_NE(error.find("seq gap"), std::string::npos) << error;
+  EXPECT_FALSE(journal::ValidateJournal(
+      R"({"ts_us":1,"tid":1,"seq":0,"sev":"fatal","event":"a"})", {},
+      &error));
+  EXPECT_NE(error.find("unknown severity"), std::string::npos) << error;
+}
+
+TEST(ValidateJournalTest, RejectsEveryHostileLine) {
+  for (const char* text : kHostileLines) {
+    std::string error;
+    // Followed by a good line, so the hostile one is never the
+    // tolerated torn tail.
+    EXPECT_FALSE(journal::ValidateJournal(
+        std::string(text) + "\n" +
+            R"({"ts_us":9,"tid":1,"seq":1,"sev":"info","event":"b"})",
+        {}, &error))
+        << text;
+    EXPECT_NE(error.find("reserved key"), std::string::npos) << error;
+  }
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/histogram.h"
 
 #ifndef SR_TESTDATA_DIR
 #error "SR_TESTDATA_DIR must point at tests/common/testdata"
@@ -242,19 +241,6 @@ TEST(ResourceSamplerTest, StartStopLifecycle) {
   StopSampler();  // safe when not running
   // At least the initial tick plus the final sample in the destructor.
   EXPECT_GE(GetStats().samples, samples_before + 2);
-}
-
-TEST(ResourceSamplerTest, RssHistogramMergesIntoMatchingGeometry) {
-  SamplePhysical();  // at least one recorded RSS on Linux
-  LogHistogram snapshot = MakeRssHistogram();
-  MergeRssHistogram(snapshot);
-#if defined(__linux__)
-  EXPECT_GT(snapshot.Count(), 0u);
-  EXPECT_GT(snapshot.Max(), 0.0);
-#endif
-  // A histogram with foreign geometry is refused.
-  LogHistogram wrong(1.0, 1.5, 10);
-  EXPECT_THROW(MergeRssHistogram(wrong), std::invalid_argument);
 }
 
 }  // namespace

@@ -96,6 +96,24 @@ TEST(FormatJournalLineTest, MalformedLineThrows) {
                std::invalid_argument);
 }
 
+TEST(FormatJournalLineTest, HostileReservedValuesRenderWithoutThem) {
+  for (const char* line :
+       {R"({"ts_us":-1,"tid":1,"seq":-2,"sev":"info","event":"a"})",
+        R"({"ts_us":1e300,"tid":1,"seq":1e300,"sev":"info","event":"a",)"
+        R"("dropped_since_last":1e300})",
+        R"({"ts_us":1.5,"tid":1,"seq":0.5,"sev":"info","event":"a",)"
+        R"("dropped_since_last":-4})",
+        R"({"ts_us":"7","tid":1,"seq":"8","sev":"info","event":"a",)"
+        R"("dropped_since_last":"9"})"}) {
+    std::string out;
+    ASSERT_TRUE(FormatJournalLine(line, JournalTailOptions{}, out)) << line;
+    EXPECT_EQ(out.find("(seq"), std::string::npos) << out;
+    EXPECT_EQ(out.find("dropped]"), std::string::npos) << out;
+    EXPECT_NE(out.find("[      0.000000s] info  a"), std::string::npos)
+        << out;
+  }
+}
+
 TEST(JournalTailTest, RoundTripsWriterOutput) {
   // The round-trip contract: everything the journal writer emits, the
   // tail renderer can read back.

@@ -491,6 +491,35 @@ TEST(RegressTest, SummarizeJournalFileTalliesAndToleratesTornTail) {
   EXPECT_TRUE(errors_tripped);
 }
 
+TEST(RegressTest, SummarizeJournalFileCountsHostileLinesUnparseable) {
+  const std::string path =
+      ::testing::TempDir() + "/regress_journal_hostile.jsonl";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << R"({"ts_us":1,"tid":1,"seq":0,"sev":"error","event":"a",)"
+        << R"("dropped_since_last":-1})" << "\n";
+    out << R"({"ts_us":1,"tid":1,"seq":1,"sev":"warn","event":"b",)"
+        << R"("dropped_since_last":1e300})" << "\n";
+    out << R"({"ts_us":-1,"tid":1,"seq":2,"sev":"error","event":"c"})"
+        << "\n";
+    out << R"({"ts_us":1,"tid":1,"seq":1e300,"sev":"info","event":"d"})"
+        << "\n";
+    out << R"({"ts_us":1,"tid":1,"seq":2.5,"sev":"info","event":"e"})"
+        << "\n";
+    out << R"({"ts_us":"1","tid":1,"seq":3,"sev":"info","event":"f"})"
+        << "\n";
+    out << R"({"ts_us":2,"tid":1,"seq":4,"sev":"info","event":"g",)"
+        << R"("dropped_since_last":3})" << "\n";
+  }
+  const JournalSummary summary = SummarizeJournalFile(path);
+  EXPECT_EQ(summary.unparseable, 6u);
+  EXPECT_EQ(summary.events, 1u);
+  EXPECT_EQ(summary.errors, 0u);
+  EXPECT_EQ(summary.warnings, 0u);
+  EXPECT_EQ(summary.dropped, 3u);
+  std::remove(path.c_str());
+}
+
 RunManifest MakeMemRun(uint64_t peak_rss_mb, uint64_t trace_bytes) {
   RunManifest m = MakeRun();
   m.mem.present = true;

@@ -176,5 +176,97 @@ TEST(ServiceMetricsTest, PrometheusLinesAreWellFormed) {
   }
 }
 
+ServiceStats MakePopulatedStats() {
+  ServiceStats stats = MakeStats();
+  stats.process_rss_bytes = 64 << 20;
+  stats.process_hwm_bytes = 80 << 20;
+  stats.resource_samples = 9;
+  stats.process_cpu_user_seconds = 1.25;
+  stats.process_cpu_system_seconds = 0.5;
+  stats.mem_logical = {{"trace", 4096}, {"service.session", 1024}};
+  return stats;
+}
+
+TEST(ExpositionTest, PrometheusTextValidates) {
+  std::string error;
+  Exposition parsed;
+  ASSERT_TRUE(ValidateExposition(PrometheusText(MakePopulatedStats()),
+                                 &error, &parsed))
+      << error;
+  EXPECT_EQ(parsed.types.at("stemroot_service_requests_total"), "counter");
+  EXPECT_EQ(parsed.types.at("stemroot_mem_trace_bytes"), "gauge");
+  EXPECT_DOUBLE_EQ(
+      parsed.samples.at("stemroot_service_requests_total{verb=\"feed\"}"),
+      40.0);
+  EXPECT_DOUBLE_EQ(parsed.samples.at("stemroot_process_hwm_bytes"),
+                   80.0 * (1 << 20));
+  // The summary's _sum/_count samples belong to the declared family.
+  EXPECT_TRUE(parsed.samples.count(
+      "stemroot_service_request_latency_us_count{verb=\"feed\"}"));
+}
+
+TEST(ExpositionTest, EachRuleRejects) {
+  std::string error;
+  EXPECT_FALSE(ValidateExposition("# TYPE 9bad gauge\n9bad 1\n", &error));
+  EXPECT_NE(error.find("bad metric name"), std::string::npos) << error;
+  EXPECT_FALSE(
+      ValidateExposition("# TYPE requests counter\nrequests 1\n", &error));
+  EXPECT_NE(error.find("_total"), std::string::npos) << error;
+  EXPECT_FALSE(ValidateExposition("up 1\n# TYPE up gauge\n", &error));
+  EXPECT_NE(error.find("no preceding # TYPE"), std::string::npos) << error;
+  for (const char* value : {"NaN", "+Inf", "inf", "abc", ""}) {
+    const std::string text = std::string("# TYPE up gauge\nup ") + value;
+    EXPECT_FALSE(ValidateExposition(text + "\n", &error)) << value;
+    EXPECT_NE(error.find("finite"), std::string::npos) << error;
+  }
+  EXPECT_FALSE(ValidateExposition(
+      "# TYPE stemroot_process_rss_bytes gauge\n"
+      "stemroot_process_rss_bytes -1\n",
+      &error));
+  EXPECT_NE(error.find("negative"), std::string::npos) << error;
+  EXPECT_FALSE(ValidateExposition(
+      "# TYPE x_total counter\nx_total{verb=\"a\" 1\n", &error));
+  EXPECT_NE(error.find("unterminated label set"), std::string::npos)
+      << error;
+  EXPECT_FALSE(
+      ValidateExposition("# TYPE x_total counter\nx_total -2\n", &error));
+  EXPECT_FALSE(ValidateExposition("# TYPE x widget\n", &error));
+  EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+  // A plain gauge may go negative; comments and blank lines pass.
+  EXPECT_TRUE(ValidateExposition(
+      "# HELP t temperature\n\n# TYPE t gauge\nt -3.5\n", nullptr));
+}
+
+TEST(ExpositionTest, MonotonicityCatchesRegressionsAcrossScrapes) {
+  Exposition earlier, later;
+  ServiceStats stats = MakePopulatedStats();
+  ASSERT_TRUE(ValidateExposition(PrometheusText(stats), nullptr, &earlier));
+  stats.sessions_opened += 1;
+  stats.process_rss_bytes -= 1 << 20;  // a plain gauge may fall
+  ASSERT_TRUE(ValidateExposition(PrometheusText(stats), nullptr, &later));
+  std::string error;
+  EXPECT_TRUE(CheckMonotonic(earlier, later, &error)) << error;
+
+  ServiceStats fewer = stats;
+  fewer.sessions_opened = 0;  // a counter decreased
+  ASSERT_TRUE(ValidateExposition(PrometheusText(fewer), nullptr, &later));
+  EXPECT_FALSE(CheckMonotonic(earlier, later, &error));
+  EXPECT_NE(error.find("stemroot_service_sessions_opened_total"),
+            std::string::npos)
+      << error;
+
+  ServiceStats lower_hwm = stats;
+  lower_hwm.process_hwm_bytes -= 1;  // a high-water gauge decreased
+  ASSERT_TRUE(ValidateExposition(PrometheusText(lower_hwm), nullptr, &later));
+  EXPECT_FALSE(CheckMonotonic(earlier, later, &error));
+  EXPECT_NE(error.find("high-water gauge"), std::string::npos) << error;
+
+  ServiceStats dropped = stats;
+  dropped.mem_logical.erase("trace");  // a monotone sample vanished
+  ASSERT_TRUE(ValidateExposition(PrometheusText(dropped), nullptr, &later));
+  EXPECT_FALSE(CheckMonotonic(earlier, later, &error));
+  EXPECT_NE(error.find("vanished"), std::string::npos) << error;
+}
+
 }  // namespace
 }  // namespace stemroot::service

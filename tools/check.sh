@@ -15,8 +15,8 @@
 # a flipped chunk byte must fail info cleanly.
 #
 # After ctest, every mode smoke-runs the `stemroot run` pipeline with
-# --telemetry (JSON and CSV, gated on tools/telemetry_check) and --trace
-# (gated on tools/trace_check), then `stemroot audit` with a 95%
+# --telemetry (JSON and CSV) and --trace, each export gated on
+# `stemroot validate`, then `stemroot audit` with a 95%
 # within-budget floor at --threads 1 and 4: a malformed export, a missing
 # pipeline stage span or trace event, a broken error model, or audit
 # exports that differ between the two thread counts fail the sweep.
@@ -68,7 +68,7 @@ run_mode() {
     *)    ctest "${ctest_args[@]}" -j "$JOBS" ;;
   esac
 
-  echo "=== [$mode] telemetry smoke (stemroot run + telemetry_check) ==="
+  echo "=== [$mode] telemetry smoke (stemroot run + validate telemetry) ==="
   # Same sanitizer runtime options as the ctest runs above; in particular
   # detect_leaks=0 -- the telemetry span stacks are intentionally leaked
   # per-thread state (see src/common/telemetry.cc).
@@ -86,25 +86,43 @@ run_mode() {
       --method stem --scale 0.02 --reps 2 --threads 4 \
       --cache "$smoke_cache" \
       --telemetry "$smoke" --trace "$trace" >/dev/null
-  "$dir/tools/telemetry_check" "$smoke" \
-      --require-stage generate --require-stage profile \
-      --require-stage cluster --require-stage sample \
-      --require-stage evaluate
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate telemetry "$smoke" \
+      --require-stage generate,profile,cluster,sample,evaluate
 
-  echo "=== [$mode] trace smoke (trace_check on the --trace export) ==="
+  echo "=== [$mode] trace smoke (validate trace on the --trace export) ==="
   # --threads 4 above guarantees the parallel.chunk scopes exist; the
   # stage scopes come from the pipeline spans feeding the trace layer.
-  "$dir/tools/trace_check" "$trace" \
-      --require-event cluster --require-event kkt.solve \
-      --require-event parallel.chunk --min-events 10
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate trace "$trace" \
+      --require-event cluster,kkt.solve,parallel.chunk --min-events 10
 
-  echo "=== [$mode] telemetry CSV round-trip (telemetry_check .csv) ==="
+  echo "=== [$mode] truncated-export drill (validate rejects cut files) ==="
+  # A telemetry export and a trace export cut short mid-document must
+  # each fail validation.
+  head -c 200 "$smoke" > "$dir/telemetry-cut.json"
+  head -c 200 "$trace" > "$dir/trace-cut.json"
+  if env "${san_env[@]}" \
+      "$dir/tools/stemroot" validate telemetry "$dir/telemetry-cut.json" \
+      2>/dev/null
+  then
+    echo "truncated-export drill FAILED: cut telemetry accepted" >&2; exit 1
+  fi
+  if env "${san_env[@]}" \
+      "$dir/tools/stemroot" validate trace "$dir/trace-cut.json" \
+      2>/dev/null
+  then
+    echo "truncated-export drill FAILED: cut trace accepted" >&2; exit 1
+  fi
+
+  echo "=== [$mode] telemetry CSV round-trip (validate telemetry .csv) ==="
   env "${san_env[@]}" \
     "$dir/tools/stemroot" run --suite casio --workload bert_infer \
       --method stem --scale 0.02 --reps 1 --threads 2 \
       --cache "$smoke_cache" \
       --telemetry "$smoke_csv" >/dev/null
-  "$dir/tools/telemetry_check" "$smoke_csv"
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate telemetry "$smoke_csv"
 
   echo "=== [$mode] audit smoke (stemroot audit --min-within 0.95) ==="
   # Once at --threads 1 and once at --threads 4: the trials' plans come
@@ -119,7 +137,7 @@ run_mode() {
   cmp "$dir/audit-smoke-t1.json" "$dir/audit-smoke-t4.json" || {
     echo "audit smoke FAILED: --threads 1 and 4 exports differ" >&2; exit 1; }
 
-  echo "=== [$mode] manifest smoke (run manifests + manifest_check) ==="
+  echo "=== [$mode] manifest smoke (run manifests + validate manifest) ==="
   # Two identical-seed runs at different --threads: the manifests must
   # validate, and `stemroot compare` must find zero deterministic drift
   # (the determinism contract made machine-checkable).
@@ -132,10 +150,10 @@ run_mode() {
     "$dir/tools/stemroot" run --suite casio --workload bert_infer \
       --method stem --scale 0.02 --reps 2 --seed 42 --threads 4 \
       --cache "$smoke_cache" --manifest "$man_b" >/dev/null
-  "$dir/tools/manifest_check" "$man_a" "$man_b" \
-      --require-stage generate --require-stage profile \
-      --require-stage cluster --require-stage sample \
-      --require-stage evaluate --require-completed
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate manifest "$man_a" "$man_b" \
+      --require-stage generate,profile,cluster,sample,evaluate \
+      --require-completed true
   env "${san_env[@]}" \
     "$dir/tools/stemroot" compare "$man_a" "$man_b" >/dev/null
 
@@ -148,14 +166,17 @@ run_mode() {
   local drill="$dir/regress-drill"
   rm -rf "$drill"; mkdir -p "$drill"
   for _ in 1 2 3; do
-    "$dir/tools/manifest_check" "$man_a" \
+    env "${san_env[@]}" \
+      "$dir/tools/stemroot" validate manifest "$man_a" \
         --append-to "$drill/ledger.jsonl" >/dev/null
   done
   env "${san_env[@]}" \
     "$dir/tools/stemroot" regress --ledger "$drill/ledger.jsonl" >/dev/null
 
   cp "$drill/ledger.jsonl" "$drill/slow.jsonl"
-  "$dir/tools/manifest_check" "$man_a" --scale-stage evaluate=1.05 \
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate manifest "$man_a" \
+      --scale-stage evaluate=1.05 \
       --append-to "$drill/slow.jsonl" >/dev/null
   if env "${san_env[@]}" \
       "$dir/tools/stemroot" regress --ledger "$drill/slow.jsonl" >/dev/null
@@ -164,7 +185,9 @@ run_mode() {
   fi
 
   cp "$drill/ledger.jsonl" "$drill/inaccurate.jsonl"
-  "$dir/tools/manifest_check" "$man_a" --set-error-pct 99 \
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate manifest "$man_a" \
+      --set-error-pct 99 \
       --append-to "$drill/inaccurate.jsonl" >/dev/null
   if env "${san_env[@]}" \
       "$dir/tools/stemroot" regress --ledger "$drill/inaccurate.jsonl" \
@@ -185,7 +208,9 @@ run_mode() {
   # Forged physical blow-up: a 1 TiB peak-RSS entry on a stable baseline
   # must trip the mem:peak_rss gate.
   cp "$drill/ledger.jsonl" "$drill/hog.jsonl"
-  "$dir/tools/manifest_check" "$man_a" --set-mem peak_rss=1099511627776 \
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate manifest "$man_a" \
+      --set-mem peak_rss=1099511627776 \
       --append-to "$drill/hog.jsonl" >/dev/null
   if env "${san_env[@]}" \
       "$dir/tools/stemroot" regress --ledger "$drill/hog.jsonl" >/dev/null
@@ -195,7 +220,9 @@ run_mode() {
   # Forged logical blow-up: an inflated deterministic category must trip
   # its mem:<category> gate the same way.
   cp "$drill/ledger.jsonl" "$drill/bloat.jsonl"
-  "$dir/tools/manifest_check" "$man_a" --set-mem trace=1099511627776 \
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate manifest "$man_a" \
+      --set-mem trace=1099511627776 \
       --append-to "$drill/bloat.jsonl" >/dev/null
   if env "${san_env[@]}" \
       "$dir/tools/stemroot" regress --ledger "$drill/bloat.jsonl" >/dev/null
@@ -222,10 +249,10 @@ run_mode() {
   env "${san_env[@]}" \
     "$dir/tools/stemroot" "${dse_args[@]}" --sim-threads 4 \
       --epoch-cycles 4096 --manifest "$sim_c" >/dev/null
-  "$dir/tools/manifest_check" "$sim_a" "$sim_b" "$sim_c" \
-      --require-completed \
-      --require-counter sim.kernels_simulated \
-      --require-counter dse.points >/dev/null
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate manifest "$sim_a" "$sim_b" "$sim_c" \
+      --require-completed true \
+      --require-counter sim.kernels_simulated,dse.points >/dev/null
   env "${san_env[@]}" \
     "$dir/tools/stemroot" compare "$sim_a" "$sim_b" >/dev/null
   env "${san_env[@]}" \
@@ -242,7 +269,7 @@ run_mode() {
   # of the trace seen), proven by a nonzero service.early_stops counter.
   # The server also exercises the live-introspection surface (DESIGN.md
   # §14): a Prometheus exposition file rewritten every 0.5s, a structured
-  # event journal, and the stats verb -- all gated below by metrics_check.
+  # event journal, and the stats verb -- all gated below by validate.
   local sdir="$dir/serve-drill"
   rm -rf "$sdir"; mkdir -p "$sdir"
   local sock="$sdir/sock"
@@ -322,17 +349,19 @@ EARLY
     echo "serve drill FAILED: server exited nonzero" >&2
     cat "$sdir/serve.log" >&2; exit 1; }
 
-  # Exposition format + counter monotonicity across the two scrapes,
-  # journal invariants (reserved keys, monotone ts, gap-free seq, no
-  # error events), and the service.* counter-name lint on a session
-  # manifest -- all in tools/metrics_check.
-  "$dir/tools/metrics_check" "$sdir/metrics-mid.prom" >/dev/null
-  "$dir/tools/metrics_check" "$sdir/metrics.prom" \
-      --prev "$sdir/metrics-mid.prom" \
-      --journal "$sdir/journal.jsonl" --require-event session.open \
-      --max-errors 0 >/dev/null
+  # Exposition format + counter monotonicity across the two scrapes, and
+  # journal invariants (reserved keys, monotone ts, gap-free seq); the
+  # journal's error gate is `stemroot regress --journal` below.
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate metrics "$sdir/metrics-mid.prom" >/dev/null
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate metrics "$sdir/metrics.prom" \
+      --prev "$sdir/metrics-mid.prom" >/dev/null
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate journal "$sdir/journal.jsonl" \
+      --require-event session.open >/dev/null
   # Serve mode auto-enables the resource sampler: the exposition must
-  # carry the process-memory families (metrics_check above already held
+  # carry the process-memory families (validate metrics above already held
   # stemroot_process_hwm_bytes and stemroot_mem_* to high-water
   # monotonicity across the two scrapes).
   for fam in stemroot_process_rss_bytes stemroot_process_hwm_bytes; do
@@ -356,22 +385,25 @@ EARLY
 
   # Session 2 converged on ~4k of ~14k invocations: the manifest must
   # validate and carry the early-stop evidence.
-  "$dir/tools/manifest_check" "$sdir/session-early.json" \
-      --require-completed \
-      --require-counter service.early_stops \
-      --require-counter service.feed_invocations >/dev/null
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate manifest "$sdir/session-early.json" \
+      --require-completed true \
+      --require-counter service.early_stops,service.feed_invocations \
+      >/dev/null
   # Session 1 fed everything: byte-identical deterministic fields vs the
   # batch run of the same config (manifest smoke's man_a), despite the
   # different command, thread count, and transport.
-  "$dir/tools/manifest_check" "$sdir/session-full.json" \
-      --require-completed --require-stage evaluate >/dev/null
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate manifest "$sdir/session-full.json" \
+      --require-completed true --require-stage evaluate >/dev/null
   env "${san_env[@]}" \
     "$dir/tools/stemroot" compare "$man_a" "$sdir/session-full.json" \
       >/dev/null
   # Session manifests carry service.* counters: the counter-name lint
-  # must accept the registered set...
-  "$dir/tools/metrics_check" \
-      --lint-manifest "$sdir/session-early.json" >/dev/null
+  # (part of every manifest validation) must accept the registered set...
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate manifest "$sdir/session-early.json" \
+      >/dev/null
   # ...and the journal is machine-gateable: a clean run passes
   # `stemroot regress --journal`, a forged error event trips it.
   env "${san_env[@]}" \
@@ -411,8 +443,10 @@ EARLY
     "$dir/tools/stemroot" run --suite casio --workload bert_infer \
       --method stem --scale 0.02 --reps 2 --seed 7 --threads 2 \
       --cache "$cdir" --manifest "$man_cold" >/dev/null
-  "$dir/tools/manifest_check" "$man_cold" --require-completed \
-      --require-counter cache.miss --require-counter cache.store >/dev/null
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate manifest "$man_cold" \
+      --require-completed true \
+      --require-counter cache.miss,cache.store >/dev/null
   env "${san_env[@]}" "$dir/tools/stemroot" cache stats --cache "$cdir"
   env "${san_env[@]}" \
     "$dir/tools/stemroot" cache verify --cache "$cdir" >/dev/null
@@ -424,10 +458,11 @@ EARLY
     "$dir/tools/stemroot" run --suite casio --workload bert_infer \
       --method stem --scale 0.02 --reps 2 --seed 7 --threads 4 \
       --cache "$cdir" --manifest "$man_warm" >/dev/null
-  "$dir/tools/manifest_check" "$man_warm" --require-completed \
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate manifest "$man_warm" \
+      --require-completed true \
       --require-counter cache.hit \
-      --stage-leq generate="$man_cold" \
-      --stage-leq profile="$man_cold" >/dev/null
+      --stage-leq generate="$man_cold",profile="$man_cold" >/dev/null
   env "${san_env[@]}" \
     "$dir/tools/stemroot" compare "$man_cold" "$man_warm" >/dev/null
 
@@ -445,7 +480,9 @@ EARLY
     "$dir/tools/stemroot" run --suite casio --workload bert_infer \
       --method stem --scale 0.02 --reps 2 --seed 7 --threads 2 \
       --cache "$cdir" --manifest "$man_recover" >/dev/null
-  "$dir/tools/manifest_check" "$man_recover" --require-completed \
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate manifest "$man_recover" \
+      --require-completed true \
       --require-counter cache.corrupt >/dev/null
   env "${san_env[@]}" \
     "$dir/tools/stemroot" compare "$man_cold" "$man_recover" >/dev/null
@@ -507,8 +544,10 @@ EARLY
       --method stem --scale 0.02 --reps 2 --seed 13 --threads 4 \
       --cache "$smoke_cache" --trace-chunk-invocations 256 \
       --trace-spill "$odir/spill-run" --manifest "$man_chunked" >/dev/null
-  "$dir/tools/manifest_check" "$man_chunked" --require-completed \
-      --require-spill --require-counter cache.spill_write >/dev/null
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate manifest "$man_chunked" \
+      --require-completed true \
+      --require-spill true --require-counter cache.spill_write >/dev/null
   env "${san_env[@]}" \
     "$dir/tools/stemroot" compare "$man_inmem" "$man_chunked" >/dev/null
 
@@ -527,8 +566,10 @@ EARLY
   env "${san_env[@]}" \
     "$dir/tools/stemroot" "${stream_args[@]}" \
       --manifest "$man_stream" >/dev/null
-  "$dir/tools/manifest_check" "$man_stream" --require-completed \
-      --require-spill --require-counter eval.stream.invocations \
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate manifest "$man_stream" \
+      --require-completed true \
+      --require-spill true --require-counter eval.stream.invocations \
       --max-logical trace=1000000 >/dev/null
 
   # (c) Spill reuse: an identical rerun must verify every chunk digest
@@ -537,7 +578,8 @@ EARLY
   env "${san_env[@]}" \
     "$dir/tools/stemroot" "${stream_args[@]}" \
       --manifest "$man_reuse" >/dev/null
-  "$dir/tools/manifest_check" "$man_reuse" --require-spill \
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate manifest "$man_reuse" --require-spill true \
       --require-counter cache.spill_reuse >/dev/null
   env "${san_env[@]}" \
     "$dir/tools/stemroot" compare "$man_stream" "$man_reuse" >/dev/null
@@ -556,7 +598,9 @@ EARLY
   env "${san_env[@]}" \
     "$dir/tools/stemroot" "${stream_args[@]}" \
       --manifest "$man_rebuild" >/dev/null
-  "$dir/tools/manifest_check" "$man_rebuild" --require-spill \
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate manifest "$man_rebuild" \
+      --require-spill true \
       --require-counter cache.spill_rebuild >/dev/null
   env "${san_env[@]}" \
     "$dir/tools/stemroot" compare "$man_stream" "$man_rebuild" >/dev/null
@@ -568,7 +612,8 @@ EARLY
   env "${san_env[@]}" \
     "$dir/tools/stemroot" "${stream_args[@]}" \
       --manifest "$man_trunc" >/dev/null
-  "$dir/tools/manifest_check" "$man_trunc" --require-spill \
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate manifest "$man_trunc" --require-spill true \
       --require-counter cache.spill_rebuild >/dev/null
   env "${san_env[@]}" \
     "$dir/tools/stemroot" compare "$man_stream" "$man_trunc" >/dev/null

@@ -13,6 +13,7 @@
 ///   stemroot compare  A.json B.json
 ///   stemroot regress  --ledger bench_results/ledger.jsonl --window 8
 ///   stemroot cache    stats|verify|evict [--cache DIR] [--max-bytes N]
+///   stemroot validate manifest a.json b.json --require-completed true
 ///
 /// `serve` hosts the resident service::Service over an AF_UNIX socket
 /// speaking the line-delimited JSON protocol (service/protocol.h);
@@ -41,15 +42,24 @@
 /// `--cache DIR|none`; see src/eval/trace_cache.h for the key contract).
 /// `stemroot cache` inspects and maintains it.
 ///
+/// `stemroot validate KIND FILE...` checks the artifacts the other
+/// commands write (manifest, telemetry, trace, metrics, journal); each
+/// check lives beside the writer of its format, so the verb only wires
+/// flags to those library calls.
+///
 /// Trace files are chunked "SRTC" files (trace/chunked.h); sampling plans
 /// are CSVs of (invocation, weight) -- the "sampling information" a
 /// simulator embeds.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <thread>
 
 #include "baselines/registry.h"
@@ -57,6 +67,7 @@
 #include "common/cache.h"
 #include "common/csv.h"
 #include "common/flags.h"
+#include "common/journal.h"
 #include "common/log.h"
 #include "common/parallel.h"
 #include "common/json.h"
@@ -79,6 +90,7 @@
 #include "eval/stream.h"
 #include "eval/trace_cache.h"
 #include "hw/profile.h"
+#include "service/metrics.h"
 #include "service/server.h"
 #include "service/service.h"
 #include "trace/chunked.h"
@@ -124,6 +136,15 @@ commands:
   journal   tail FILE [--min-severity debug|info|warn|error] [--verb EVENT]
             [--follow true] [--poll-ms N]
   cache     stats|verify|evict [--cache DIR] [--max-bytes N]
+  validate  telemetry FILE... [--require-stage A,B,..]
+            trace FILE... [--require-event A,B,..] [--min-events N]
+            manifest FILE... [--require-stage A,..] [--require-counter A,..]
+              [--require-completed true] [--stage-leq STAGE=OTHER.json,..]
+              [--require-spill true] [--max-logical KEY=BYTES,..]
+            manifest FILE [--scale-stage STAGE=FACTOR] [--set-error-pct X]
+              [--set-mem KEY=BYTES,..] [--out FILE] [--append-to LEDGER]
+            metrics FILE.prom... [--prev EARLIER.prom]
+            journal FILE.jsonl... [--require-event A,B,..]
 
 trace FILEs are chunked SRTC trace files (e.g. t.srtc); profile may
 write its --out over its own --in.
@@ -185,6 +206,21 @@ cache manages the content-addressed profiled-trace cache: stats prints
 entry count and bytes, verify checks every entry's header and checksum
 (exit 1 if any entry is defective), evict removes entries oldest-first
 until the cache fits --max-bytes (default 0: remove everything).
+
+validate checks exported artifacts and exits 1 when any check fails:
+telemetry exports (.csv selects the CSV schema) and their stage spans;
+Chrome traces (balanced, monotone, required events, an event floor);
+run manifests (schema, every service.* counter registered, plus the
+requirement flags; --stage-leq holds a stage to no more wall time than
+in OTHER.json, --max-logical bounds a logical mem category); Prometheus
+expositions (format, and with --prev no counter or high-water gauge
+falling or vanishing since the earlier scrape); and event journals
+(reserved keys, non-decreasing ts_us, gap-free seq; a torn final line
+is tolerated). The manifest forging flags rewrite one validated
+manifest for CI drills: --scale-stage multiplies a stage's time (and
+the wall time) by FACTOR, --set-error-pct overwrites the realized
+error, --set-mem sets peak_rss or a logical category; the result goes
+to --out and/or is appended to the --append-to ledger.
 
 pipeline commands (generate .. audit) also accept:
   --cache DIR|none   directory of the profiled-trace cache consulted by
@@ -857,6 +893,281 @@ int CmdRegress(const Flags& flags) {
   return report.ExitCode();
 }
 
+std::string ReadText(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open " + path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// A comma-list flag (`--require-stage a,b`); empty when absent.
+std::vector<std::string> ListFlag(const Flags& flags, const std::string& key) {
+  const std::string value = flags.GetString(key, "");
+  return value.empty() ? std::vector<std::string>{} : Split(value, ',');
+}
+
+/// One `KEY=VALUE` item of `--flag`; both halves must be non-empty.
+std::pair<std::string, std::string> KeyValue(const std::string& flag,
+                                             const std::string& item) {
+  const size_t eq = item.find('=');
+  if (eq == std::string::npos || eq == 0 || eq + 1 >= item.size())
+    throw std::invalid_argument("--" + flag + " wants KEY=VALUE, got '" +
+                                item + "'");
+  return {item.substr(0, eq), item.substr(eq + 1)};
+}
+
+/// The `KEY=BYTES` items of list flag `--flag`.
+std::vector<std::pair<std::string, uint64_t>> ByteSpecs(
+    const Flags& flags, const std::string& flag) {
+  std::vector<std::pair<std::string, uint64_t>> out;
+  for (const std::string& item : ListFlag(flags, flag)) {
+    const auto [key, text] = KeyValue(flag, item);
+    const std::optional<int64_t> bytes = ParseInt(text);
+    if (!bytes || *bytes < 0)
+      throw std::invalid_argument("--" + flag + " wants KEY=BYTES with "
+                                  "BYTES >= 0, got '" + item + "'");
+    out.emplace_back(key, static_cast<uint64_t>(*bytes));
+  }
+  return out;
+}
+
+/// Every name in `required` occurs in `seen`; otherwise `error` names the
+/// first missing one.
+bool RequireAll(const std::vector<std::string>& required,
+                const std::vector<std::string>& seen, const char* what,
+                std::string* error) {
+  for (const std::string& name : required)
+    if (std::find(seen.begin(), seen.end(), name) == seen.end()) {
+      *error = Format("missing required %s \"%s\"", what, name.c_str());
+      return false;
+    }
+  return true;
+}
+
+/// `validate manifest`: the schema, the service.* counter-name lint and
+/// the requirement flags for every file; then the forging flags rewrite
+/// the one validated manifest (CI drills forge faults `regress` must
+/// catch, without shell JSON editing).
+int ValidateManifests(const Flags& flags,
+                      const std::vector<std::string>& paths) {
+  const std::vector<std::string> stages = ListFlag(flags, "require-stage");
+  const std::vector<std::string> counters =
+      ListFlag(flags, "require-counter");
+  std::vector<std::pair<std::string, std::string>> stage_leq;
+  for (const std::string& item : ListFlag(flags, "stage-leq"))
+    stage_leq.push_back(KeyValue("stage-leq", item));
+  const bool require_completed = flags.GetBool("require-completed", false);
+  const bool require_spill = flags.GetBool("require-spill", false);
+  const auto max_logical = ByteSpecs(flags, "max-logical");
+  std::string scale_stage;
+  double scale_factor = 1.0;
+  if (flags.Has("scale-stage")) {
+    const auto [stage, factor] =
+        KeyValue("scale-stage", flags.GetString("scale-stage", ""));
+    const std::optional<double> parsed = ParseDouble(factor);
+    if (!parsed || !(*parsed > 0.0))
+      throw std::invalid_argument("--scale-stage wants a FACTOR > 0, got '" +
+                                  factor + "'");
+    scale_stage = stage;
+    scale_factor = *parsed;
+  }
+  const bool set_error = flags.Has("set-error-pct");
+  const double error_pct = flags.GetDouble("set-error-pct", 0.0);
+  const auto set_mem = ByteSpecs(flags, "set-mem");
+  const std::string out_path = flags.GetString("out", "");
+  const std::string append_to = flags.GetString("append-to", "");
+  flags.CheckAllRead();
+  const bool forging = !scale_stage.empty() || set_error ||
+                       !set_mem.empty() || !out_path.empty() ||
+                       !append_to.empty();
+  if (forging && paths.size() != 1)
+    throw std::invalid_argument(
+        "validate: the manifest forging flags take exactly one file");
+
+  int rc = 0;
+  for (const std::string& path : paths) {
+    eval::RunManifest manifest;
+    try {
+      manifest = eval::RunManifest::Load(path);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "validate: %s\n", e.what());
+      rc = 1;
+      continue;
+    }
+    std::vector<std::string> problems;
+    for (const auto& [name, value] : manifest.counters)
+      if (name.starts_with("service.") &&
+          !service::IsRegisteredServiceCounter(name))
+        problems.push_back("unregistered service counter '" + name +
+                           "' (add it to service::RegisteredServiceCounters "
+                           "or rename)");
+    for (const std::string& stage : stages)
+      if (manifest.FindStage(stage) == nullptr)
+        problems.push_back("missing required stage \"" + stage + "\"");
+    for (const std::string& counter : counters) {
+      const auto it = manifest.counters.find(counter);
+      if (it == manifest.counters.end() || it->second == 0)
+        problems.push_back("counter \"" + counter + "\" missing or zero");
+    }
+    for (const auto& [stage, other_path] : stage_leq) {
+      const eval::RunManifest other = eval::RunManifest::Load(other_path);
+      const auto* mine = manifest.FindStage(stage);
+      const auto* theirs = other.FindStage(stage);
+      if (mine == nullptr || theirs == nullptr)
+        problems.push_back("--stage-leq " + stage + ": stage missing in " +
+                           (mine == nullptr ? path : other_path));
+      else if (mine->total_us > theirs->total_us)
+        problems.push_back(Format(
+            "stage \"%s\" took %.1f us, more than %.1f us in %s",
+            stage.c_str(), mine->total_us, theirs->total_us,
+            other_path.c_str()));
+    }
+    if (require_completed && !manifest.completed)
+      problems.push_back("not a completed run");
+    if (require_spill &&
+        (!manifest.trace_spill.present || manifest.trace_spill.chunks == 0))
+      problems.push_back("missing or empty trace_spill block");
+    for (const auto& [key, bytes] : max_logical) {
+      const auto it = manifest.mem.logical.find(key);
+      if (!manifest.mem.present || it == manifest.mem.logical.end())
+        problems.push_back("logical mem category \"" + key + "\" absent");
+      else if (it->second > bytes)
+        problems.push_back(Format(
+            "logical mem \"%s\" = %llu bytes, above the %llu-byte bound",
+            key.c_str(), static_cast<unsigned long long>(it->second),
+            static_cast<unsigned long long>(bytes)));
+    }
+    for (const std::string& problem : problems)
+      std::fprintf(stderr, "validate: %s: %s\n", path.c_str(),
+                   problem.c_str());
+    if (!problems.empty()) {
+      rc = 1;
+      continue;
+    }
+    std::printf("validate: %s ok (%s %s, %zu stages, completed=%s)\n",
+                path.c_str(), manifest.tool.c_str(),
+                manifest.command.c_str(), manifest.stages.size(),
+                manifest.completed ? "true" : "false");
+    if (!forging) continue;
+
+    if (!scale_stage.empty()) {
+      bool found = false;
+      for (auto& stage : manifest.stages) {
+        if (stage.name != scale_stage) continue;
+        stage.total_us *= scale_factor;
+        found = true;
+      }
+      if (!found)
+        throw std::runtime_error("validate: " + path + ": no stage \"" +
+                                 scale_stage + "\" to scale");
+      // Keep the manifest self-consistent: the total moves with its
+      // slowest stage.
+      manifest.wall_time_seconds *= scale_factor;
+    }
+    if (set_error) {
+      manifest.metrics.present = true;
+      manifest.metrics.error_pct = error_pct;
+    }
+    for (const auto& [key, bytes] : set_mem) {
+      manifest.mem.present = true;
+      if (key == "peak_rss")
+        manifest.mem.peak_rss_bytes = bytes;
+      else
+        manifest.mem.logical[key] = bytes;
+    }
+    if (!out_path.empty()) {
+      manifest.Save(out_path);
+      std::printf("validate: wrote %s\n", out_path.c_str());
+    }
+    if (!append_to.empty()) {
+      eval::Ledger::Append(manifest, append_to);
+      std::printf("validate: appended to %s\n", append_to.c_str());
+    }
+  }
+  return rc;
+}
+
+int CmdValidate(const Flags& flags) {
+  const std::vector<std::string>& pos = flags.Positional();
+  if (pos.size() < 2)
+    throw std::invalid_argument(
+        "validate needs a kind and files: stemroot validate "
+        "manifest|telemetry|trace|metrics|journal FILE...");
+  const std::string& kind = pos[0];
+  const std::vector<std::string> paths(pos.begin() + 1, pos.end());
+  if (kind == "manifest") return ValidateManifests(flags, paths);
+
+  // The other kinds check each file's text on its own.
+  std::function<bool(const std::string& path, const std::string& text,
+                     std::string* error)>
+      check;
+  if (kind == "telemetry") {
+    const std::vector<std::string> stages = ListFlag(flags, "require-stage");
+    check = [stages](const std::string& path, const std::string& text,
+                     std::string* error) {
+      std::vector<std::string> spans;
+      const bool ok = path.ends_with(".csv")
+                          ? eval::ValidateTelemetryCsv(text, error, &spans)
+                          : eval::ValidateTelemetryJson(text, error, &spans);
+      return ok && RequireAll(stages, spans, "stage span", error);
+    };
+  } else if (kind == "trace") {
+    const std::vector<std::string> events = ListFlag(flags, "require-event");
+    const int64_t min_events = flags.GetInt("min-events", 0);
+    check = [events, min_events](const std::string&, const std::string& text,
+                                 std::string* error) {
+      std::vector<std::string> names;
+      trace_events::TraceInfo info;
+      if (!trace_events::ValidateTraceJson(text, error, &names, &info) ||
+          !RequireAll(events, names, "event", error))
+        return false;
+      if (static_cast<int64_t>(info.events) >= min_events) return true;
+      *error = Format("%zu events, below --min-events %lld", info.events,
+                      static_cast<long long>(min_events));
+      return false;
+    };
+  } else if (kind == "metrics") {
+    const std::string prev_path = flags.GetString("prev", "");
+    check = [prev_path](const std::string&, const std::string& text,
+                        std::string* error) {
+      service::Exposition later, earlier;
+      if (!service::ValidateExposition(text, error, &later)) return false;
+      if (prev_path.empty()) return true;
+      if (!service::ValidateExposition(ReadText(prev_path), error,
+                                       &earlier)) {
+        *error = prev_path + ": " + *error;
+        return false;
+      }
+      return service::CheckMonotonic(earlier, later, error);
+    };
+  } else if (kind == "journal") {
+    const std::vector<std::string> events = ListFlag(flags, "require-event");
+    check = [events](const std::string&, const std::string& text,
+                     std::string* error) {
+      return journal::ValidateJournal(text, events, error);
+    };
+  } else {
+    throw std::invalid_argument(
+        "validate: unknown kind '" + kind +
+        "' (manifest, telemetry, trace, metrics, journal)");
+  }
+  flags.CheckAllRead();
+
+  int rc = 0;
+  for (const std::string& path : paths) {
+    std::string error;
+    if (check(path, ReadText(path), &error)) {
+      std::printf("validate: %s ok\n", path.c_str());
+    } else {
+      std::fprintf(stderr, "validate: %s: %s\n", path.c_str(),
+                   error.c_str());
+      rc = 1;
+    }
+  }
+  return rc;
+}
+
 int CmdJournal(const Flags& flags) {
   const std::vector<std::string>& pos = flags.Positional();
   if (pos.size() != 2 || pos[0] != "tail")
@@ -1088,6 +1399,7 @@ int main(int argc, char** argv) {
     else if (command == "cache") rc = CmdCache(flags);
     else if (command == "compare") rc = CmdCompare(flags);
     else if (command == "regress") rc = CmdRegress(flags);
+    else if (command == "validate") rc = CmdValidate(flags);
     else {
       std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
       return Usage();
