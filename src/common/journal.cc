@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <fstream>
 #include <mutex>
 #include <set>
@@ -37,17 +36,6 @@ struct State {
 State& S() {
   static State* state = new State;
   return *state;
-}
-
-/// A JSON number that is a whole value in [0, 2^53]; anything else
-/// (negative, fractional, huge, NaN) has no exact uint64_t and is refused
-/// before the cast.
-std::optional<uint64_t> ExactUint(const json::Value& value) {
-  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
-  if (!value.IsNumber() || !(value.number >= 0.0) ||
-      value.number > kMaxExact || value.number != std::floor(value.number))
-    return std::nullopt;
-  return static_cast<uint64_t>(value.number);
 }
 
 constexpr Severity kSeverities[] = {Severity::kDebug, Severity::kInfo,
@@ -212,7 +200,7 @@ std::optional<Line> ReadLine(std::string_view text) {
     std::optional<std::string>* string_slot =
         key == "sev" ? &line.sev : key == "event" ? &line.event : nullptr;
     if (uint_slot != nullptr) {
-      *uint_slot = ExactUint(field);
+      *uint_slot = json::ExactUint(field);
       line.malformed |= !uint_slot->has_value();
     } else if (string_slot != nullptr) {
       if (field.IsString()) *string_slot = std::move(field.string);

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <stdexcept>
 #include <system_error>
 
@@ -248,6 +249,14 @@ class Parser {
 
 bool Parse(std::string_view text, Value& out, std::string* error) {
   return Parser(text).Parse(out, error);
+}
+
+std::optional<uint64_t> ExactUint(const Value& value) {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  if (!value.IsNumber() || !(value.number >= 0.0) ||
+      value.number > kMaxExact || value.number != std::floor(value.number))
+    return std::nullopt;
+  return static_cast<uint64_t>(value.number);
 }
 
 void AppendString(std::string& out, std::string_view s) {

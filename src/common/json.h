@@ -13,7 +13,9 @@
 
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,6 +48,11 @@ struct Value {
 /// Parse a complete document. On failure returns false and, when `error`
 /// is non-null, stores a one-line reason prefixed with the byte offset.
 bool Parse(std::string_view text, Value& out, std::string* error);
+
+/// A number that is a whole value in [0, 2^53], as uint64_t; anything
+/// else (not a number, negative, fractional, huge, NaN) has no exact
+/// uint64_t and is refused before the cast.
+std::optional<uint64_t> ExactUint(const Value& value);
 
 /// Append `s` as a quoted JSON string with the mandatory escapes.
 void AppendString(std::string& out, std::string_view s);

@@ -119,6 +119,12 @@ ThreadBuffer& LocalBuffer() {
   return *handle.buf;
 }
 
+/// Live ThreadMute guards on the current thread.
+thread_local int tls_mute_depth = 0;
+
+/// Whether the calling thread records: telemetry on and not muted.
+bool Recording() { return Enabled() && tls_mute_depth == 0; }
+
 /// Innermost open span names of the current thread (for parent lookup).
 thread_local std::vector<std::string>* tls_span_stack = nullptr;
 
@@ -173,15 +179,18 @@ void SetEnabled(bool enabled) {
 
 bool Enabled() { return Reg().enabled.load(std::memory_order_relaxed); }
 
+ThreadMute::ThreadMute() { ++tls_mute_depth; }
+ThreadMute::~ThreadMute() { --tls_mute_depth; }
+
 void Count(std::string_view name, uint64_t delta) {
-  if (!Enabled()) return;
+  if (!Recording()) return;
   ThreadBuffer& buf = LocalBuffer();
   std::lock_guard<std::mutex> lock(buf.mu);
   buf.counters[std::string(name)] += delta;
 }
 
 void Record(std::string_view name, double value) {
-  if (!Enabled()) return;
+  if (!Recording()) return;
   if (!std::isfinite(value)) return;
   ThreadBuffer& buf = LocalBuffer();
   std::lock_guard<std::mutex> lock(buf.mu);
@@ -189,7 +198,7 @@ void Record(std::string_view name, double value) {
 }
 
 Span::Span(std::string_view name) {
-  const bool telemetry_on = Enabled();
+  const bool telemetry_on = Recording();
   const bool tracing_on = trace_events::Enabled();
   if (!telemetry_on && !tracing_on) return;
   name_ = std::string(name);

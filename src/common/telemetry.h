@@ -77,6 +77,22 @@ class Span {
   bool traced_ = false;  ///< trace-event begin emitted
 };
 
+/// RAII: while one is alive, Count, Record and Spans opened then record
+/// nothing on the calling thread. Other threads, including pool workers
+/// the thread fans out to, are unaffected, and trace events still flow.
+/// For work whose counters belong to no run: the service's streaming
+/// feeds and queries run outside every session's telemetry window, so
+/// their counters would land in whichever window another session has
+/// open. Nests.
+class ThreadMute {
+ public:
+  ThreadMute();
+  ~ThreadMute();
+
+  ThreadMute(const ThreadMute&) = delete;
+  ThreadMute& operator=(const ThreadMute&) = delete;
+};
+
 /// Aggregated wall-time statistics of one (name, parent) span identity.
 struct SpanStats {
   std::string name;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <stdexcept>
 
+#include "common/parallel.h"
 #include "core/kkt.h"
 #include "core/kmeans.h"
 
@@ -51,12 +53,15 @@ void StreamingRoot::ObserveInto(Cluster& cluster, double duration_us) {
   ++cluster.reservoir_seen;
   if (cluster.reservoir.size() < config_.reservoir_capacity) {
     cluster.reservoir.push_back(duration_us);
+    ++cluster.reservoir_version;
   } else {
     // Algorithm R: replace a random slot with probability cap/seen, so the
     // reservoir stays a uniform sample of everything this cluster saw.
     const uint64_t j = cluster.rng.NextBounded(cluster.reservoir_seen);
-    if (j < cluster.reservoir.size())
+    if (j < cluster.reservoir.size()) {
       cluster.reservoir[static_cast<size_t>(j)] = duration_us;
+      ++cluster.reservoir_version;
+    }
   }
 }
 
@@ -108,6 +113,41 @@ void StreamingRoot::Reassess() {
             });
 }
 
+namespace {
+
+/// Split `reservoir` into its lower and upper halves, keeping slot order.
+void Partition(const std::vector<double>& reservoir,
+               const std::vector<bool>& in_low, std::vector<double>& low,
+               std::vector<double>& high) {
+  for (size_t i = 0; i < reservoir.size(); ++i)
+    (in_low[i] ? low : high).push_back(reservoir[i]);
+}
+
+}  // namespace
+
+const StreamingRoot::SplitProbe& StreamingRoot::Probe(Cluster& cluster) {
+  // Once a reservoir is full, a new member replaces a slot only with
+  // probability cap/seen, so most reassessments find it unchanged and
+  // reuse the last partition instead of re-running k-means.
+  if (cluster.probe && cluster.probe->version == cluster.reservoir_version)
+    return *cluster.probe;
+  const KmeansResult split = Kmeans1D(cluster.reservoir, 2);
+  const uint32_t low_label = split.centers[0] > split.centers[1] ? 1 : 0;
+  SplitProbe probe;
+  probe.version = cluster.reservoir_version;
+  probe.in_low.resize(cluster.reservoir.size());
+  for (size_t i = 0; i < cluster.reservoir.size(); ++i)
+    probe.in_low[i] = split.assignment[i] == low_label;
+  std::vector<double> low, high;
+  Partition(cluster.reservoir, probe.in_low, low, high);
+  probe.low_count = low.size();
+  if (!low.empty() && !high.empty()) {
+    probe.low_stats = ClusterStats::Of(low);
+    probe.high_stats = ClusterStats::Of(high);
+  }
+  return cluster.probe.emplace(std::move(probe));
+}
+
 bool StreamingRoot::TrySplit(size_t index) {
   Cluster& cluster = clusters_[index];
   const ClusterStats parent = cluster.PopulationStats();
@@ -116,18 +156,14 @@ bool StreamingRoot::TrySplit(size_t index) {
   if (parent.n < config_.root.min_split_size) return false;
   if (parent.stddev <= 0.0) return false;
 
-  const KmeansResult split = Kmeans1D(cluster.reservoir, 2);
-  std::vector<double> low, high;
-  low.reserve(cluster.reservoir.size());
-  for (size_t i = 0; i < cluster.reservoir.size(); ++i)
-    (split.assignment[i] == 0 ? low : high).push_back(cluster.reservoir[i]);
-  if (low.empty() || high.empty()) return false;
-  if (split.centers[0] > split.centers[1]) std::swap(low, high);
+  const SplitProbe& probe = Probe(cluster);
+  if (probe.low_count == 0 || probe.low_count == cluster.reservoir.size())
+    return false;
 
   // Scale reservoir-sample stats up to the full population: child sizes
   // proportional to the reservoir partition, remainders to the low child.
   const double fraction =
-      static_cast<double>(low.size()) /
+      static_cast<double>(probe.low_count) /
       static_cast<double>(cluster.reservoir.size());
   const uint64_t n_low = std::min<uint64_t>(
       parent.n - 1,
@@ -136,8 +172,8 @@ bool StreamingRoot::TrySplit(size_t index) {
                  std::llround(fraction * static_cast<double>(parent.n)))));
   const uint64_t n_high = parent.n - n_low;
 
-  ClusterStats stats_low = ClusterStats::Of(low);
-  ClusterStats stats_high = ClusterStats::Of(high);
+  ClusterStats stats_low = probe.low_stats;
+  ClusterStats stats_high = probe.high_stats;
   stats_low.n = n_low;
   stats_high.n = n_high;
 
@@ -150,9 +186,13 @@ bool StreamingRoot::TrySplit(size_t index) {
 
   // Rebuild the two children with Welford state synthesized from the
   // scaled sample stats; ranges come from the reservoir partitions.
+  std::vector<double> low, high;
+  Partition(cluster.reservoir, probe.in_low, low, high);
   const auto [low_min, low_max] = std::minmax_element(low.begin(), low.end());
   const auto [high_min, high_max] =
       std::minmax_element(high.begin(), high.end());
+  // Fresh clusters carry no probe: their first reassessment partitions
+  // their own (new) reservoirs.
   Cluster child_low = MakeCluster();
   Cluster child_high = MakeCluster();
   child_low.stats = StreamingStats::FromMoments(
@@ -249,15 +289,50 @@ StreamingTraceClusterer::StreamingTraceClusterer(
   roots_.reserve(header.NumKernelTypes());
   for (uint32_t k = 0; k < header.NumKernelTypes(); ++k)
     roots_.emplace_back(config, DeriveSeed(seed, k));
+  buckets_.resize(roots_.size());
 }
 
 void StreamingTraceClusterer::ObserveChunk(
-    std::span<const KernelInvocation> chunk) {
+    std::span<const KernelInvocation> chunk,
+    const std::function<void()>& alongside) {
+  // Serial pass: validate the whole chunk before any state changes, and
+  // bucket durations by kernel in timeline order.
+  for (std::vector<double>& bucket : buckets_) bucket.clear();
+  uint64_t folded = 0;
   for (const KernelInvocation& inv : chunk) {
     if (inv.duration_us <= 0.0) continue;
-    roots_.at(inv.kernel_id).Observe(inv.duration_us);
-    ++observations_;
+    if (inv.kernel_id >= roots_.size())
+      throw std::out_of_range(
+          "StreamingTraceClusterer: kernel_id outside the header table");
+    if (!(inv.duration_us > 0.0))
+      throw std::invalid_argument(
+          "StreamingTraceClusterer: duration must be positive (profiled)");
+    buckets_[inv.kernel_id].push_back(inv.duration_us);
+    ++folded;
   }
+
+  // Kernels are independent (own seed, own durations), so the schedule is
+  // unobservable. Grain 1: one kernel per claim, since their costs are
+  // skewed.
+  const size_t kernels = roots_.size();
+  std::exception_ptr alongside_error;
+  ParallelFor(
+      0, kernels + (alongside ? 1 : 0),
+      [&](size_t k) {
+        if (k < kernels) {
+          for (double duration_us : buckets_[k])
+            roots_[k].Observe(duration_us);
+          return;
+        }
+        try {
+          alongside();
+        } catch (...) {
+          alongside_error = std::current_exception();
+        }
+      },
+      1);
+  observations_ += folded;
+  if (alongside_error) std::rethrow_exception(alongside_error);
 }
 
 size_t StreamingTraceClusterer::TotalClusters() const {

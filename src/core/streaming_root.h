@@ -15,7 +15,10 @@
 ///     k-means with k = 2 runs over the cluster's *reservoir* (a bounded,
 ///     deterministic uniform sample of its members) and the split is taken
 ///     iff the KKT-sized children predict a cheaper sampled simulation
-///     than the Eq. 3-sized parent.
+///     than the Eq. 3-sized parent. The partition depends only on the
+///     reservoir, so it is cached and k-means re-runs only after the
+///     reservoir was written; the acceptance test itself is re-derived
+///     from the current population stats every time.
 ///   - **Merge**: after splits, adjacent clusters (by center) are merged
 ///     back when the same cost rule says the separation no longer pays --
 ///     the guard against over-splitting on early, noisy data.
@@ -35,6 +38,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -89,10 +94,25 @@ class StreamingRoot {
   uint64_t NumMerges() const { return merges_; }
 
  private:
+  /// The k = 2 partition of one reservoir state and its sample stats.
+  /// Everything here is a pure function of the reservoir contents, so it
+  /// stays valid until the reservoir is written again.
+  struct SplitProbe {
+    uint64_t version = 0;      ///< Cluster::reservoir_version probed
+    std::vector<bool> in_low;  ///< per reservoir slot: in the lower half
+    size_t low_count = 0;      ///< reservoir members in the lower half
+    ClusterStats low_stats;    ///< sample stats (set when both halves
+    ClusterStats high_stats;   ///< are non-empty; n = sample count)
+  };
+
   struct Cluster {
     StreamingStats stats;           ///< Welford accumulator (population)
     std::vector<double> reservoir;  ///< bounded uniform member sample
     uint64_t reservoir_seen = 0;    ///< observations offered to the reservoir
+    /// Bumped on every reservoir write; a probe of an older version is
+    /// stale.
+    uint64_t reservoir_version = 0;
+    std::optional<SplitProbe> probe;  ///< last k-means split probe
     Rng rng;                        ///< reservoir replacement stream
 
     Cluster() : rng(0) {}
@@ -101,6 +121,9 @@ class StreamingRoot {
   };
 
   Cluster MakeCluster();
+  /// The cluster's split probe, re-running k-means only when the
+  /// reservoir changed since the last one.
+  static const SplitProbe& Probe(Cluster& cluster);
   void ObserveInto(Cluster& cluster, double duration_us);
   void Reassess();
   bool TrySplit(size_t index);   ///< true when the cluster was split
@@ -136,9 +159,19 @@ class StreamingTraceClusterer {
 
   /// Fold one chunk of invocations (timeline order across calls).
   /// Invocations with non-positive durations are skipped, matching the
-  /// service-session feed contract. Throws std::out_of_range on a
-  /// kernel_id outside the header table.
-  void ObserveChunk(std::span<const KernelInvocation> chunk);
+  /// service-session feed contract. The whole chunk is validated before
+  /// anything is folded: a kernel_id outside the header table throws
+  /// std::out_of_range and a NaN duration std::invalid_argument, with the
+  /// clusterer unchanged.
+  ///
+  /// Kernels fold in parallel (one ParallelFor lane each). Every kernel's
+  /// StreamingRoot sees its own durations in timeline order, so the
+  /// structure is the same at any thread count. When given, `alongside`
+  /// runs on one more lane of the same region (StreamTrace reads the next
+  /// chunk there); the fold always completes before an exception it
+  /// threw is rethrown.
+  void ObserveChunk(std::span<const KernelInvocation> chunk,
+                    const std::function<void()>& alongside = {});
 
   size_t NumKernels() const { return roots_.size(); }
   const StreamingRoot& Root(size_t kernel_id) const {
@@ -160,6 +193,8 @@ class StreamingTraceClusterer {
 
  private:
   std::vector<StreamingRoot> roots_;  ///< index == kernel_id
+  /// Per-kernel durations of the chunk being folded (reused scratch).
+  std::vector<std::vector<double>> buckets_;
   uint64_t observations_ = 0;
 };
 

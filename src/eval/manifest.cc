@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -83,6 +84,20 @@ bool GetNumberField(const json::Value& obj, std::string_view key, double& out,
       Need(obj, key, json::Value::Kind::kNumber, error, where);
   if (v == nullptr) return false;
   out = v->number;
+  return true;
+}
+
+/// A count field: a whole number in [0, 2^53], the journal::ReadLine rule.
+bool GetUintField(const json::Value& obj, std::string_view key,
+                  uint64_t& out, std::string* error, const std::string& where) {
+  const json::Value* v =
+      Need(obj, key, json::Value::Kind::kNumber, error, where);
+  if (v == nullptr) return false;
+  const std::optional<uint64_t> value = json::ExactUint(*v);
+  if (!value)
+    return SchemaFail(error, where + " \"" + std::string(key) +
+                                 "\" is not a whole number in [0, 2^53]");
+  out = *value;
   return true;
 }
 
@@ -306,12 +321,10 @@ bool RunManifest::FromJson(std::string_view text, RunManifest& out,
     if (!entry.IsObject())
       return SchemaFail(error, "stage entry is not an object");
     Stage stage;
-    double count = 0.0;
     if (!GetStringField(entry, "name", stage.name, error, "stage") ||
-        !GetNumberField(entry, "count", count, error, "stage") ||
+        !GetUintField(entry, "count", stage.count, error, "stage") ||
         !GetNumberField(entry, "total_us", stage.total_us, error, "stage"))
       return false;
-    stage.count = static_cast<uint64_t>(count);
     m.stages.push_back(std::move(stage));
   }
 
@@ -319,64 +332,58 @@ bool RunManifest::FromJson(std::string_view text, RunManifest& out,
       Need(root, "counters", json::Value::Kind::kObject, error, "manifest");
   if (counters == nullptr) return false;
   for (const auto& [name, value] : *counters->object) {
-    if (!value.IsNumber())
-      return SchemaFail(error, "counter \"" + name + "\" is not a number");
-    m.counters[name] = static_cast<uint64_t>(value.number);
+    const std::optional<uint64_t> count = json::ExactUint(value);
+    if (!count)
+      return SchemaFail(error, "counter \"" + name +
+                                   "\" is not a whole number in [0, 2^53]");
+    m.counters[name] = *count;
   }
 
   if (const json::Value* metrics = root.Find("metrics")) {
     if (!metrics->IsObject())
       return SchemaFail(error, "\"metrics\" is not an object");
-    double samples = 0.0, clusters = 0.0;
     if (!GetNumberField(*metrics, "error_pct", m.metrics.error_pct, error,
                         "metrics") ||
         !GetNumberField(*metrics, "theoretical_error_pct",
                         m.metrics.theoretical_error_pct, error, "metrics") ||
         !GetNumberField(*metrics, "speedup", m.metrics.speedup, error,
                         "metrics") ||
-        !GetNumberField(*metrics, "num_samples", samples, error, "metrics") ||
-        !GetNumberField(*metrics, "num_clusters", clusters, error, "metrics"))
+        !GetUintField(*metrics, "num_samples", m.metrics.num_samples, error,
+                      "metrics") ||
+        !GetUintField(*metrics, "num_clusters", m.metrics.num_clusters, error,
+                      "metrics"))
       return false;
-    m.metrics.num_samples = static_cast<uint64_t>(samples);
-    m.metrics.num_clusters = static_cast<uint64_t>(clusters);
     m.metrics.present = true;
   }
 
   if (const json::Value* journal = root.Find("journal")) {
     if (!journal->IsObject())
       return SchemaFail(error, "\"journal\" is not an object");
-    double emitted = 0.0, dropped = 0.0, errors = 0.0;
-    if (!GetNumberField(*journal, "emitted", emitted, error, "journal") ||
-        !GetNumberField(*journal, "dropped", dropped, error, "journal") ||
-        !GetNumberField(*journal, "errors", errors, error, "journal"))
+    if (!GetUintField(*journal, "emitted", m.journal.emitted, error,
+                      "journal") ||
+        !GetUintField(*journal, "dropped", m.journal.dropped, error,
+                      "journal") ||
+        !GetUintField(*journal, "errors", m.journal.errors, error, "journal"))
       return false;
-    if (emitted < 0.0 || dropped < 0.0 || errors < 0.0)
-      return SchemaFail(error, "journal counts must be >= 0");
-    m.journal.emitted = static_cast<uint64_t>(emitted);
-    m.journal.dropped = static_cast<uint64_t>(dropped);
-    m.journal.errors = static_cast<uint64_t>(errors);
     m.journal.present = true;
   }
 
   if (const json::Value* mem = root.Find("mem")) {
     if (!mem->IsObject())
       return SchemaFail(error, "\"mem\" is not an object");
-    double peak_rss = 0.0, samples = 0.0;
-    if (!GetNumberField(*mem, "peak_rss_bytes", peak_rss, error, "mem") ||
-        !GetNumberField(*mem, "samples", samples, error, "mem"))
+    if (!GetUintField(*mem, "peak_rss_bytes", m.mem.peak_rss_bytes, error,
+                      "mem") ||
+        !GetUintField(*mem, "samples", m.mem.samples, error, "mem"))
       return false;
-    if (peak_rss < 0.0 || samples < 0.0)
-      return SchemaFail(error, "mem counts must be >= 0");
-    m.mem.peak_rss_bytes = static_cast<uint64_t>(peak_rss);
-    m.mem.samples = static_cast<uint64_t>(samples);
     const json::Value* logical =
         Need(*mem, "logical", json::Value::Kind::kObject, error, "mem");
     if (logical == nullptr) return false;
     for (const auto& [category, value] : *logical->object) {
-      if (!value.IsNumber() || value.number < 0.0)
+      const std::optional<uint64_t> bytes = json::ExactUint(value);
+      if (!bytes)
         return SchemaFail(error, "mem logical \"" + category +
-                                     "\" is not a non-negative number");
-      m.mem.logical[category] = static_cast<uint64_t>(value.number);
+                                     "\" is not a whole number in [0, 2^53]");
+      m.mem.logical[category] = *bytes;
     }
     m.mem.present = true;
   }
@@ -384,19 +391,15 @@ bool RunManifest::FromJson(std::string_view text, RunManifest& out,
   if (const json::Value* spill = root.Find("trace_spill")) {
     if (!spill->IsObject())
       return SchemaFail(error, "\"trace_spill\" is not an object");
-    double chunk_invocations = 0.0, chunks = 0.0, bytes = 0.0;
-    if (!GetNumberField(*spill, "chunk_invocations", chunk_invocations, error,
-                        "trace_spill") ||
-        !GetNumberField(*spill, "chunks", chunks, error, "trace_spill") ||
-        !GetNumberField(*spill, "bytes", bytes, error, "trace_spill"))
+    if (!GetUintField(*spill, "chunk_invocations",
+                      m.trace_spill.chunk_invocations, error, "trace_spill") ||
+        !GetUintField(*spill, "chunks", m.trace_spill.chunks, error,
+                      "trace_spill") ||
+        !GetUintField(*spill, "bytes", m.trace_spill.bytes, error,
+                      "trace_spill"))
       return false;
-    if (chunk_invocations < 1.0 || chunks < 0.0 || bytes < 0.0)
-      return SchemaFail(error,
-                        "trace_spill counts must be >= 0 (chunk_invocations "
-                        ">= 1)");
-    m.trace_spill.chunk_invocations = static_cast<uint64_t>(chunk_invocations);
-    m.trace_spill.chunks = static_cast<uint64_t>(chunks);
-    m.trace_spill.bytes = static_cast<uint64_t>(bytes);
+    if (m.trace_spill.chunk_invocations < 1)
+      return SchemaFail(error, "trace_spill chunk_invocations must be >= 1");
     m.trace_spill.present = true;
   }
 

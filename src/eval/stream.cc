@@ -23,16 +23,26 @@ StreamResult StreamTrace(const ChunkSource& source,
     clusterer = std::make_unique<core::StreamingTraceClusterer>(
         options.clustering, source.Header(), options.seed);
 
+  // Read ahead: chunk i + 1 is read, verified and decoded on one more lane
+  // of the region whose kernel lanes fold chunk i, so at most two chunks
+  // are resident. Reads stay serial: the file reader shares one stream.
   const size_t num_chunks = source.NumChunks();
+  std::vector<KernelInvocation> chunk;
+  if (num_chunks > 0) chunk = source.Chunk(0);
   for (size_t i = 0; i < num_chunks; ++i) {
-    const std::vector<KernelInvocation> chunk = source.Chunk(i);
-    for (const KernelInvocation& inv : chunk) {
-      result.total_duration_us += inv.duration_us;
-      if (inv.duration_us > 0.0) result.durations.Add(inv.duration_us);
-    }
-    if (clusterer) clusterer->ObserveChunk(chunk);
+    std::vector<KernelInvocation> next;
+    const auto fold_and_read = [&] {
+      for (const KernelInvocation& inv : chunk) {
+        result.total_duration_us += inv.duration_us;
+        if (inv.duration_us > 0.0) result.durations.Add(inv.duration_us);
+      }
+      if (i + 1 < num_chunks) next = source.Chunk(i + 1);
+    };
+    if (clusterer) clusterer->ObserveChunk(chunk, fold_and_read);
+    else fold_and_read();
     result.invocations += chunk.size();
     ++result.chunks;
+    chunk = std::move(next);
   }
 
   if (clusterer) {

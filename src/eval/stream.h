@@ -11,8 +11,9 @@
 ///   - one StreamingStats over all durations (Welford: exact mean/var),
 ///   - one core::StreamingTraceClusterer (per-kernel streaming ROOT),
 ///
-/// and discarding the chunk before the next is materialized. The logical
-/// "trace" charge is therefore AccountPeak(header + 2 chunk budgets) --
+/// while the next chunk is read and decoded alongside the fold, and
+/// discarding each chunk once folded. The logical "trace" charge is
+/// therefore AccountPeak(header + 2 chunk budgets) --
 /// a deterministic function of the header and the chunk capacity, never
 /// of the timeline length or the thread count. That is the memory
 /// contract that lets a 10^8..10^9-invocation synthetic suite stream

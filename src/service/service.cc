@@ -397,6 +397,12 @@ void Service::FeedChunk(Session& session, const KernelTrace& source,
     remap[t] = session.accumulated.AddKernelType(source.Type(t));
   if (session.accumulated.WorkloadName().empty())
     session.accumulated.SetWorkloadName(source.WorkloadName());
+  session.feed_invocations += invocations.size();
+  telemetry::Count("service.feed_invocations", invocations.size());
+  // Streaming ROOT's k-means/KKT counters belong to no session's window;
+  // muted, they cannot leak into one a concurrent session has open. No
+  // lock is taken, so concurrent feeds stay concurrent.
+  const telemetry::ThreadMute mute;
   for (const KernelInvocation& inv : invocations) {
     KernelInvocation copy = inv;
     copy.kernel_id = remap[inv.kernel_id];
@@ -411,8 +417,6 @@ void Service::FeedChunk(Session& session, const KernelTrace& source,
     it->second.Observe(copy.duration_us);
     session.seen.Add(copy.duration_us);
   }
-  session.feed_invocations += invocations.size();
-  telemetry::Count("service.feed_invocations", invocations.size());
   // Per-session streaming state. "service."-prefixed categories are
   // environmental (the peak depends on which sessions are live), so this
   // is excluded from compare/regress gating like service.* counters.
@@ -452,7 +456,11 @@ SessionStatus Service::Query(SessionId id) {
   }
   const core::StemConfig& stem = session->config.streaming.root.stem;
   if (!stats.empty()) {
-    const core::KktSolution solution = core::SolveKkt(stats, stem);
+    // Muted for the same reason as the feed's streaming ROOT.
+    const core::KktSolution solution = [&] {
+      const telemetry::ThreadMute mute;
+      return core::SolveKkt(stats, stem);
+    }();
     for (size_t i = 0; i < stats.size(); ++i) {
       status.clusters[i].stem_samples = solution.sample_sizes[i];
       status.stem_samples_total += solution.sample_sizes[i];

@@ -208,6 +208,41 @@ TEST(ManifestTest, MemBlockRejectsNegativeAndMalformed) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(ManifestTest, CountsOutsideExactUint64RangeAreRejected) {
+  // Counters, stage counts and mem.logical bytes become uint64_t: a value
+  // with no exact uint64_t (negative, fractional, beyond 2^53) is refused
+  // instead of cast, the journal::ReadLine rule.
+  RunManifest m = MakeManifest();
+  m.mem.present = true;
+  m.mem.logical = {{"trace", 5}};
+  const std::string good = m.ToJson(/*pretty=*/false);
+  RunManifest back;
+  std::string error;
+  ASSERT_TRUE(RunManifest::FromJson(good, back, &error)) << error;
+  const std::string fields[] = {"\"core.kkt.solves\":100",
+                                "\"name\":\"generate\",\"count\":1",
+                                "\"trace\":5"};
+  for (const std::string& field : fields) {
+    const std::string key = field.substr(0, field.rfind(':') + 1);
+    for (const char* bad : {"-1", "1e300", "2.5", "9007199254740994"}) {
+      std::string doc = good;
+      const size_t at = doc.find(field);
+      ASSERT_NE(at, std::string::npos) << field;
+      doc.replace(at, field.size(), key + bad);
+      error.clear();
+      EXPECT_FALSE(RunManifest::FromJson(doc, back, &error))
+          << field << " -> " << bad;
+      EXPECT_NE(error.find("2^53"), std::string::npos) << error;
+    }
+  }
+  // 2^53 itself is still exact.
+  std::string edge = good;
+  edge.replace(edge.find(fields[0]), fields[0].size(),
+               "\"core.kkt.solves\":9007199254740992");
+  ASSERT_TRUE(RunManifest::FromJson(edge, back, &error)) << error;
+  EXPECT_EQ(back.counters.at("core.kkt.solves"), 9007199254740992ull);
+}
+
 TEST(ManifestTest, MemBlockDoesNotAffectFingerprint) {
   // Physical memory is environmental: two runs that differ only in the
   // mem block are the same ledger identity.

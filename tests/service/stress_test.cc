@@ -10,10 +10,15 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
+#include <optional>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/json.h"
+#include "common/telemetry.h"
 #include "service/protocol.h"
 #include "service/service.h"
 
@@ -132,6 +137,78 @@ TEST(ServiceStressTest, ConcurrentBrokersShareOneService) {
   }
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(service.NumOpenSessions(), 0u);
+}
+
+/// What a session's close manifest records deterministically: every
+/// counter, and each stage's name and call count (wall times vary).
+struct ManifestFacts {
+  std::map<std::string, uint64_t> counters;
+  std::vector<std::pair<std::string, uint64_t>> stages;
+
+  explicit ManifestFacts(const eval::RunManifest& manifest)
+      : counters(manifest.counters) {
+    for (const eval::RunManifest::Stage& stage : manifest.stages)
+      stages.emplace_back(stage.name, stage.count);
+  }
+};
+
+/// Session A: a full timeline feed, then Evaluate (a long telemetry
+/// window). Signals `feeding_done` just before evaluating.
+eval::RunManifest RunEvaluatingSession(Service& service,
+                                       std::atomic<bool>* feeding_done) {
+  SessionConfig config = TinyConfig(41);
+  config.order = FeedOrder::kTimeline;
+  const SessionId id = service.OpenSession(config);
+  while (service.FeedFromSource(id, 1u << 30) > 0) {
+  }
+  if (feeding_done != nullptr) feeding_done->store(true);
+  service.Evaluate(id);
+  return service.CloseSession(id);
+}
+
+/// Session B: small shuffled feeds, each followed by a Query -- streaming
+/// ROOT and the query's KKT solve both run outside any window.
+eval::RunManifest RunFeedingSession(Service& service,
+                                    const std::atomic<bool>* start) {
+  SessionConfig config = TinyConfig(43);
+  config.scale = 0.2;
+  const SessionId id = service.OpenSession(config);
+  if (start != nullptr)
+    while (!start->load()) std::this_thread::yield();
+  while (service.FeedFromSource(id, 16) > 0) service.Query(id);
+  return service.CloseSession(id);
+}
+
+TEST(ServiceStressTest, ConcurrentSessionManifestsMatchSequential) {
+  // A session's close manifest holds the counters of its own telemetry
+  // windows. Another session feeding and querying while one window is
+  // open must not leak its k-means/KKT counters into it: run side by
+  // side, each manifest equals the one it has when run alone.
+  telemetry::SetEnabled(true);
+  telemetry::Reset();
+  Service sequential;
+  const ManifestFacts alone_a(RunEvaluatingSession(sequential, nullptr));
+  const ManifestFacts alone_b(RunFeedingSession(sequential, nullptr));
+  EXPECT_GT(alone_a.counters.count("core.kmeans.runs"), 0u);
+
+  Service concurrent;
+  std::atomic<bool> feeding_done{false};
+  std::optional<eval::RunManifest> together_b;
+  std::thread feeder([&] {
+    together_b = RunFeedingSession(concurrent, &feeding_done);
+  });
+  const ManifestFacts together_a(
+      RunEvaluatingSession(concurrent, &feeding_done));
+  feeder.join();
+  telemetry::SetEnabled(false);
+  telemetry::Reset();
+
+  ASSERT_TRUE(together_b.has_value());
+  EXPECT_EQ(together_a.counters, alone_a.counters);
+  EXPECT_EQ(together_a.stages, alone_a.stages);
+  const ManifestFacts b(*together_b);
+  EXPECT_EQ(b.counters, alone_b.counters);
+  EXPECT_EQ(b.stages, alone_b.stages);
 }
 
 }  // namespace

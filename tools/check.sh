@@ -8,7 +8,8 @@
 # Each mode also drills the out-of-core chunked-trace path (DESIGN.md
 # §16): a spilled run must compare byte-identical to the in-memory run,
 # a bounded-memory `stemroot stream` must keep its logical trace peak
-# under the chunk budget, a warm rerun must reuse the verified spill,
+# under the chunk budget and compare clean at 1, 2 and 4 threads, a warm
+# rerun must reuse the verified spill,
 # and a corrupted or truncated spill file must trigger a clean rebuild,
 # never a crash or silent bad data. The CLI trace-file drill round-trips
 # an SRTC trace file through generate, an in-place profile and info, and
@@ -558,13 +559,13 @@ EARLY
   # stream never materialized in memory (it would be >10 MB if it had).
   local man_stream="$dir/manifest-stream.json"
   local stream_args=(stream --suite casio --workload bert_infer
-                     --scale 0.02 --seed 13 --threads 2
+                     --scale 0.02 --seed 13
                      --cache "$smoke_cache"
                      --trace-chunk-invocations 512
                      --trace-spill "$odir/spill"
                      --target-invocations 120000)
   env "${san_env[@]}" \
-    "$dir/tools/stemroot" "${stream_args[@]}" \
+    "$dir/tools/stemroot" "${stream_args[@]}" --threads 2 \
       --manifest "$man_stream" >/dev/null
   env "${san_env[@]}" \
     "$dir/tools/stemroot" validate manifest "$man_stream" \
@@ -576,13 +577,26 @@ EARLY
   # and reuse the spill file instead of rewriting it, with zero drift.
   local man_reuse="$dir/manifest-reuse.json"
   env "${san_env[@]}" \
-    "$dir/tools/stemroot" "${stream_args[@]}" \
+    "$dir/tools/stemroot" "${stream_args[@]}" --threads 2 \
       --manifest "$man_reuse" >/dev/null
   env "${san_env[@]}" \
     "$dir/tools/stemroot" validate manifest "$man_reuse" --require-spill true \
       --require-counter cache.spill_reuse >/dev/null
   env "${san_env[@]}" \
     "$dir/tools/stemroot" compare "$man_stream" "$man_reuse" >/dev/null
+
+  # (c2) Thread invariance: kernels fold on their own lanes and the next
+  # chunk is read alongside, so 1 and 4 threads must compare clean against
+  # the 2-thread run.
+  local threads man_threads
+  for threads in 1 4; do
+    man_threads="$dir/manifest-stream-t$threads.json"
+    env "${san_env[@]}" \
+      "$dir/tools/stemroot" "${stream_args[@]}" --threads "$threads" \
+        --manifest "$man_threads" >/dev/null
+    env "${san_env[@]}" \
+      "$dir/tools/stemroot" compare "$man_stream" "$man_threads" >/dev/null
+  done
 
   # (d) Corrupt a chunk mid-file (64 bytes of 0xff in the payload region
   # -- fraction columns are never NaN, so the chunk digest cannot still
@@ -596,7 +610,7 @@ EARLY
       2>/dev/null
   local man_rebuild="$dir/manifest-rebuild.json"
   env "${san_env[@]}" \
-    "$dir/tools/stemroot" "${stream_args[@]}" \
+    "$dir/tools/stemroot" "${stream_args[@]}" --threads 2 \
       --manifest "$man_rebuild" >/dev/null
   env "${san_env[@]}" \
     "$dir/tools/stemroot" validate manifest "$man_rebuild" \
@@ -610,7 +624,7 @@ EARLY
   head -c "$((ssz - 100))" "$sfile" > "$sfile.cut" && mv "$sfile.cut" "$sfile"
   local man_trunc="$dir/manifest-trunc.json"
   env "${san_env[@]}" \
-    "$dir/tools/stemroot" "${stream_args[@]}" \
+    "$dir/tools/stemroot" "${stream_args[@]}" --threads 2 \
       --manifest "$man_trunc" >/dev/null
   env "${san_env[@]}" \
     "$dir/tools/stemroot" validate manifest "$man_trunc" --require-spill true \
