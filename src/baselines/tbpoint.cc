@@ -22,15 +22,6 @@ namespace {
 
 constexpr size_t kDim = profiler::PkaFeatures::kDim;
 
-double SqDist(const std::vector<double>& features, size_t a, size_t b) {
-  double sum = 0.0;
-  for (size_t j = 0; j < kDim; ++j) {
-    const double d = features[a * kDim + j] - features[b * kDim + j];
-    sum += d * d;
-  }
-  return sum;
-}
-
 /// Average-linkage agglomeration via centroid merging (O(n^2 log n)
 /// with a simple nearest-pair scan; n is capped by the caller).
 struct Agglomerator {

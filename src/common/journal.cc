@@ -91,7 +91,6 @@ void Emit(Severity severity, std::string_view event,
   State& s = S();
   if (!s.enabled.load(std::memory_order_relaxed)) return;
 
-  const uint64_t ts_us = MonotonicMicros();
   const uint32_t tid = LogThreadId();
 
   // Serialize outside the lock; seq is assigned only once the event is
@@ -125,6 +124,9 @@ void Emit(Severity severity, std::string_view event,
 
   std::lock_guard<std::mutex> lock(s.mu);
   if (!s.out.is_open()) return;  // raced with Close
+  // Stamped under the lock, so concurrent emitters cannot write their
+  // lines out of timestamp order (readers require ts_us non-decreasing).
+  const uint64_t ts_us = MonotonicMicros();
 
   // Token-bucket per wall-clock second. Errors always pass: the regress
   // gate counts them, so the limiter must never eat one.

@@ -187,6 +187,8 @@ class Parser {
     if (ec == std::errc::result_out_of_range) Fail("number out of range");
     if (ec != std::errc() || ptr != span.data() + span.size())
       Fail("bad number");
+    if (span.find_first_not_of("0123456789") == std::string_view::npos)
+      v.string.assign(span);
     return v;
   }
 
@@ -251,12 +253,42 @@ bool Parse(std::string_view text, Value& out, std::string* error) {
   return Parser(text).Parse(out, error);
 }
 
+namespace {
+
+/// A number spelled in plain digits keeps them in `string` (Parse);
+/// nothing else does.
+bool HasDigits(const Value& value) {
+  return value.IsNumber() && !value.string.empty();
+}
+
+/// The exact value of those digits; nullopt past 2^64 - 1.
+std::optional<uint64_t> DigitsValue(const std::string& digits) {
+  uint64_t out = 0;
+  const auto [ptr, ec] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), out);
+  if (ec != std::errc() || ptr != digits.data() + digits.size())
+    return std::nullopt;
+  return out;
+}
+
+}  // namespace
+
 std::optional<uint64_t> ExactUint(const Value& value) {
-  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  constexpr uint64_t kMaxExact = 1ull << 53;
+  if (HasDigits(value)) {
+    const std::optional<uint64_t> digits = DigitsValue(value.string);
+    if (!digits || *digits > kMaxExact) return std::nullopt;
+    return digits;
+  }
   if (!value.IsNumber() || !(value.number >= 0.0) ||
-      value.number > kMaxExact || value.number != std::floor(value.number))
+      value.number > static_cast<double>(kMaxExact) ||
+      value.number != std::floor(value.number))
     return std::nullopt;
   return static_cast<uint64_t>(value.number);
+}
+
+std::optional<uint64_t> ExactUint64(const Value& value) {
+  return HasDigits(value) ? DigitsValue(value.string) : ExactUint(value);
 }
 
 void AppendString(std::string& out, std::string_view s) {

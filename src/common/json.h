@@ -27,7 +27,10 @@ using Object = std::vector<std::pair<std::string, Value>>;
 using Array = std::vector<Value>;
 
 /// One parsed JSON value. Objects keep their key order (validators check
-/// schemas, not maps), and bools are stored in `number` (1.0 / 0.0).
+/// schemas, not maps), and bools are stored in `number` (1.0 / 0.0). A
+/// number written as plain digits ("42", not "-1", "2.5" or "1e3") also
+/// keeps those digits in `string`, so an integer wider than a double's
+/// 53-bit mantissa still reads back exactly (ExactUint64).
 struct Value {
   enum class Kind { kNull, kBool, kNumber, kString, kObject, kArray };
   Kind kind = Kind::kNull;
@@ -51,8 +54,14 @@ bool Parse(std::string_view text, Value& out, std::string* error);
 
 /// A number that is a whole value in [0, 2^53], as uint64_t; anything
 /// else (not a number, negative, fractional, huge, NaN) has no exact
-/// uint64_t and is refused before the cast.
+/// uint64_t and is refused before the cast. Plain digits are read as an
+/// integer, so 2^53 + 1 (a double rounds it to 2^53) is refused too.
 std::optional<uint64_t> ExactUint(const Value& value);
+
+/// A whole number in [0, 2^64) read without rounding: plain digits are
+/// parsed as a uint64_t (refused past 2^64 - 1); any other spelling must
+/// pass ExactUint. For values such as seeds that may exceed 2^53.
+std::optional<uint64_t> ExactUint64(const Value& value);
 
 /// Append `s` as a quoted JSON string with the mandatory escapes.
 void AppendString(std::string& out, std::string_view s);

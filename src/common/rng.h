@@ -42,7 +42,9 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ULL; }
 
-  /// Next raw 64-bit value.
+  /// Next raw 64-bit value. The three hot draws (this, NextDouble() and
+  /// NextBool()) are defined inline below: the simulator makes hundreds of
+  /// millions of them per sweep.
   uint64_t operator()();
 
   /// Uniform double in [0, 1).
@@ -78,9 +80,32 @@ class Rng {
   void Jump();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<uint64_t, 4> s_;
   double spare_ = 0.0;
   bool has_spare_ = false;
 };
+
+inline uint64_t Rng::operator()() {
+  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+  const uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = Rotl(s_[3], 45);
+  return result;
+}
+
+inline double Rng::NextDouble() {
+  // 53 high bits -> [0, 1) with full double precision.
+  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+}
+
+inline bool Rng::NextBool(double p) { return NextDouble() < p; }
 
 }  // namespace stemroot

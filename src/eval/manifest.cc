@@ -3,6 +3,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -98,6 +100,17 @@ bool GetUintField(const json::Value& obj, std::string_view key,
     return SchemaFail(error, where + " \"" + std::string(key) +
                                  "\" is not a whole number in [0, 2^53]");
   out = *value;
+  return true;
+}
+
+/// A config count: a GetUintField whole number that also fits its target
+/// type, whose largest value is `max`.
+bool GetCountField(const json::Value& obj, std::string_view key,
+                   uint64_t max, uint64_t& out, std::string* error) {
+  if (!GetUintField(obj, key, out, error, "config")) return false;
+  if (out > max)
+    return SchemaFail(error, "config \"" + std::string(key) + "\" " +
+                                 U64(out) + " exceeds " + U64(max));
   return true;
 }
 
@@ -276,7 +289,7 @@ bool RunManifest::FromJson(std::string_view text, RunManifest& out,
   const json::Value* config =
       Need(root, "config", json::Value::Kind::kObject, error, "manifest");
   if (config == nullptr) return false;
-  double seed = 0.0, reps = 0.0, threads = 0.0;
+  uint64_t reps = 0, threads = 0;
   if (!GetStringField(*config, "suite", m.config.suite, error, "config") ||
       !GetStringField(*config, "workload", m.config.workload, error,
                       "config") ||
@@ -286,26 +299,33 @@ bool RunManifest::FromJson(std::string_view text, RunManifest& out,
       !GetNumberField(*config, "confidence", m.config.confidence, error,
                       "config") ||
       !GetNumberField(*config, "scale", m.config.scale, error, "config") ||
-      !GetNumberField(*config, "seed", seed, error, "config") ||
-      !GetNumberField(*config, "reps", reps, error, "config") ||
-      !GetNumberField(*config, "threads", threads, error, "config"))
+      !GetCountField(*config, "reps", UINT32_MAX, reps, error) ||
+      !GetCountField(*config, "threads", INT_MAX, threads, error))
     return false;
-  m.config.seed = static_cast<uint64_t>(seed);
   m.config.reps = static_cast<uint32_t>(reps);
   m.config.threads = static_cast<int>(threads);
+  // The seed is any uint64_t the CLI took: read its digits exactly rather
+  // than through a double, which would round seeds above 2^53.
+  const json::Value* seed =
+      Need(*config, "seed", json::Value::Kind::kNumber, error, "config");
+  if (seed == nullptr) return false;
+  const std::optional<uint64_t> exact_seed = json::ExactUint64(*seed);
+  if (!exact_seed)
+    return SchemaFail(error,
+                      "config \"seed\" is not a whole number in [0, 2^64)");
+  m.config.seed = *exact_seed;
   // Optional sharding block (absent in pre-sharding manifests -> stays 0).
-  if (const json::Value* v = config->Find("sim_shards")) {
-    if (!v->IsNumber())
-      return SchemaFail(error, "config \"sim_shards\" is not a number");
-    m.config.sim_shards = static_cast<uint32_t>(v->number);
-    double sim_threads = 0.0, epoch_cycles = 0.0;
-    if (!GetNumberField(*config, "sim_threads", sim_threads, error,
-                        "config") ||
-        !GetNumberField(*config, "epoch_cycles", epoch_cycles, error,
-                        "config"))
+  if (config->Find("sim_shards") != nullptr) {
+    uint64_t sim_shards = 0, sim_threads = 0;
+    if (!GetCountField(*config, "sim_shards", UINT32_MAX, sim_shards,
+                       error) ||
+        !GetCountField(*config, "sim_threads", INT_MAX, sim_threads,
+                       error) ||
+        !GetUintField(*config, "epoch_cycles", m.config.epoch_cycles, error,
+                      "config"))
       return false;
+    m.config.sim_shards = static_cast<uint32_t>(sim_shards);
     m.config.sim_threads = static_cast<int>(sim_threads);
-    m.config.epoch_cycles = static_cast<uint64_t>(epoch_cycles);
   }
 
   if (!GetNumberField(root, "wall_time_seconds", m.wall_time_seconds, error,

@@ -41,29 +41,30 @@ WarpProgram::WarpProgram(const KernelBehavior& behavior,
   const double loc = static_cast<double>(behavior.locality);
   const double reuse_bytes = std::exp(
       (1.0 - loc) * std::log(footprint) + loc * std::log(kTileBytes));
-  const size_t hot_entries = std::max<size_t>(
+  hot_entries_ = std::max<size_t>(
       8, static_cast<size_t>(reuse_bytes / config.line_bytes));
-  hot_lines_.assign(hot_entries, region_base_);
-  // Pre-populate the ring with a spread of footprint lines so early
-  // "reuse" draws do not all alias the base line.
-  for (size_t i = 0; i < hot_lines_.size(); ++i)
-    hot_lines_[i] = region_base_ +
-                    (i * 31 % footprint_lines_) * config.line_bytes;
 }
 
 uint64_t WarpProgram::NextAddress() {
   const bool reuse = rng_.NextBool(behavior_.locality);
   if (reuse) {
-    // Revisit a recently touched line.
-    return hot_lines_[rng_.NextBounded(hot_lines_.size())];
+    // Revisit a recently touched line. A slot the cursor has not reached
+    // yet still holds its initial spread line, so early "reuse" draws do
+    // not all alias the base line.
+    const size_t i = rng_.NextBounded(hot_entries_);
+    if (i < hot_lines_.size()) return hot_lines_[i];
+    return region_base_ + (i * 31 % footprint_lines_) * config_.line_bytes;
   }
   // Fresh line: advance the streaming cursor (strided, wraps around the
   // footprint).
-  stream_pos_ = (stream_pos_ + 1) % footprint_lines_;
+  if (++stream_pos_ == footprint_lines_) stream_pos_ = 0;
   const uint64_t addr =
       region_base_ + stream_pos_ * config_.line_bytes;
-  hot_lines_[hot_cursor_] = addr;
-  hot_cursor_ = (hot_cursor_ + 1) % hot_lines_.size();
+  if (hot_cursor_ < hot_lines_.size())
+    hot_lines_[hot_cursor_] = addr;
+  else
+    hot_lines_.push_back(addr);
+  if (++hot_cursor_ == hot_entries_) hot_cursor_ = 0;
   return addr;
 }
 

@@ -76,7 +76,12 @@ class WarpProgram {
   uint64_t stream_pos_ = 0;      ///< streaming cursor (line units)
   double dep_prob_ = 0.0;
   uint32_t avg_transactions_ = 1;
-  std::vector<uint64_t> hot_lines_;  ///< recent-reuse ring buffer
+  /// Recent-reuse ring of `hot_entries_` slots, built lazily: the vector
+  /// holds only the written prefix (the cursor writes slots 0, 1, 2, ...
+  /// in order), and an unwritten slot i reads as its initial spread line
+  /// `region_base_ + (i * 31 % footprint_lines_) * line_bytes`.
+  std::vector<uint64_t> hot_lines_;
+  size_t hot_entries_ = 0;
   size_t hot_cursor_ = 0;
 };
 

@@ -118,13 +118,22 @@ double SmModel::ExecuteWave(std::vector<WarpContext>& warps,
               // share).
               if (peer_warming.peers > 0 &&
                   line >= peer_warming.region_base) {
-                const uint64_t line_index =
-                    (line - peer_warming.region_base) / config_.line_bytes;
+                // Peer p inserts sibling (line_index + p * kPeerStride)
+                // mod F, stepped here by kPeerStride mod F per peer. Warp
+                // lines lie inside the region (line_index < F) and
+                // p * kPeerStride < 2^64 - 2^62, so for any footprint
+                // below 2^62 lines that sum never wraps and the running
+                // value equals its modulus exactly.
+                constexpr uint64_t kPeerStride = 2654435761ULL;
+                const uint64_t footprint = peer_warming.footprint_lines;
+                const uint64_t step = kPeerStride % footprint;
+                uint64_t sibling =
+                    (line - peer_warming.region_base) / config_.line_bytes %
+                    footprint;
                 for (uint32_t peer = 1; peer <= peer_warming.peers;
                      ++peer) {
-                  const uint64_t sibling =
-                      (line_index + static_cast<uint64_t>(peer) * 2654435761ULL) %
-                      peer_warming.footprint_lines;
+                  sibling += step;
+                  if (sibling >= footprint) sibling -= footprint;
                   (void)l2_->Access(peer_warming.region_base +
                                     sibling * config_.line_bytes);
                 }

@@ -4,8 +4,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.h"
@@ -117,6 +119,28 @@ TEST_F(JournalTest, SequenceIsGapFreeAndTimestampsMonotone) {
     EXPECT_GE(ts, last_ts);
     last_ts = ts;
   }
+}
+
+TEST_F(JournalTest, ConcurrentEmittersKeepTimestampsMonotone) {
+  const std::string path = TempPath("concurrent");
+  std::remove(path.c_str());
+  journal::SetRateLimit(0);
+  journal::Open(path);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([t] {
+      for (int i = 0; i < 2000; ++i)
+        journal::Emit(journal::Severity::kInfo, "tick", {{"t", t}});
+    });
+  for (std::thread& thread : threads) thread.join();
+  journal::Close();
+
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::string error;
+  EXPECT_TRUE(journal::ValidateJournal(text, {}, &error)) << error;
+  EXPECT_EQ(ReadEvents(path).size(), 8000u);
 }
 
 TEST_F(JournalTest, RateLimitDropsAndAnnotatesNextEvent) {

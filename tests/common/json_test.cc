@@ -69,6 +69,29 @@ TEST(JsonTest, RejectsOutOfRangeNumbers) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(JsonTest, ExactUintReadsDigitsWithoutRounding) {
+  const auto parse = [](const std::string& text) {
+    Value v;
+    EXPECT_TRUE(Parse(text, v, nullptr)) << text;
+    return v;
+  };
+  // [0, 2^53]: 2^53 + 1 rounds to 2^53 as a double, but is refused.
+  EXPECT_EQ(ExactUint(parse("9007199254740992")), 9007199254740992ull);
+  EXPECT_EQ(ExactUint(parse("9007199254740993")), std::nullopt);
+  EXPECT_EQ(ExactUint(parse("1e3")), 1000u);
+  EXPECT_EQ(ExactUint(parse("-1")), std::nullopt);
+  EXPECT_EQ(ExactUint(parse("2.5")), std::nullopt);
+  // [0, 2^64): plain digits parse exactly, other spellings keep the
+  // 2^53 rule.
+  EXPECT_EQ(ExactUint64(parse("1152921504606846977")),
+            1152921504606846977ull);  // 2^60 + 1
+  EXPECT_EQ(ExactUint64(parse("18446744073709551615")), ~0ull);
+  EXPECT_EQ(ExactUint64(parse("18446744073709551616")), std::nullopt);
+  EXPECT_EQ(ExactUint64(parse("1.152921504606846977e18")), std::nullopt);
+  EXPECT_EQ(ExactUint64(parse("4.2e1")), 42u);
+  EXPECT_EQ(ExactUint64(parse("\"7\"")), std::nullopt);  // a string
+}
+
 TEST(JsonTest, DeepNestingFailsGracefully) {
   // A pathological "[[[[..." document must produce a parse error, not a
   // stack overflow (the parser recurses per container level).

@@ -243,6 +243,88 @@ TEST(ManifestTest, CountsOutsideExactUint64RangeAreRejected) {
   EXPECT_EQ(back.counters.at("core.kkt.solves"), 9007199254740992ull);
 }
 
+TEST(ManifestTest, ConfigCountsAreRangeChecked) {
+  // reps/threads/sim_* are exact whole numbers that fit their field's
+  // type; anything else is refused instead of cast.
+  RunManifest m = MakeManifest();
+  m.config.sim_shards = 2;
+  m.config.sim_threads = 3;
+  m.config.epoch_cycles = 4096;
+  const std::string good = m.ToJson(/*pretty=*/false);
+  RunManifest back;
+  std::string error;
+  ASSERT_TRUE(RunManifest::FromJson(good, back, &error)) << error;
+  EXPECT_EQ(back.config.sim_shards, 2u);
+  EXPECT_EQ(back.config.sim_threads, 3);
+  EXPECT_EQ(back.config.epoch_cycles, 4096u);
+  const auto with = [&good](const std::string& field,
+                            const std::string& value) {
+    std::string doc = good;
+    const size_t at = doc.find(field);
+    EXPECT_NE(at, std::string::npos) << field;
+    if (at != std::string::npos) doc.replace(at, field.size(), value);
+    return doc;
+  };
+  const std::string fields[] = {"\"reps\":10", "\"threads\":4",
+                                "\"sim_shards\":2", "\"sim_threads\":3",
+                                "\"epoch_cycles\":4096"};
+  for (const std::string& field : fields) {
+    const std::string key = field.substr(0, field.rfind(':') + 1);
+    for (const char* bad : {"-1", "1e300", "2.5", "9007199254740993"}) {
+      error.clear();
+      EXPECT_FALSE(RunManifest::FromJson(with(field, key + bad), back, &error))
+          << field << " -> " << bad;
+      EXPECT_NE(error.find("2^53"), std::string::npos) << error;
+    }
+  }
+  // Whole numbers past the target type are refused, with the bound named.
+  for (const auto& [field, value] :
+       {std::pair<std::string, std::string>{fields[0], "\"reps\":4294967296"},
+        {fields[1], "\"threads\":2147483648"},
+        {fields[2], "\"sim_shards\":4294967296"},
+        {fields[3], "\"sim_threads\":2147483648"}}) {
+    error.clear();
+    EXPECT_FALSE(RunManifest::FromJson(with(field, value), back, &error))
+        << value;
+    EXPECT_NE(error.find("exceeds"), std::string::npos) << error;
+  }
+  // The largest in-range values still read back.
+  ASSERT_TRUE(RunManifest::FromJson(
+      with(fields[0], "\"reps\":4294967295"), back, &error))
+      << error;
+  EXPECT_EQ(back.config.reps, 4294967295u);
+  ASSERT_TRUE(RunManifest::FromJson(
+      with(fields[1], "\"threads\":2147483647"), back, &error))
+      << error;
+  EXPECT_EQ(back.config.threads, 2147483647);
+}
+
+TEST(ManifestTest, SeedsAbove2To53ReadBackExactly) {
+  // The CLI takes any 64-bit seed; a double would round 2^60 + 1 to 2^60.
+  for (uint64_t seed : {(1ull << 60) + 1, (1ull << 53) + 1, ~0ull}) {
+    RunManifest m = MakeManifest();
+    m.config.seed = seed;
+    RunManifest back;
+    std::string error;
+    ASSERT_TRUE(RunManifest::FromJson(m.ToJson(/*pretty=*/true), back,
+                                      &error))
+        << error;
+    EXPECT_EQ(back.config.seed, seed);
+    EXPECT_EQ(back.Fingerprint(), m.Fingerprint());
+  }
+  // Anything that is not a whole number in [0, 2^64) is refused.
+  const std::string good = MakeManifest().ToJson(/*pretty=*/false);
+  for (const char* bad :
+       {"-1", "1e300", "2.5", "18446744073709551616", "1152921504606846977.0"}) {
+    std::string doc = good;
+    doc.replace(doc.find("\"seed\":42"), 9, std::string("\"seed\":") + bad);
+    RunManifest back;
+    std::string error;
+    EXPECT_FALSE(RunManifest::FromJson(doc, back, &error)) << bad;
+    EXPECT_NE(error.find("\"seed\""), std::string::npos) << error;
+  }
+}
+
 TEST(ManifestTest, MemBlockDoesNotAffectFingerprint) {
   // Physical memory is environmental: two runs that differ only in the
   // mem block are the same ledger identity.

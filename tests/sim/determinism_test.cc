@@ -162,6 +162,12 @@ constexpr double kGoldenSampledEstimate = 7462740.6700000009;
 // its serial and sharded totals coincide).
 constexpr double kGoldenCfdSerialTotalCycles = 42382483.522857152;
 constexpr double kGoldenCfdShardedTotalCycles = 42381184.875714295;
+// H100's L2 has 25,600 sets, so its lookups take the general `%` / `/`
+// set-index path (every rtx2080 geometry is a power of two and takes the
+// mask/shift path). gaussian, trace seed 5, scale 0.05, sim seed 1, full
+// simulation on one Simulator.
+constexpr double kGoldenH100TotalCycles = 7286898.160579104;
+constexpr uint64_t kGoldenH100L2Digest = 0x6f9c944cd38824eeull;
 
 /// The (workload, trace seed, sim seed) roster every invariance test runs
 /// over -- three distinct suites x seeds per the test plan.
@@ -497,6 +503,20 @@ TEST(ShardedDeterminismTest, GoldenShardedCycleCountsPinned) {
   // Instruction counts are schedule- and shard-invariant: every
   // invocation runs exactly once either way.
   EXPECT_EQ(serial.stats.warp_instructions, sharded.stats.warp_instructions);
+}
+
+TEST(ShardedDeterminismTest, GoldenH100FullSimulationPinned) {
+  const SimConfig config = SimConfig::FromSpec(hw::GpuSpec::H100());
+  const uint64_t l2_sets = config.l2_bytes / config.line_bytes /
+                           config.l2_assoc;
+  ASSERT_NE(l2_sets & (l2_sets - 1), 0u);  // not a power of two
+  Simulator simulator(config);
+  const KernelTrace trace = workloads::MakeRodinia("gaussian", 5, 0.05);
+  double total = 0.0;
+  for (uint32_t i = 0; i < trace.NumInvocations(); ++i)
+    total += simulator.SimulateKernel(trace.At(i), 1).cycles;
+  EXPECT_EQ(total, kGoldenH100TotalCycles);
+  EXPECT_EQ(simulator.L2Digest(), kGoldenH100L2Digest);
 }
 
 }  // namespace

@@ -146,5 +146,29 @@ TEST_F(ItraceTest, Fp16KernelEmitsFp16Ops) {
   EXPECT_GT(fp16, 0u);
 }
 
+TEST_F(ItraceTest, LowLocalityLineStreamPinned) {
+  // Locality 0.3 over a 64 MiB footprint sizes the hot-line ring at
+  // ~43k entries, while this one warp writes only a few thousand of them:
+  // most reuse draws land on slots no fresh line has overwritten yet.
+  KernelBehavior b = workloads::IrregularBehavior(640'000, 64 << 20);
+  b.locality = 0.3f;
+  b.coalescing = 0.8f;
+  WarpProgram program(b, Launch(1, 32), config_, 29, 0x3Cull << 40, 5);
+  uint64_t digest = 14695981039346656037ull;
+  uint64_t lines = 0;
+  WarpInstr instr;
+  while (program.Next(instr)) {
+    for (uint64_t line : instr.lines) {
+      for (int byte = 0; byte < 8; ++byte) {
+        digest ^= (line >> (byte * 8)) & 0xFF;
+        digest *= 1099511628211ull;
+      }
+      ++lines;
+    }
+  }
+  EXPECT_EQ(lines, 17920u);
+  EXPECT_EQ(digest, 0x00670c53be78c643ull);
+}
+
 }  // namespace
 }  // namespace stemroot::sim
