@@ -1,8 +1,12 @@
 #include "common/cache.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -45,10 +49,11 @@ bool ReadPod(std::string_view bytes, size_t& pos, T& out) {
   return true;
 }
 
-/// Parse + verify one entry file's bytes. On success fills `payload` (when
-/// non-null) and returns true; otherwise stores a reason in `problem`.
+/// Parse + verify one entry file's bytes. On success stores the offset
+/// the payload starts at in `payload_pos` (when non-null) and returns
+/// true; otherwise stores a reason in `problem`.
 bool VerifyEntryBytes(std::string_view bytes, const std::string* want_key,
-                      std::string* payload, std::string* problem) {
+                      size_t* payload_pos, std::string* problem) {
   size_t pos = 0;
   if (bytes.size() < sizeof(kMagic) ||
       std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
@@ -86,21 +91,34 @@ bool VerifyEntryBytes(std::string_view bytes, const std::string* want_key,
     *problem = "payload length mismatch";
     return false;
   }
-  const std::string_view body = bytes.substr(pos);
-  if (Fnv1a64(body) != h.payload_hash) {
+  if (Fnv1a64(bytes.substr(pos)) != h.payload_hash) {
     *problem = "payload checksum mismatch";
     return false;
   }
-  if (payload != nullptr) payload->assign(body);
+  if (payload_pos != nullptr) *payload_pos = pos;
   return true;
 }
 
+/// The whole of a regular file, in one sized read. std::nullopt when it
+/// cannot be opened or read, or is not a regular file.
 std::optional<std::string> ReadFileBytes(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return std::nullopt;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  std::optional<std::string> bytes;
+  struct stat st;
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
+    bytes.emplace(static_cast<size_t>(st.st_size), '\0');
+    size_t got = 0;
+    while (got < bytes->size()) {
+      const ssize_t n = ::read(fd, bytes->data() + got, bytes->size() - got);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      got += static_cast<size_t>(n);
+    }
+    // A short read leaves a shorter entry, which verification rejects.
+    bytes->resize(got);
+  }
+  ::close(fd);
   return bytes;
 }
 
@@ -122,6 +140,12 @@ uint64_t Fnv1a64(std::string_view bytes) {
   return hash;
 }
 
+std::string UniqueTempPath(const std::string& path) {
+  static std::atomic<uint64_t> next{0};
+  return path + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(next.fetch_add(1, std::memory_order_relaxed));
+}
+
 std::string HexDigest64(uint64_t value) {
   static const char* kHex = "0123456789abcdef";
   std::string out(16, '0');
@@ -141,23 +165,26 @@ std::string ArtifactCache::EntryPath(const std::string& key) const {
 }
 
 std::optional<std::string> ArtifactCache::Get(const std::string& key) const {
-  const std::optional<std::string> bytes = ReadFileBytes(EntryPath(key));
+  std::optional<std::string> bytes = ReadFileBytes(EntryPath(key));
   if (!bytes) {
     telemetry::Count("cache.miss");
     return std::nullopt;
   }
-  std::string payload;
+  size_t payload_pos = 0;
   std::string problem;
-  if (!VerifyEntryBytes(*bytes, &key, &payload, &problem)) {
+  if (!VerifyEntryBytes(*bytes, &key, &payload_pos, &problem)) {
     // A defective entry is a miss by contract: recompute, never crash,
     // never serve stale or torn data.
     telemetry::Count("cache.miss");
     telemetry::Count("cache.corrupt");
     return std::nullopt;
   }
+  // The payload is the tail of the bytes read: drop the header in place
+  // rather than copy the payload out.
+  bytes->erase(0, payload_pos);
   telemetry::Count("cache.hit");
-  telemetry::Count("cache.read_bytes", payload.size());
-  return payload;
+  telemetry::Count("cache.read_bytes", bytes->size());
+  return bytes;
 }
 
 void ArtifactCache::Put(const std::string& key,
@@ -180,10 +207,9 @@ void ArtifactCache::Put(const std::string& key,
   entry.append(payload.data(), payload.size());
 
   // Temp file in the same directory (rename is only atomic within one
-  // filesystem), unique per process so concurrent stores cannot collide.
+  // filesystem), unique per store so concurrent stores cannot collide.
   const std::string final_path = EntryPath(key);
-  const std::string tmp_path =
-      final_path + ".tmp." + std::to_string(::getpid());
+  const std::string tmp_path = UniqueTempPath(final_path);
   {
     std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
     if (!out)

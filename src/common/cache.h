@@ -14,8 +14,9 @@
 ///   - Put writes the entry to a temp file in the cache directory and
 ///     atomically renames it into place, so a crash mid-store leaves
 ///     either the old entry or none -- never a torn one. Concurrent
-///     writers of the same key are safe for the same reason (last rename
-///     wins, both renames are complete entries).
+///     writers of the same key, in one process or several, are safe for
+///     the same reason: each writes its own temp file (UniqueTempPath),
+///     the last rename wins, and both renames are complete entries.
 ///   - Put failures (full disk, permissions) throw; callers that treat
 ///     the cache as best-effort catch and continue.
 ///
@@ -51,6 +52,11 @@ uint64_t Fnv1a64(std::string_view bytes);
 /// Lowercase hex form of a 64-bit hash (16 chars), used for entry file
 /// names.
 std::string HexDigest64(uint64_t value);
+
+/// A temp path beside `path` for writing it atomically (write, then
+/// rename over `path`): `path` + ".tmp." + pid + "." + a process-wide
+/// counter, so no two writers share one, in one process or across them.
+std::string UniqueTempPath(const std::string& path);
 
 /// A content-addressed cache rooted at one directory.
 class ArtifactCache {

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/telemetry.h"
 #include "common/trace_events.h"
 
 namespace stemroot {
@@ -166,6 +167,8 @@ struct ForState {
   size_t end = 0;
   size_t grain = 1;
   const std::function<void(size_t)>* body = nullptr;
+  /// The caller's telemetry target, installed on every lane.
+  telemetry::Target scope;
 
   std::atomic<bool> cancelled{false};
   std::mutex error_mu;
@@ -177,8 +180,11 @@ struct ForState {
 };
 
 /// Claim chunks from the shared cursor until the range (or the region, on
-/// error) is exhausted. Runs on the caller thread and on every helper.
+/// error) is exhausted. Runs on the caller thread and on every helper,
+/// under the caller's telemetry scope, so the lanes' counters and spans
+/// land where the caller's would.
 void RunChunks(ForState& state) {
+  const telemetry::Scope scope(state.scope);
   ++tls_region_depth;
   while (!state.cancelled.load(std::memory_order_acquire)) {
     const size_t start =
@@ -220,6 +226,7 @@ void RunRegion(size_t begin, size_t end, size_t grain, size_t lanes,
   state->end = end;
   state->grain = grain;
   state->body = &body;
+  state->scope = telemetry::Scope::Current();
   state->helpers_left = helpers;
 
   if (helpers > 0) {

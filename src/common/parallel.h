@@ -15,6 +15,10 @@
 /// - **Nested-call safety.** A ParallelFor issued from inside another
 ///   parallel region (worker thread or a caller executing chunks) runs
 ///   serially inline: no deadlock, no oversubscription, same results.
+/// - **Telemetry scopes.** Every lane of a ParallelFor or ParallelLanes
+///   region runs its chunks under the caller's telemetry::Scope, so work
+///   fanned out to pool workers records into the caller's sink (or
+///   nowhere, when the caller is muted).
 /// - **Thread-count control.** SetNumThreads() > STEMROOT_THREADS env >
 ///   std::thread::hardware_concurrency(), resolved by NumThreads().
 ///   threads == 1 short-circuits to plain serial loops (the TSan baseline).

@@ -47,18 +47,33 @@ struct SpanAgg {
 
 using SpanKey = std::pair<std::string, std::string>;  // (name, parent)
 
-/// One thread's private staging area. The mutex is uncontended on the hot
-/// path (only Capture/Reset from another thread ever take it).
-struct ThreadBuffer {
+}  // namespace
+
+/// One thread's private staging area, or one sink's aggregate. A thread
+/// buffer's mutex is uncontended on the hot path (only Capture/Reset from
+/// another thread ever take it); a sink's is shared by the lanes of the
+/// scopes on it.
+struct Buffer {
   std::mutex mu;
   std::map<std::string, uint64_t> counters;
   std::map<std::string, std::vector<double>> values;
   std::map<SpanKey, SpanAgg> spans;
 
-  bool Empty() const {
-    return counters.empty() && values.empty() && spans.empty();
+  void Count(std::string_view name, uint64_t delta) {
+    std::lock_guard<std::mutex> lock(mu);
+    counters[std::string(name)] += delta;
+  }
+  void Record(std::string_view name, double value) {
+    std::lock_guard<std::mutex> lock(mu);
+    values[std::string(name)].push_back(value);
+  }
+  void AddSpan(const SpanKey& key, double us) {
+    std::lock_guard<std::mutex> lock(mu);
+    spans[key].Add(us);
   }
 };
+
+namespace {
 
 /// Central aggregate + the list of live thread buffers. Leaked on purpose:
 /// worker threads may outlive static destruction order, and their
@@ -66,7 +81,7 @@ struct ThreadBuffer {
 struct Registry {
   std::atomic<bool> enabled{false};
   std::mutex mu;  ///< guards buffers + the central maps below
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers;
+  std::vector<std::shared_ptr<Buffer>> buffers;
   std::map<std::string, uint64_t> counters;
   std::map<std::string, std::vector<double>> values;
   std::map<SpanKey, SpanAgg> spans;
@@ -79,7 +94,7 @@ Registry& Reg() {
 
 /// Merge one buffer into the central maps (registry mutex already held by
 /// the caller; the buffer's own mutex too). Clears the buffer.
-void DrainLocked(ThreadBuffer& buf, Registry& reg) {
+void DrainLocked(Buffer& buf, Registry& reg) {
   for (const auto& [name, value] : buf.counters) reg.counters[name] += value;
   for (auto& [name, vals] : buf.values) {
     std::vector<double>& central = reg.values[name];
@@ -94,7 +109,7 @@ void DrainLocked(ThreadBuffer& buf, Registry& reg) {
 /// Thread-exit hook: flush the buffer into the central aggregate and drop
 /// it from the live list.
 struct TlsHandle {
-  std::shared_ptr<ThreadBuffer> buf;
+  std::shared_ptr<Buffer> buf;
 
   ~TlsHandle() {
     if (!buf) return;
@@ -108,10 +123,10 @@ struct TlsHandle {
   }
 };
 
-ThreadBuffer& LocalBuffer() {
+Buffer& LocalBuffer() {
   thread_local TlsHandle handle;
   if (!handle.buf) {
-    handle.buf = std::make_shared<ThreadBuffer>();
+    handle.buf = std::make_shared<Buffer>();
     Registry& reg = Reg();
     std::lock_guard<std::mutex> lock(reg.mu);
     reg.buffers.push_back(handle.buf);
@@ -119,11 +134,18 @@ ThreadBuffer& LocalBuffer() {
   return *handle.buf;
 }
 
-/// Live ThreadMute guards on the current thread.
-thread_local int tls_mute_depth = 0;
+/// The target of a muted thread: an address no recording ever reaches.
+Buffer* Muted() {
+  static Buffer* muted = new Buffer;
+  return muted;
+}
+
+/// The calling thread's scope target: nullptr outside every scope,
+/// Muted() under Scope(nullptr), else the sink's buffer.
+thread_local Buffer* tls_target = nullptr;
 
 /// Whether the calling thread records: telemetry on and not muted.
-bool Recording() { return Enabled() && tls_mute_depth == 0; }
+bool Recording() { return Enabled() && tls_target != Muted(); }
 
 /// Innermost open span names of the current thread (for parent lookup).
 thread_local std::vector<std::string>* tls_span_stack = nullptr;
@@ -134,6 +156,29 @@ std::vector<std::string>& SpanStack() {
   if (tls_span_stack == nullptr)
     tls_span_stack = new std::vector<std::string>;
   return *tls_span_stack;
+}
+
+/// Distributions merge deterministically as a sorted multiset: the value
+/// *set* is schedule-invariant even though arrival order is not.
+std::map<std::string, std::vector<double>> SortedValues(
+    std::map<std::string, std::vector<double>> values) {
+  for (auto& [name, vals] : values) std::sort(vals.begin(), vals.end());
+  return values;
+}
+
+std::map<SpanKey, SpanStats> ToSpanStats(
+    const std::map<SpanKey, SpanAgg>& spans) {
+  std::map<SpanKey, SpanStats> out;
+  for (const auto& [key, agg] : spans) {
+    SpanStats& stats = out[key];
+    stats.name = key.first;
+    stats.parent = key.second;
+    stats.count = agg.count;
+    stats.total_us = agg.total_us;
+    stats.min_us = agg.min_us;
+    stats.max_us = agg.max_us;
+  }
+  return out;
 }
 
 DistSummary Summarize(const std::vector<double>& sorted) {
@@ -179,22 +224,36 @@ void SetEnabled(bool enabled) {
 
 bool Enabled() { return Reg().enabled.load(std::memory_order_relaxed); }
 
-ThreadMute::ThreadMute() { ++tls_mute_depth; }
-ThreadMute::~ThreadMute() { --tls_mute_depth; }
-
 void Count(std::string_view name, uint64_t delta) {
   if (!Recording()) return;
-  ThreadBuffer& buf = LocalBuffer();
-  std::lock_guard<std::mutex> lock(buf.mu);
-  buf.counters[std::string(name)] += delta;
+  LocalBuffer().Count(name, delta);
+  if (tls_target != nullptr) tls_target->Count(name, delta);
 }
 
 void Record(std::string_view name, double value) {
   if (!Recording()) return;
   if (!std::isfinite(value)) return;
-  ThreadBuffer& buf = LocalBuffer();
-  std::lock_guard<std::mutex> lock(buf.mu);
-  buf.values[std::string(name)].push_back(value);
+  LocalBuffer().Record(name, value);
+  if (tls_target != nullptr) tls_target->Record(name, value);
+}
+
+Sink::Sink() : buffer_(std::make_unique<Buffer>()) {}
+Sink::~Sink() = default;
+
+Scope::Scope(Sink* sink) : saved_(tls_target) {
+  tls_target = sink != nullptr ? sink->buffer_.get() : Muted();
+}
+
+Scope::Scope(Target target) : saved_(tls_target) {
+  tls_target = target.buffer_;
+}
+
+Scope::~Scope() { tls_target = saved_; }
+
+Target Scope::Current() {
+  Target target;
+  target.buffer_ = tls_target;
+  return target;
 }
 
 Span::Span(std::string_view name) {
@@ -208,6 +267,7 @@ Span::Span(std::string_view name) {
   }
   if (!telemetry_on) return;
   active_ = true;
+  sink_ = tls_target;
   std::vector<std::string>& stack = SpanStack();
   if (!stack.empty()) parent_ = stack.back();
   stack.push_back(name_);
@@ -230,9 +290,9 @@ Span::~Span() {
   std::vector<std::string>& stack = SpanStack();
   if (!stack.empty() && stack.back() == name_) stack.pop_back();
   if (!Enabled()) return;
-  ThreadBuffer& buf = LocalBuffer();
-  std::lock_guard<std::mutex> lock(buf.mu);
-  buf.spans[SpanKey(name_, parent_)].Add(us);
+  const SpanKey key(name_, parent_);
+  LocalBuffer().AddSpan(key, us);
+  if (sink_ != nullptr) sink_->AddSpan(key, us);
 }
 
 uint64_t Snapshot::Counter(std::string_view name) const {
@@ -335,91 +395,54 @@ std::string Snapshot::ToCsv() const {
 Snapshot Capture() {
   Registry& reg = Reg();
   std::lock_guard<std::mutex> reg_lock(reg.mu);
-  for (const std::shared_ptr<ThreadBuffer>& buf : reg.buffers) {
+  for (const std::shared_ptr<Buffer>& buf : reg.buffers) {
     std::lock_guard<std::mutex> buf_lock(buf->mu);
     DrainLocked(*buf, reg);
   }
   Snapshot snap;
   snap.counters_ = reg.counters;
-  snap.values_ = reg.values;
-  // Distributions merge deterministically as a sorted multiset: the value
-  // *set* is schedule-invariant even though arrival order is not.
-  for (auto& [name, vals] : snap.values_)
-    std::sort(vals.begin(), vals.end());
-  for (const auto& [key, agg] : reg.spans) {
-    SpanStats stats;
-    stats.name = key.first;
-    stats.parent = key.second;
-    stats.count = agg.count;
-    stats.total_us = agg.total_us;
-    stats.min_us = agg.min_us;
-    stats.max_us = agg.max_us;
-    snap.spans_[key] = stats;
-  }
+  snap.values_ = SortedValues(reg.values);
+  snap.spans_ = ToSpanStats(reg.spans);
   return snap;
 }
 
 Snapshot Sample() {
   Registry& reg = Reg();
   std::lock_guard<std::mutex> reg_lock(reg.mu);
-  Snapshot snap;
-  snap.counters_ = reg.counters;
-  snap.values_ = reg.values;
-  for (const auto& [key, agg] : reg.spans) {
-    SpanStats stats;
-    stats.name = key.first;
-    stats.parent = key.second;
-    stats.count = agg.count;
-    stats.total_us = agg.total_us;
-    stats.min_us = agg.min_us;
-    stats.max_us = agg.max_us;
-    snap.spans_[key] = stats;
-  }
+  std::map<std::string, uint64_t> counters = reg.counters;
+  std::map<std::string, std::vector<double>> values = reg.values;
+  std::map<SpanKey, SpanAgg> spans = reg.spans;
   // Overlay each live buffer without clearing it (the non-draining
   // contract). The buffer mutex is held only for the copy.
-  for (const std::shared_ptr<ThreadBuffer>& buf : reg.buffers) {
+  for (const std::shared_ptr<Buffer>& buf : reg.buffers) {
     std::lock_guard<std::mutex> buf_lock(buf->mu);
-    for (const auto& [name, value] : buf->counters)
-      snap.counters_[name] += value;
+    for (const auto& [name, value] : buf->counters) counters[name] += value;
     for (const auto& [name, vals] : buf->values) {
-      std::vector<double>& central = snap.values_[name];
+      std::vector<double>& central = values[name];
       central.insert(central.end(), vals.begin(), vals.end());
     }
-    for (const auto& [key, agg] : buf->spans) {
-      SpanStats& stats = snap.spans_[key];
-      stats.name = key.first;
-      stats.parent = key.second;
-      SpanAgg merged;
-      merged.count = stats.count;
-      merged.total_us = stats.total_us;
-      merged.min_us = stats.min_us;
-      merged.max_us = stats.max_us;
-      merged.Merge(agg);
-      stats.count = merged.count;
-      stats.total_us = merged.total_us;
-      stats.min_us = merged.min_us;
-      stats.max_us = merged.max_us;
-    }
+    for (const auto& [key, agg] : buf->spans) spans[key].Merge(agg);
   }
-  for (auto& [name, vals] : snap.values_)
-    std::sort(vals.begin(), vals.end());
+  Snapshot snap;
+  snap.counters_ = std::move(counters);
+  snap.values_ = SortedValues(std::move(values));
+  snap.spans_ = ToSpanStats(spans);
   return snap;
 }
 
-std::map<std::string, uint64_t> CounterDeltas(const Snapshot& before,
-                                              const Snapshot& after) {
-  std::map<std::string, uint64_t> deltas;
-  for (const auto& [name, value] : after.Counters()) {
-    const uint64_t prior = before.Counter(name);
-    if (value > prior) deltas[name] = value - prior;
-  }
-  return deltas;
+Snapshot Sink::Capture() const {
+  std::lock_guard<std::mutex> lock(buffer_->mu);
+  Snapshot snap;
+  snap.counters_ = buffer_->counters;
+  snap.values_ = SortedValues(buffer_->values);
+  snap.spans_ = ToSpanStats(buffer_->spans);
+  return snap;
 }
 
 void Reset() {
   Registry& reg = Reg();
   std::lock_guard<std::mutex> reg_lock(reg.mu);
-  for (const std::shared_ptr<ThreadBuffer>& buf : reg.buffers) {
+  for (const std::shared_ptr<Buffer>& buf : reg.buffers) {
     std::lock_guard<std::mutex> buf_lock(buf->mu);
     buf->counters.clear();
     buf->values.clear();

@@ -23,6 +23,11 @@
 ///   per-thread buffer mutex is uncontended on the hot path. Capture() and
 ///   Reset() must not race a parallel region that is still recording
 ///   (call them between regions, as the CLI and benches do).
+/// - **Scopes.** A Scope on a Sink makes the calling thread, and the pool
+///   lanes its parallel regions fan out to, record into that sink as well
+///   as into the process buffers. Concurrent callers each read their own
+///   activity from their own sink, with no process-wide lock; a null scope
+///   mutes the thread.
 ///
 /// Spans aggregate by (name, parent) where parent is the innermost open
 /// span on the same thread ("" at top level -- e.g. inside a worker-thread
@@ -33,6 +38,7 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,6 +56,9 @@ void Count(std::string_view name, uint64_t delta = 1);
 /// Record one observation of the named distribution. Non-finite values are
 /// dropped (they would poison the deterministic sorted merge).
 void Record(std::string_view name, double value);
+
+/// Recording storage shared by thread buffers and sinks (telemetry.cc).
+struct Buffer;
 
 /// RAII wall-time span. Nest freely; the innermost open span on the same
 /// thread becomes the parent. Inert when telemetry is disabled at
@@ -73,24 +82,9 @@ class Span {
   std::string name_;
   std::string parent_;
   std::chrono::steady_clock::time_point start_;
+  Buffer* sink_ = nullptr;  ///< the scope's sink at construction, if any
   bool active_ = false;  ///< telemetry recording (stack entry pushed)
   bool traced_ = false;  ///< trace-event begin emitted
-};
-
-/// RAII: while one is alive, Count, Record and Spans opened then record
-/// nothing on the calling thread. Other threads, including pool workers
-/// the thread fans out to, are unaffected, and trace events still flow.
-/// For work whose counters belong to no run: the service's streaming
-/// feeds and queries run outside every session's telemetry window, so
-/// their counters would land in whichever window another session has
-/// open. Nests.
-class ThreadMute {
- public:
-  ThreadMute();
-  ~ThreadMute();
-
-  ThreadMute(const ThreadMute&) = delete;
-  ThreadMute& operator=(const ThreadMute&) = delete;
 };
 
 /// Aggregated wall-time statistics of one (name, parent) span identity.
@@ -150,6 +144,7 @@ class Snapshot {
  private:
   friend Snapshot Capture();
   friend Snapshot Sample();
+  friend class Sink;
 
   std::map<std::string, uint64_t> counters_;
   std::map<std::string, std::vector<double>> values_;
@@ -177,14 +172,68 @@ Snapshot Capture();
 /// final Capture() remains the deterministic record.
 Snapshot Sample();
 
-/// Per-counter increase from `before` to `after` (both cumulative
-/// snapshots of one process). Counters absent from `before` count from
-/// zero; counters that did not grow are omitted, so the result is exactly
-/// the activity of the window.
-std::map<std::string, uint64_t> CounterDeltas(const Snapshot& before,
-                                              const Snapshot& after);
-
-/// Clear the central aggregate and all live thread buffers.
+/// Clear the central aggregate and all live thread buffers. Sinks are
+/// private to their owners and keep their contents.
 void Reset();
+
+/// A private aggregate of counters, distributions and spans, filled by
+/// the threads running under a Scope on it. A resident service gives each
+/// session one, so concurrent sessions' manifests each hold exactly their
+/// own activity without serializing on anything process-wide.
+class Sink {
+ public:
+  Sink();
+  ~Sink();
+
+  Sink(const Sink&) = delete;
+  Sink& operator=(const Sink&) = delete;
+
+  /// Everything recorded into this sink so far, distributions sorted.
+  /// Safe while scopes on it are recording.
+  Snapshot Capture() const;
+
+ private:
+  friend class Scope;
+
+  std::unique_ptr<Buffer> buffer_;
+};
+
+/// A thread's recording target: the process buffers only, the process
+/// buffers plus one sink, or nothing. Opaque; Scope::Current() reads it
+/// and Scope(Target) installs it on another thread.
+class Target {
+ private:
+  friend class Scope;
+
+  Buffer* buffer_ = nullptr;  ///< nullptr = the process buffers only
+};
+
+/// RAII: while alive, the calling thread's Count, Record and Span record
+/// into the process buffers exactly as without it, and also into `sink`.
+/// Scope(nullptr) mutes the thread instead: it records nothing, neither
+/// into the process buffers nor into any sink, while trace events still
+/// flow. The innermost scope wins and destruction restores the previous
+/// target, so scopes nest.
+///
+/// A scope covers the pool lanes its thread fans out to: ParallelFor and
+/// ParallelLanes read Current() on the calling thread and install it on
+/// every lane for the chunks that lane runs (common/parallel.cc). Other
+/// threads are unaffected. A Span takes its sink when it opens, so close
+/// spans before the scope that covers them ends.
+class Scope {
+ public:
+  explicit Scope(Sink* sink);
+  explicit Scope(Target target);
+  ~Scope();
+
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
+
+  /// The calling thread's current target.
+  static Target Current();
+
+ private:
+  Buffer* saved_;
+};
 
 }  // namespace stemroot::telemetry

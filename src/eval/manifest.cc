@@ -1,7 +1,5 @@
 #include "eval/manifest.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <climits>
 #include <cstdint>
@@ -11,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/cache.h"
 #include "common/json.h"
 #include "common/str.h"
 #include "eval/stage_report.h"
@@ -451,7 +450,7 @@ void RunManifest::Save(const std::string& path) const {
   // full disk mid-write leaves either the previous manifest or no file --
   // never a torn half-JSON that downstream tools (regress, compare, the
   // ledger) would choke on.
-  const std::string tmp_path = path + ".tmp." + std::to_string(::getpid());
+  const std::string tmp_path = UniqueTempPath(path);
   {
     std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
     if (!out) throw std::runtime_error("manifest: cannot write " + tmp_path);

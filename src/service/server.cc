@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cache.h"
 #include "common/journal.h"
 #include "common/json.h"
 #include "common/log.h"
@@ -108,7 +109,7 @@ void WriteMetrics(const std::string& target, const std::string& text) {
     }
     return;
   }
-  const std::string tmp = target + ".tmp." + std::to_string(::getpid());
+  const std::string tmp = UniqueTempPath(target);
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {

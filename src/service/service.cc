@@ -1,5 +1,9 @@
 #include "service/service.h"
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -30,68 +34,6 @@ namespace {
 constexpr uint64_t kStreamingStream = 0x53455256ULL;  // "SERV"
 constexpr uint64_t kShuffleStream = 0x53485546ULL;    // "SHUF"
 
-/// Serializes the telemetry-instrumented pipeline operations of ALL
-/// sessions (telemetry is process-global): inside the lock, a
-/// capture-run-capture window sees exactly the counters and spans the
-/// wrapped operation produced. Static so multiple Service instances in
-/// one process still share the one window.
-std::mutex& TelemetryWindowMu() {
-  static std::mutex mu;
-  return mu;
-}
-
-struct StageAgg {
-  uint64_t count = 0;
-  double total_us = 0.0;
-};
-
-/// Span aggregates folded over parents, keyed by name (the StageReport
-/// view: per-thread nesting makes parents schedule-dependent, totals per
-/// name are not).
-std::map<std::string, StageAgg> SpansByName(const telemetry::Snapshot& s) {
-  std::map<std::string, StageAgg> out;
-  for (const auto& [key, stats] : s.Spans()) {
-    StageAgg& agg = out[key.first];
-    agg.count += stats.count;
-    agg.total_us += stats.total_us;
-  }
-  return out;
-}
-
-/// Fold the delta between two cumulative snapshots into a session's
-/// private ledger. The service.* counters are excluded: concurrent
-/// sessions' Feed/Query calls may land between the captures, so the
-/// exact values come from session-local tallies instead.
-void AccumulateWindow(std::map<std::string, uint64_t>& counters,
-                      std::map<std::string, StageAgg>& stages,
-                      const telemetry::Snapshot& before,
-                      const telemetry::Snapshot& after) {
-  for (const auto& [name, delta] :
-       telemetry::CounterDeltas(before, after)) {
-    if (name.rfind("service.", 0) == 0) continue;
-    counters[name] += delta;
-  }
-  const std::map<std::string, StageAgg> b = SpansByName(before);
-  for (const auto& [name, agg] : SpansByName(after)) {
-    const auto it = b.find(name);
-    const StageAgg prior = it == b.end() ? StageAgg{} : it->second;
-    if (agg.count <= prior.count) continue;
-    StageAgg& out = stages[name];
-    out.count += agg.count - prior.count;
-    out.total_us += agg.total_us - prior.total_us;
-  }
-}
-
-template <typename Fn>
-auto TelemetryWindow(std::map<std::string, uint64_t>& counters,
-                     std::map<std::string, StageAgg>& stages, Fn&& fn) {
-  std::lock_guard<std::mutex> lock(TelemetryWindowMu());
-  const telemetry::Snapshot before = telemetry::Capture();
-  auto result = fn();
-  AccumulateWindow(counters, stages, before, telemetry::Capture());
-  return result;
-}
-
 eval::Pipeline::Options PipelineOpts(const SessionConfig& config) {
   eval::Pipeline::Options options;
   options.seed = config.seed;
@@ -113,21 +55,28 @@ std::unique_ptr<core::Sampler> MakeSessionSampler(const SessionConfig& config) {
 }
 
 /// Manifest stage rows in StageReport order: canonical pipeline stages
-/// first, then other span names alphabetically (std::map order).
+/// first, then other span names alphabetically (std::map order). Spans are
+/// folded over parents, keyed by name: per-thread nesting makes parents
+/// schedule-dependent, totals per name are not.
 std::vector<eval::RunManifest::Stage> StageRows(
-    const std::map<std::string, StageAgg>& stages) {
+    const telemetry::Snapshot& recorded) {
+  std::map<std::string, eval::RunManifest::Stage> stages;
+  for (const auto& [key, stats] : recorded.Spans()) {
+    eval::RunManifest::Stage& stage = stages[key.first];
+    stage.name = key.first;
+    stage.count += stats.count;
+    stage.total_us += stats.total_us;
+  }
   std::vector<eval::RunManifest::Stage> out;
   const std::vector<std::string>& canonical = eval::PipelineStageNames();
   for (const std::string& name : canonical) {
     const auto it = stages.find(name);
-    if (it == stages.end()) continue;
-    out.push_back({name, it->second.count, it->second.total_us});
+    if (it != stages.end()) out.push_back(it->second);
   }
-  for (const auto& [name, agg] : stages) {
-    if (std::find(canonical.begin(), canonical.end(), name) !=
+  for (const auto& [name, stage] : stages) {
+    if (std::find(canonical.begin(), canonical.end(), name) ==
         canonical.end())
-      continue;
-    out.push_back({name, agg.count, agg.total_us});
+      out.push_back(stage);
   }
   return out;
 }
@@ -174,6 +123,18 @@ class RequestTimer {
   int uncaught_;
   std::chrono::steady_clock::time_point start_;
 };
+
+/// Hand the pages freed so far back to the OS. glibc keeps freed memory
+/// in the arena of the thread that allocated it, and concurrent sessions
+/// spread their traces over the connection threads' arenas. Without this,
+/// every arena keeps the high-water mark of the sessions it ever held, and
+/// peak RSS grows with the number of connection threads instead of with
+/// the open sessions.
+void ReturnFreedPages() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+}
 
 void FillMetrics(eval::RunManifest& manifest, const eval::EvalResult& result) {
   manifest.metrics.present = true;
@@ -223,8 +184,9 @@ struct Service::Session {
   std::optional<eval::Pipeline> source;  ///< generated source, when any
   std::vector<uint32_t> feed_order;  ///< source permutation
   size_t cursor = 0;                 ///< next feed_order position
-  std::map<std::string, uint64_t> counters;   ///< window counter deltas
-  std::map<std::string, StageAgg> stages;     ///< window stage deltas
+  /// What OpenSession, BuildPlan and Evaluate recorded, on every thread
+  /// that worked for them.
+  telemetry::Sink telemetry;
   uint64_t feed_invocations = 0;
   bool early_stopped = false;
   bool converged_reported = false;  ///< journaled session.converged once
@@ -282,14 +244,14 @@ SessionId Service::OpenSession(const SessionConfig& config) {
   if (!config.workload.empty()) {
     const workloads::SuiteId suite = eval::ResolveSuite(config.suite);
     const hw::GpuSpec spec = eval::ResolveGpu(config.gpu);
-    eval::Pipeline pipeline =
-        TelemetryWindow(session->counters, session->stages, [&] {
-          return eval::Pipeline::GenerateProfiled(
-              {.suite = suite,
-               .workload = config.workload,
-               .options = PipelineOpts(config)},
-              spec);
-        });
+    eval::Pipeline pipeline = [&] {
+      const telemetry::Scope scope(&session->telemetry);
+      return eval::Pipeline::GenerateProfiled(
+          {.suite = suite,
+           .workload = config.workload,
+           .options = PipelineOpts(config)},
+          spec);
+    }();
     const size_t n = pipeline.Trace().NumInvocations();
     session->feed_order.resize(n);
     std::iota(session->feed_order.begin(), session->feed_order.end(), 0u);
@@ -399,10 +361,9 @@ void Service::FeedChunk(Session& session, const KernelTrace& source,
     session.accumulated.SetWorkloadName(source.WorkloadName());
   session.feed_invocations += invocations.size();
   telemetry::Count("service.feed_invocations", invocations.size());
-  // Streaming ROOT's k-means/KKT counters belong to no session's window;
-  // muted, they cannot leak into one a concurrent session has open. No
-  // lock is taken, so concurrent feeds stay concurrent.
-  const telemetry::ThreadMute mute;
+  // Streaming ROOT's k-means/KKT counters belong to no session: muted,
+  // they reach neither a sink nor the process capture.
+  const telemetry::Scope mute(nullptr);
   for (const KernelInvocation& inv : invocations) {
     KernelInvocation copy = inv;
     copy.kernel_id = remap[inv.kernel_id];
@@ -458,7 +419,7 @@ SessionStatus Service::Query(SessionId id) {
   if (!stats.empty()) {
     // Muted for the same reason as the feed's streaming ROOT.
     const core::KktSolution solution = [&] {
-      const telemetry::ThreadMute mute;
+      const telemetry::Scope mute(nullptr);
       return core::SolveKkt(stats, stem);
     }();
     for (size_t i = 0; i < stats.size(); ++i) {
@@ -512,11 +473,10 @@ core::SamplingPlan Service::BuildPlan(SessionId id) {
   std::lock_guard<std::mutex> lock(session->mu);
   if (session->accumulated.Empty())
     throw std::logic_error("service: BuildPlan before any Feed");
-  return TelemetryWindow(session->counters, session->stages, [&] {
-    return eval::Pipeline::FromTrace(session->accumulated,
-                                     PipelineOpts(session->config))
-        .Sample(*session->sampler);
-  });
+  const telemetry::Scope scope(&session->telemetry);
+  return eval::Pipeline::FromTrace(session->accumulated,
+                                   PipelineOpts(session->config))
+      .Sample(*session->sampler);
 }
 
 eval::EvalResult Service::Evaluate(SessionId id) {
@@ -525,12 +485,11 @@ eval::EvalResult Service::Evaluate(SessionId id) {
   std::lock_guard<std::mutex> lock(session->mu);
   if (session->accumulated.Empty())
     throw std::logic_error("service: Evaluate before any Feed");
+  const telemetry::Scope scope(&session->telemetry);
   eval::EvalResult result =
-      TelemetryWindow(session->counters, session->stages, [&] {
-        return eval::Pipeline::FromTrace(session->accumulated,
-                                         PipelineOpts(session->config))
-            .Evaluate(*session->sampler, session->config.reps);
-      });
+      eval::Pipeline::FromTrace(session->accumulated,
+                                PipelineOpts(session->config))
+          .Evaluate(*session->sampler, session->config.reps);
   session->last_eval = result;
   return result;
 }
@@ -547,7 +506,7 @@ eval::RunManifest Service::CloseSession(SessionId id) {
     session = std::move(it->second);
     sessions_.erase(it);
   }
-  std::lock_guard<std::mutex> lock(session->mu);
+  std::unique_lock<std::mutex> lock(session->mu);
 
   eval::RunManifest manifest;
   manifest.tool = "stemroot";
@@ -569,11 +528,16 @@ eval::RunManifest Service::CloseSession(SessionId id) {
   manifest.config.reps = session->config.reps;
   manifest.config.threads = NumThreads();
   if (session->last_eval) FillMetrics(manifest, *session->last_eval);
-  manifest.counters = session->counters;
+  // Counters that never grew stay out. The service.* ones come from
+  // session-local tallies: the sink saw only the verbs under its scope.
+  const telemetry::Snapshot recorded = session->telemetry.Capture();
+  for (const auto& [name, value] : recorded.Counters())
+    if (value > 0 && name.rfind("service.", 0) != 0)
+      manifest.counters[name] = value;
   manifest.counters["service.sessions"] = 1;
   manifest.counters["service.feed_invocations"] = session->feed_invocations;
   manifest.counters["service.early_stops"] = session->early_stopped ? 1 : 0;
-  manifest.stages = StageRows(session->stages);
+  manifest.stages = StageRows(recorded);
   manifest.wall_time_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     session->opened_at)
@@ -592,6 +556,9 @@ eval::RunManifest Service::CloseSession(SessionId id) {
     manifest.journal.dropped = js.dropped;
     manifest.journal.errors = js.errors;
   }
+  lock.unlock();
+  session.reset();
+  ReturnFreedPages();
   return manifest;
 }
 

@@ -25,13 +25,13 @@
 /// tests/service/service_test.cc.
 ///
 /// **Threading.** A Service is long-lived and thread-safe: sessions are
-/// independently locked, so concurrent Feed/Query on different sessions
-/// proceed in parallel. Operations that run telemetry-instrumented
-/// pipeline stages (OpenSession's generate+profile, BuildPlan, Evaluate)
-/// serialize on a process-wide telemetry window so each session's
-/// manifest captures exactly its own counter/stage deltas despite
-/// telemetry being process-global; the frequent operations (Feed, Query)
-/// never take that lock and emit only the service.* counters.
+/// independently locked, so every verb on different sessions proceeds in
+/// parallel. Each session owns a telemetry::Sink; the operations that run
+/// instrumented pipeline stages (OpenSession's generate+profile,
+/// BuildPlan, Evaluate) run under a telemetry::Scope on it, which the
+/// thread pool carries to every lane, so each session's manifest holds
+/// exactly its own counters and stages. Feed and Query record nothing but
+/// the service.* counters.
 ///
 /// **Manifests.** CloseSession returns a stemroot-manifest-v1 document
 /// (command "session") whose deterministic fields mirror what the batch

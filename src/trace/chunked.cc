@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
@@ -549,10 +550,25 @@ std::vector<KernelInvocation> ReplicatedChunkSource::Chunk(size_t i) const {
 
 size_t SpillTraceChunked(const KernelTrace& trace, const std::string& path,
                          uint64_t chunk_invocations) {
-  ChunkedTraceWriter writer(path, trace, chunk_invocations);
-  writer.Append(trace.Invocations());
-  writer.Finish();
-  const uint64_t cap = writer.ChunkCapacity();
+  const std::string tmp_path = UniqueTempPath(path);
+  uint64_t cap = 0;
+  std::error_code ec;
+  try {
+    ChunkedTraceWriter writer(tmp_path, trace, chunk_invocations);
+    writer.Append(trace.Invocations());
+    writer.Finish();
+    cap = writer.ChunkCapacity();
+  } catch (...) {
+    std::filesystem::remove(tmp_path, ec);
+    throw;
+  }
+  std::filesystem::rename(tmp_path, path, ec);
+  if (ec) {
+    std::error_code ignore;
+    std::filesystem::remove(tmp_path, ignore);
+    throw std::runtime_error("SpillTraceChunked: rename into " + path +
+                             " failed: " + ec.message());
+  }
   return static_cast<size_t>((trace.NumInvocations() + cap - 1) / cap);
 }
 

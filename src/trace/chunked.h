@@ -306,6 +306,9 @@ class ReplicatedChunkSource : public ChunkSource {
 // ---------------------------------------------------------------------------
 
 /// Write an in-memory trace as a chunked file. Returns chunks written.
+/// The file is written beside `path` and renamed into place, so a reader
+/// of `path` sees the previous file or the complete new one, never a
+/// torn one, even while another thread spills the same path.
 size_t SpillTraceChunked(const KernelTrace& trace, const std::string& path,
                          uint64_t chunk_invocations = kDefaultChunkInvocations);
 

@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <thread>
+#include <vector>
+
+#include "common/telemetry.h"
 
 namespace stemroot {
 namespace {
@@ -142,6 +148,110 @@ TEST_F(ArtifactCacheTest, GarbageFileIsAMissNotACrash) {
   std::ofstream(cache.EntryPath("k"), std::ios::binary)
       << "this is not an SRCE entry at all";
   EXPECT_FALSE(cache.Get("k").has_value());
+}
+
+/// Telemetry on and empty for the duration of one test.
+class ScopedTelemetry {
+ public:
+  ScopedTelemetry() {
+    telemetry::SetEnabled(true);
+    telemetry::Reset();
+  }
+  ~ScopedTelemetry() {
+    telemetry::Reset();
+    telemetry::SetEnabled(false);
+  }
+};
+
+TEST_F(ArtifactCacheTest, HitReadsExactlyThePayload) {
+  const ScopedTelemetry telemetry_on;
+  ArtifactCache cache(DirStr());
+  std::string payload(3 << 20, '\0');
+  for (size_t i = 0; i < payload.size(); ++i)
+    payload[i] = static_cast<char>((i * 2654435761u) >> 13);
+  cache.Put("k", payload);
+  const std::optional<std::string> got = cache.Get("k");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_TRUE(*got == payload);
+  const telemetry::Snapshot snap = telemetry::Capture();
+  EXPECT_EQ(snap.Counter("cache.hit"), 1u);
+  EXPECT_EQ(snap.Counter("cache.read_bytes"), payload.size());
+  EXPECT_EQ(snap.Counter("cache.miss"), 0u);
+}
+
+TEST_F(ArtifactCacheTest, DefectiveEntriesStayMissesUnderTheOnePassRead) {
+  const ScopedTelemetry telemetry_on;
+  ArtifactCache cache(DirStr());
+  const std::string payload(4096, 'p');
+  cache.Put("k", payload);
+  const std::string path = cache.EntryPath("k");
+  const uintmax_t size = fs::file_size(path);
+
+  struct Damage {
+    const char* what;
+    uint64_t corrupt;  ///< expected cache.corrupt count for this miss
+  };
+  auto expect_miss = [&](const Damage& damage) {
+    telemetry::Reset();
+    EXPECT_FALSE(cache.Get("k").has_value()) << damage.what;
+    const telemetry::Snapshot snap = telemetry::Capture();
+    EXPECT_EQ(snap.Counter("cache.miss"), 1u) << damage.what;
+    EXPECT_EQ(snap.Counter("cache.corrupt"), damage.corrupt) << damage.what;
+    EXPECT_EQ(snap.Counter("cache.hit"), 0u) << damage.what;
+  };
+
+  fs::resize_file(path, size - 1);
+  expect_miss({"truncated by one byte", 1});
+  cache.Put("k", payload);
+  std::ofstream(path, std::ios::binary | std::ios::app) << "trailing";
+  expect_miss({"trailing bytes", 1});
+  fs::resize_file(path, 0);
+  expect_miss({"empty file", 1});
+  // Not an entry at all: unreadable, like a missing file.
+  fs::remove(path);
+  fs::create_directory(path);
+  expect_miss({"directory at the entry path", 0});
+  fs::remove(path);
+  expect_miss({"missing", 0});
+}
+
+TEST_F(ArtifactCacheTest, ConcurrentPutsOfOneKeyLeaveAVerifiedEntry) {
+  // Two cold opens of one workload store the same key at once. Each store
+  // writes its own temp file, so the entry renamed into place is always
+  // one whole payload, never an interleaving of several.
+  ArtifactCache cache(DirStr());
+  constexpr int kWriters = 6;
+  std::vector<std::string> payloads;
+  for (int t = 0; t < kWriters; ++t)
+    payloads.emplace_back(1 << 20, static_cast<char>('a' + t));
+  std::atomic<int> ready{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kWriters) std::this_thread::yield();
+      for (int round = 0; round < 4; ++round) cache.Put("k", payloads[t]);
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  const std::optional<std::string> got = cache.Get("k");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_NE(std::find(payloads.begin(), payloads.end(), *got),
+            payloads.end());
+  size_t files = 0;
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    ++files;
+    EXPECT_EQ(entry.path().extension(), ".srce") << entry.path();
+  }
+  EXPECT_EQ(files, 1u);
+}
+
+TEST(UniqueTempPathTest, NeverRepeatsInOneProcess) {
+  const std::string a = UniqueTempPath("dir/entry.srce");
+  const std::string b = UniqueTempPath("dir/entry.srce");
+  EXPECT_NE(a, b);
+  EXPECT_EQ(a.rfind("dir/entry.srce.tmp." + std::to_string(::getpid()), 0),
+            0u);
 }
 
 TEST_F(ArtifactCacheTest, StatsCountEntriesAndBytes) {

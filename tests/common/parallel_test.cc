@@ -6,9 +6,11 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/telemetry.h"
 
 namespace stemroot {
 namespace {
@@ -219,6 +221,61 @@ TEST(ThreadPoolStressTest, ThreadCountChangesBetweenRegions) {
   }
   SetNumThreads(0);
   EXPECT_EQ(total.load(), 6u * 100u);
+}
+
+/// Telemetry on and empty for the duration of one test.
+class ScopedTelemetry {
+ public:
+  ScopedTelemetry() {
+    telemetry::SetEnabled(true);
+    telemetry::Reset();
+  }
+  ~ScopedTelemetry() {
+    telemetry::Reset();
+    telemetry::SetEnabled(false);
+  }
+};
+
+TEST(ParallelScopeTest, ConcurrentRegionsEachRecordIntoTheirOwnSink) {
+  // Two callers share the pool at the same time; every lane records into
+  // the sink of the caller whose chunk it runs, never the other one's.
+  ScopedThreads guard(4);
+  const ScopedTelemetry telemetry_on;
+  telemetry::Sink sinks[2];
+  const size_t sizes[2] = {3000, 5000};
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < 2; ++c) {
+    callers.emplace_back([&, c] {
+      const telemetry::Scope scope(&sinks[c]);
+      for (int round = 0; round < 10; ++round) {
+        ParallelFor(0, sizes[c], [&](size_t) { telemetry::Count("n"); });
+        ParallelLanes(4, 0, [](size_t) { telemetry::Count("lanes"); });
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (size_t c = 0; c < 2; ++c) {
+    const telemetry::Snapshot mine = sinks[c].Capture();
+    EXPECT_EQ(mine.Counter("n"), 10 * sizes[c]) << c;
+    EXPECT_EQ(mine.Counter("lanes"), 40u) << c;
+  }
+  const telemetry::Snapshot all = telemetry::Capture();
+  EXPECT_EQ(all.Counter("n"), 10 * (sizes[0] + sizes[1]));
+  EXPECT_EQ(all.Counter("lanes"), 80u);
+}
+
+TEST(ParallelScopeTest, MutedCallerMutesItsLanes) {
+  ScopedThreads guard(4);
+  const ScopedTelemetry telemetry_on;
+  {
+    const telemetry::Scope mute(nullptr);
+    ParallelFor(0, 1000, [](size_t) { telemetry::Count("n"); });
+  }
+  ParallelFor(0, 10, [](size_t) { telemetry::Count("after"); });
+  const telemetry::Snapshot all = telemetry::Capture();
+  EXPECT_EQ(all.Counter("n"), 0u);
+  // The lanes got their own (unscoped) target back.
+  EXPECT_EQ(all.Counter("after"), 10u);
 }
 
 }  // namespace

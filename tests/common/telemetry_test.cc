@@ -312,29 +312,110 @@ TEST_F(TelemetryTest, SampleIsSafeDuringRecording) {
   SetNumThreads(0);
 }
 
-TEST_F(TelemetryTest, CounterDeltasReportOnlyGrowth) {
-  Count("grows", 2);
-  Count("static", 5);
-  const Snapshot before = Capture();
-  Count("grows", 3);
-  Count("fresh", 7);
-  const Snapshot after = Capture();
-
-  const std::map<std::string, uint64_t> deltas =
-      CounterDeltas(before, after);
-  ASSERT_EQ(deltas.size(), 2u);
-  EXPECT_EQ(deltas.at("grows"), 3u);
-  // Absent from `before` counts from zero.
-  EXPECT_EQ(deltas.at("fresh"), 7u);
-  // Non-growing counters are omitted entirely.
-  EXPECT_EQ(deltas.count("static"), 0u);
+TEST_F(TelemetryTest, ScopeRecordsIntoSinkAsWellAsProcessBuffers) {
+  Sink sink;
+  Count("outside");
+  {
+    const Scope scope(&sink);
+    Count("a", 2);
+    Record("d", 1.5);
+    { Span span("s"); }
+  }
+  Count("a");
+  const Snapshot mine = sink.Capture();
+  EXPECT_EQ(mine.Counters(), (std::map<std::string, uint64_t>{{"a", 2}}));
+  EXPECT_EQ(mine.Dist("d").count, 1u);
+  EXPECT_EQ(mine.Spans().at({"s", ""}).count, 1u);
+  // The process buffers record exactly as they would without the scope.
+  const Snapshot all = Capture();
+  EXPECT_EQ(all.Counter("a"), 3u);
+  EXPECT_EQ(all.Counter("outside"), 1u);
+  EXPECT_EQ(all.Dist("d").count, 1u);
+  EXPECT_TRUE(all.HasSpan("s"));
+  // Reset clears the process buffers only; the sink belongs to its owner.
+  Reset();
+  EXPECT_EQ(sink.Capture().Counter("a"), 2u);
 }
 
-TEST_F(TelemetryTest, CounterDeltasOfIdenticalSnapshotsIsEmpty) {
-  Count("a", 4);
-  const Snapshot snap = Capture();
-  EXPECT_TRUE(CounterDeltas(snap, snap).empty());
-  EXPECT_TRUE(CounterDeltas(Snapshot{}, Snapshot{}).empty());
+TEST_F(TelemetryTest, NullScopeRecordsNothingOnTheCallingThread) {
+  Sink sink;
+  uint64_t other_thread = 0;
+  {
+    const Scope outer(&sink);
+    const Scope mute(nullptr);
+    Count("muted");
+    Record("muted", 1.0);
+    { Span span("muted"); }
+    // Other threads are unaffected.
+    std::thread([] { Count("other"); }).join();
+    other_thread = Capture().Counter("other");
+  }
+  const Snapshot all = Capture();
+  EXPECT_EQ(other_thread, 1u);
+  EXPECT_EQ(all.Counter("muted"), 0u);
+  EXPECT_EQ(all.Dist("muted").count, 0u);
+  EXPECT_FALSE(all.HasSpan("muted"));
+  EXPECT_TRUE(sink.Capture().Counters().empty());
+}
+
+TEST_F(TelemetryTest, ScopesNestAndRestore) {
+  Sink outer_sink;
+  Sink inner_sink;
+  {
+    const Scope outer(&outer_sink);
+    Count("x");
+    {
+      const Scope inner(&inner_sink);
+      Count("x", 10);
+      {
+        const Scope mute(nullptr);
+        Count("x", 100);
+      }
+      Count("x", 10);
+    }
+    Count("x");
+  }
+  Count("x", 1000);
+  EXPECT_EQ(outer_sink.Capture().Counter("x"), 2u);
+  EXPECT_EQ(inner_sink.Capture().Counter("x"), 20u);
+  EXPECT_EQ(Capture().Counter("x"), 1022u);
+}
+
+TEST_F(TelemetryTest, ScopedParallelForLandsInTheSinkExactly) {
+  auto body = [](size_t i) {
+    Count("n");
+    Count("weighted", i);
+    Record("v", static_cast<double>(i % 10));
+    Span span("item");
+  };
+  for (const int threads : {1, 4}) {
+    SetNumThreads(threads);
+    Reset();
+    ParallelFor(0, 1000, body);
+    const Snapshot unscoped = Capture();
+
+    Reset();
+    Sink sink;
+    {
+      const Scope scope(&sink);
+      ParallelFor(0, 1000, body);
+    }
+    const Snapshot mine = sink.Capture();
+    EXPECT_EQ(mine.Counter("n"), 1000u) << threads;
+    EXPECT_EQ(mine.Counter("weighted"), 999u * 1000u / 2) << threads;
+    EXPECT_EQ(mine.Dist("v").count, 1000u) << threads;
+    uint64_t items = 0;
+    for (const auto& [key, stats] : mine.Spans())
+      if (key.first == "item") items += stats.count;
+    EXPECT_EQ(items, 1000u) << threads;
+    // The process-global record is what it is without a scope.
+    const Snapshot all = Capture();
+    EXPECT_EQ(all.CountersJson(), unscoped.CountersJson()) << threads;
+    EXPECT_EQ(all.DistributionsJson(), unscoped.DistributionsJson())
+        << threads;
+    EXPECT_EQ(mine.CountersJson(), all.CountersJson()) << threads;
+  }
+  SetNumThreads(0);
 }
 
 }  // namespace

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -245,6 +249,62 @@ TEST(PipelineSpillTest, StreamTraceIsSourceInvariant) {
   }
   // Chunk count is a pacing artifact, not part of the result identity.
   EXPECT_NE(from_file.chunks, coarser.chunks);
+}
+
+TEST(PipelineSpillTest, ConcurrentSpillsOfOneWorkloadNeverTear) {
+  // Sessions opening one workload spill to the same path at once. Each
+  // writes its own temp file and renames it into place, so the others'
+  // reuse checks and chunk sources only ever see a complete file.
+  constexpr int kOpeners = 4;
+  Pipeline::Options options;
+  options.seed = kSeed;
+  options.size_scale = 0.5;
+  options.trace_chunk_invocations = 64;
+  for (int round = 0; round < 4; ++round) {
+    options.trace_spill_dir =
+        testing::TempDir() + "/spill_race_" + std::to_string(round);
+    std::filesystem::remove_all(options.trace_spill_dir);
+    std::atomic<int> ready{0};
+    std::vector<std::string> errors(kOpeners);
+    std::vector<uint64_t> invocations(kOpeners, 0);
+    std::vector<uint64_t> total_bits(kOpeners, 0);
+    std::vector<std::thread> openers;
+    for (int t = 0; t < kOpeners; ++t) {
+      openers.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kOpeners) std::this_thread::yield();
+        try {
+          const Pipeline pipeline = Pipeline::GenerateProfiled(
+              workloads::SuiteId::kCasio, "bert_infer",
+              hw::GpuSpec::Rtx2080(), options);
+          // Read the spill a few times, while the other openers may
+          // still be spilling over it.
+          for (int pass = 0; pass < 3; ++pass) {
+            const FileChunkSource file(pipeline.Spill().path);
+            for (size_t i = 0; i < file.Reader().NumChunks(); ++i)
+              if (!file.Reader().VerifyChunk(i))
+                errors[t] = "chunk " + std::to_string(i) + " is torn";
+            const KernelTrace assembled =
+                AssembleTrace(*pipeline.MakeChunkSource());
+            invocations[t] = assembled.NumInvocations();
+            total_bits[t] = Bits(assembled.TotalDurationUs());
+          }
+        } catch (const std::exception& e) {
+          errors[t] = e.what();
+        }
+      });
+    }
+    for (std::thread& t : openers) t.join();
+    for (int t = 0; t < kOpeners; ++t) {
+      EXPECT_EQ(errors[t], "") << round << "/" << t;
+      EXPECT_GT(invocations[t], 0u);
+      EXPECT_EQ(invocations[t], invocations[0]) << round << "/" << t;
+      EXPECT_EQ(total_bits[t], total_bits[0]) << round << "/" << t;
+    }
+    for (const auto& entry :
+         std::filesystem::directory_iterator(options.trace_spill_dir))
+      EXPECT_EQ(entry.path().extension(), ".srtc") << entry.path();
+  }
 }
 
 }  // namespace

@@ -329,7 +329,7 @@ TEST(ServiceTest, SessionManifestMirrorsBatchRun) {
   EXPECT_EQ(Bits(session.metrics.error_pct), Bits(batch.metrics.error_pct));
   EXPECT_EQ(Bits(session_result.speedup), Bits(batch_result.speedup));
 
-  // Counter parity: the session's windowed deltas equal the batch run's
+  // Counter parity: the session's sink counters equal the batch run's
   // process counters outside the environmental service.* family.
   for (const auto& [name, value] : batch.counters) {
     if (name.rfind("cache.", 0) == 0) continue;

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/parallel.h"
 #include "common/telemetry.h"
 #include "service/protocol.h"
 #include "service/service.h"
@@ -152,8 +153,8 @@ struct ManifestFacts {
   }
 };
 
-/// Session A: a full timeline feed, then Evaluate (a long telemetry
-/// window). Signals `feeding_done` just before evaluating.
+/// Session A: a full timeline feed, then Evaluate (a long scoped verb).
+/// Signals `feeding_done` just before evaluating.
 eval::RunManifest RunEvaluatingSession(Service& service,
                                        std::atomic<bool>* feeding_done) {
   SessionConfig config = TinyConfig(41);
@@ -167,7 +168,7 @@ eval::RunManifest RunEvaluatingSession(Service& service,
 }
 
 /// Session B: small shuffled feeds, each followed by a Query -- streaming
-/// ROOT and the query's KKT solve both run outside any window.
+/// ROOT and the query's KKT solve both run muted.
 eval::RunManifest RunFeedingSession(Service& service,
                                     const std::atomic<bool>* start) {
   SessionConfig config = TinyConfig(43);
@@ -180,10 +181,10 @@ eval::RunManifest RunFeedingSession(Service& service,
 }
 
 TEST(ServiceStressTest, ConcurrentSessionManifestsMatchSequential) {
-  // A session's close manifest holds the counters of its own telemetry
-  // windows. Another session feeding and querying while one window is
-  // open must not leak its k-means/KKT counters into it: run side by
-  // side, each manifest equals the one it has when run alone.
+  // A session's close manifest holds the counters its own scoped verbs
+  // recorded. Another session feeding and querying while one verb runs
+  // must not leak its k-means/KKT counters into it: run side by side,
+  // each manifest equals the one it has when run alone.
   telemetry::SetEnabled(true);
   telemetry::Reset();
   Service sequential;
@@ -209,6 +210,62 @@ TEST(ServiceStressTest, ConcurrentSessionManifestsMatchSequential) {
   const ManifestFacts b(*together_b);
   EXPECT_EQ(b.counters, alone_b.counters);
   EXPECT_EQ(b.stages, alone_b.stages);
+}
+
+/// One whole session: open, feed everything in small chunks, plan,
+/// evaluate, close.
+eval::RunManifest RunWholeSession(Service& service,
+                                  const SessionConfig& config) {
+  const SessionId id = service.OpenSession(config);
+  while (service.FeedFromSource(id, 97) > 0) {
+  }
+  service.BuildPlan(id);
+  service.Evaluate(id);
+  return service.CloseSession(id);
+}
+
+TEST(ServiceStressTest, OverlappingSessionWindowsMatchSequential) {
+  // Three sessions whose open, plan and eval all overlap, at the thread
+  // pool's full width: each one's telemetry scope must hold exactly its
+  // own counters and stages, as when it runs alone.
+  telemetry::SetEnabled(true);
+  telemetry::Reset();
+  SetNumThreads(4);
+  std::vector<SessionConfig> configs = {TinyConfig(51), TinyConfig(52),
+                                        TinyConfig(53)};
+  for (SessionConfig& config : configs) config.scale = 0.2;
+  configs[1].workload = "resnet50_infer";
+  configs[2].workload = "gnmt_infer";
+  configs[2].method = "random";
+
+  Service sequential;
+  std::vector<ManifestFacts> alone;
+  for (const SessionConfig& config : configs)
+    alone.emplace_back(RunWholeSession(sequential, config));
+
+  Service concurrent;
+  std::vector<std::optional<eval::RunManifest>> together(configs.size());
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> clients;
+  for (size_t i = 0; i < configs.size(); ++i) {
+    clients.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < configs.size()) std::this_thread::yield();
+      together[i] = RunWholeSession(concurrent, configs[i]);
+    });
+  }
+  for (std::thread& c : clients) c.join();
+  SetNumThreads(0);
+  telemetry::SetEnabled(false);
+  telemetry::Reset();
+
+  for (size_t i = 0; i < configs.size(); ++i) {
+    ASSERT_TRUE(together[i].has_value()) << i;
+    const ManifestFacts facts(*together[i]);
+    EXPECT_GT(facts.counters.count("eval.plans_built"), 0u) << i;
+    EXPECT_EQ(facts.counters, alone[i].counters) << i;
+    EXPECT_EQ(facts.stages, alone[i].stages) << i;
+  }
 }
 
 }  // namespace

@@ -445,6 +445,82 @@ EARLY
     echo "serve drill FAILED: journal error event not gated" >&2; exit 1
   fi
 
+  echo "=== [$mode] serve drill (two cold opens of one config) ==="
+  # Two clients open the same (suite, workload, scale, seed) at once
+  # against a fresh cache directory, so both may generate the trace and
+  # store the same cache key. Their sessions then feed, evaluate and
+  # close concurrently. Both manifests must compare clean against each
+  # other and against the batch run of the same config (man_a), and the
+  # cache must hold one verified entry and no temp files.
+  local cdir="$dir/serve-cold"
+  rm -rf "$cdir"; mkdir -p "$cdir"
+  local csock="$cdir/sock"
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" serve --socket "$csock" --cache "$cdir/cache" \
+      >"$cdir/serve.log" 2>&1 &
+  local cold_pid=$!
+  for _ in $(seq 1 100); do [ -S "$csock" ] && break; sleep 0.1; done
+  if ! [ -S "$csock" ]; then
+    echo "serve drill FAILED: cold-open server socket never appeared" >&2
+    cat "$cdir/serve.log" >&2; exit 1
+  fi
+  local client_pids=() pid
+  for c in a b; do
+    echo '{"op":"open","suite":"casio","workload":"bert_infer","scale":0.02,"seed":42,"reps":2,"order":"timeline"}' \
+      >"$cdir/open-$c.jsonl"
+    env "${san_env[@]}" \
+      "$dir/tools/stemroot" session --socket "$csock" --fail-on-error true \
+        --script "$cdir/open-$c.jsonl" >"$cdir/open-$c.out" &
+    client_pids+=($!)
+  done
+  for pid in "${client_pids[@]}"; do
+    wait "$pid" || {
+      echo "serve drill FAILED: concurrent cold open errored" >&2
+      cat "$cdir"/open-*.out >&2; exit 1; }
+  done
+  # The two sessions are ids 1 and 2, whichever open finished first.
+  client_pids=()
+  for id in 1 2; do
+    cat > "$cdir/run-$id.jsonl" <<RUN
+{"op":"feed","id":$id,"count":1000000000}
+{"op":"eval","id":$id}
+{"op":"close","id":$id,"manifest":"$cdir/session-$id.json"}
+RUN
+    env "${san_env[@]}" \
+      "$dir/tools/stemroot" session --socket "$csock" --fail-on-error true \
+        --script "$cdir/run-$id.jsonl" >"$cdir/run-$id.out" &
+    client_pids+=($!)
+  done
+  for pid in "${client_pids[@]}"; do
+    wait "$pid" || {
+      echo "serve drill FAILED: concurrent feed/eval/close errored" >&2
+      cat "$cdir"/run-*.out >&2; exit 1; }
+  done
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" session --socket "$csock" --fail-on-error true \
+      --script <(echo '{"op":"shutdown"}') >/dev/null
+  wait "$cold_pid" || {
+    echo "serve drill FAILED: cold-open server exited nonzero" >&2
+    cat "$cdir/serve.log" >&2; exit 1; }
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate manifest "$cdir/session-1.json" \
+      "$cdir/session-2.json" --require-completed true \
+      --require-stage evaluate >/dev/null
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" compare "$cdir/session-1.json" \
+      "$cdir/session-2.json" >/dev/null
+  for id in 1 2; do
+    env "${san_env[@]}" \
+      "$dir/tools/stemroot" compare "$man_a" "$cdir/session-$id.json" \
+        >/dev/null
+  done
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" cache verify --cache "$cdir/cache" >/dev/null
+  if ls "$cdir/cache" | grep -q '\.tmp\.'; then
+    echo "serve drill FAILED: temp files left in the cache" >&2
+    ls "$cdir/cache" >&2; exit 1
+  fi
+
   if [ "$mode" = tsan ]; then
     echo "=== [$mode] race drill (TSan positive control) ==="
     # tools/race_drill races on purpose; a TSan build that does NOT
