@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -20,9 +21,35 @@ namespace stemroot {
 namespace {
 
 constexpr char kMagic[4] = {'S', 'R', 'C', 'E'};
-constexpr uint32_t kFormatVersion = 1;
+constexpr uint32_t kFormatVersion = 2;
 constexpr const char* kEntrySuffix = ".srce";
 constexpr uint32_t kMaxKeyLen = 1u << 16;
+
+// SRCE header fields and Xxh64's word reads are native-order memcpys.
+static_assert(std::endian::native == std::endian::little,
+              "SRCE entries and Xxh64 assume a little-endian host");
+
+// XXH64 primes, from the public xxHash specification.
+constexpr uint64_t kXxPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr uint64_t kXxPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr uint64_t kXxPrime3 = 0x165667B19E3779F9ULL;
+constexpr uint64_t kXxPrime4 = 0x85EBCA77C2B2AE63ULL;
+constexpr uint64_t kXxPrime5 = 0x27D4EB2F165667C5ULL;
+
+template <typename T>
+T ReadLe(const char* p) {
+  T value;
+  std::memcpy(&value, p, sizeof(T));
+  return value;
+}
+
+uint64_t XxRound(uint64_t acc, uint64_t lane) {
+  return std::rotl(acc + lane * kXxPrime2, 31) * kXxPrime1;
+}
+
+uint64_t XxMerge(uint64_t hash, uint64_t acc) {
+  return (hash ^ XxRound(0, acc)) * kXxPrime1 + kXxPrime4;
+}
 
 /// Fixed-size portion of the entry header, written/read as discrete
 /// little-endian fields (memcpy through char buffers keeps this free of
@@ -68,7 +95,9 @@ bool VerifyEntryBytes(std::string_view bytes, const std::string* want_key,
     return false;
   }
   if (h.format_version != kFormatVersion) {
-    *problem = "unsupported format version";
+    *problem = "unsupported format version " +
+               std::to_string(h.format_version) + " (this build reads " +
+               std::to_string(kFormatVersion) + ")";
     return false;
   }
   if (h.key_len == 0 || h.key_len > kMaxKeyLen ||
@@ -91,7 +120,7 @@ bool VerifyEntryBytes(std::string_view bytes, const std::string* want_key,
     *problem = "payload length mismatch";
     return false;
   }
-  if (Fnv1a64(bytes.substr(pos)) != h.payload_hash) {
+  if (Xxh64(bytes.substr(pos)) != h.payload_hash) {
     *problem = "payload checksum mismatch";
     return false;
   }
@@ -137,6 +166,45 @@ uint64_t Fnv1a64(std::string_view bytes) {
     hash ^= static_cast<unsigned char>(c);
     hash *= 0x100000001B3ULL;
   }
+  return hash;
+}
+
+uint64_t Xxh64(std::string_view bytes) {
+  const char* p = bytes.data();
+  const char* const end = p + bytes.size();
+  uint64_t hash = kXxPrime5;
+  if (bytes.size() >= 32) {
+    uint64_t v1 = kXxPrime1 + kXxPrime2;
+    uint64_t v2 = kXxPrime2;
+    uint64_t v3 = 0;
+    uint64_t v4 = 0 - kXxPrime1;
+    for (; end - p >= 32; p += 32) {
+      v1 = XxRound(v1, ReadLe<uint64_t>(p));
+      v2 = XxRound(v2, ReadLe<uint64_t>(p + 8));
+      v3 = XxRound(v3, ReadLe<uint64_t>(p + 16));
+      v4 = XxRound(v4, ReadLe<uint64_t>(p + 24));
+    }
+    hash = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+           std::rotl(v4, 18);
+    hash = XxMerge(XxMerge(XxMerge(XxMerge(hash, v1), v2), v3), v4);
+  }
+  hash += bytes.size();
+  for (; end - p >= 8; p += 8)
+    hash = std::rotl(hash ^ XxRound(0, ReadLe<uint64_t>(p)), 27) * kXxPrime1 +
+           kXxPrime4;
+  if (end - p >= 4) {
+    hash = std::rotl(hash ^ ReadLe<uint32_t>(p) * kXxPrime1, 23) * kXxPrime2 +
+           kXxPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p)
+    hash = std::rotl(hash ^ static_cast<unsigned char>(*p) * kXxPrime5, 11) *
+           kXxPrime1;
+  hash ^= hash >> 33;
+  hash *= kXxPrime2;
+  hash ^= hash >> 29;
+  hash *= kXxPrime3;
+  hash ^= hash >> 32;
   return hash;
 }
 
@@ -203,7 +271,7 @@ void ArtifactCache::Put(const std::string& key,
   AppendPod(entry, static_cast<uint32_t>(key.size()));
   entry += key;
   AppendPod(entry, static_cast<uint64_t>(payload.size()));
-  AppendPod(entry, Fnv1a64(payload));
+  AppendPod(entry, Xxh64(payload));
   entry.append(payload.data(), payload.size());
 
   // Temp file in the same directory (rename is only atomic within one

@@ -7,10 +7,10 @@
 /// process lifetimes. It is an *optimization layer*, never a source of
 /// truth, so its failure contract is strict:
 ///
-///   - A missing, truncated, checksum-mismatched, or wrong-key entry is a
-///     plain miss (Get returns std::nullopt); it never throws and never
-///     returns partial data. Corrupt bytes on disk can only cost a
-///     recompute.
+///   - A missing, truncated, checksum-mismatched, wrong-version or
+///     wrong-key entry is a plain miss (Get returns std::nullopt); it
+///     never throws and never returns partial data. Corrupt bytes on disk
+///     can only cost a recompute.
 ///   - Put writes the entry to a temp file in the cache directory and
 ///     atomically renames it into place, so a crash mid-store leaves
 ///     either the old entry or none -- never a torn one. Concurrent
@@ -20,14 +20,15 @@
 ///   - Put failures (full disk, permissions) throw; callers that treat
 ///     the cache as best-effort catch and continue.
 ///
-/// Entry format "SRCE", version 1, little-endian:
+/// Entry format "SRCE", version 2, little-endian:
 ///
 ///   magic[4] | format_version u32 | key_len u32 | key bytes |
-///   payload_len u64 | payload_fnv1a u64 | payload bytes
+///   payload_len u64 | payload_xxh64 u64 | payload bytes
 ///
 /// The full key string is echoed in the header and verified on Get, so a
 /// digest collision in the file name cannot serve the wrong artifact, and
-/// the checksum covers the payload so bit rot falls back to recompute.
+/// the XXH64 checksum covers the payload so bit rot falls back to
+/// recompute.
 ///
 /// When telemetry is enabled the cache emits `cache.hit`, `cache.miss`,
 /// `cache.store`, `cache.read_bytes`, and `cache.write_bytes` counters.
@@ -46,8 +47,13 @@
 namespace stemroot {
 
 /// FNV-1a over arbitrary bytes (the string overload in common/rng.h is
-/// specified for stream ids; this one is the cache's integrity hash).
+/// specified for stream ids; this one names cache entries and spills).
 uint64_t Fnv1a64(std::string_view bytes);
+
+/// XXH64 with seed 0: the integrity checksum of SRCE cache entries and of
+/// SRTC file headers and chunks. It detects accidental corruption; it is
+/// not cryptographic.
+uint64_t Xxh64(std::string_view bytes);
 
 /// Lowercase hex form of a 64-bit hash (16 chars), used for entry file
 /// names.

@@ -18,6 +18,9 @@
 ///   key = schema tag | srtc<format version> | build stamp |
 ///         suite | workload | gpu digest | scale | seed
 ///
+///   e.g. "stemroot-trace-cache-v1|srtc2|<build stamp>|casio|bert_infer|
+///         <gpu digest>|scale=1|seed=42"
+///
 ///   - *gpu digest* hashes every numeric field of the GpuSpec AND the
 ///     TimingParams, not just the preset name, so DSE variants and custom
 ///     specs never collide.

@@ -22,11 +22,13 @@ namespace {
 
 constexpr char kMagic[4] = {'S', 'R', 'T', 'C'};
 constexpr char kTrailerMagic[4] = {'S', 'R', 'T', 'F'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 
 /// Fixed trailer at the very end of the file: u64 footer_offset,
-/// u64 num_chunks, u64 total_invocations, u32 version, magic.
-constexpr uint64_t kTrailerBytes = 3 * sizeof(uint64_t) + sizeof(uint32_t) +
+/// u64 num_chunks, u64 total_invocations, u64 header_digest, u32 version,
+/// magic. Version and magic end the file in every version, so a reader
+/// names an old version instead of misparsing its trailer.
+constexpr uint64_t kTrailerBytes = 4 * sizeof(uint64_t) + sizeof(uint32_t) +
                                    sizeof(kTrailerMagic);
 constexpr uint64_t kFooterRecordBytes = 3 * sizeof(uint64_t);
 
@@ -132,6 +134,13 @@ class ByteReader {
   uint64_t pos_ = 0;
 };
 
+/// Throw unless `version` (read from a header or trailer) is kVersion.
+void CheckVersion(const ByteReader& in, uint32_t version) {
+  if (version != kVersion)
+    in.Fail("unsupported format version " + std::to_string(version) +
+            " (this build reads " + std::to_string(kVersion) + ")");
+}
+
 /// Serialize the header section (magic, version, chunk capacity, workload
 /// name, kernel-type table) into a byte string.
 std::string EncodeHeader(const KernelTrace& header,
@@ -157,7 +166,7 @@ std::string EncodeHeader(const KernelTrace& header,
 /// and kernel-type table); returns the chunk capacity.
 uint64_t DecodeHeader(ByteReader& in, KernelTrace& header) {
   if (!in.ReadMagic(kMagic)) in.Fail("bad magic (not an SRTC trace)");
-  if (in.Read<uint32_t>("version") != kVersion) in.Fail("unsupported version");
+  CheckVersion(in, in.Read<uint32_t>("version"));
   const uint64_t chunk_invocations = in.Read<uint64_t>("chunk capacity");
   if (chunk_invocations == 0) in.Fail("corrupt chunk capacity");
   header.SetWorkloadName(in.ReadString("workload-name length"));
@@ -275,6 +284,7 @@ KernelTrace DecodeTrace(std::string_view bytes) {
 
 struct ChunkedTraceWriter::Impl {
   std::ofstream out;
+  uint64_t header_digest = 0;
 };
 
 ChunkedTraceWriter::ChunkedTraceWriter(const std::string& path,
@@ -290,6 +300,7 @@ ChunkedTraceWriter::ChunkedTraceWriter(const std::string& path,
   if (!impl_->out)
     throw std::runtime_error("ChunkedTraceWriter: cannot open " + path);
   const std::string head = EncodeHeader(header, chunk_invocations_);
+  impl_->header_digest = Xxh64(head);
   impl_->out.write(head.data(), static_cast<std::streamsize>(head.size()));
   if (!impl_->out)
     throw std::runtime_error("ChunkedTraceWriter: header write failed: " +
@@ -324,7 +335,7 @@ void ChunkedTraceWriter::FlushChunk() {
   ChunkInfo info;
   info.offset = static_cast<uint64_t>(impl_->out.tellp());
   info.count = buffer_.size();
-  info.digest = Fnv1a64(payload);
+  info.digest = Xxh64(payload);
   impl_->out.write(payload.data(),
                    static_cast<std::streamsize>(payload.size()));
   if (!impl_->out)
@@ -348,6 +359,7 @@ void ChunkedTraceWriter::Finish() {
   AppendPod(tail, footer_offset);
   AppendPod(tail, static_cast<uint64_t>(chunks_.size()));
   AppendPod(tail, appended_);
+  AppendPod(tail, impl_->header_digest);
   AppendPod(tail, kVersion);
   tail.append(kTrailerMagic, sizeof(kTrailerMagic));
   impl_->out.write(tail.data(), static_cast<std::streamsize>(tail.size()));
@@ -387,10 +399,11 @@ ChunkedTraceReader::ChunkedTraceReader(const std::string& path)
   const uint64_t footer_offset = trailer.Read<uint64_t>("footer offset");
   const uint64_t num_chunks = trailer.Read<uint64_t>("chunk count");
   total_invocations_ = trailer.Read<uint64_t>("invocation total");
+  const uint64_t header_digest = trailer.Read<uint64_t>("header digest");
   const uint32_t version = trailer.Read<uint32_t>("version");
   if (!trailer.ReadMagic(kTrailerMagic))
     trailer.Fail("bad trailer (unfinished or not an SRTC file)");
-  if (version != kVersion) trailer.Fail("unsupported version");
+  CheckVersion(trailer, version);
   if (footer_offset > footer_end ||
       num_chunks > (footer_end - footer_offset) / kFooterRecordBytes ||
       num_chunks * kFooterRecordBytes != footer_end - footer_offset)
@@ -414,6 +427,8 @@ ChunkedTraceReader::ChunkedTraceReader(const std::string& path)
   if (header_end > footer_offset) footer.Fail("chunk 0 index out of bounds");
   const std::string header_bytes = ReadAt(in, 0, header_end, path);
   ByteReader head(header_bytes, who);
+  if (Xxh64(header_bytes) != header_digest)
+    head.Fail("header digest mismatch (corrupt data)");
   chunk_invocations_ = DecodeHeader(head, header_);
   if (head.Remaining() != 0) head.Fail("trailing bytes after header");
 
@@ -443,7 +458,7 @@ std::string ChunkedTraceReader::ReadChunkPayload(size_t i) const {
   std::string payload =
       ReadAt(impl_->in, c.offset,
              sizeof(uint64_t) + c.count * kColumnarBytesPerInvocation, path_);
-  if (Fnv1a64(payload) != c.digest)
+  if (Xxh64(payload) != c.digest)
     throw std::runtime_error("ChunkedTraceReader: digest mismatch on chunk " +
                              std::to_string(i) + " (corrupt data): " + path_);
   return payload;

@@ -3,7 +3,7 @@
 /// abstraction that lets the pipeline stream a billion-invocation workload
 /// past the engine in bounded memory (DESIGN.md §16).
 ///
-/// # Encoding (version 1, explicitly little-endian)
+/// # Encoding (version 2, explicitly little-endian)
 ///
 ///   [header]
 ///     magic "SRTC" | u32 version | u64 chunk_capacity |
@@ -38,27 +38,32 @@
 ///
 ///   [footer]
 ///     per chunk: u64 offset | u64 count | u64 digest
-///   [trailer]  (fixed 32 bytes at end of file)
+///   [trailer]  (fixed 40 bytes at end of file)
 ///     u64 footer_offset | u64 num_chunks | u64 total_invocations |
-///     u32 version | magic "SRTF"
+///     u64 header_digest | u32 version | magic "SRTF"
 ///
-/// where `digest` is FNV-1a64 over exactly one chunk's payload bytes, so
-/// every chunk is independently loadable and independently verifiable: a
+/// where `header_digest` is XXH64 (Xxh64 in common/cache.h) over the
+/// header bytes, checked at open before the header is decoded, and
+/// `digest` is XXH64 over exactly one chunk's payload bytes, so every
+/// chunk is independently loadable and independently verifiable: a
 /// reader seeks the footer, picks any chunk, reads `offset..offset+len`
 /// and checks the digest -- no scan of preceding chunks, which also makes
 /// the layout mmap-friendly (all addressing is absolute offsets into an
 /// immutable file). CLI trace files, `--trace-spill` spills and
-/// out-of-core streams all use this container.
+/// out-of-core streams all use this container. Version and magic end the
+/// trailer in every version, so a file of another version is rejected at
+/// open by its version number, never misparsed.
 ///
 /// Every decoder shares one bounds-checked byte reader: each length or
 /// count prefix is checked against the bytes remaining before anything is
 /// sized from it. Failure contract mirrors the artifact cache
 /// (common/cache.h): any defect found while decoding, *opening* a file
-/// (bad magic/version, inconsistent footer, offsets outside the file) or
-/// *reading* a chunk (short read, digest mismatch) throws
-/// std::runtime_error. Callers that treat a chunked file as a cache entry
-/// (eval::Pipeline's spill reuse) catch and rebuild -- corrupt bytes on
-/// disk can only cost a recompute, never serve wrong data.
+/// (bad magic/version, header digest mismatch, inconsistent footer,
+/// offsets outside the file) or *reading* a chunk (short read, digest
+/// mismatch) throws std::runtime_error. Callers that treat a chunked file
+/// as a cache entry (eval::Pipeline's spill reuse) catch and rebuild --
+/// corrupt bytes on disk can only cost a recompute, never serve wrong
+/// data.
 ///
 /// # ChunkSource
 ///
@@ -103,7 +108,7 @@ uint64_t ChunkWireBytesPerInvocation();
 struct ChunkInfo {
   uint64_t offset = 0;  ///< absolute file offset of the chunk payload
   uint64_t count = 0;   ///< invocations in this chunk
-  uint64_t digest = 0;  ///< FNV-1a64 over the payload bytes
+  uint64_t digest = 0;  ///< XXH64 over the payload bytes
 };
 
 /// Encode one chunk of invocations as a self-delimiting columnar payload

@@ -5,12 +5,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/telemetry.h"
 
 namespace stemroot {
@@ -48,6 +51,32 @@ TEST(Fnv1a64Test, KnownValuesAndSensitivity) {
   EXPECT_NE(Fnv1a64("ab"), Fnv1a64("ba"));
   const std::string with_nul("a\0b", 3);
   EXPECT_NE(Fnv1a64(with_nul), Fnv1a64("ab"));
+}
+
+TEST(Xxh64Test, PublishedVectors) {
+  EXPECT_EQ(Xxh64(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(Xxh64("a"), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(Xxh64("abc"), 0x44BC2CF5AD770999ULL);
+  // 39 bytes: one 32-byte stripe, then the 4-byte and 1-byte tails.
+  EXPECT_EQ(Xxh64("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ULL);
+  // 43 bytes: one stripe, then the 8-byte and 1-byte tails.
+  EXPECT_EQ(Xxh64("The quick brown fox jumps over the lazy dog"),
+            0x0B242D361FDA71BCULL);
+}
+
+TEST(Xxh64Test, UnalignedInputHashesLikeACopy) {
+  Rng rng(7);
+  std::string bytes(300, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng());
+  for (size_t offset = 1; offset < 8; ++offset) {
+    for (const size_t len : {size_t{31}, size_t{32}, size_t{77}, size_t{290}}) {
+      const std::string_view unaligned =
+          std::string_view(bytes).substr(offset, len);
+      EXPECT_EQ(Xxh64(unaligned), Xxh64(std::string(unaligned)))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 TEST(HexDigest64Test, FixedWidthLowercase) {
@@ -213,6 +242,138 @@ TEST_F(ArtifactCacheTest, DefectiveEntriesStayMissesUnderTheOnePassRead) {
   expect_miss({"directory at the entry path", 0});
   fs::remove(path);
   expect_miss({"missing", 0});
+}
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void WriteAll(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// Overwrite a little-endian POD at `offset` of `bytes`.
+template <typename T>
+std::string PatchAt(std::string bytes, size_t offset, T value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof(T));
+  return bytes;
+}
+
+TEST_F(ArtifactCacheTest, EveryMutationOfASmallEntryIsACountedMiss) {
+  // A bounded slice of a decoder fuzzer: each mutated entry must be a
+  // plain miss counted in cache.corrupt, and Get must never throw.
+  const ScopedTelemetry telemetry_on;
+  ArtifactCache cache(DirStr());
+  Rng rng(20250418);
+  const std::string key = "mutation-key";
+  // 45 bytes: the checksum runs its 32-byte stripe and all three tails.
+  std::string payload(45, '\0');
+  for (char& c : payload) c = static_cast<char>(rng());
+  cache.Put(key, payload);
+  const std::string path = cache.EntryPath(key);
+  const std::string entry = ReadAll(path);
+  // magic(4) | version u32 | key_len u32 | key | payload_len u64 | xxh64.
+  const size_t key_len_at = 8;
+  const size_t payload_len_at = 12 + key.size();
+  ASSERT_EQ(entry.size(), payload_len_at + 16 + payload.size());
+
+  size_t cases = 0;
+  auto expect_corrupt_miss = [&](const std::string& bytes,
+                                 const std::string& what) {
+    ++cases;
+    WriteAll(path, bytes);
+    telemetry::Reset();
+    std::optional<std::string> got;
+    EXPECT_NO_THROW(got = cache.Get(key)) << what;
+    EXPECT_FALSE(got.has_value()) << what;
+    const telemetry::Snapshot snap = telemetry::Capture();
+    EXPECT_EQ(snap.Counter("cache.miss"), 1u) << what;
+    EXPECT_EQ(snap.Counter("cache.corrupt"), 1u) << what;
+  };
+
+  for (size_t bit = 0; bit < entry.size() * 8; ++bit) {
+    std::string bytes = entry;
+    bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+    expect_corrupt_miss(bytes, "bit " + std::to_string(bit) + " flipped");
+  }
+  for (size_t len = 0; len < entry.size(); ++len)
+    expect_corrupt_miss(entry.substr(0, len),
+                        "truncated to " + std::to_string(len));
+
+  std::vector<uint32_t> key_lens = {
+      static_cast<uint32_t>(key.size() + 1),
+      static_cast<uint32_t>(entry.size()), uint32_t{1} << 16,
+      (uint32_t{1} << 16) + 1, std::numeric_limits<uint32_t>::max()};
+  std::vector<uint64_t> payload_lens = {
+      payload.size() + 1, entry.size(), uint64_t{1} << 40,
+      std::numeric_limits<uint64_t>::max()};
+  for (int i = 0; i < 16; ++i) {
+    key_lens.push_back(static_cast<uint32_t>(rng() | 0x8000u));
+    payload_lens.push_back(rng() | 0x100u);
+  }
+  for (const uint32_t len : key_lens)
+    expect_corrupt_miss(PatchAt(entry, key_len_at, len),
+                        "key length " + std::to_string(len));
+  for (const uint64_t len : payload_lens)
+    expect_corrupt_miss(PatchAt(entry, payload_len_at, len),
+                        "payload length " + std::to_string(len));
+
+  // Random overwrites of 1-8 bytes anywhere in the entry.
+  for (int i = 0; i < 256; ++i) {
+    std::string bytes = entry;
+    const size_t at = rng.NextBounded(bytes.size());
+    const size_t n =
+        std::min<size_t>(1 + rng.NextBounded(8), bytes.size() - at);
+    for (size_t j = 0; j < n; ++j) bytes[at + j] = static_cast<char>(rng());
+    if (bytes == entry) continue;
+    expect_corrupt_miss(bytes, "overwrite at " + std::to_string(at));
+  }
+  EXPECT_GT(cases, entry.size() * 9);
+
+  // The intact entry still hits.
+  WriteAll(path, entry);
+  const std::optional<std::string> got = cache.Get(key);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_TRUE(*got == payload);
+}
+
+TEST_F(ArtifactCacheTest, VersionOneEntryIsAMissThatVerifyNames) {
+  // A version-1 entry, built the way that format wrote it: the same
+  // layout with an FNV-1a payload checksum.
+  const ScopedTelemetry telemetry_on;
+  ArtifactCache cache(DirStr());
+  const std::string key = "v1-key";
+  const std::string payload = "a version-1 payload";
+  std::string v1 = "SRCE";
+  auto append = [&v1](auto value) {
+    v1.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  append(uint32_t{1});
+  append(static_cast<uint32_t>(key.size()));
+  v1 += key;
+  append(static_cast<uint64_t>(payload.size()));
+  append(Fnv1a64(payload));
+  v1 += payload;
+  fs::create_directories(dir_);
+  WriteAll(cache.EntryPath(key), v1);
+
+  EXPECT_FALSE(cache.Get(key).has_value());
+  const telemetry::Snapshot snap = telemetry::Capture();
+  EXPECT_EQ(snap.Counter("cache.miss"), 1u);
+  EXPECT_EQ(snap.Counter("cache.corrupt"), 1u);
+
+  const std::vector<ArtifactCache::EntryInfo> report = cache.Verify();
+  ASSERT_EQ(report.size(), 1u);
+  EXPECT_FALSE(report[0].valid);
+  EXPECT_EQ(report[0].problem,
+            "unsupported format version 1 (this build reads 2)");
+
+  // Storing over it writes a current entry that hits.
+  cache.Put(key, payload);
+  const std::optional<std::string> got = cache.Get(key);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, payload);
 }
 
 TEST_F(ArtifactCacheTest, ConcurrentPutsOfOneKeyLeaveAVerifiedEntry) {

@@ -11,8 +11,10 @@
 #include <thread>
 #include <vector>
 
+#include "../trace/srtc_v1.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/telemetry.h"
 #include "core/sampler.h"
 #include "eval/metrics.h"
 #include "eval/runner.h"
@@ -207,6 +209,48 @@ TEST(PipelineSpillTest, SpillIsReusedWhenIntactAndRebuiltWhenCorrupt) {
   const Pipeline rebuilt = MakeSpillPipeline(spill_dir, 128);
   EXPECT_FALSE(rebuilt.Spill().reused);
   EXPECT_TRUE(FileChunkSource(rebuilt.Spill().path).Reader().VerifyChunk(0));
+}
+
+TEST(PipelineSpillTest, VersionOneSpillIsRebuilt) {
+  // A spill written by a version-1 build, at the path this build reads:
+  // the run must reject it, rebuild a current file and keep its results.
+  const std::string spill_dir = testing::TempDir() + "/spill_v1";
+  std::filesystem::remove_all(spill_dir);
+  const core::StemRootSampler stem;
+  const EvalResult in_memory = MakePipeline().Evaluate(stem, 2);
+
+  const std::string path = MakeSpillPipeline(spill_dir, 256).Spill().path;
+  std::string v2;
+  {
+    std::ifstream in(path, std::ios::binary);
+    v2.assign(std::istreambuf_iterator<char>(in),
+              std::istreambuf_iterator<char>());
+  }
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << testing_srtc::ToVersionOneFile(v2);
+  EXPECT_THROW(ChunkedTraceReader{path}, std::runtime_error);
+
+  telemetry::SetEnabled(true);
+  telemetry::Reset();
+  const Pipeline rebuilt = MakeSpillPipeline(spill_dir, 256);
+  const telemetry::Snapshot snap = telemetry::Capture();
+  telemetry::Reset();
+  telemetry::SetEnabled(false);
+  EXPECT_EQ(snap.Counter("cache.spill_rebuild"), 1u);
+  EXPECT_EQ(snap.Counter("cache.spill_reuse"), 0u);
+  EXPECT_FALSE(rebuilt.Spill().reused);
+  EXPECT_EQ(rebuilt.Spill().bytes, v2.size());
+  // The rebuilt file holds the in-memory timeline exactly.
+  const KernelTrace assembled = AssembleTrace(*rebuilt.MakeChunkSource());
+  ASSERT_EQ(assembled.NumInvocations(), rebuilt.Trace().NumInvocations());
+  EXPECT_EQ(Bits(assembled.TotalDurationUs()),
+            Bits(rebuilt.Trace().TotalDurationUs()));
+
+  const EvalResult result = rebuilt.Evaluate(stem, 2);
+  EXPECT_EQ(Bits(result.error_pct), Bits(in_memory.error_pct));
+  EXPECT_EQ(Bits(result.speedup), Bits(in_memory.speedup));
+  EXPECT_EQ(result.num_samples, in_memory.num_samples);
+  EXPECT_EQ(result.num_clusters, in_memory.num_clusters);
 }
 
 TEST(PipelineSpillTest, MakeChunkSourceDefaultsToInMemory) {

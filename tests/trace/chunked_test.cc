@@ -2,13 +2,43 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
+#include "srtc_v1.h"
 #include "workloads/rodinia.h"
+
+// Largest single allocation requested while the test arms the tracker, so
+// a decoder test can prove no allocation was sized from a corrupt count.
+// The replacements stay out of line: inlined, GCC pairs the caller's
+// `new` with the `free` inside and warns (-Wmismatched-new-delete).
+namespace {
+std::atomic<bool> g_track_allocations{false};
+std::atomic<size_t> g_largest_allocation{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(size_t n) {
+  if (g_track_allocations.load(std::memory_order_relaxed)) {
+    size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+    while (n > seen && !g_largest_allocation.compare_exchange_weak(seen, n)) {
+    }
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
 
 namespace stemroot {
 namespace {
@@ -303,7 +333,7 @@ TEST(ChunkedFileTest, UnfinishedWriterLeavesRejectedFile) {
 // length/count prefix is bounds-checked against the bytes actually
 // remaining, so a corrupt or truncated prefix throws std::runtime_error
 // *before* any allocation is sized from it. The header cases also run
-// through a file, whose reader decodes its header the same way.
+// through a file, whose reader rejects them by the header digest.
 
 /// Overwrite a little-endian POD at `offset` in encoded bytes.
 template <typename T>
@@ -383,6 +413,124 @@ TEST(ChunkedFileTest, ChunksMustTileHeaderToFooter) {
                    "tiling_bad.srtc",
                    CorruptAt<uint64_t>(bytes, footer, first.offset - 4))},
                std::runtime_error);
+}
+
+/// Open `path` and read every chunk; the way a stream consumes a file.
+void OpenAndReadAll(const std::string& path) {
+  const ChunkedTraceReader reader(path);
+  for (size_t i = 0; i < reader.NumChunks(); ++i) (void)reader.ReadChunk(i);
+}
+
+TEST(ChunkedFileTest, EveryMutationThrowsWithoutLargeAllocations) {
+  // A bounded slice of a decoder fuzzer over a two-chunk file: every
+  // mutation must throw std::runtime_error at open or chunk read, and no
+  // allocation on the way may be sized from a corrupt count.
+  const std::string good = TempPath("mutation_good.srtc");
+  SpillTraceChunked(TinyTrace(3), good, 2);
+  const std::string file = ReadBytes(good);
+  ASSERT_EQ(ChunkedTraceReader(good).NumChunks(), 2u);
+  // Control: the tracker sees the intact file's reads.
+  g_largest_allocation = 0;
+  g_track_allocations = true;
+  ASSERT_NO_THROW(OpenAndReadAll(good));
+  g_track_allocations = false;
+  ASSERT_GT(g_largest_allocation.load(), 0u);
+  Rng rng(20250418);
+
+  const std::string path = TempPath("mutation_bad.srtc");
+  size_t cases = 0;
+  auto expect_rejected = [&](const std::string& bytes,
+                             const std::string& what) {
+    ++cases;
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    g_largest_allocation = 0;
+    g_track_allocations = true;
+    EXPECT_THROW(OpenAndReadAll(path), std::runtime_error) << what;
+    g_track_allocations = false;
+    // The file is under 1 KB; the reader's own stream buffer is the
+    // largest legitimate allocation.
+    EXPECT_LE(g_largest_allocation.load(), size_t{64} << 10) << what;
+  };
+
+  for (size_t bit = 0; bit < file.size() * 8; ++bit) {
+    std::string bytes = file;
+    bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+    expect_rejected(bytes, "bit " + std::to_string(bit) + " flipped");
+  }
+  for (size_t len = 0; len < file.size(); ++len)
+    expect_rejected(file.substr(0, len),
+                    "truncated to " + std::to_string(len));
+
+  // Inflate every count and length prefix: the header's, each chunk
+  // payload's, the footer's and the trailer's.
+  const size_t trailer = file.size() - 40;
+  const auto footer = testing_srtc::ReadPodAt<uint64_t>(file, trailer);
+  const auto chunk1 = testing_srtc::ReadPodAt<uint64_t>(file, footer + 24);
+  const auto chunk0 = testing_srtc::ReadPodAt<uint64_t>(file, footer);
+  // Every value exceeds each prefix's true value in its low 32 bits too.
+  std::vector<uint64_t> inflated = {4, 1000, 0xFFFFFFFFu,
+                                    (uint64_t{1} << 40) + 5,
+                                    std::numeric_limits<uint64_t>::max()};
+  for (int i = 0; i < 8; ++i) inflated.push_back(rng() | 0x10000u);
+  for (const uint64_t value : inflated) {
+    const std::string v = std::to_string(value);
+    const auto u32 = static_cast<uint32_t>(value);
+    expect_rejected(CorruptAt(file, kWorkloadLenOffset, u32), "name len " + v);
+    expect_rejected(CorruptAt(file, kNumTypesOffset, u32), "types " + v);
+    expect_rejected(CorruptAt(file, kTypeNameLenOffset, u32), "type len " + v);
+    expect_rejected(CorruptAt(file, kWeightCountOffset, u32), "weights " + v);
+    expect_rejected(CorruptAt(file, chunk0, value), "chunk 0 count " + v);
+    expect_rejected(CorruptAt(file, chunk1, value), "chunk 1 count " + v);
+    expect_rejected(CorruptAt(file, footer + 8, value), "footer 0 " + v);
+    expect_rejected(CorruptAt(file, footer + 32, value), "footer 1 " + v);
+    expect_rejected(CorruptAt(file, trailer + 8, value), "chunks " + v);
+    expect_rejected(CorruptAt(file, trailer + 16, value), "total " + v);
+  }
+
+  // Random overwrites of 1-8 bytes anywhere in the file.
+  for (int i = 0; i < 256; ++i) {
+    std::string bytes = file;
+    const size_t at = rng.NextBounded(bytes.size());
+    const size_t n =
+        std::min<size_t>(1 + rng.NextBounded(8), bytes.size() - at);
+    for (size_t j = 0; j < n; ++j) bytes[at + j] = static_cast<char>(rng());
+    if (bytes == file) continue;
+    expect_rejected(bytes, "overwrite at " + std::to_string(at));
+  }
+  EXPECT_GT(cases, file.size() * 9);
+}
+
+/// The `what()` of the exception `fn` throws ("" when it does not throw).
+template <typename Fn>
+std::string ErrorOf(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ChunkedFileTest, VersionOneFileIsRejectedAtOpenByName) {
+  const std::string v2 = TempPath("v2.srtc");
+  SpillTraceChunked(TinyTrace(3), v2, 2);
+  const std::string v1 =
+      WriteBytes("v1.srtc", testing_srtc::ToVersionOneFile(ReadBytes(v2)));
+  const std::string error = ErrorOf([&] { ChunkedTraceReader reader(v1); });
+  EXPECT_NE(error.find("unsupported format version 1 (this build reads 2)"),
+            std::string::npos)
+      << error;
+}
+
+TEST(SerializeTest, VersionOneHeaderIsRejectedByName) {
+  // The in-memory container has no trailer: its header version is the
+  // one check.
+  std::string bytes = EncodeTrace(TinyTrace(2));
+  bytes = CorruptAt<uint32_t>(bytes, 4, 1);
+  const std::string error = ErrorOf([&] { DecodeTrace(bytes); });
+  EXPECT_NE(error.find("unsupported format version 1 (this build reads 2)"),
+            std::string::npos)
+      << error;
 }
 
 TEST(SerializeTest, BinaryRoundTripPreservesEverything) {

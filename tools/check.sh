@@ -567,10 +567,46 @@ RUN
   env "${san_env[@]}" \
     "$dir/tools/stemroot" compare "$man_cold" "$man_warm" >/dev/null
 
+  # Flip one byte in the middle of the payload, keeping the length: only
+  # the payload checksum can catch this. Verify must name the mismatch,
+  # and the next run must count cache.corrupt and recompute with zero
+  # drift (it re-stores a clean entry).
+  local centry csz cmid cbyte
+  centry="$(ls "$cdir"/*.srce | head -n 1)"
+  csz="$(wc -c < "$centry")"
+  cmid="$((csz / 2))"
+  cbyte="$(od -An -tu1 -j "$cmid" -N1 "$centry" | tr -d ' ')"
+  printf "$(printf '\\%03o' "$((cbyte ^ 0xff))")" | \
+    dd of="$centry" bs=1 seek="$cmid" count=1 conv=notrunc 2>/dev/null
+  if [ "$(wc -c < "$centry")" -ne "$csz" ]; then
+    echo "cache drill FAILED: byte flip changed the entry length" >&2; exit 1
+  fi
+  if env "${san_env[@]}" \
+      "$dir/tools/stemroot" cache verify --cache "$cdir" \
+      >"$dir/cache-verify.out"
+  then
+    echo "cache drill FAILED: verify accepted a flipped payload byte" >&2
+    exit 1
+  fi
+  grep -q 'payload checksum mismatch' "$dir/cache-verify.out" || {
+    echo "cache drill FAILED: verify did not report the checksum" >&2; exit 1
+  }
+  local man_flip="$dir/manifest-flip.json"
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" run --suite casio --workload bert_infer \
+      --method stem --scale 0.02 --reps 2 --seed 7 --threads 2 \
+      --cache "$cdir" --manifest "$man_flip" >/dev/null
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" validate manifest "$man_flip" \
+      --require-completed true \
+      --require-counter cache.corrupt >/dev/null
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" compare "$man_cold" "$man_flip" >/dev/null
+  env "${san_env[@]}" \
+    "$dir/tools/stemroot" cache verify --cache "$cdir" >/dev/null
+
   # Corrupt the entry (truncate to the header); verify must flag it, and
   # the next run must fall back to a clean recompute with zero drift.
-  local centry
-  centry="$(ls "$cdir"/*.srce | head -n 1)"
   head -c 16 "$centry" > "$centry.cut" && mv "$centry.cut" "$centry"
   if env "${san_env[@]}" \
       "$dir/tools/stemroot" cache verify --cache "$cdir" >/dev/null

@@ -237,7 +237,7 @@ pipeline commands (generate .. audit) also accept:
                      memory, the default). results are byte-identical at
                      any chunk size; only the storage granularity moves.
   --trace-spill DIR  spill the profiled trace to DIR as a chunked "SRTC"
-                     file (per-chunk FNV-1a digests; a corrupt or stale
+                     file (per-chunk XXH64 digests; a corrupt or stale
                      spill is rebuilt, never trusted). the manifest gains
                      a trace_spill block recording the chunk layout.
 
