@@ -1,9 +1,11 @@
 #include "bench_util.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <string_view>
 
 #include "baselines/registry.h"
 #include "common/log.h"
@@ -71,6 +73,22 @@ Session::Session(int argc, const char* const* argv) {
       SetLogLevel(*level);
     }
   }
+  // google-benchmark's selection flags: a filtered or repeated run
+  // measures something else than a full one, so they join the manifest
+  // fingerprint through the config's workload and reps fields.
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    constexpr std::string_view kFilter = "--benchmark_filter=";
+    constexpr std::string_view kRepetitions = "--benchmark_repetitions=";
+    if (arg.substr(0, kFilter.size()) == kFilter) {
+      benchmark_filter_ = arg.substr(kFilter.size());
+    } else if (arg.substr(0, kRepetitions.size()) == kRepetitions) {
+      const std::string_view value = arg.substr(kRepetitions.size());
+      // An unparsable count stays 0; google-benchmark refuses it anyway.
+      (void)std::from_chars(value.data(), value.data() + value.size(),
+                            benchmark_repetitions_);
+    }
+  }
   threads_ = NumThreads();
   // Same default the CLI uses: benches hit the profiled-trace cache
   // transparently; results are cached-vs-uncached invariant by contract.
@@ -93,6 +111,8 @@ void Session::WriteManifest(bool completed) const {
   manifest.StampBuild();
   manifest.config.seed = kSeed;
   manifest.config.threads = threads_;
+  manifest.config.workload = benchmark_filter_;
+  manifest.config.reps = benchmark_repetitions_;
   manifest.config.sim_shards = sim_shards_;
   manifest.config.sim_threads = sim_threads_;
   manifest.config.epoch_cycles = epoch_cycles_;

@@ -60,6 +60,10 @@ struct SamplerSet {
 /// `--cache DIR|none` (relocate or disable the content-addressed
 /// profiled-trace cache, default bench_results/cache -- a warm cache
 /// skips the generate+profile stages with byte-identical results).
+/// google-benchmark's `--benchmark_filter=` and `--benchmark_repetitions=`
+/// are left in argv for that parser but recorded as the manifest's
+/// `workload` and `reps`, so a filtered run never shares a ledger
+/// fingerprint with a full one.
 ///
 /// Every bench run leaves a machine-readable stemroot-manifest-v1 run
 /// manifest at bench_results/BENCH_<name>.json (the bench name is
@@ -110,6 +114,10 @@ class Session {
   void WriteManifest(bool completed) const;
 
   int threads_ = 0;
+  /// --benchmark_filter= and --benchmark_repetitions= values ("" and 0
+  /// when absent), recorded as the manifest's workload and reps.
+  std::string benchmark_filter_;
+  uint32_t benchmark_repetitions_ = 0;
   uint32_t sim_shards_ = 0;
   int sim_threads_ = 0;
   uint64_t epoch_cycles_ = 0;

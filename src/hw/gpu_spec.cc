@@ -9,6 +9,25 @@
 
 namespace stemroot::hw {
 
+namespace {
+
+/// False for zero, negatives, NaN and +-inf (a bare `x <= 0` check lets
+/// NaN through).
+bool FinitePositive(double x) { return std::isfinite(x) && x > 0.0; }
+
+/// Like FinitePositive but admits zero.
+bool FiniteNonNegative(double x) { return std::isfinite(x) && x >= 0.0; }
+
+/// llround of a scaled size, refused unless it stays below `limit`
+/// (llround of an out-of-range value is unspecified).
+uint64_t RoundScaled(double value, double limit, const char* what) {
+  if (!(value < limit))
+    throw std::invalid_argument(std::string(what) + ": factor too large");
+  return static_cast<uint64_t>(std::llround(value));
+}
+
+}  // namespace
+
 GpuSpec GpuSpec::Rtx2080() {
   GpuSpec spec;
   spec.name = "RTX2080";
@@ -80,44 +99,49 @@ const std::vector<std::string>& GpuSpec::PresetNames() {
 std::string GpuSpec::Name() const { return ToLower(name); }
 
 GpuSpec GpuSpec::WithCacheScale(double factor) const {
-  if (factor <= 0.0)
-    throw std::invalid_argument("GpuSpec::WithCacheScale: factor <= 0");
+  if (!FinitePositive(factor))
+    throw std::invalid_argument(
+        "GpuSpec::WithCacheScale: factor must be finite and > 0");
   GpuSpec spec = *this;
   spec.name = name + Format("/cache_x%.2g", factor);
   spec.l1_bytes = std::max<uint64_t>(
-      1024, static_cast<uint64_t>(std::llround(
-                static_cast<double>(l1_bytes) * factor)));
+      1024, RoundScaled(static_cast<double>(l1_bytes) * factor, 0x1p63,
+                        "GpuSpec::WithCacheScale"));
   spec.l2_bytes = std::max<uint64_t>(
-      16 * 1024, static_cast<uint64_t>(std::llround(
-                     static_cast<double>(l2_bytes) * factor)));
+      16 * 1024, RoundScaled(static_cast<double>(l2_bytes) * factor, 0x1p63,
+                             "GpuSpec::WithCacheScale"));
   return spec;
 }
 
 GpuSpec GpuSpec::WithSmScale(double factor) const {
-  if (factor <= 0.0)
-    throw std::invalid_argument("GpuSpec::WithSmScale: factor <= 0");
+  if (!FinitePositive(factor))
+    throw std::invalid_argument(
+        "GpuSpec::WithSmScale: factor must be finite and > 0");
   GpuSpec spec = *this;
   spec.name = name + Format("/sm_x%.2g", factor);
   spec.num_sms = std::max<uint32_t>(
-      1, static_cast<uint32_t>(std::llround(num_sms * factor)));
+      1, static_cast<uint32_t>(RoundScaled(num_sms * factor, 4294967295.0,
+                                           "GpuSpec::WithSmScale")));
   return spec;
 }
 
 void GpuSpec::Validate() const {
   if (num_sms == 0) throw std::invalid_argument("GpuSpec: num_sms == 0");
-  if (clock_ghz <= 0) throw std::invalid_argument("GpuSpec: clock <= 0");
+  if (!FinitePositive(clock_ghz))
+    throw std::invalid_argument("GpuSpec: clock must be finite and > 0");
   if (max_warps_per_sm == 0)
     throw std::invalid_argument("GpuSpec: max_warps_per_sm == 0");
   if (warp_size == 0) throw std::invalid_argument("GpuSpec: warp_size == 0");
-  if (issue_width <= 0)
-    throw std::invalid_argument("GpuSpec: issue_width <= 0");
+  if (!FinitePositive(issue_width))
+    throw std::invalid_argument("GpuSpec: issue_width must be finite and > 0");
   if (l1_bytes == 0 || l2_bytes == 0)
     throw std::invalid_argument("GpuSpec: zero cache size");
   if (line_bytes == 0 || (line_bytes & (line_bytes - 1)) != 0)
     throw std::invalid_argument("GpuSpec: line_bytes not a power of two");
-  if (dram_bw_gbps <= 0 || dram_latency_ns < 0 || l2_latency_ns < 0)
+  if (!FinitePositive(dram_bw_gbps) || !FiniteNonNegative(dram_latency_ns) ||
+      !FiniteNonNegative(l2_latency_ns))
     throw std::invalid_argument("GpuSpec: bad memory parameters");
-  if (fp16_speedup < 1.0)
+  if (!(std::isfinite(fp16_speedup) && fp16_speedup >= 1.0))
     throw std::invalid_argument("GpuSpec: fp16_speedup < 1");
 }
 

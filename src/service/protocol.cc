@@ -1,6 +1,8 @@
 #include "service/protocol.h"
 
+#include <cmath>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -91,20 +93,38 @@ bool GetBool(const json::Value& req, std::string_view key, bool fallback) {
   return v->number != 0.0;
 }
 
-uint64_t GetCount(const json::Value& req, std::string_view key,
-                  uint64_t fallback) {
-  const double n = GetNumber(req, key, static_cast<double>(fallback));
-  if (n < 0.0)
+/// GetNumber for a real-valued setting: NaN and +-inf are refused.
+double GetFinite(const json::Value& req, std::string_view key,
+                 double fallback) {
+  const double v = GetNumber(req, key, fallback);
+  if (!std::isfinite(v))
     throw std::invalid_argument("protocol: '" + std::string(key) +
-                                "' must be >= 0");
-  return static_cast<uint64_t>(n);
+                                "' must be finite");
+  return v;
+}
+
+/// A whole-number field, checked before any cast: json::ExactUint's
+/// [0, 2^53], or with `wide` json::ExactUint64's [0, 2^64) for seeds.
+uint64_t GetCount(const json::Value& req, std::string_view key,
+                  uint64_t fallback, bool wide = false) {
+  const json::Value* v = req.Find(key);
+  if (v == nullptr) return fallback;
+  const std::optional<uint64_t> n =
+      wide ? json::ExactUint64(*v) : json::ExactUint(*v);
+  if (!n)
+    throw std::invalid_argument("protocol: '" + std::string(key) +
+                                "' must be a whole number in [0, " +
+                                (wide ? "2^64)" : "2^53]"));
+  return *n;
 }
 
 SessionId RequireId(const json::Value& req) {
   const json::Value* v = req.Find("id");
-  if (v == nullptr || !v->IsNumber() || v->number < 1.0)
+  const std::optional<uint64_t> id =
+      v == nullptr ? std::nullopt : json::ExactUint(*v);
+  if (!id || *id < 1)
     throw std::invalid_argument("protocol: request needs a session 'id'");
-  return static_cast<SessionId>(v->number);
+  return *id;
 }
 
 SessionConfig ConfigFromRequest(const json::Value& req) {
@@ -113,11 +133,14 @@ SessionConfig ConfigFromRequest(const json::Value& req) {
   config.suite = GetString(req, "suite", config.suite);
   config.workload = GetString(req, "workload", config.workload);
   config.gpu = GetString(req, "gpu", config.gpu);
-  config.epsilon = GetNumber(req, "epsilon", config.epsilon);
-  config.confidence = GetNumber(req, "confidence", config.confidence);
-  config.seed = GetCount(req, "seed", config.seed);
-  config.scale = GetNumber(req, "scale", config.scale);
-  config.reps = static_cast<uint32_t>(GetCount(req, "reps", config.reps));
+  config.epsilon = GetFinite(req, "epsilon", config.epsilon);
+  config.confidence = GetFinite(req, "confidence", config.confidence);
+  config.seed = GetCount(req, "seed", config.seed, /*wide=*/true);
+  config.scale = GetFinite(req, "scale", config.scale);
+  const uint64_t reps = GetCount(req, "reps", config.reps);
+  if (reps > UINT32_MAX)
+    throw std::invalid_argument("protocol: 'reps' must be <= 2^32 - 1");
+  config.reps = static_cast<uint32_t>(reps);
   config.min_invocations =
       GetCount(req, "min_invocations", config.min_invocations);
   const std::string order = GetString(req, "order", "timeline");

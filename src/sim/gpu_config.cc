@@ -6,6 +6,14 @@
 
 namespace stemroot::sim {
 
+namespace {
+
+/// False for zero, negatives, NaN and +-inf (a bare `x <= 0` check lets
+/// NaN through).
+bool FinitePositive(double x) { return std::isfinite(x) && x > 0.0; }
+
+}  // namespace
+
 void ShardOptions::Validate() const {
   if (sim_shards == 0)
     throw std::invalid_argument("ShardOptions: sim_shards must be >= 1");
@@ -43,7 +51,7 @@ double SimConfig::DramShareBytesPerCycle() const {
 void SimConfig::Validate() const {
   if (num_sms == 0 || warp_size == 0 || max_warps_per_sm == 0)
     throw std::invalid_argument("SimConfig: zero machine geometry");
-  if (clock_ghz <= 0.0 || issue_width <= 0.0)
+  if (!FinitePositive(clock_ghz) || !FinitePositive(issue_width))
     throw std::invalid_argument("SimConfig: bad clock/issue width");
   if (l1_bytes == 0 || l2_bytes == 0)
     throw std::invalid_argument("SimConfig: zero cache size");
@@ -51,8 +59,8 @@ void SimConfig::Validate() const {
     throw std::invalid_argument("SimConfig: line size not a power of two");
   if (l1_assoc == 0 || l2_assoc == 0)
     throw std::invalid_argument("SimConfig: zero associativity");
-  if (dram_bytes_per_cycle <= 0.0)
-    throw std::invalid_argument("SimConfig: zero DRAM bandwidth");
+  if (!FinitePositive(dram_bytes_per_cycle))
+    throw std::invalid_argument("SimConfig: bad DRAM bandwidth");
 }
 
 }  // namespace stemroot::sim

@@ -1,13 +1,14 @@
 /// \file
 /// Streaming multiprocessor timing model.
 ///
-/// Event-driven at warp-instruction granularity: a min-heap orders warps
-/// by readiness; each issue consumes 1/issue_width cycles of the shared
-/// issue pipeline; compute latencies stall only dependent instructions;
-/// memory instructions walk L1 -> L2 slice -> DRAM share with the
-/// serialized-bus DRAM model. This captures the latency-hiding behaviour
-/// that makes GPU kernels compute- or memory-bound without a per-cycle
-/// loop (cost is O(warp instructions * log warps)).
+/// Event-driven at warp-instruction granularity: warps issue in order of
+/// readiness, which is a fixed round-robin ring (DESIGN.md §12); each
+/// issue consumes 1/issue_width cycles of the shared issue pipeline;
+/// compute latencies stall only dependent instructions; memory
+/// instructions walk L1 -> L2 slice -> DRAM share with the serialized-bus
+/// DRAM model. This captures the latency-hiding behaviour that makes GPU
+/// kernels compute- or memory-bound without a per-cycle loop (cost is
+/// O(warp instructions)).
 
 #pragma once
 
@@ -57,6 +58,9 @@ class SmModel {
 
   /// Run all warps to completion starting at `start_cycle`; returns the
   /// cycle at which the last warp finishes. Stats accumulate into *stats.
+  /// Every warp must have an instruction left. Throws std::logic_error
+  /// if the issue order could no longer equal a min-heap on `ready` (the
+  /// issue times stop increasing, e.g. at cycles past 2^53).
   double ExecuteWave(std::vector<WarpContext>& warps, double start_cycle,
                      const PeerWarming& peer_warming, SmStats* stats);
 

@@ -18,7 +18,6 @@ struct WarpContext {
   /// Cycle at which the previous instruction's result is available
   /// (dependent instructions must wait for this instead).
   double result_ready = 0.0;
-  bool done = false;
 
   WarpContext(const KernelBehavior& behavior, const LaunchConfig& launch,
               const SimConfig& config, uint64_t stream_seed,

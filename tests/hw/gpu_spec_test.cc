@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 namespace stemroot::hw {
 namespace {
 
@@ -44,6 +47,26 @@ TEST(GpuSpecTest, GenerationalOrdering) {
   // H200 is H100 compute with an upgraded memory system (Fig. 13 premise).
   EXPECT_EQ(h200.num_sms, h100.num_sms);
   EXPECT_GT(h200.dram_bw_gbps, h100.dram_bw_gbps);
+}
+
+TEST(GpuSpecTest, ValidationRejectsNonFiniteValues) {
+  for (const double v : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    SCOPED_TRACE(v);
+    for (double GpuSpec::*field :
+         {&GpuSpec::clock_ghz, &GpuSpec::issue_width, &GpuSpec::dram_bw_gbps,
+          &GpuSpec::dram_latency_ns, &GpuSpec::l2_latency_ns,
+          &GpuSpec::fp16_speedup}) {
+      GpuSpec spec = GpuSpec::Rtx2080();
+      spec.*field = v;
+      EXPECT_THROW(spec.Validate(), std::invalid_argument);
+    }
+    EXPECT_THROW(GpuSpec::Rtx2080().WithCacheScale(v), std::invalid_argument);
+    EXPECT_THROW(GpuSpec::Rtx2080().WithSmScale(v), std::invalid_argument);
+  }
+  // Finite but too large to round into the field.
+  EXPECT_THROW(GpuSpec::Rtx2080().WithCacheScale(1e300),
+               std::invalid_argument);
+  EXPECT_THROW(GpuSpec::Rtx2080().WithSmScale(1e300), std::invalid_argument);
 }
 
 TEST(GpuSpecTest, CacheScaleScalesBothLevels) {

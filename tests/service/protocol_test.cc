@@ -257,3 +257,102 @@ TEST_F(ProtocolTest, ShutdownFlagsTheLoop) {
 
 }  // namespace
 }  // namespace stemroot::service
+
+namespace stemroot::service {
+namespace {
+
+/// The error text of a refused request.
+std::string ErrorOf(const BrokerResult& result) {
+  EXPECT_FALSE(result.ok) << result.response;
+  const json::Value response = Parsed(result);
+  const json::Value* error = response.Find("error");
+  return error == nullptr ? "" : error->string;
+}
+
+std::string OpenWith(const std::string& field) {
+  return R"({"op":"open","suite":"casio","workload":"bert_infer",)"
+         R"("scale":0.05,)" +
+         field + "}";
+}
+
+// Hostile numbers: each field is refused before any cast could mangle it.
+
+TEST_F(ProtocolTest, FeedCountMustBeAnExactWholeNumber) {
+  const std::string sid = std::to_string(Open());
+  for (const char* count : {"1e300", "2.5", "9007199254740993", "true"})
+    EXPECT_NE(ErrorOf(Handle(R"({"op":"feed","id":)" + sid +
+                             R"(,"count":)" + count + "}"))
+                  .find("'count'"),
+              std::string::npos)
+        << count;
+  EXPECT_TRUE(
+      Handle(R"({"op":"feed","id":)" + sid + R"(,"count":4.0})").ok);
+  Handle(R"({"op":"close","id":)" + sid + "}");
+}
+
+TEST_F(ProtocolTest, SessionIdMustBeAnExactWholeNumber) {
+  const SessionId id = Open();
+  const std::string sid = std::to_string(id);
+  // 1.5 used to truncate to session 1; 1e300 was an undefined cast.
+  for (const std::string& bad : {sid + ".5", std::string("1e300"),
+                                 std::string("-1"), std::string("0")})
+    EXPECT_FALSE(Handle(R"({"op":"query","id":)" + bad + "}").ok) << bad;
+  EXPECT_TRUE(Handle(R"({"op":"query","id":)" + sid + "}").ok);
+  Handle(R"({"op":"close","id":)" + sid + "}");
+}
+
+TEST_F(ProtocolTest, RepsMustFitInUint32) {
+  // 2^32 + 1 used to wrap to 1.
+  EXPECT_NE(ErrorOf(Handle(OpenWith(R"("reps":4294967297)"))).find("'reps'"),
+            std::string::npos);
+  EXPECT_FALSE(Handle(OpenWith(R"("reps":2.5)")).ok);
+  EXPECT_EQ(service_.NumOpenSessions(), 0u);
+}
+
+TEST_F(ProtocolTest, SeedKeepsEveryBitAbove2To53) {
+  EXPECT_FALSE(Handle(OpenWith(R"("seed":18446744073709551616)")).ok);
+  EXPECT_FALSE(Handle(OpenWith(R"("seed":2.5)")).ok);
+  EXPECT_FALSE(Handle(OpenWith(R"("seed":-1)")).ok);
+
+  // 2^53 + 1 rounds to 2^53 as a double; the manifest must keep it.
+  const BrokerResult opened =
+      Handle(OpenWith(R"("seed":9007199254740993,"reps":2)"));
+  ASSERT_TRUE(opened.ok) << opened.response;
+  const std::string sid = std::to_string(
+      static_cast<SessionId>(Num(Parsed(opened), "id")));
+  const std::filesystem::path manifest_path =
+      std::filesystem::temp_directory_path() /
+      ("sr_protocol_seed_" + sid + ".json");
+  std::string close = R"({"op":"close","id":)" + sid + R"(,"manifest":)";
+  json::AppendString(close, manifest_path.string());
+  ASSERT_TRUE(Handle(close + "}").ok);
+  EXPECT_EQ(eval::RunManifest::Load(manifest_path.string()).config.seed,
+            9007199254740993ull);
+  std::filesystem::remove(manifest_path);
+}
+
+// JSON has no NaN or infinity literal, and the line parser refuses
+// out-of-range numbers such as 1e999; the broker refuses non-finite
+// settings again itself. Either way an infinite setting never opens.
+
+TEST_F(ProtocolTest, ScaleMustBeFinite) {
+  for (const char* v : {"1e999", "-1e999"})
+    EXPECT_FALSE(Handle(OpenWith(std::string(R"("scale":)") + v)).ok) << v;
+  EXPECT_EQ(service_.NumOpenSessions(), 0u);
+}
+
+TEST_F(ProtocolTest, EpsilonMustBeFinite) {
+  for (const char* v : {"1e999", "-1e999"})
+    EXPECT_FALSE(Handle(OpenWith(std::string(R"("epsilon":)") + v)).ok) << v;
+  EXPECT_EQ(service_.NumOpenSessions(), 0u);
+}
+
+TEST_F(ProtocolTest, ConfidenceMustBeFinite) {
+  for (const char* v : {"1e999", "-1e999"})
+    EXPECT_FALSE(Handle(OpenWith(std::string(R"("confidence":)") + v)).ok)
+        << v;
+  EXPECT_EQ(service_.NumOpenSessions(), 0u);
+}
+
+}  // namespace
+}  // namespace stemroot::service

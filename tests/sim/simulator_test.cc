@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/sampler.h"
 #include "hw/hardware_model.h"
 #include "sim/sampled_sim.h"
@@ -273,6 +275,19 @@ TEST(SimConfigTest, ValidationCatchesCorruption) {
   bad = config;
   bad.issue_width = 0.0;
   EXPECT_THROW(bad.Validate(), std::invalid_argument);
+  // NaN slips past a bare `x <= 0` check; infinities are no rate either.
+  for (const double v : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    SCOPED_TRACE(v);
+    bad = config;
+    bad.clock_ghz = v;
+    EXPECT_THROW(bad.Validate(), std::invalid_argument);
+    bad = config;
+    bad.issue_width = v;
+    EXPECT_THROW(bad.Validate(), std::invalid_argument);
+    bad = config;
+    bad.dram_bytes_per_cycle = v;
+    EXPECT_THROW(bad.Validate(), std::invalid_argument);
+  }
 }
 
 TEST(SimConfigTest, DramShareSplitsEvenly) {
