@@ -10,6 +10,71 @@
 
 namespace stemroot::core {
 
+namespace {
+
+/// The assignment step of Kmeans1D for k = 2: branch-free, and
+/// bit-identical to the general loop (DESIGN.md §7).
+///
+/// Points go in blocks of kBlock. A fixed-trip loop first decides the
+/// whole block, with the general loop's rule: center 1 wins iff
+/// d1 < (d0 < inf ? d0 : inf), a strict `<` against a best distance that
+/// starts at +inf, so NaN and inf distances resolve as they always did.
+/// It also writes each point's two addends: its value for its own
+/// cluster and +0.0 for the other. That loop has no cross-point
+/// dependence, so the compiler turns its selects into vector compares
+/// and blends. A second loop then adds the addends to the two sums in
+/// point order and updates assignment, counts and `moved`.
+///
+/// A sum that starts at +0.0 never becomes -0.0, and x + (+0.0) == x for
+/// every other x, so each sum equals the general loop's sequential sum.
+/// Writes sums[0..1] and counts[0..1]; returns whether any point moved.
+bool AssignTwo(std::span<const double> values, double c0, double c1,
+               uint32_t* assignment, double* sums, uint64_t* counts) {
+  constexpr size_t kBlock = 64;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double add0[kBlock];
+  double add1[kBlock];
+  double to1[kBlock];  // 1.0 where the point joins cluster 1, else 0.0
+  double padded[kBlock];
+  double sum0 = 0.0;
+  double sum1 = 0.0;
+  uint64_t count1 = 0;
+  uint32_t moved = 0;
+  const size_t n = values.size();
+  for (size_t begin = 0; begin < n; begin += kBlock) {
+    const size_t len = std::min(kBlock, n - begin);
+    const double* v = values.data() + begin;
+    if (len < kBlock) {  // pad the last block to keep the trip count fixed
+      std::fill(std::copy(v, v + len, padded), padded + kBlock, 0.0);
+      v = padded;
+    }
+    for (size_t j = 0; j < kBlock; ++j) {
+      const double d0 = std::abs(v[j] - c0);
+      const double d1 = std::abs(v[j] - c1);
+      const bool one = d1 < (d0 < kInf ? d0 : kInf);
+      add0[j] = one ? 0.0 : v[j];
+      add1[j] = one ? v[j] : 0.0;
+      to1[j] = one ? 1.0 : 0.0;
+    }
+    uint32_t* block_assignment = assignment + begin;
+    for (size_t j = 0; j < len; ++j) {
+      sum0 += add0[j];
+      sum1 += add1[j];
+      const uint32_t best = static_cast<uint32_t>(to1[j]);
+      moved |= block_assignment[j] ^ best;
+      block_assignment[j] = best;
+      count1 += best;
+    }
+  }
+  sums[0] = sum0;
+  sums[1] = sum1;
+  counts[0] = n - count1;
+  counts[1] = count1;
+  return moved != 0;
+}
+
+}  // namespace
+
 KmeansResult Kmeans1D(std::span<const double> values, uint32_t k,
                       uint32_t max_iters) {
   if (k == 0) throw std::invalid_argument("Kmeans1D: k == 0");
@@ -51,22 +116,28 @@ KmeansResult Kmeans1D(std::span<const double> values, uint32_t k,
     std::fill(sums.begin(), sums.end(), 0.0);
     std::fill(counts.begin(), counts.end(), 0);
 
-    for (size_t i = 0; i < n; ++i) {
-      uint32_t best = 0;
-      double best_dist = std::numeric_limits<double>::infinity();
-      for (uint32_t c = 0; c < k; ++c) {
-        const double d = std::abs(values[i] - result.centers[c]);
-        if (d < best_dist) {
-          best_dist = d;
-          best = c;
+    if (k == 2) {
+      moved = AssignTwo(values, result.centers[0], result.centers[1],
+                        result.assignment.data(), sums.data(),
+                        counts.data());
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        uint32_t best = 0;
+        double best_dist = std::numeric_limits<double>::infinity();
+        for (uint32_t c = 0; c < k; ++c) {
+          const double d = std::abs(values[i] - result.centers[c]);
+          if (d < best_dist) {
+            best_dist = d;
+            best = c;
+          }
         }
+        if (result.assignment[i] != best) {
+          result.assignment[i] = best;
+          moved = true;
+        }
+        sums[best] += values[i];
+        ++counts[best];
       }
-      if (result.assignment[i] != best) {
-        result.assignment[i] = best;
-        moved = true;
-      }
-      sums[best] += values[i];
-      ++counts[best];
     }
 
     for (uint32_t c = 0; c < k; ++c) {

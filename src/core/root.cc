@@ -50,8 +50,14 @@ void Recurse(std::vector<double> values, std::vector<uint32_t> members,
 
   // Try a k-way split (Eq. 7 vs Eq. 8).
   const KmeansResult split = Kmeans1D(values, config.branch_k);
+  std::vector<size_t> child_sizes(config.branch_k, 0);
+  for (uint32_t c : split.assignment) ++child_sizes[c];
   std::vector<std::vector<double>> child_values(config.branch_k);
   std::vector<std::vector<uint32_t>> child_members(config.branch_k);
+  for (uint32_t c = 0; c < config.branch_k; ++c) {
+    child_values[c].reserve(child_sizes[c]);
+    child_members[c].reserve(child_sizes[c]);
+  }
   for (size_t i = 0; i < values.size(); ++i) {
     child_values[split.assignment[i]].push_back(values[i]);
     child_members[split.assignment[i]].push_back(members[i]);
@@ -92,18 +98,25 @@ void Recurse(std::vector<double> values, std::vector<uint32_t> members,
 
 }  // namespace
 
-std::vector<RootCluster> RootCluster1D(std::span<const double> durations,
-                                       std::span<const uint32_t> indices,
+std::vector<RootCluster> RootCluster1D(std::vector<double>&& durations,
+                                       std::vector<uint32_t>&& indices,
                                        const RootConfig& config) {
   config.Validate();
   if (durations.size() != indices.size())
     throw std::invalid_argument("RootCluster1D: arity mismatch");
   std::vector<RootCluster> out;
   if (durations.empty()) return out;
-  Recurse(std::vector<double>(durations.begin(), durations.end()),
-          std::vector<uint32_t>(indices.begin(), indices.end()),
-          ClusterStats::Of(durations), 0, config, out);
+  const ClusterStats stats = ClusterStats::Of(durations);
+  Recurse(std::move(durations), std::move(indices), stats, 0, config, out);
   return out;
+}
+
+std::vector<RootCluster> RootCluster1D(std::span<const double> durations,
+                                       std::span<const uint32_t> indices,
+                                       const RootConfig& config) {
+  return RootCluster1D(std::vector<double>(durations.begin(), durations.end()),
+                       std::vector<uint32_t>(indices.begin(), indices.end()),
+                       config);
 }
 
 std::vector<RootCluster> RootCluster1D(std::span<const double> durations,

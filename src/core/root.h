@@ -54,6 +54,11 @@ std::vector<RootCluster> RootCluster1D(std::span<const double> durations,
                                        std::span<const uint32_t> indices,
                                        const RootConfig& config);
 
+/// Same, taking ownership of both arrays instead of copying them.
+std::vector<RootCluster> RootCluster1D(std::vector<double>&& durations,
+                                       std::vector<uint32_t>&& indices,
+                                       const RootConfig& config);
+
 /// Convenience: cluster positions 0..durations.size()-1.
 std::vector<RootCluster> RootCluster1D(std::span<const double> durations,
                                        const RootConfig& config);

@@ -19,13 +19,13 @@ StemClustering BuildStemClusters(const KernelTrace& trace,
   // This is the "cluster" stage of the pipeline's telemetry.
   StemClustering out;
   telemetry::Span cluster_span("cluster");
-  const auto groups = trace.GroupByKernel();
+  auto groups = trace.GroupByKernel();
   // Kernel groups are independent ROOT problems: fan them out and
   // concatenate in kernel-id order, so the partition never depends on
   // the schedule.
   std::vector<std::vector<RootCluster>> per_kernel =
       ParallelMap(groups.size(), [&](size_t kernel_id) {
-        const auto& group = groups[kernel_id];
+        std::vector<uint32_t>& group = groups[kernel_id];
         if (group.empty()) return std::vector<RootCluster>{};
         std::vector<double> durations;
         durations.reserve(group.size());
@@ -37,7 +37,8 @@ StemClustering BuildStemClusters(const KernelTrace& trace,
                 "durations");
           durations.push_back(d);
         }
-        return RootCluster1D(durations, group, config);
+        // Each task owns its kernel's group, so both arrays move in.
+        return RootCluster1D(std::move(durations), std::move(group), config);
       });
   for (uint32_t kernel_id = 0; kernel_id < per_kernel.size(); ++kernel_id) {
     for (RootCluster& c : per_kernel[kernel_id]) {

@@ -10,14 +10,19 @@
 
 namespace stemroot::eval {
 
-EvalResult EvaluatePlan(const KernelTrace& trace,
-                        const core::SamplingPlan& plan) {
+namespace {
+
+/// EvaluatePlan with the trace's total duration already summed, so a
+/// caller evaluating many plans on one trace sums it once.
+EvalResult EvaluatePlanWithTotal(const KernelTrace& trace,
+                                 const core::SamplingPlan& plan,
+                                 double true_total_us) {
   plan.Validate(trace.NumInvocations());
   telemetry::Count("eval.plan_evals");
   EvalResult result;
   result.method = plan.method;
   result.workload = trace.WorkloadName();
-  result.true_total_us = trace.TotalDurationUs();
+  result.true_total_us = true_total_us;
   result.estimated_total_us = plan.EstimateTotalUs(trace);
   if (result.true_total_us <= 0.0)
     throw std::invalid_argument("EvaluatePlan: unprofiled trace");
@@ -31,6 +36,13 @@ EvalResult EvaluatePlan(const KernelTrace& trace,
   result.num_samples = plan.NumSamples();
   result.num_clusters = plan.num_clusters;
   return result;
+}
+
+}  // namespace
+
+EvalResult EvaluatePlan(const KernelTrace& trace,
+                        const core::SamplingPlan& plan) {
+  return EvaluatePlanWithTotal(trace, plan, trace.TotalDurationUs());
 }
 
 EvalResult EvaluatePlanOnDurations(const core::SamplingPlan& plan,
@@ -76,13 +88,14 @@ EvalResult EvaluateRepeated(const core::Sampler& sampler,
     telemetry::Span span("sample");
     return sampler.BuildPlans(trace, base_seed, runs);
   }();
+  const double true_total_us = trace.TotalDurationUs();
   const std::vector<EvalResult> per_rep =
       ParallelMap(runs, [&](size_t r) {
         // Each rep's plan bytes depend only on (trace, base_seed + r);
         // AccountPeak's max over the rep set is schedule-invariant, so
         // the logical "plan" peak matches at any thread count.
         resource::AccountPeak("plan", plans[r].ApproxBytes());
-        return EvaluatePlan(trace, plans[r]);
+        return EvaluatePlanWithTotal(trace, plans[r], true_total_us);
       });
 
   // Evaluation scratch: per-rep results plus the reduction vectors. A

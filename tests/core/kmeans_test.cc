@@ -90,23 +90,18 @@ TEST(Kmeans1DTest, Validation) {
   EXPECT_THROW(Kmeans1D({}, 2), std::invalid_argument);
 }
 
-/// The full-sort quantile seeding Kmeans1D used before it switched to
-/// nth_element, with the unchanged Lloyd loop: the reference the
-/// production result must match bit for bit.
-KmeansResult SortSeededKmeans1D(const std::vector<double>& values,
-                                uint32_t k) {
+/// Kmeans1D's general Lloyd loop, verbatim minus telemetry, from the
+/// given seed centers: the loop every k ran before the k = 2 step became
+/// a blocked branch-free pass. The references below differ only in how
+/// they seed it.
+KmeansResult ReferenceLloyd(const std::vector<double>& values,
+                            std::vector<double> centers) {
   const size_t n = values.size();
+  const uint32_t k = static_cast<uint32_t>(centers.size());
   KmeansResult result;
   result.k = k;
   result.assignment.assign(n, 0);
-  result.centers.resize(k);
-  std::vector<double> sorted(values);
-  std::sort(sorted.begin(), sorted.end());
-  for (uint32_t c = 0; c < k; ++c) {
-    const double q = (c + 0.5) / static_cast<double>(k);
-    result.centers[c] =
-        sorted[std::min(n - 1, static_cast<size_t>(q * static_cast<double>(n)))];
-  }
+  result.centers = std::move(centers);
   std::vector<double> sums(k);
   std::vector<uint64_t> counts(k);
   for (uint32_t iter = 0; iter < 50; ++iter) {
@@ -157,6 +152,23 @@ KmeansResult SortSeededKmeans1D(const std::vector<double>& values,
   return result;
 }
 
+/// The full-sort quantile seeding Kmeans1D used before it switched to
+/// nth_element, with the general Lloyd loop: the reference the
+/// production result must match bit for bit.
+KmeansResult SortSeededKmeans1D(const std::vector<double>& values,
+                                uint32_t k) {
+  const size_t n = values.size();
+  std::vector<double> sorted(values);
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<double> centers(k);
+  for (uint32_t c = 0; c < k; ++c) {
+    const double q = (c + 0.5) / static_cast<double>(k);
+    centers[c] =
+        sorted[std::min(n - 1, static_cast<size_t>(q * static_cast<double>(n)))];
+  }
+  return ReferenceLloyd(values, std::move(centers));
+}
+
 void ExpectBitIdentical(const KmeansResult& got, const KmeansResult& want,
                         const std::string& where) {
   EXPECT_EQ(got.assignment, want.assignment) << where;
@@ -189,6 +201,79 @@ TEST(Kmeans1DTest, SelectionSeedingMatchesFullSortSeeding) {
     for (const uint32_t k : {1u, 2u, 3u, 5u, 8u}) {
       const std::string where = name + " k=" + std::to_string(k);
       ExpectBitIdentical(Kmeans1D(values, k), SortSeededKmeans1D(values, k),
+                         where);
+    }
+  }
+}
+
+/// Kmeans1D as it was before its k = 2 assignment step became a blocked
+/// branch-free pass: today's nth_element quantile seeding, verbatim, and
+/// the general Lloyd loop. The production result must match it bit for
+/// bit at every k, NaN inputs included (both sides make the same
+/// nth_element calls on the same data).
+KmeansResult ReferenceKmeans1D(const std::vector<double>& values, uint32_t k) {
+  const size_t n = values.size();
+  std::vector<double> centers(k);
+  std::vector<double> order(values.begin(), values.end());
+  size_t searched_from = 0;
+  for (uint32_t c = 0; c < k; ++c) {
+    const double q = (c + 0.5) / static_cast<double>(k);
+    const size_t rank =
+        std::min(n - 1, static_cast<size_t>(q * static_cast<double>(n)));
+    if (rank >= searched_from) {
+      std::nth_element(order.begin() + static_cast<ptrdiff_t>(searched_from),
+                       order.begin() + static_cast<ptrdiff_t>(rank),
+                       order.end());
+      searched_from = rank + 1;
+    }
+    centers[c] = order[rank];
+  }
+  return ReferenceLloyd(values, std::move(centers));
+}
+
+TEST(Kmeans1DTest, MatchesReferenceLloydLoopBitForBit) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+  Rng rng(29);
+  std::map<std::string, std::vector<double>> inputs;
+  for (int i = 0; i < 5000; ++i) {  // ROOT-shaped: body + ~0.6% far mode
+    inputs["lognormal_far_mode"].push_back(
+        rng.NextBounded(1000) < 6 ? rng.NextLogNormal(4.6, 0.05)
+                                  : rng.NextLogNormal(3.0, 0.25));
+  }
+  for (int i = 0; i < 3000; ++i) {  // three overlapping modes
+    const double mu = 1.0 + static_cast<double>(rng.NextBounded(3));
+    inputs["lognormal_mixture"].push_back(rng.NextLogNormal(mu, 0.6));
+  }
+  for (int i = 0; i < 600; ++i)  // 2 and 6 with centers 2 and 6: 4 ties
+    inputs["midpoint_ties"].push_back(i % 3 == 0 ? 4.0 : i % 3 == 1 ? 2.0
+                                                                     : 6.0);
+  inputs["midpoint_pair"] = {1.0, 3.0, 2.0, 2.0, 1.0, 3.0};
+  for (int i = 0; i < 400; ++i)
+    inputs["duplicates"].push_back(static_cast<double>(rng.NextBounded(4)));
+  inputs["all_equal"] = std::vector<double>(100, 3.5);
+  inputs["single"] = {7.0};  // n < k for every k >= 2: reseeding
+  inputs["n_below_k"] = {4.0, 1.0, 9.0};
+  inputs["signed_zeros"] = {-0.0, 0.0, -0.0, 1.0, -1.0, -0.0, 0.0, 2.0};
+  inputs["only_negative_zero"] = std::vector<double>(9, -0.0);
+  for (int i = 0; i < 200; ++i)
+    inputs["subnormals"].push_back(kDenorm *
+                                   static_cast<double>(rng.NextBounded(50)));
+  inputs["subnormals"].push_back(-kDenorm);
+  inputs["infinities"] = {1.0, kInf, 2.0, -kInf, 3.0, 4.0, kInf, 5.0};
+  inputs["one_inf"] = {1.0, 2.0, 3.0, kInf, 2.5, 1.5};
+  inputs["nan"] = {1.0, kNaN, 2.0, 3.0, 10.0, 11.0, 12.0, kNaN};
+  inputs["nan_and_inf"] = {kNaN, kInf, 1.0, -kInf, 2.0, kNaN, 3.0};
+  std::vector<double> noisy_nan;
+  for (int i = 0; i < 500; ++i)
+    noisy_nan.push_back(i % 97 == 5 ? kNaN : rng.NextLogNormal(2.0, 1.0));
+  inputs["nan_sprinkled"] = noisy_nan;
+
+  for (const auto& [name, values] : inputs) {
+    for (uint32_t k = 1; k <= 5; ++k) {
+      const std::string where = name + " k=" + std::to_string(k);
+      ExpectBitIdentical(Kmeans1D(values, k), ReferenceKmeans1D(values, k),
                          where);
     }
   }

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 
 #include "common/rng.h"
 #include "core/kkt.h"
+#include "core/kmeans.h"
 
 namespace stemroot::core {
 namespace {
@@ -164,6 +166,89 @@ TEST(RootTest, HigherBranchingAlsoWorks) {
   for (const auto& c : clusters)
     for (uint32_t idx : c.members) seen.insert(idx);
   EXPECT_EQ(seen.size(), durations.size());
+}
+
+/// ROOT's recursion as written before it moved its input arrays and
+/// reserved its children: copies and push_back growth, same split rule.
+void ReferenceRecurse(const std::vector<double>& values,
+                      const std::vector<uint32_t>& members, uint32_t depth,
+                      const RootConfig& config,
+                      std::vector<RootCluster>& out) {
+  RootCluster cluster;
+  cluster.stats = ClusterStats::Of(values);
+  cluster.depth = depth;
+  cluster.members = members;
+  if (values.size() < config.min_split_size || depth >= config.max_depth ||
+      cluster.stats.stddev <= 0.0) {
+    out.push_back(cluster);
+    return;
+  }
+  const KmeansResult split = Kmeans1D(values, config.branch_k);
+  std::vector<std::vector<double>> child_values(config.branch_k);
+  std::vector<std::vector<uint32_t>> child_members(config.branch_k);
+  for (size_t i = 0; i < values.size(); ++i) {
+    child_values[split.assignment[i]].push_back(values[i]);
+    child_members[split.assignment[i]].push_back(members[i]);
+  }
+  std::vector<ClusterStats> child_stats;
+  for (const auto& v : child_values) {
+    if (v.empty()) {
+      out.push_back(cluster);
+      return;
+    }
+    child_stats.push_back(ClusterStats::Of(v));
+  }
+  const double tau_old =
+      static_cast<double>(SingleClusterSampleSize(cluster.stats,
+                                                  config.stem)) *
+      cluster.stats.mean;
+  if (SolveKkt(child_stats, config.stem).cost_us >= tau_old) {
+    out.push_back(cluster);
+    return;
+  }
+  for (uint32_t c = 0; c < config.branch_k; ++c)
+    ReferenceRecurse(child_values[c], child_members[c], depth + 1, config,
+                     out);
+}
+
+TEST(RootTest, ChainShapedPopulationMatchesReferenceRecursion) {
+  // A large log-normal body plus two far modes of ~0.6% each, interleaved:
+  // the split chain of gpt2's largest kernel, where each accepted split
+  // peels one small mode off the body.
+  Rng rng(21);
+  std::vector<double> durations;
+  std::vector<uint32_t> indices;
+  for (uint32_t i = 0; i < 40000; ++i) {
+    const uint64_t draw = rng.NextBounded(1000);
+    durations.push_back(draw < 6    ? rng.NextLogNormal(5.5, 0.02)
+                        : draw < 12 ? rng.NextLogNormal(4.4, 0.02)
+                                    : rng.NextLogNormal(3.0, 0.2));
+    indices.push_back(i * 2 + 1);
+  }
+  const RootConfig config;
+  std::vector<RootCluster> want;
+  ReferenceRecurse(durations, indices, 0, config, want);
+  ASSERT_GE(want.size(), 3u) << "input no longer splits into a chain";
+
+  for (const auto& got : {RootCluster1D(durations, indices, config),
+                          RootCluster1D(std::vector<double>(durations),
+                                        std::vector<uint32_t>(indices),
+                                        config)}) {
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t c = 0; c < want.size(); ++c) {
+      EXPECT_EQ(got[c].members, want[c].members) << "cluster " << c;
+      EXPECT_EQ(got[c].depth, want[c].depth) << "cluster " << c;
+      EXPECT_EQ(got[c].stats.n, want[c].stats.n) << "cluster " << c;
+      EXPECT_EQ(std::memcmp(&got[c].stats.mean, &want[c].stats.mean,
+                            sizeof(double)),
+                0)
+          << "cluster " << c;
+      EXPECT_EQ(std::memcmp(&got[c].stats.stddev, &want[c].stats.stddev,
+                            sizeof(double)),
+                0)
+          << "cluster " << c;
+    }
+  }
 }
 
 }  // namespace
