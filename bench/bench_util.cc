@@ -113,9 +113,6 @@ void Session::WriteManifest(bool completed) const {
   manifest.config.threads = threads_;
   manifest.config.workload = benchmark_filter_;
   manifest.config.reps = benchmark_repetitions_;
-  manifest.config.sim_shards = sim_shards_;
-  manifest.config.sim_threads = sim_threads_;
-  manifest.config.epoch_cycles = epoch_cycles_;
   manifest.wall_time_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start_)

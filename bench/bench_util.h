@@ -86,17 +86,6 @@ class Session {
   /// Resolved parallelism after --threads / STEMROOT_THREADS.
   int threads() const { return threads_; }
 
-  /// Record the simulator sharding knobs in the run manifest (benches that
-  /// drive the cycle-level engine call this once after parsing their
-  /// flags). sim_shards joins the manifest fingerprint, so ledger
-  /// baselines split per shard count; the default 0 omits the block.
-  void SetShardConfig(uint32_t sim_shards, int sim_threads,
-                      uint64_t epoch_cycles) {
-    sim_shards_ = sim_shards;
-    sim_threads_ = sim_threads;
-    epoch_cycles_ = epoch_cycles;
-  }
-
   /// Bench name derived from argv[0] (basename, no directories).
   const std::string& name() const { return name_; }
 
@@ -118,9 +107,6 @@ class Session {
   /// when absent), recorded as the manifest's workload and reps.
   std::string benchmark_filter_;
   uint32_t benchmark_repetitions_ = 0;
-  uint32_t sim_shards_ = 0;
-  int sim_threads_ = 0;
-  uint64_t epoch_cycles_ = 0;
   std::string name_;
   std::string telemetry_path_;
   std::string trace_path_;

@@ -26,7 +26,6 @@
 #include "eval/stream.h"
 #include "hw/hardware_model.h"
 #include "service/metrics.h"
-#include "sim/sampled_sim.h"
 #include "workloads/casio.h"
 #include "workloads/rodinia.h"
 
@@ -206,41 +205,10 @@ BENCHMARK(BM_EvaluateRepeatedThreads)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/// Full cycle simulation of one trace sharded over 8 kernel-affine lanes
-/// at 1/2/4/8 worker threads (--sim-threads axis). The shard count is
-/// fixed, so total_cycles is byte-identical at every arg (sim_threads is
-/// a pacing knob, DESIGN.md section 12); wall-clock should drop with the
-/// thread count up to the lane-balance limit of the LPT partition.
-void BM_ShardedFullSimThreads(benchmark::State& state) {
-  hw::HardwareModel gpu(hw::GpuSpec::Rtx2080());
-  // cfd: several kernel types of comparable weight, so the kernel-affine
-  // LPT partition actually spreads work across the 8 lanes.
-  KernelTrace trace = workloads::GenerateWorkload(
-      workloads::RodiniaSpec("cfd", 0.1), bench::kSeed);
-  gpu.ProfileTrace(trace, 1);
-  const sim::SimConfig config =
-      sim::SimConfig::FromSpec(hw::GpuSpec::Rtx2080());
-  sim::TraceSimOptions options;
-  options.shard.sim_shards = 8;
-  options.shard.sim_threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const sim::TraceSimResult result =
-        sim::SimulateTraceFull(trace, config, options);
-    benchmark::DoNotOptimize(result.total_cycles);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(trace.NumInvocations()));
-}
-BENCHMARK(BM_ShardedFullSimThreads)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 /// A reduced DseSweep (2 variants x 2 workloads, full + sampled cycle
 /// simulation per point) at 1/2/4/8 concurrent points. Every point is an
 /// independent simulation with an index-derived seed, so the result set
-/// is byte-identical at every arg; this is the inter-simulation axis of
-/// the parallel engine (BM_ShardedFullSimThreads is the intra one).
+/// is byte-identical at every arg.
 void BM_DseSweepThreads(benchmark::State& state) {
   hw::HardwareModel gpu(hw::GpuSpec::Rtx2080());
   std::vector<KernelTrace> traces;

@@ -6,15 +6,14 @@
 /// microarchitecture variants (baseline, cache x2, cache x1/2, #SM x2,
 /// #SM x1/2). All (variant, workload) points run concurrently over the
 /// shared profiled traces -- results are byte-identical to a serial
-/// point-by-point loop at any --threads / --sim-threads (the sweep's
-/// determinism contract, DESIGN.md section 12). Workloads are reduced
-/// (Sec. 5.4) so the full simulations complete here: 11 Rodinia-like
-/// workloads plus the 6 HuggingFace-like LLM/ML workloads with truncated
-/// graphs and scaled per-kernel work.
+/// point-by-point loop at any --threads (the sweep's determinism
+/// contract, DESIGN.md section 12). Workloads are reduced (Sec. 5.4) so
+/// the full simulations complete here: 11 Rodinia-like workloads plus the
+/// 6 HuggingFace-like LLM/ML workloads with truncated graphs and scaled
+/// per-kernel work.
 ///
-/// Extra flags (after the standard Session set): --sim-shards N,
-/// --sim-threads N, --epoch-cycles N forward to the engine's shard
-/// options; --sweep-threads N caps the concurrently evaluated points.
+/// Extra flag (after the standard Session set): --sweep-threads N caps
+/// the concurrently evaluated points.
 
 #include <chrono>
 #include <cstdio>
@@ -75,19 +74,8 @@ int main(int argc, char** argv) {
 
   eval::DseSweepOptions sweep_options;
   sweep_options.seed = bench::kSeed;
-  sweep_options.shard.sim_shards = static_cast<uint32_t>(IntFlag(
-      argc, argv, "--sim-shards", sweep_options.shard.sim_shards));
-  sweep_options.shard.sim_threads = static_cast<int>(IntFlag(
-      argc, argv, "--sim-threads", sweep_options.shard.sim_threads));
-  sweep_options.shard.epoch_cycles = static_cast<uint64_t>(
-      IntFlag(argc, argv, "--epoch-cycles",
-              static_cast<int64_t>(sweep_options.shard.epoch_cycles)));
   sweep_options.sweep_threads = static_cast<int>(
       IntFlag(argc, argv, "--sweep-threads", sweep_options.sweep_threads));
-  sweep_options.shard.Validate();
-  session.SetShardConfig(sweep_options.shard.sim_shards,
-                         sweep_options.shard.sim_threads,
-                         sweep_options.shard.epoch_cycles);
 
   std::printf("=== Table 4 + Figure 12: DSE on the cycle-level simulator "
               "===\n(11 reduced Rodinia + 6 reduced LLM workloads; full "
@@ -145,12 +133,8 @@ int main(int argc, char** argv) {
     table.AddRow(std::move(cells));
   }
   std::printf("%s\n", table.Render().c_str());
-  std::printf("sweep wall time: %.2fs at %d threads (sim-shards %u, "
-              "sim-threads %d, epoch-cycles %llu)\n",
-              sweep_seconds, session.threads(),
-              sweep_options.shard.sim_shards, sweep_options.shard.sim_threads,
-              static_cast<unsigned long long>(
-                  sweep_options.shard.epoch_cycles));
+  std::printf("sweep wall time: %.2fs at %d threads\n", sweep_seconds,
+              session.threads());
   std::printf("Figure 12's per-workload full-vs-estimated cycle counts "
               "are in %s/table4_fig12_dse.csv\n",
               bench::ResultsDir().c_str());

@@ -117,12 +117,12 @@ void ParallelFor(size_t begin, size_t end,
 /// Run body(lane) exactly once for every lane in [0, lanes), with at most
 /// `max_concurrency` lanes in flight (0 = NumThreads()). Unlike
 /// ParallelFor, the concurrency cap is a per-call argument, so callers can
-/// bound a region independently of the global thread count (the sharded
-/// simulator's --sim-threads, the DSE sweep's point concurrency). Lanes
-/// are claimed from a shared atomic cursor in index order; the determinism
-/// contract is the same as ParallelFor's -- bodies address state by lane
-/// index, so the schedule is unobservable. Runs serially when the lane
-/// count or the cap is 1, or when already inside a parallel region.
+/// bound a region independently of the global thread count (the DSE
+/// sweep's point concurrency). Lanes are claimed from a shared atomic
+/// cursor in index order; the determinism contract is the same as
+/// ParallelFor's -- bodies address state by lane index, so the schedule
+/// is unobservable. Runs serially when the lane count or the cap is 1, or
+/// when already inside a parallel region.
 void ParallelLanes(size_t lanes, size_t max_concurrency,
                    const std::function<void(size_t)>& body);
 

@@ -24,7 +24,7 @@
 ///   deterministic (derived from seed/config/index, never from thread
 ///   ids or timing); max over a fixed call set is order-independent. Use
 ///   it for transient concurrent state (per-rep cluster/plan scratch,
-///   per-point simulator lanes, per-session streaming state).
+///   per-point simulators, per-session streaming state).
 ///
 /// Categories prefixed "cache" or "service" are environmental (warmth-
 /// and load-dependent) and are excluded from compare/regress gating,

@@ -56,8 +56,7 @@ double DsePointResult::MeanErrorPct() const {
   return sum / static_cast<double>(methods.size());
 }
 
-RunManifest DsePointResult::ToManifest(const DseSweepOptions& options,
-                                       std::string_view tool,
+RunManifest DsePointResult::ToManifest(std::string_view tool,
                                        std::string_view suite) const {
   RunManifest m;
   m.tool = std::string(tool);
@@ -75,9 +74,6 @@ RunManifest DsePointResult::ToManifest(const DseSweepOptions& options,
   m.config.method = joined;
   m.config.seed = seed;
   m.config.threads = NumThreads();
-  m.config.sim_shards = options.shard.sim_shards;
-  m.config.sim_threads = options.shard.sim_threads;
-  m.config.epoch_cycles = options.shard.epoch_cycles;
 
   m.metrics.present = true;
   m.metrics.error_pct = MeanErrorPct();
@@ -134,7 +130,6 @@ DseSweep::DseSweep(std::vector<DseVariant> variants, DseSweepOptions options)
     throw std::invalid_argument("DseSweep: no variants");
   if (options_.sweep_threads < 0)
     throw std::invalid_argument("DseSweep: sweep_threads < 0");
-  options_.shard.Validate();
 }
 
 uint64_t DseSweep::PointSeed(size_t variant_index,
@@ -161,7 +156,6 @@ DsePointResult DseSweep::RunPoint(size_t variant_index,
   sim_options.seed = PointSeed(variant_index, workload_index);
   sim_options.flush_l2_between_kernels = options_.flush_l2_between_kernels;
   sim_options.warmup = options_.warmup;
-  sim_options.shard = options_.shard;
 
   DsePointResult point;
   point.variant = variant.name;
@@ -200,8 +194,7 @@ DseSweepResult DseSweep::Run(std::span<const DseWorkload> workloads) const {
   result.points.resize(n);
   if (n == 0) return result;
   // Index-addressed slots + per-point derived seeds: the concurrent sweep
-  // is byte-identical to a serial RunPoint loop at any lane count. Inside
-  // each point the engine's own lanes degrade serial (nested region).
+  // is byte-identical to a serial RunPoint loop at any lane count.
   ParallelLanes(n, static_cast<size_t>(options_.sweep_threads),
                 [&](size_t i) {
                   const size_t vi = i / result.num_workloads;

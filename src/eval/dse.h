@@ -15,7 +15,7 @@
 /// into index-addressed slots and each point's RNG stream derives from
 /// (sweep seed, variant index, workload index), so the sweep's result is
 /// byte-identical to running the points one at a time in a serial loop,
-/// at any --threads / --sim-threads setting.
+/// at any --threads setting.
 
 #pragma once
 
@@ -70,19 +70,15 @@ struct DseWorkload {
   std::span<const core::SamplingPlan> plans;
 };
 
-/// Sweep-wide knobs. `shard` is forwarded to every point's simulations;
-/// note that when points already run concurrently the engine's own lanes
-/// degrade serial inside each point (nested parallel regions), so
-/// shard.sim_shards > 1 still changes *results* per the modeling contract
-/// but buys wall time only when the sweep itself is run single-threaded.
+/// Sweep-wide knobs.
 struct DseSweepOptions {
-  uint64_t seed = 1;        ///< sweep seed; per-point streams derive from it
-  sim::ShardOptions shard;  ///< engine sharding/pacing for every point
+  uint64_t seed = 1;  ///< sweep seed; per-point streams derive from it
   /// Max concurrently evaluated points; 0 = common::NumThreads().
   int sweep_threads = 0;
   /// Forwarded into every point's TraceSimOptions.
   bool flush_l2_between_kernels = false;
   sim::WarmupPolicy warmup = sim::WarmupPolicy::kSameKernelThenPredecessor;
+  sim::ShardOptions shard;  ///< carries nothing; see sim::ShardOptions
 };
 
 /// One sampling method's outcome at one sweep point.
@@ -108,12 +104,9 @@ struct DsePointResult {
   double MeanErrorPct() const;
 
   /// Package the point as a validated "dse-point" manifest: gpu carries
-  /// the variant name, method the '+'-joined method list, metrics the
-  /// mean error and harmonic-mean speedup, and config.sim_* the sweep's
-  /// shard options (so `stemroot compare` gates on sim_shards and the
-  /// ledger fingerprint splits on it, per the §12 contract).
-  RunManifest ToManifest(const DseSweepOptions& options,
-                         std::string_view tool = "stemroot",
+  /// the variant name, method the '+'-joined method list, and metrics the
+  /// mean error and harmonic-mean speedup.
+  RunManifest ToManifest(std::string_view tool = "stemroot",
                          std::string_view suite = "") const;
 };
 

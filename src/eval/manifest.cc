@@ -154,14 +154,10 @@ std::string RunManifest::ToJson(bool pretty) const {
     cfg += ",\"seed\":" + U64(config.seed);
     cfg += ",\"reps\":" + U64(config.reps);
     cfg += ",\"threads\":" + Format("%d", config.threads);
-    if (config.sim_shards > 0) {
-      // Serialized only when simulator sharding is in play so manifests
-      // (and ledger baselines) from pre-sharding builds keep parsing and
-      // fingerprinting unchanged.
+    // Only a legacy sharded manifest carries a lane count; writing it
+    // back keeps that manifest's identity.
+    if (config.sim_shards > 1)
       cfg += ",\"sim_shards\":" + U64(config.sim_shards);
-      cfg += ",\"sim_threads\":" + Format("%d", config.sim_threads);
-      cfg += ",\"epoch_cycles\":" + U64(config.epoch_cycles);
-    }
     cfg += '}';
     w.Field("config", cfg);
   }
@@ -313,19 +309,19 @@ bool RunManifest::FromJson(std::string_view text, RunManifest& out,
     return SchemaFail(error,
                       "config \"seed\" is not a whole number in [0, 2^64)");
   m.config.seed = *exact_seed;
-  // Optional sharding block (absent in pre-sharding manifests -> stays 0).
-  if (config->Find("sim_shards") != nullptr) {
-    uint64_t sim_shards = 0, sim_threads = 0;
-    if (!GetCountField(*config, "sim_shards", UINT32_MAX, sim_shards,
-                       error) ||
-        !GetCountField(*config, "sim_threads", INT_MAX, sim_threads,
-                       error) ||
-        !GetUintField(*config, "epoch_cycles", m.config.epoch_cycles, error,
-                      "config"))
-      return false;
-    m.config.sim_shards = static_cast<uint32_t>(sim_shards);
-    m.config.sim_threads = static_cast<int>(sim_threads);
-  }
+  // The retired sharded simulator's fields, written by older builds: each
+  // is range-checked when present, and only a lane count > 1 (a sharded,
+  // so different, model) is kept. One lane was the serial simulator.
+  uint64_t sim_shards = 0, unused = 0;
+  if ((config->Find("sim_shards") != nullptr &&
+       !GetCountField(*config, "sim_shards", UINT32_MAX, sim_shards,
+                      error)) ||
+      (config->Find("sim_threads") != nullptr &&
+       !GetCountField(*config, "sim_threads", INT_MAX, unused, error)) ||
+      (config->Find("epoch_cycles") != nullptr &&
+       !GetUintField(*config, "epoch_cycles", unused, error, "config")))
+    return false;
+  if (sim_shards > 1) m.config.sim_shards = static_cast<uint32_t>(sim_shards);
 
   if (!GetNumberField(root, "wall_time_seconds", m.wall_time_seconds, error,
                       "manifest"))
@@ -483,19 +479,13 @@ std::string RunManifest::Fingerprint() const {
     fp += '|';
     fp += part;
   }
-  if (config.sim_shards > 0) {
-    // sim_shards changes results and epoch_cycles changes wall time, so
-    // both split baselines. sim_threads is deliberately absent: the §12
-    // determinism contract makes results byte-identical at any lane
-    // concurrency, so runs at different --sim-threads share a baseline.
-    fp += "|sim_shards=" + U64(config.sim_shards);
-    fp += "|epoch_cycles=" + U64(config.epoch_cycles);
-  }
+  // A legacy sharded manifest is a different model: its own series.
+  if (config.sim_shards > 1) fp += "|sim_shards=" + U64(config.sim_shards);
   if (trace_spill.present) {
-    // Like epoch_cycles: spilling never changes results (chunked
-    // byte-identity contract) but reshapes wall time and memory, so perf
-    // baselines split on the chunk capacity. The spill's chunks/bytes are
-    // environmental (cache-warmth-dependent reuse) and stay out.
+    // Spilling never changes results (chunked byte-identity contract)
+    // but reshapes wall time and memory, so perf baselines split on the
+    // chunk capacity. The spill's chunks/bytes are environmental
+    // (cache-warmth-dependent reuse) and stay out.
     fp += "|trace_chunk_invocations=" + U64(trace_spill.chunk_invocations);
   }
   return fp;

@@ -15,9 +15,8 @@
 ///     "build": { git_hash, git_dirty, compiler, build_type, sanitizer },
 ///     "config": { suite, workload, gpu, method, epsilon, confidence,
 ///                 scale, seed, reps, threads,
-///                 sim_shards, sim_threads, epoch_cycles },  // sim_* only
-///                                        // when simulator sharding is in
-///                                        // play (sim_shards >= 1)
+///                 sim_shards },          // only from a legacy sharded
+///                                        // manifest (sim_shards > 1)
 ///     "wall_time_seconds": 1.23,
 ///     "stages": [ { "name": "generate", "count": 1,
 ///                   "total_us": 123.4 }, ... ],
@@ -92,16 +91,11 @@ struct RunManifest {
     uint64_t seed = 0;
     uint32_t reps = 0;
     int threads = 0;
-    /// Simulator sharding (0 = sharding not in play for this command).
-    /// sim_shards is a modeling knob: it changes results, so it gates
-    /// comparability and joins the fingerprint. sim_threads is a pacing
-    /// knob excluded from both by the §12 determinism contract;
-    /// epoch_cycles likewise never changes results but does change wall
-    /// time, so it joins the fingerprint (perf baselines are only
-    /// comparable at equal pacing) while staying out of the compare gate.
+    /// Lane count of the retired sharded simulator, kept only when a
+    /// legacy manifest says > 1 (0 otherwise). Sharding changed results,
+    /// so such a manifest fingerprints apart and never compares clean
+    /// against an unsharded one.
     uint32_t sim_shards = 0;
-    int sim_threads = 0;
-    uint64_t epoch_cycles = 0;
   };
 
   /// Headline accuracy/budget metrics (EvalResult view).
@@ -144,11 +138,11 @@ struct RunManifest {
 
   /// Out-of-core chunked-trace spill of this run (Pipeline::SpillInfo
   /// view; eval/stream.h, DESIGN.md §16). Present only when the run
-  /// spilled (--trace-spill). chunk_invocations joins the fingerprint
-  /// like epoch_cycles -- it never changes results (byte-identity is the
-  /// chunked-pipeline contract) but does change the wall-time profile, so
-  /// perf baselines split on it; the compare gate excludes it, chunked
-  /// and in-memory runs of the same config must compare clean.
+  /// spilled (--trace-spill). chunk_invocations joins the fingerprint --
+  /// it never changes results (byte-identity is the chunked-pipeline
+  /// contract) but does change the wall-time profile, so perf baselines
+  /// split on it; the compare gate excludes it, chunked and in-memory
+  /// runs of the same config must compare clean.
   struct TraceSpill {
     bool present = false;            ///< serialized only when true
     uint64_t chunk_invocations = 0;  ///< chunk capacity of the spill file

@@ -112,12 +112,10 @@ CompareReport CompareManifests(const RunManifest& a, const RunManifest& b) {
   DiffField(report.config_diffs, "sim_shards",
             static_cast<double>(a.config.sim_shards),
             static_cast<double>(b.config.sim_shards));
-  // Threads, sim_threads, and epoch_cycles deliberately NOT part of
-  // comparability: the determinism contract (DESIGN.md §12) promises
-  // identical results at any thread count, any lane concurrency, and any
-  // epoch length -- and compare is exactly the tool that checks that
-  // promise. sim_shards IS gated: the lane partition is a modeling knob
-  // that changes results.
+  // Threads deliberately NOT part of comparability: the determinism
+  // contract (DESIGN.md §12) promises identical results at any thread
+  // count -- and compare is exactly the tool that checks that promise.
+  // sim_shards IS gated: a legacy sharded manifest is a different model.
   report.comparable = report.config_diffs.empty();
 
   if (report.comparable) {
@@ -187,8 +185,8 @@ std::string CompareReport::ToText() const {
     out += "configs differ:\n";
     for (const std::string& diff : config_diffs) out += "  " + diff + "\n";
   } else {
-    out += "configs match (threads/sim-threads/epoch-cycles excluded by "
-           "the determinism contract)\n";
+    out += "configs match (threads excluded by the determinism "
+           "contract)\n";
     if (deterministic_drift) {
       out += "DETERMINISTIC DRIFT:\n";
       for (const std::string& note : drift_notes) out += "  " + note + "\n";

@@ -37,9 +37,8 @@ class Cache {
   /// FNV-1a digest of the resident content and its recency order: per
   /// set, the valid tags in LRU-rank order. Two caches that hold the same
   /// lines with the same replacement priority digest identically, however
-  /// they got there -- the determinism tests use this to compare L2 state
-  /// across --sim-threads / --epoch-cycles settings without serializing
-  /// the whole array.
+  /// they got there -- the determinism tests use this to pin L2 state
+  /// without serializing the whole array.
   uint64_t ContentDigest() const;
 
   uint32_t NumSets() const { return num_sets_; }

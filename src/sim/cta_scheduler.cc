@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace stemroot::sim {
 
@@ -28,57 +27,6 @@ WavePlan PlanWaves(const LaunchConfig& launch, const SimConfig& config) {
     remaining -= wave_ctas;
   }
   return plan;
-}
-
-std::vector<std::vector<uint32_t>> PlanShardLanes(const KernelTrace& trace,
-                                                  uint32_t num_lanes) {
-  if (num_lanes == 0)
-    throw std::invalid_argument("PlanShardLanes: num_lanes must be >= 1");
-  const uint32_t n = static_cast<uint32_t>(trace.NumInvocations());
-  std::vector<std::vector<uint32_t>> lanes(num_lanes);
-  if (num_lanes == 1) {
-    lanes[0].reserve(n);
-    for (uint32_t i = 0; i < n; ++i) lanes[0].push_back(i);
-    return lanes;
-  }
-
-  // Estimated work per kernel id: dynamic instructions summed in timeline
-  // order (+1 per launch so empty kernels still carry weight).
-  struct KernelLoad {
-    uint32_t kernel_id = 0;
-    double weight = 0.0;
-  };
-  std::unordered_map<uint32_t, size_t> slot_of_kernel;
-  std::vector<KernelLoad> kernels;
-  for (uint32_t i = 0; i < n; ++i) {
-    const KernelInvocation& inv = trace.At(i);
-    auto [it, inserted] =
-        slot_of_kernel.emplace(inv.kernel_id, kernels.size());
-    if (inserted) kernels.push_back({inv.kernel_id, 0.0});
-    kernels[it->second].weight +=
-        1.0 + static_cast<double>(inv.behavior.instructions);
-  }
-
-  // Longest-processing-time-first over lanes: heaviest kernel to the
-  // least-loaded lane, ties by kernel id (sort) and lane index (scan).
-  std::sort(kernels.begin(), kernels.end(),
-            [](const KernelLoad& a, const KernelLoad& b) {
-              if (a.weight != b.weight) return a.weight > b.weight;
-              return a.kernel_id < b.kernel_id;
-            });
-  std::vector<double> lane_load(num_lanes, 0.0);
-  std::unordered_map<uint32_t, uint32_t> lane_of_kernel;
-  for (const KernelLoad& kernel : kernels) {
-    uint32_t best = 0;
-    for (uint32_t lane = 1; lane < num_lanes; ++lane)
-      if (lane_load[lane] < lane_load[best]) best = lane;
-    lane_of_kernel[kernel.kernel_id] = best;
-    lane_load[best] += kernel.weight;
-  }
-
-  for (uint32_t i = 0; i < n; ++i)
-    lanes[lane_of_kernel.at(trace.At(i).kernel_id)].push_back(i);
-  return lanes;
 }
 
 }  // namespace stemroot::sim

@@ -9,7 +9,6 @@
 
 #include "sim/gpu_config.h"
 #include "trace/kernel.h"
-#include "trace/trace.h"
 
 namespace stemroot::sim {
 
@@ -27,18 +26,5 @@ struct WavePlan {
 /// waves are limited by max_warps_per_sm. Throws std::invalid_argument if
 /// a single CTA exceeds the SM's warp capacity.
 WavePlan PlanWaves(const LaunchConfig& launch, const SimConfig& config);
-
-/// Kernel-affine lane partition for sharded trace simulation (DESIGN.md
-/// §12): every invocation of a kernel lands on the same lane, so
-/// same-kernel L2 reuse -- the dominant source of inherited warmth (see
-/// SimulateSampled) -- stays lane-local. Kernels are spread over lanes by
-/// longest-processing-time-first on estimated work (dynamic instruction
-/// counts), ties broken by kernel id then lane index. Returns `num_lanes`
-/// lists of invocation indices, each in timeline order; the union is
-/// exactly [0, NumInvocations). Deterministic: depends only on the trace
-/// and the lane count, never on seeds, threads, or epoch length. Throws
-/// std::invalid_argument for num_lanes == 0.
-std::vector<std::vector<uint32_t>> PlanShardLanes(const KernelTrace& trace,
-                                                  uint32_t num_lanes);
 
 }  // namespace stemroot::sim

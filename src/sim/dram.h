@@ -27,8 +27,7 @@ class DramModel {
 
   /// Cycles the bus spent actually transferring data (sum of transfer
   /// times, excluding the fixed latency). With the serialized-bus model
-  /// this is the bandwidth-bound lower bound on memory time; the sharded
-  /// determinism tests compare it across pacing configurations.
+  /// this is the bandwidth-bound lower bound on memory time.
   double BusyCycles() const { return busy_cycles_; }
 
   /// Reset queue and stats (between kernels if desired).

@@ -14,16 +14,6 @@ bool FinitePositive(double x) { return std::isfinite(x) && x > 0.0; }
 
 }  // namespace
 
-void ShardOptions::Validate() const {
-  if (sim_shards == 0)
-    throw std::invalid_argument("ShardOptions: sim_shards must be >= 1");
-  if (epoch_cycles == 0)
-    throw std::invalid_argument("ShardOptions: epoch_cycles must be >= 1");
-  if (sim_threads < 0)
-    throw std::invalid_argument(
-        "ShardOptions: sim_threads must be >= 0 (0 = auto)");
-}
-
 SimConfig SimConfig::FromSpec(const hw::GpuSpec& spec) {
   spec.Validate();
   SimConfig config;

@@ -19,25 +19,9 @@
 
 namespace stemroot::sim {
 
-/// Sharded trace-simulation knobs (DESIGN.md §12). The trace's SMs are
-/// partitioned kernel-affinely into `sim_shards` lanes, each owning a
-/// private simulator instance; lanes advance in bounded-skew epochs of
-/// `epoch_cycles` simulated cycles and merge deterministically in
-/// shard-index order. `sim_shards` is a *modeling* knob like num_sms --
-/// changing it changes results (each lane keeps its own L2 warmth).
-/// `epoch_cycles` and `sim_threads` are *pacing* knobs: any value yields
-/// byte-identical results (tests/sim/determinism_test.cc pins this).
-struct ShardOptions {
-  uint32_t sim_shards = 1;  ///< 1 = the exact legacy serial path
-  /// Synchronization window in simulated cycles. Smaller windows mean
-  /// tighter lock-step (slower, never different); the default is loose
-  /// enough (~2.5 kernel launches) for real overlap.
-  uint64_t epoch_cycles = 4'000'000;
-  int sim_threads = 0;  ///< max concurrent lanes; 0 = NumThreads()
-
-  /// Validate; throws std::invalid_argument.
-  void Validate() const;
-};
+/// Carries nothing; kept only so benchmark/ builds until it next changes.
+/// Nothing reads it.
+struct ShardOptions {};
 
 /// Full simulator parameter set.
 struct SimConfig {

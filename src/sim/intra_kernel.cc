@@ -2,7 +2,8 @@
 
 #include <stdexcept>
 
-#include "sim/sharded.h"
+#include "common/resource.h"
+#include "common/telemetry.h"
 
 namespace stemroot::sim {
 
@@ -67,10 +68,35 @@ CombinedSimResult SimulateSampledIntra(
     const KernelTrace& trace, const core::SamplingPlan& plan,
     const SimConfig& config, const TraceSimOptions& trace_options,
     const IntraKernelOptions& intra_options) {
-  // Thin wrapper over the sharded engine (src/sim/sharded.cc): one lane
-  // is exactly the legacy serial loop; trace_options.shard scales out.
-  return ShardedSimulateSampledIntra(trace, plan, config, trace_options,
-                                     intra_options);
+  plan.Validate(trace.NumInvocations());
+  intra_options.Validate();
+  const std::vector<uint32_t> distinct = plan.DistinctInvocations();
+  const std::vector<int64_t> prev_same_kernel = PrevSameKernel(trace);
+  Simulator simulator(config);
+  resource::AccountPeak("sim", SampledLoopBytes(simulator, distinct.size(),
+                                                trace.NumInvocations()));
+
+  // Warmups are themselves wave-sampled.
+  const auto replay = [&](uint32_t idx) {
+    SimulateKernelIntra(simulator, trace.At(idx), trace_options.seed,
+                        intra_options);
+  };
+  CombinedSimResult result;
+  std::vector<double> measured(trace.NumInvocations());
+  for (uint32_t idx : distinct) {
+    WarmBeforeSample(simulator, idx, trace_options, prev_same_kernel, replay);
+    const IntraKernelResult one = SimulateKernelIntra(
+        simulator, trace.At(idx), trace_options.seed, intra_options);
+    measured[idx] = one.estimated_cycles;
+    result.simulated_cost_cycles += one.simulated_cycles;
+    if (one.sampled) ++result.kernels_wave_sampled;
+  }
+  result.kernels_simulated = distinct.size();
+  result.estimated_total_cycles = plan.EstimateTotalUs(measured);
+
+  telemetry::Count("sim.kernels_simulated", result.kernels_simulated);
+  telemetry::Count("sim.kernels_wave_sampled", result.kernels_wave_sampled);
+  return result;
 }
 
 }  // namespace stemroot::sim

@@ -4,12 +4,15 @@
 ///
 /// Full simulation runs every invocation in timeline order on one
 /// Simulator instance (L2 stays warm across kernels). Sampled simulation
-/// runs only the plan's distinct invocations and extrapolates the total
-/// with the plan weights -- exactly what a sampling-aware simulator does
-/// with the embedded sampling information.
+/// runs only the plan's distinct invocations, in timeline order on one
+/// Simulator, and extrapolates the total with the plan weights -- exactly
+/// what a sampling-aware simulator does with the embedded sampling
+/// information.
 
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/plan.h"
@@ -46,10 +49,7 @@ struct TraceSimOptions {
   /// Warmup strategy for sampled simulation (ignored by full simulation,
   /// which is always naturally warm).
   WarmupPolicy warmup = WarmupPolicy::kSameKernelThenPredecessor;
-  /// Lane sharding and pacing (src/sim/sharded.h). The default --
-  /// sim_shards == 1 -- is the exact legacy serial path; sim_threads and
-  /// epoch_cycles never change results, only wall time.
-  ShardOptions shard;
+  ShardOptions shard;  ///< carries nothing; see ShardOptions
 };
 
 /// Full-simulation result.
@@ -76,5 +76,25 @@ SampledSimResult SimulateSampled(const KernelTrace& trace,
                                  const core::SamplingPlan& plan,
                                  const SimConfig& config,
                                  const TraceSimOptions& options = {});
+
+/// Previous invocation of the same kernel type, per invocation (-1 if
+/// none): the dominant source of inherited L2 warmth.
+std::vector<int64_t> PrevSameKernel(const KernelTrace& trace);
+
+/// Logical bytes a sampled loop holds, for the "sim" category of
+/// resource::AccountPeak: the simulator's state, the plan's distinct
+/// invocations, and per invocation a previous-same-kernel index and a
+/// measured-cycles slot. A function of (trace, config, plan) only.
+uint64_t SampledLoopBytes(const Simulator& simulator, size_t distinct,
+                          size_t invocations);
+
+/// The untimed warm preamble before a sampled run times invocation `idx`:
+/// flush the L2 when options.flush_l2_between_kernels is set; otherwise,
+/// per options.warmup, `replay` the previous same-kernel invocation, then
+/// the timeline predecessor unless that is the same invocation.
+void WarmBeforeSample(Simulator& simulator, uint32_t idx,
+                      const TraceSimOptions& options,
+                      const std::vector<int64_t>& prev_same_kernel,
+                      const std::function<void(uint32_t)>& replay);
 
 }  // namespace stemroot::sim

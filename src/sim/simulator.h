@@ -61,8 +61,8 @@ class Simulator {
   void FlushL2();
 
   /// Content digest of the persistent L2 slice (see Cache::ContentDigest):
-  /// the determinism tests compare microarchitectural state, not just
-  /// cycle counts, across sharding/pacing configurations.
+  /// the determinism tests pin microarchitectural state, not just cycle
+  /// counts.
   uint64_t L2Digest() const { return l2_.ContentDigest(); }
 
   /// Content digest of the SM's private L1.

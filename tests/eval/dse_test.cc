@@ -8,7 +8,6 @@
 #include "core/sampler.h"
 #include "eval/manifest.h"
 #include "eval/pipeline.h"
-#include "eval/regress.h"
 #include "eval/runner.h"
 
 namespace stemroot::eval {
@@ -173,9 +172,6 @@ TEST_F(DseSweepTest, ConcurrentSweepMatchesSequentialPointLoop) {
 TEST_F(DseSweepTest, SweepThreadCountNeverChangesResults) {
   DseSweepOptions options;
   options.seed = 99;
-  // sim_shards > 1 inside each point exercises the nested-region path:
-  // the engine degrades to serial inside the sweep's parallel region.
-  options.shard.sim_shards = 2;
   options.sweep_threads = 1;
   const DseSweepResult one = DseSweep(*variants_, options).Run(*workloads_);
   for (int threads : {2, 8}) {
@@ -205,68 +201,25 @@ TEST_F(DseSweepTest, PointSeedsAreStableAndDistinct) {
             sweep.PointSeed(1, 1));
 }
 
-TEST_F(DseSweepTest, PointManifestValidatesAndCarriesShardConfig) {
+TEST_F(DseSweepTest, PointManifestValidatesAndRoundTrips) {
   DseSweepOptions options;
   options.seed = 7;
-  options.shard.sim_shards = 2;
-  options.shard.sim_threads = 3;
-  options.shard.epoch_cycles = 1000;
   const DseSweep sweep(*variants_, options);
   const DsePointResult point = sweep.RunPoint(1, (*workloads_)[0], 0);
-  const RunManifest manifest = point.ToManifest(options, "stemroot", "rodinia");
+  const RunManifest manifest = point.ToManifest("stemroot", "rodinia");
 
   EXPECT_EQ(manifest.command, "dse-point");
   EXPECT_TRUE(manifest.completed);
   EXPECT_EQ(manifest.config.gpu, (*variants_)[1].name);
   EXPECT_EQ(manifest.config.seed, point.seed);
-  EXPECT_EQ(manifest.config.sim_shards, 2u);
-  EXPECT_EQ(manifest.config.sim_threads, 3);
-  EXPECT_EQ(manifest.config.epoch_cycles, 1000u);
 
+  const std::string json = manifest.ToJson(/*pretty=*/true);
+  EXPECT_EQ(json.find("sim_"), std::string::npos) << json;
   std::string error;
-  EXPECT_TRUE(ValidateManifestJson(manifest.ToJson(/*pretty=*/true), &error))
-      << error;
-  // Round-trip keeps the shard block.
+  EXPECT_TRUE(ValidateManifestJson(json, &error)) << error;
   RunManifest parsed;
-  ASSERT_TRUE(
-      RunManifest::FromJson(manifest.ToJson(/*pretty=*/true), parsed, &error))
-      << error;
-  EXPECT_EQ(parsed.config.sim_shards, 2u);
-  EXPECT_EQ(parsed.config.sim_threads, 3);
-  EXPECT_EQ(parsed.config.epoch_cycles, 1000u);
+  ASSERT_TRUE(RunManifest::FromJson(json, parsed, &error)) << error;
   EXPECT_EQ(parsed.Fingerprint(), manifest.Fingerprint());
-}
-
-TEST_F(DseSweepTest, FingerprintExcludesSimThreadsOnly) {
-  DseSweepOptions options;
-  options.seed = 7;
-  options.shard.sim_shards = 2;
-  const DseSweep sweep(*variants_, options);
-  const DsePointResult point = sweep.RunPoint(0, (*workloads_)[0], 0);
-  const RunManifest base = point.ToManifest(options);
-
-  // sim_threads: pacing only -- same fingerprint, comparable (the §12
-  // contract makes runs at different lane concurrency one series).
-  DseSweepOptions threads = options;
-  threads.shard.sim_threads = 8;
-  const RunManifest with_threads = point.ToManifest(threads);
-  EXPECT_EQ(base.Fingerprint(), with_threads.Fingerprint());
-  EXPECT_TRUE(CompareManifests(base, with_threads).comparable);
-
-  // epoch_cycles: wall-time knob -- splits the baseline series, but the
-  // results are still comparable run-to-run.
-  DseSweepOptions epoch = options;
-  epoch.shard.epoch_cycles = 7;
-  const RunManifest with_epoch = point.ToManifest(epoch);
-  EXPECT_NE(base.Fingerprint(), with_epoch.Fingerprint());
-  EXPECT_TRUE(CompareManifests(base, with_epoch).comparable);
-
-  // sim_shards: modeling knob -- different fingerprint AND incomparable.
-  DseSweepOptions shards = options;
-  shards.shard.sim_shards = 4;
-  const RunManifest with_shards = point.ToManifest(shards);
-  EXPECT_NE(base.Fingerprint(), with_shards.Fingerprint());
-  EXPECT_FALSE(CompareManifests(base, with_shards).comparable);
 }
 
 TEST_F(DseSweepTest, AccessorsRejectBadIndices) {

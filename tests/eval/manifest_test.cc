@@ -8,6 +8,7 @@
 #include <string>
 
 #include "common/telemetry.h"
+#include "eval/regress.h"
 
 namespace stemroot::eval {
 namespace {
@@ -244,19 +245,16 @@ TEST(ManifestTest, CountsOutsideExactUint64RangeAreRejected) {
 }
 
 TEST(ManifestTest, ConfigCountsAreRangeChecked) {
-  // reps/threads/sim_* are exact whole numbers that fit their field's
-  // type; anything else is refused instead of cast.
-  RunManifest m = MakeManifest();
-  m.config.sim_shards = 2;
-  m.config.sim_threads = 3;
-  m.config.epoch_cycles = 4096;
-  const std::string good = m.ToJson(/*pretty=*/false);
+  // reps/threads and the legacy sim_* fields are exact whole numbers that
+  // fit their field's type; anything else is refused instead of cast.
+  std::string good = MakeManifest().ToJson(/*pretty=*/false);
+  good.replace(good.find("\"threads\":4"), 11,
+               "\"threads\":4,\"sim_shards\":2,\"sim_threads\":3,"
+               "\"epoch_cycles\":4096");
   RunManifest back;
   std::string error;
   ASSERT_TRUE(RunManifest::FromJson(good, back, &error)) << error;
   EXPECT_EQ(back.config.sim_shards, 2u);
-  EXPECT_EQ(back.config.sim_threads, 3);
-  EXPECT_EQ(back.config.epoch_cycles, 4096u);
   const auto with = [&good](const std::string& field,
                             const std::string& value) {
     std::string doc = good;
@@ -297,6 +295,95 @@ TEST(ManifestTest, ConfigCountsAreRangeChecked) {
       with(fields[1], "\"threads\":2147483647"), back, &error))
       << error;
   EXPECT_EQ(back.config.threads, 2147483647);
+}
+
+/// A dse-point manifest as builds with the sharded simulator wrote it:
+/// every one carried the sim_* block, with one lane unless --sim-shards
+/// asked for more.
+std::string LegacyDsePointJson(const std::string& sim_shards) {
+  return R"({"schema":"stemroot-manifest-v1","tool":"stemroot",)"
+         R"("command":"dse-point","completed":true,)"
+         R"("build":{"git_hash":"47b39ca756e9","git_dirty":false,)"
+         R"("compiler":"GNU 12.2.0","build_type":"RelWithDebInfo",)"
+         R"("sanitizer":""},)"
+         R"("config":{"suite":"rodinia","workload":"hotspot",)"
+         R"("gpu":"Cache x2","method":"STEM+Random","epsilon":0,)"
+         R"("confidence":0,"scale":1,"seed":4503599627370497,"reps":0,)"
+         R"("threads":4,"sim_shards":)" +
+         sim_shards +
+         R"(,"sim_threads":0,"epoch_cycles":4000000},)"
+         R"("wall_time_seconds":0.75,"stages":[],)"
+         R"("counters":{"sim.kernels_simulated":912},)"
+         R"("metrics":{"error_pct":3.25,"theoretical_error_pct":0,)"
+         R"("speedup":7.5,"num_samples":14,"num_clusters":0}})";
+}
+
+/// The same point as this build writes it.
+RunManifest FreshDsePoint() {
+  RunManifest m;
+  m.tool = "stemroot";
+  m.command = "dse-point";
+  m.completed = true;
+  m.StampBuild();
+  m.config.suite = "rodinia";
+  m.config.workload = "hotspot";
+  m.config.gpu = "Cache x2";
+  m.config.method = "STEM+Random";
+  m.config.seed = 4503599627370497ull;
+  m.config.threads = 4;
+  m.wall_time_seconds = 0.5;
+  m.counters = {{"sim.kernels_simulated", 912}};
+  m.metrics.present = true;
+  m.metrics.error_pct = 3.25;
+  m.metrics.speedup = 7.5;
+  m.metrics.num_samples = 14;
+  return m;
+}
+
+TEST(ManifestTest, LegacyOneLaneBlockReadsAsAbsent) {
+  // One lane was the serial simulator, so a pre-change unsharded manifest
+  // is the same run as a fresh one: same ledger series, clean compare.
+  const std::string legacy_json = LegacyDsePointJson("1");
+  std::string error;
+  EXPECT_TRUE(ValidateManifestJson(legacy_json, &error)) << error;
+  RunManifest legacy;
+  ASSERT_TRUE(RunManifest::FromJson(legacy_json, legacy, &error)) << error;
+  EXPECT_EQ(legacy.config.sim_shards, 0u);
+  EXPECT_EQ(legacy.ToJson(/*pretty=*/false).find("sim_"), std::string::npos);
+
+  const RunManifest fresh = FreshDsePoint();
+  EXPECT_EQ(fresh.ToJson(/*pretty=*/false).find("sim_"), std::string::npos);
+  EXPECT_EQ(legacy.Fingerprint(), fresh.Fingerprint());
+  const CompareReport report = CompareManifests(legacy, fresh);
+  EXPECT_TRUE(report.comparable) << report.ToText();
+  EXPECT_FALSE(report.deterministic_drift) << report.ToText();
+  EXPECT_EQ(report.ExitCode(CompareOptions{}), 0);
+}
+
+TEST(ManifestTest, LegacyShardedManifestKeepsItsIdentity) {
+  // More than one lane was a different model: it stays its own series,
+  // never compares clean against an unsharded run, and survives a
+  // rewrite with its lane count.
+  RunManifest unsharded, sharded;
+  std::string error;
+  ASSERT_TRUE(RunManifest::FromJson(LegacyDsePointJson("1"), unsharded,
+                                    &error))
+      << error;
+  ASSERT_TRUE(RunManifest::FromJson(LegacyDsePointJson("4"), sharded,
+                                    &error))
+      << error;
+  EXPECT_EQ(sharded.config.sim_shards, 4u);
+  EXPECT_NE(sharded.Fingerprint(), unsharded.Fingerprint());
+  EXPECT_FALSE(CompareManifests(unsharded, sharded).comparable);
+
+  const std::string rewritten = sharded.ToJson(/*pretty=*/true);
+  EXPECT_NE(rewritten.find("\"sim_shards\":4"), std::string::npos)
+      << rewritten;
+  EXPECT_EQ(rewritten.find("sim_threads"), std::string::npos);
+  RunManifest back;
+  ASSERT_TRUE(RunManifest::FromJson(rewritten, back, &error)) << error;
+  EXPECT_EQ(back.config.sim_shards, 4u);
+  EXPECT_EQ(back.Fingerprint(), sharded.Fingerprint());
 }
 
 TEST(ManifestTest, SeedsAbove2To53ReadBackExactly) {
@@ -395,9 +482,9 @@ TEST(ManifestTest, TraceSpillBlockRejectsMalformed) {
 
 TEST(ManifestTest, ChunkSizeSplitsFingerprintLikeEpochCycles) {
   // chunk_invocations never changes results (the byte-identity contract)
-  // but does change the wall-time profile, so perf baselines split on it
-  // -- the epoch_cycles precedent. chunks/bytes are derived facts and
-  // stay out.
+  // but does change the wall-time profile, so perf baselines split on it,
+  // as they once did on the retired simulator's epoch length.
+  // chunks/bytes are derived facts and stay out.
   const RunManifest a = MakeManifest();
   RunManifest b = a;
   b.trace_spill.present = true;

@@ -142,7 +142,7 @@ TEST(CompareTest, ChunkedSpillNeverGatesTheCompare) {
   // the in-memory run, so a trace_spill block plus its cache.spill_*
   // traffic must compare clean against a run without any of it. (The
   // chunk size splits *perf baselines* via the fingerprint, but never
-  // comparability -- that is the epoch_cycles precedent.)
+  // comparability.)
   const RunManifest inmem = MakeRun();
   RunManifest spilled = MakeRun();
   spilled.trace_spill.present = true;

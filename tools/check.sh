@@ -231,58 +231,6 @@ run_mode() {
     echo "mem drill FAILED: inflated logical mem not detected" >&2; exit 1
   fi
 
-  echo "=== [$mode] sim-determinism drill (DSE, DESIGN.md §12) ==="
-  # The cycle simulator's contract, machine-checked end to end: a sharded
-  # DSE sweep at --sim-threads 1 vs 4 must produce manifests with zero
-  # deterministic drift (`stemroot compare` exit 0), and so must an
-  # extreme --epoch-cycles setting -- thread count and epoch length are
-  # pacing knobs, never modeling knobs. The default unsharded sweep must
-  # likewise not move between --threads 1 and 4.
-  local sim_a="$dir/sim-manifest-a.json" sim_b="$dir/sim-manifest-b.json"
-  local sim_c="$dir/sim-manifest-c.json"
-  local dse_args=(dse --suite rodinia --workload hotspot,lud --seed 11
-                  --scale 0.05 --sim-shards 4 --cache "$smoke_cache")
-  env "${san_env[@]}" \
-    "$dir/tools/stemroot" "${dse_args[@]}" --sim-threads 1 \
-      --manifest "$sim_a" >/dev/null
-  env "${san_env[@]}" \
-    "$dir/tools/stemroot" "${dse_args[@]}" --sim-threads 4 \
-      --manifest "$sim_b" >/dev/null
-  env "${san_env[@]}" \
-    "$dir/tools/stemroot" "${dse_args[@]}" --sim-threads 4 \
-      --epoch-cycles 4096 --manifest "$sim_c" >/dev/null
-  env "${san_env[@]}" \
-    "$dir/tools/stemroot" validate manifest "$sim_a" "$sim_b" "$sim_c" \
-      --require-completed true \
-      --require-counter sim.kernels_simulated,dse.points >/dev/null
-  env "${san_env[@]}" \
-    "$dir/tools/stemroot" compare "$sim_a" "$sim_b" >/dev/null
-  env "${san_env[@]}" \
-    "$dir/tools/stemroot" compare "$sim_b" "$sim_c" >/dev/null
-  # The default unsharded sweep (what the benchmark and Table 4 run):
-  # --threads only spreads DSE points over the pool, so the manifests at
-  # 1 and 4 threads must compare clean and the per-point CSVs must be
-  # byte-identical.
-  local sim_d="$dir/sim-manifest-d.json" sim_e="$dir/sim-manifest-e.json"
-  local dse_default=(dse --suite rodinia --workload hotspot,lud --seed 11
-                     --scale 0.05 --cache "$smoke_cache")
-  env "${san_env[@]}" \
-    "$dir/tools/stemroot" "${dse_default[@]}" --threads 1 \
-      --csv "$dir/sim-points-1.csv" --manifest "$sim_d" >/dev/null
-  env "${san_env[@]}" \
-    "$dir/tools/stemroot" "${dse_default[@]}" --threads 4 \
-      --csv "$dir/sim-points-4.csv" --manifest "$sim_e" >/dev/null
-  env "${san_env[@]}" \
-    "$dir/tools/stemroot" validate manifest "$sim_d" "$sim_e" \
-      --require-completed true \
-      --require-counter sim.kernels_simulated,dse.points >/dev/null
-  env "${san_env[@]}" \
-    "$dir/tools/stemroot" compare "$sim_d" "$sim_e" >/dev/null
-  if ! cmp -s "$dir/sim-points-1.csv" "$dir/sim-points-4.csv"; then
-    echo "sim drill FAILED: dse --csv differs between 1 and 4 threads" >&2
-    exit 1
-  fi
-
   echo "=== [$mode] serve drill (resident service, two concurrent sessions) ==="
   # Host the resident service on an AF_UNIX socket and drive it with the
   # line-delimited JSON protocol: open two sessions over one setup

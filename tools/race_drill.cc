@@ -2,7 +2,7 @@
 /// Deliberately-racy mutation drill for the sanitizer sweep
 /// (tools/check.sh, tsan mode).
 ///
-/// The determinism test harness proves the sharded engine produces
+/// The determinism test harness proves the parallel engine produces
 /// byte-identical results at any thread count -- but a harness that can
 /// never fail proves nothing. This binary is the positive control: it
 /// performs the exact mutation pattern the engine's design forbids
@@ -44,7 +44,7 @@ int main() {
 
   SharedState state;
   // Each lane hammers the same location. Correct engine code gives every
-  // lane private state and merges in index order (src/sim/sharded.cc);
+  // lane private state in an index-addressed slot (eval::DseSweep::Run);
   // this is the forbidden shortcut, kept alive as a sanitizer tripwire.
   stemroot::ParallelLanes(kLanes, kThreads, [&state](size_t) {
     state.lanes_entered.fetch_add(1, std::memory_order_relaxed);

@@ -127,8 +127,7 @@ commands:
             [--min-within FRACTION]
   dse       --suite SUITE --workload A[,B,..] [--gpu GPU] [--method A,B,..]
             [--variants baseline,cache_x2,cache_half,sm_x2,sm_half]
-            [--seed N] [--scale X] [--sim-shards N] [--sim-threads N]
-            [--epoch-cycles N] [--csv FILE]
+            [--seed N] [--scale X] [--csv FILE]
   compare   A.json B.json [--allow-config-diff true]
   regress   --ledger FILE [--window K] [--min-history N] [--mad-factor C]
             [--rel-slack X] [--accuracy-slack PP] [--journal FILE]
@@ -156,10 +155,8 @@ are forwarded to the method's factory.
 dse runs the Table 4 protocol on the cycle-level simulator: plans are
 built from the baseline profile, then every (variant, workload) point --
 full simulation plus one sampled simulation per method -- is evaluated
-concurrently over the shared cached traces. --sim-shards partitions each
-simulation's kernels into independent lanes (a modeling knob: it changes
-results and gates `stemroot compare`); --sim-threads and --epoch-cycles
-only pace the lanes and never change results (DESIGN.md section 12).
+concurrently over the shared cached traces; results are byte-identical
+at any --threads (DESIGN.md section 12).
 
 serve hosts the resident sampling service on an AF_UNIX socket: clients
 hold concurrent streaming sessions (open/feed/query/plan/eval/close as
@@ -661,13 +658,6 @@ int CmdDse(const Flags& flags, const eval::CommonOptions& common,
 
   eval::DseSweepOptions sweep_options;
   sweep_options.seed = options.seed;
-  sweep_options.shard.sim_shards = static_cast<uint32_t>(flags.GetInt(
-      "sim-shards", static_cast<int64_t>(sweep_options.shard.sim_shards)));
-  sweep_options.shard.sim_threads = static_cast<int>(flags.GetInt(
-      "sim-threads", sweep_options.shard.sim_threads));
-  sweep_options.shard.epoch_cycles = static_cast<uint64_t>(flags.GetInt(
-      "epoch-cycles", static_cast<int64_t>(sweep_options.shard.epoch_cycles)));
-  sweep_options.shard.Validate();
   const std::vector<eval::DseVariant> variants = ParseVariants(flags, spec);
   const std::string csv_path = flags.GetString("csv", "");
 
@@ -680,9 +670,6 @@ int CmdDse(const Flags& flags, const eval::CommonOptions& common,
   manifest.config.workload = flags.GetString("workload", "");
   manifest.config.gpu = spec.name;
   manifest.config.method = joined_methods;
-  manifest.config.sim_shards = sweep_options.shard.sim_shards;
-  manifest.config.sim_threads = sweep_options.shard.sim_threads;
-  manifest.config.epoch_cycles = sweep_options.shard.epoch_cycles;
 
   baselines::EnsureBuiltinSamplers();
   // One flag scan for every method: the params are method-agnostic, each
