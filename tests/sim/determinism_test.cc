@@ -264,11 +264,21 @@ TEST(ShardedDeterminismTest, GoldenSerialCycleCountsPinned) {
   const SampledSimResult sampled =
       SimulateSampled(bench.trace, bench.plan, bench.config, options);
   EXPECT_EQ(sampled.estimated_total_cycles, kGoldenSampledEstimate);
+}
 
-  const Workbench cfd = MakeBench("cfd", 5, 1);
-  EXPECT_EQ(SimulateTraceFull(cfd.trace, cfd.config, MakeOptions(cfd))
-                .total_cycles,
-            kGoldenCfdSerialTotalCycles);
+TEST(ShardedDeterminismTest, GoldenShardedCycleCountsPinned) {
+  // cfd has real inter-kernel L2 reuse, so its total pins the one shared
+  // L2 that every invocation now runs against (the removed lane model
+  // gave each lane a private L2 and landed elsewhere).
+  const Workbench bench = MakeBench("cfd", 5, 1);
+  const TraceSimOptions options = MakeOptions(bench);
+  const TraceSimResult first =
+      SimulateTraceFull(bench.trace, bench.config, options);
+  const TraceSimResult second =
+      SimulateTraceFull(bench.trace, bench.config, options);
+  EXPECT_EQ(first.total_cycles, kGoldenCfdSerialTotalCycles);
+  EXPECT_EQ(Bits(second.total_cycles), Bits(first.total_cycles));
+  EXPECT_EQ(second.stats.warp_instructions, first.stats.warp_instructions);
 }
 
 TEST(ShardedDeterminismTest, GoldenH100FullSimulationPinned) {
