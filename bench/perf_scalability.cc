@@ -249,8 +249,9 @@ BENCHMARK(BM_DseSweepThreads)
 /// magnitude more than fits in memory as KernelInvocation structs.
 /// Analysis cost must stay O(N) while the resident footprint
 /// stays pinned at the source's chunk budget (about two decoded chunks),
-/// reported here as the resident_budget_bytes counter; check.sh gates
-/// the same bound end to end via the manifest's logical `trace` peak.
+/// reported here as the resident_budget_bytes counter; the ctest drill
+/// CliOutOfCore.* gates the same bound end to end via the manifest's
+/// logical `trace` peak.
 void BM_StreamTraceLogicalSize(benchmark::State& state) {
   const KernelTrace base = TraceOfSize(63000);
   const ReplicatedChunkSource source(

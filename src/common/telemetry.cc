@@ -406,30 +406,6 @@ Snapshot Capture() {
   return snap;
 }
 
-Snapshot Sample() {
-  Registry& reg = Reg();
-  std::lock_guard<std::mutex> reg_lock(reg.mu);
-  std::map<std::string, uint64_t> counters = reg.counters;
-  std::map<std::string, std::vector<double>> values = reg.values;
-  std::map<SpanKey, SpanAgg> spans = reg.spans;
-  // Overlay each live buffer without clearing it (the non-draining
-  // contract). The buffer mutex is held only for the copy.
-  for (const std::shared_ptr<Buffer>& buf : reg.buffers) {
-    std::lock_guard<std::mutex> buf_lock(buf->mu);
-    for (const auto& [name, value] : buf->counters) counters[name] += value;
-    for (const auto& [name, vals] : buf->values) {
-      std::vector<double>& central = values[name];
-      central.insert(central.end(), vals.begin(), vals.end());
-    }
-    for (const auto& [key, agg] : buf->spans) spans[key].Merge(agg);
-  }
-  Snapshot snap;
-  snap.counters_ = std::move(counters);
-  snap.values_ = SortedValues(std::move(values));
-  snap.spans_ = ToSpanStats(spans);
-  return snap;
-}
-
 Snapshot Sink::Capture() const {
   std::lock_guard<std::mutex> lock(buffer_->mu);
   Snapshot snap;

@@ -143,7 +143,6 @@ class Snapshot {
 
  private:
   friend Snapshot Capture();
-  friend Snapshot Sample();
   friend class Sink;
 
   std::map<std::string, uint64_t> counters_;
@@ -155,22 +154,6 @@ class Snapshot {
 /// copy. Cumulative: repeated captures include everything since the last
 /// Reset(). Do not call while a parallel region is recording.
 Snapshot Capture();
-
-/// Lock-light, mid-run-safe sibling of Capture(): merge a *copy* of every
-/// live thread buffer over the central aggregate without draining
-/// anything, so recording state is untouched — a later Capture() sees
-/// exactly what it would have seen had Sample() never run, and the
-/// determinism contract on the final export is preserved. Safe to call
-/// while parallel regions are recording (each buffer's mutex is held just
-/// long enough to copy it); a concurrent recorder blocks only for that
-/// copy, never for the cross-buffer merge.
-///
-/// A mid-run Sample() is a live observation: its counter values depend on
-/// how far each thread has progressed and are NOT schedule-invariant.
-/// Only quiesced samples (between parallel regions) match Capture()
-/// byte-for-byte. Deltas between two Samples bound live throughput; the
-/// final Capture() remains the deterministic record.
-Snapshot Sample();
 
 /// Clear the central aggregate and all live thread buffers. Sinks are
 /// private to their owners and keep their contents.

@@ -67,6 +67,25 @@ std::map<std::string, uint64_t> DeterministicMem(
   return out;
 }
 
+/// One note per key whose value differs between `a` and `b`, as
+/// `<prefix><key>: <a> vs <b>`, with `absent` for a missing side.
+void DiffKeys(std::vector<std::string>& notes, const std::string& prefix,
+              const std::map<std::string, uint64_t>& a,
+              const std::map<std::string, uint64_t>& b) {
+  const auto value = [](const std::map<std::string, uint64_t>& m,
+                        const std::string& key) {
+    const auto it = m.find(key);
+    return it == m.end() ? std::string("absent") : std::to_string(it->second);
+  };
+  std::set<std::string> keys;
+  for (const auto& [key, _] : a) keys.insert(key);
+  for (const auto& [key, _] : b) keys.insert(key);
+  for (const std::string& key : keys) {
+    const std::string va = value(a, key), vb = value(b, key);
+    if (va != vb) notes.push_back(prefix + key + ": " + va + " vs " + vb);
+  }
+}
+
 /// `run` and `session` are one command family: a served session that fed
 /// its full source replays the batch run byte-for-byte (the service's
 /// replay-equivalence contract), and compare is exactly the tool that
@@ -136,21 +155,16 @@ CompareReport CompareManifests(const RunManifest& a, const RunManifest& b) {
                 static_cast<double>(a.metrics.num_clusters),
                 static_cast<double>(b.metrics.num_clusters));
     }
-    if (DeterministicCounters(a.counters) != DeterministicCounters(b.counters))
-      report.drift_notes.push_back(
-          "telemetry counters differ (determinism contract violation for "
-          "same-seed runs; cache.*/service.* counters excluded as "
-          "environmental)");
+    DiffKeys(report.drift_notes, "counter ", DeterministicCounters(a.counters),
+             DeterministicCounters(b.counters));
     // Logical mem peaks are gated only when both runs carried a mem
     // block: one side missing just means resource accounting was off
     // there, which is environmental, not drift. Physical peak_rss and
     // samples are never gated (OS artifacts, like wall time).
-    if (a.mem.present && b.mem.present &&
-        DeterministicMem(a.mem.logical) != DeterministicMem(b.mem.logical))
-      report.drift_notes.push_back(
-          "logical mem peaks differ (determinism contract violation for "
-          "same-seed runs; cache*/service* categories and physical RSS "
-          "excluded as environmental)");
+    if (a.mem.present && b.mem.present)
+      DiffKeys(report.drift_notes, "mem.logical.",
+               DeterministicMem(a.mem.logical),
+               DeterministicMem(b.mem.logical));
     if (a.completed != b.completed)
       report.drift_notes.push_back("completed flags differ");
     report.deterministic_drift = !report.drift_notes.empty();
@@ -188,7 +202,10 @@ std::string CompareReport::ToText() const {
     out += "configs match (threads excluded by the determinism "
            "contract)\n";
     if (deterministic_drift) {
-      out += "DETERMINISTIC DRIFT:\n";
+      out += "DETERMINISTIC DRIFT (a determinism contract violation for "
+             "same-seed runs; cache.*/service.*/resource.* counters, "
+             "cache*/service* mem categories and physical RSS are "
+             "environmental and never gated):\n";
       for (const std::string& note : drift_notes) out += "  " + note + "\n";
     } else {
       out += "deterministic fields identical (accuracy, samples, "

@@ -1,6 +1,6 @@
 /// \file
 /// Pipeline-stage view of a telemetry snapshot, plus the export plumbing
-/// shared by the CLI, the benches, and tools/check.sh:
+/// shared by the CLI, the benches, and the CLI drills:
 ///
 /// - StageReport folds span aggregates into the canonical
 ///   generate/profile/cluster/sample/evaluate stage rows and renders the

@@ -20,7 +20,6 @@
 #include "core/kkt.h"
 #include "eval/options.h"
 #include "eval/pipeline.h"
-#include "eval/stage_report.h"
 #include "eval/trace_cache.h"
 
 namespace stemroot::service {
@@ -52,33 +51,6 @@ std::unique_ptr<core::Sampler> MakeSessionSampler(const SessionConfig& config) {
   if (config.epsilon > 0.0) params.Set("epsilon", config.epsilon);
   if (config.confidence > 0.0) params.Set("confidence", config.confidence);
   return core::SamplerRegistry::Global().Create(config.method, params);
-}
-
-/// Manifest stage rows in StageReport order: canonical pipeline stages
-/// first, then other span names alphabetically (std::map order). Spans are
-/// folded over parents, keyed by name: per-thread nesting makes parents
-/// schedule-dependent, totals per name are not.
-std::vector<eval::RunManifest::Stage> StageRows(
-    const telemetry::Snapshot& recorded) {
-  std::map<std::string, eval::RunManifest::Stage> stages;
-  for (const auto& [key, stats] : recorded.Spans()) {
-    eval::RunManifest::Stage& stage = stages[key.first];
-    stage.name = key.first;
-    stage.count += stats.count;
-    stage.total_us += stats.total_us;
-  }
-  std::vector<eval::RunManifest::Stage> out;
-  const std::vector<std::string>& canonical = eval::PipelineStageNames();
-  for (const std::string& name : canonical) {
-    const auto it = stages.find(name);
-    if (it != stages.end()) out.push_back(it->second);
-  }
-  for (const auto& [name, stage] : stages) {
-    if (std::find(canonical.begin(), canonical.end(), name) ==
-        canonical.end())
-      out.push_back(stage);
-  }
-  return out;
 }
 
 /// RAII request instrumentation: stamps the verb's latency histogram and
@@ -530,14 +502,13 @@ eval::RunManifest Service::CloseSession(SessionId id) {
   if (session->last_eval) FillMetrics(manifest, *session->last_eval);
   // Counters that never grew stay out. The service.* ones come from
   // session-local tallies: the sink saw only the verbs under its scope.
-  const telemetry::Snapshot recorded = session->telemetry.Capture();
-  for (const auto& [name, value] : recorded.Counters())
-    if (value > 0 && name.rfind("service.", 0) != 0)
-      manifest.counters[name] = value;
+  manifest.FillFromSnapshot(session->telemetry.Capture());
+  std::erase_if(manifest.counters, [](const auto& counter) {
+    return counter.second == 0 || counter.first.starts_with("service.");
+  });
   manifest.counters["service.sessions"] = 1;
   manifest.counters["service.feed_invocations"] = session->feed_invocations;
   manifest.counters["service.early_stops"] = session->early_stopped ? 1 : 0;
-  manifest.stages = StageRows(recorded);
   manifest.wall_time_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     session->opened_at)

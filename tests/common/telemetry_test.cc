@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -258,58 +257,6 @@ TEST_F(TelemetryTest, SpanClosesTraceBeginWhenTracingDisabledMidSpan) {
       << error;
   EXPECT_EQ(info.events, 2u);
   trace_events::Reset();
-}
-
-TEST_F(TelemetryTest, SampleDoesNotDrainRecordingState) {
-  Count("a", 3);
-  Record("d", 1.0);
-  // A mid-run observer samples...
-  const Snapshot sample = Sample();
-  EXPECT_EQ(sample.Counter("a"), 3u);
-  EXPECT_EQ(sample.Dist("d").count, 1u);
-  // ...and the final capture still sees everything, as if Sample() had
-  // never run (non-draining contract).
-  Count("a", 2);
-  const Snapshot capture = Capture();
-  EXPECT_EQ(capture.Counter("a"), 5u);
-  EXPECT_EQ(capture.Dist("d").count, 1u);
-}
-
-TEST_F(TelemetryTest, QuiescedSampleMatchesCapture) {
-  SetNumThreads(4);
-  ParallelFor(0, 500, [](size_t i) {
-    Count("n");
-    Record("v", static_cast<double>(i % 7));
-  });
-  // Between parallel regions Sample() and Capture() must agree exactly.
-  const std::string sampled = Sample().CountersJson();
-  const Snapshot captured = Capture();
-  EXPECT_EQ(sampled, captured.CountersJson());
-  EXPECT_EQ(Sample().DistributionsJson(), captured.DistributionsJson());
-  SetNumThreads(0);
-}
-
-TEST_F(TelemetryTest, SampleIsSafeDuringRecording) {
-  SetNumThreads(4);
-  std::atomic<bool> stop{false};
-  std::thread observer([&stop] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      const Snapshot live = Sample();
-      // Live values are schedule-dependent; only sanity is asserted.
-      EXPECT_LE(live.Counter("n"), 2000u);
-    }
-  });
-  ParallelFor(0, 2000, [](size_t i) {
-    Count("n");
-    Record("v", static_cast<double>(i % 10));
-  });
-  stop.store(true, std::memory_order_relaxed);
-  observer.join();
-  // The hammering observer must not have perturbed the final record.
-  const Snapshot snap = Capture();
-  EXPECT_EQ(snap.Counter("n"), 2000u);
-  EXPECT_EQ(snap.Dist("v").count, 2000u);
-  SetNumThreads(0);
 }
 
 TEST_F(TelemetryTest, ScopeRecordsIntoSinkAsWellAsProcessBuffers) {

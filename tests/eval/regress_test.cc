@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 namespace stemroot::eval {
 namespace {
@@ -86,9 +87,15 @@ TEST(CompareTest, CounterDriftTripsTheExitCode) {
   const RunManifest a = MakeRun();
   RunManifest b = MakeRun();
   b.counters["core.kkt.solves"] = 101;
+  b.counters["core.new"] = 7;
   const CompareReport report = CompareManifests(a, b);
   EXPECT_TRUE(report.deterministic_drift);
   EXPECT_EQ(report.ExitCode(CompareOptions{}), kExitRegression);
+  // One note per moved key, naming it and both sides.
+  EXPECT_EQ(report.drift_notes,
+            (std::vector<std::string>{"counter core.kkt.solves: 100 vs 101",
+                                      "counter core.new: absent vs 7"}));
+  EXPECT_NE(report.ToText().find("resource.*"), std::string::npos);
 }
 
 TEST(CompareTest, CacheCountersAreEnvironmental) {
@@ -165,10 +172,14 @@ TEST(CompareTest, LogicalMemDriftTripsTheExitCode) {
   a.mem.logical = {{"trace", 1000}, {"root", 2000}};
   RunManifest b = a;
   b.mem.logical["trace"] = 1001;  // deterministic category moved
+  b.mem.logical.erase("root");
   const CompareReport report = CompareManifests(a, b);
   EXPECT_TRUE(report.comparable);
   EXPECT_TRUE(report.deterministic_drift) << report.ToText();
   EXPECT_EQ(report.ExitCode(CompareOptions{}), kExitRegression);
+  EXPECT_EQ(report.drift_notes,
+            (std::vector<std::string>{"mem.logical.root: 2000 vs absent",
+                                      "mem.logical.trace: 1000 vs 1001"}));
 }
 
 TEST(CompareTest, EnvironmentalMemNeverGates) {

@@ -1,6 +1,5 @@
 /// \file
-/// Deliberately-racy mutation drill for the sanitizer sweep
-/// (tools/check.sh, tsan mode).
+/// Deliberately-racy mutation drill for ThreadSanitizer builds.
 ///
 /// The determinism test harness proves the parallel engine produces
 /// byte-identical results at any thread count -- but a harness that can
@@ -8,8 +7,9 @@
 /// performs the exact mutation pattern the engine's design forbids
 /// (many ParallelLanes lanes incrementing ONE shared accumulator with no
 /// synchronization) and must make ThreadSanitizer report a data race.
-/// check.sh runs it under TSAN_OPTIONS=halt_on_error=1 and FAILS THE
-/// SWEEP IF THIS EXITS ZERO: a TSan build that lets this through would
+/// Under SR_SANITIZE=thread it is the WILL_FAIL ctest
+/// RaceDrill.TsanTripsOnAKnownRace (TSAN_OPTIONS=halt_on_error=1), which
+/// FAILS IF THIS EXITS ZERO: a TSan build that lets this through would
 /// also let a real engine race through.
 ///
 /// Without TSan the program is harmless (the count may merely come up

@@ -140,8 +140,6 @@ commands:
             manifest FILE... [--require-stage A,..] [--require-counter A,..]
               [--require-completed true] [--stage-leq STAGE=OTHER.json,..]
               [--require-spill true] [--max-logical KEY=BYTES,..]
-            manifest FILE [--scale-stage STAGE=FACTOR] [--set-error-pct X]
-              [--set-mem KEY=BYTES,..] [--out FILE] [--append-to LEDGER]
             metrics FILE.prom... [--prev EARLIER.prom]
             journal FILE.jsonl... [--require-event A,B,..]
 
@@ -213,11 +211,7 @@ in OTHER.json, --max-logical bounds a logical mem category); Prometheus
 expositions (format, and with --prev no counter or high-water gauge
 falling or vanishing since the earlier scrape); and event journals
 (reserved keys, non-decreasing ts_us, gap-free seq; a torn final line
-is tolerated). The manifest forging flags rewrite one validated
-manifest for CI drills: --scale-stage multiplies a stage's time (and
-the wall time) by FACTOR, --set-error-pct overwrites the realized
-error, --set-mem sets peak_rss or a logical category; the result goes
-to --out and/or is appended to the --append-to ledger.
+is tolerated).
 
 pipeline commands (generate .. audit) also accept:
   --cache DIR|none   directory of the profiled-trace cache consulted by
@@ -933,9 +927,7 @@ bool RequireAll(const std::vector<std::string>& required,
 }
 
 /// `validate manifest`: the schema, the service.* counter-name lint and
-/// the requirement flags for every file; then the forging flags rewrite
-/// the one validated manifest (CI drills forge faults `regress` must
-/// catch, without shell JSON editing).
+/// the requirement flags for every file.
 int ValidateManifests(const Flags& flags,
                       const std::vector<std::string>& paths) {
   const std::vector<std::string> stages = ListFlag(flags, "require-stage");
@@ -947,30 +939,7 @@ int ValidateManifests(const Flags& flags,
   const bool require_completed = flags.GetBool("require-completed", false);
   const bool require_spill = flags.GetBool("require-spill", false);
   const auto max_logical = ByteSpecs(flags, "max-logical");
-  std::string scale_stage;
-  double scale_factor = 1.0;
-  if (flags.Has("scale-stage")) {
-    const auto [stage, factor] =
-        KeyValue("scale-stage", flags.GetString("scale-stage", ""));
-    const std::optional<double> parsed = ParseDouble(factor);
-    if (!parsed || !(*parsed > 0.0))
-      throw std::invalid_argument("--scale-stage wants a FACTOR > 0, got '" +
-                                  factor + "'");
-    scale_stage = stage;
-    scale_factor = *parsed;
-  }
-  const bool set_error = flags.Has("set-error-pct");
-  const double error_pct = flags.GetDouble("set-error-pct", 0.0);
-  const auto set_mem = ByteSpecs(flags, "set-mem");
-  const std::string out_path = flags.GetString("out", "");
-  const std::string append_to = flags.GetString("append-to", "");
   flags.CheckAllRead();
-  const bool forging = !scale_stage.empty() || set_error ||
-                       !set_mem.empty() || !out_path.empty() ||
-                       !append_to.empty();
-  if (forging && paths.size() != 1)
-    throw std::invalid_argument(
-        "validate: the manifest forging flags take exactly one file");
 
   int rc = 0;
   for (const std::string& path : paths) {
@@ -1036,41 +1005,6 @@ int ValidateManifests(const Flags& flags,
                 path.c_str(), manifest.tool.c_str(),
                 manifest.command.c_str(), manifest.stages.size(),
                 manifest.completed ? "true" : "false");
-    if (!forging) continue;
-
-    if (!scale_stage.empty()) {
-      bool found = false;
-      for (auto& stage : manifest.stages) {
-        if (stage.name != scale_stage) continue;
-        stage.total_us *= scale_factor;
-        found = true;
-      }
-      if (!found)
-        throw std::runtime_error("validate: " + path + ": no stage \"" +
-                                 scale_stage + "\" to scale");
-      // Keep the manifest self-consistent: the total moves with its
-      // slowest stage.
-      manifest.wall_time_seconds *= scale_factor;
-    }
-    if (set_error) {
-      manifest.metrics.present = true;
-      manifest.metrics.error_pct = error_pct;
-    }
-    for (const auto& [key, bytes] : set_mem) {
-      manifest.mem.present = true;
-      if (key == "peak_rss")
-        manifest.mem.peak_rss_bytes = bytes;
-      else
-        manifest.mem.logical[key] = bytes;
-    }
-    if (!out_path.empty()) {
-      manifest.Save(out_path);
-      std::printf("validate: wrote %s\n", out_path.c_str());
-    }
-    if (!append_to.empty()) {
-      eval::Ledger::Append(manifest, append_to);
-      std::printf("validate: appended to %s\n", append_to.c_str());
-    }
   }
   return rc;
 }
@@ -1398,9 +1332,11 @@ int main(int argc, char** argv) {
       const trace_events::Stats stats = trace_events::GetStats();
       if (stats.dropped > 0)
         std::fprintf(stderr,
-                     "trace: ring wrapped, %llu events dropped (raise "
-                     "capacity via trace_events::SetRingCapacity)\n",
-                     static_cast<unsigned long long>(stats.dropped));
+                     "trace: %llu oldest events dropped; kept the newest "
+                     "%zu per thread (otherData.dropped records the "
+                     "count)\n",
+                     static_cast<unsigned long long>(stats.dropped),
+                     trace_events::RingCapacity());
     }
 
     // Sampler down before the mem stamp so its final fold is part of
