@@ -5,9 +5,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 #include <string_view>
 
 #include "baselines/registry.h"
+#include "common/flags.h"
 #include "common/log.h"
 #include "common/parallel.h"
 #include "common/telemetry.h"
@@ -52,12 +55,15 @@ Session::Session(int argc, const char* const* argv) {
     } else if (std::strcmp(argv[i], "--cache") == 0) {
       cache_dir = argv[i + 1];
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      const int n = std::atoi(argv[i + 1]);
-      if (n < 0) {
-        std::fprintf(stderr, "bad --threads value '%s'\n", argv[i + 1]);
+      // The CLI's checked accessor: a negative, malformed or out-of-range
+      // count is refused, never read as auto.
+      try {
+        SetNumThreads(static_cast<int>(Flags::Parse(2, argv + i).GetUint(
+            "threads", 0, std::numeric_limits<int>::max())));
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
         std::exit(2);
       }
-      SetNumThreads(n);
     } else if (std::strcmp(argv[i], "--telemetry") == 0) {
       telemetry_path_ = argv[i + 1];
     } else if (std::strcmp(argv[i], "--trace") == 0) {

@@ -25,7 +25,6 @@
 #include "eval/runner.h"
 #include "eval/stream.h"
 #include "hw/hardware_model.h"
-#include "service/metrics.h"
 #include "workloads/casio.h"
 #include "workloads/rodinia.h"
 
@@ -299,18 +298,16 @@ BENCHMARK(BM_StreamTraceDecodeOnly)
     ->Complexity(benchmark::oN)
     ->Unit(benchmark::kMillisecond);
 
-/// The observability off-switch contract: with telemetry, tracing, the
-/// journal, and service metrics all disabled, every instrumentation
-/// entry point costs one relaxed atomic load + branch. This is the
-/// hot-path overhead gate for code that is instrumented everywhere
-/// (ParallelFor chunks, ROOT recursion, k-means iterations, service
-/// request paths); compare against BM_InstrumentationBaseline.
+/// The observability off-switch contract: with its three switches off
+/// (telemetry, which also gates memory accounting; trace events; the
+/// journal), every instrumentation entry point costs one relaxed atomic
+/// load + branch. This is the hot-path overhead gate for code that is
+/// instrumented everywhere (ParallelFor chunks, ROOT recursion, k-means
+/// iterations); compare against BM_InstrumentationBaseline.
 void BM_InstrumentationOff(benchmark::State& state) {
-  telemetry::SetEnabled(false);
+  telemetry::SetEnabled(false);  // Span, Account and AccountPeak
   trace_events::SetEnabled(false);
   journal::Close();  // disabled journal: Emit is one relaxed load
-  resource::SetAccountingEnabled(false);  // Account/AccountPeak likewise
-  service::ServiceMetrics metrics;  // default-disabled RecordRequest
   for (auto _ : state) {
     telemetry::Span span("bench.off");
     trace_events::Scope scope("bench.off");
@@ -318,10 +315,8 @@ void BM_InstrumentationOff(benchmark::State& state) {
     journal::Emit(journal::Severity::kInfo, "bench.off");
     resource::Account("bench.off", 1);
     resource::AccountPeak("bench.off", 1);
-    metrics.RecordRequest(service::Verb::kQuery, 1.0, true);
     benchmark::DoNotOptimize(&span);
     benchmark::DoNotOptimize(&scope);
-    benchmark::DoNotOptimize(&metrics);
   }
 }
 BENCHMARK(BM_InstrumentationOff);

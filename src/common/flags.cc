@@ -69,6 +69,20 @@ int64_t Flags::GetInt(const std::string& key, int64_t fallback) const {
   return *value;
 }
 
+uint64_t Flags::GetUint(const std::string& key, uint64_t fallback,
+                        uint64_t max) const {
+  read_.insert(key);
+  auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  const std::optional<uint64_t> value = ParseUint(it->second);
+  if (!value || *value > max)
+    throw std::invalid_argument("Flags: --" + key +
+                                " expects an integer in [0, " +
+                                std::to_string(max) + "], got '" +
+                                it->second + "'");
+  return *value;
+}
+
 bool Flags::GetBool(const std::string& key, bool fallback) const {
   read_.insert(key);
   auto it = values_.find(key);

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -31,6 +32,11 @@ class Flags {
                         const std::string& fallback) const;
   double GetDouble(const std::string& key, double fallback) const;
   int64_t GetInt(const std::string& key, int64_t fallback) const;
+  /// A count or size: throws std::invalid_argument naming the flag when
+  /// the value is negative or above `max` (the range of the field it is
+  /// narrowed into), instead of letting the cast wrap it.
+  uint64_t GetUint(const std::string& key, uint64_t fallback,
+                   uint64_t max = std::numeric_limits<uint64_t>::max()) const;
   bool GetBool(const std::string& key, bool fallback) const;
 
   /// Required string; throws std::invalid_argument when missing.

@@ -74,7 +74,7 @@ class Histogram {
 /// bucket i (1 <= i <= bins-2) covers [lo*growth^(i-1), lo*growth^i); the
 /// last bucket is the overflow bin. Record() is wait-free (one relaxed
 /// fetch_add per bucket plus CAS loops for sum/max), so concurrent server
-/// threads record without a lock and a sampler thread can read a
+/// threads record without a lock and a reader (the metrics exporter) sees a
 /// consistent-enough view mid-run. Counts never decrease; readers see
 /// monotone totals (the Prometheus counter contract).
 ///

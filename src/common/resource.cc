@@ -3,13 +3,9 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -29,8 +25,6 @@ namespace {
 // reported one by this factor (hysteresis: growth is logged in ~20%
 // steps, not every page).
 constexpr double kHighwaterStep = 1.2;
-
-std::atomic<bool> g_accounting_enabled{false};
 
 /// Logical category state. Charges land at coarse sites (per pipeline
 /// stage, per rep, per lane build, per feed chunk), so one mutex around
@@ -114,9 +108,6 @@ void FoldSample(const PhysicalSample& sample) {
   if (rss > 0) {
     g_current_rss.store(rss, std::memory_order_relaxed);
     FoldMax(g_peak_rss, rss);
-    if (telemetry::Enabled())
-      telemetry::Record("resource.rss_mb",
-                        static_cast<double>(rss) / (1024.0 * 1024.0));
   }
   if (sample.hwm_bytes) FoldMax(g_peak_rss, *sample.hwm_bytes);
   if (sample.max_rss_bytes) FoldMax(g_peak_rss, *sample.max_rss_bytes);
@@ -151,59 +142,10 @@ void FoldSample(const PhysicalSample& sample) {
   }
 }
 
-/// Background sampler: the MetricsExporter shape — mutex+cv loop,
-/// final sample in the destructor so even sub-interval runs observe
-/// at least two points.
-class SamplerThread {
- public:
-  explicit SamplerThread(uint64_t interval_ms)
-      : interval_ms_(interval_ms == 0 ? 1 : interval_ms),
-        thread_([this] { Run(); }) {}
-
-  ~SamplerThread() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-    SamplePhysical();
-  }
-
- private:
-  void Run() {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!stop_) {
-      lock.unlock();
-      SamplePhysical();
-      lock.lock();
-      cv_.wait_for(lock, std::chrono::milliseconds(interval_ms_),
-                   [this] { return stop_; });
-    }
-  }
-
-  const uint64_t interval_ms_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
-
-std::mutex g_sampler_mu;
-std::unique_ptr<SamplerThread> g_sampler;
-
 }  // namespace
 
-void SetAccountingEnabled(bool enabled) {
-  g_accounting_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool AccountingEnabled() {
-  return g_accounting_enabled.load(std::memory_order_relaxed);
-}
-
 void Account(std::string_view category, uint64_t bytes) {
-  if (!g_accounting_enabled.load(std::memory_order_relaxed)) return;
+  if (!telemetry::Enabled()) return;
   AccountState& state = Accounts();
   std::lock_guard<std::mutex> lock(state.mu);
   Category& cat = state.categories[std::string(category)];
@@ -212,7 +154,7 @@ void Account(std::string_view category, uint64_t bytes) {
 }
 
 void AccountPeak(std::string_view category, uint64_t bytes) {
-  if (!g_accounting_enabled.load(std::memory_order_relaxed)) return;
+  if (!telemetry::Enabled()) return;
   AccountState& state = Accounts();
   std::lock_guard<std::mutex> lock(state.mu);
   Category& cat = state.categories[std::string(category)];
@@ -312,26 +254,6 @@ PhysicalSample SamplePhysical() {
 uint64_t PeakRssBytes() {
   SamplePhysical();
   return g_peak_rss.load(std::memory_order_relaxed);
-}
-
-uint64_t CurrentRssBytes() {
-  return g_current_rss.load(std::memory_order_relaxed);
-}
-
-void StartSampler(uint64_t interval_ms) {
-  std::lock_guard<std::mutex> lock(g_sampler_mu);
-  if (g_sampler) return;
-  g_sampler = std::make_unique<SamplerThread>(interval_ms);
-}
-
-void StopSampler() {
-  std::lock_guard<std::mutex> lock(g_sampler_mu);
-  g_sampler.reset();
-}
-
-bool SamplerRunning() {
-  std::lock_guard<std::mutex> lock(g_sampler_mu);
-  return g_sampler != nullptr;
 }
 
 Stats GetStats() {

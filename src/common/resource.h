@@ -1,6 +1,6 @@
 /// \file
 /// Process-resource observability (DESIGN.md §15): deterministic logical
-/// memory accounting plus a low-overhead physical RSS/CPU sampler.
+/// memory accounting plus on-demand physical RSS/CPU sampling.
 ///
 /// The pipeline has rich *time* observability (telemetry spans, trace
 /// events, latency histograms, the journal) but memory — the resource
@@ -31,19 +31,21 @@
 /// mirroring the `cache.*`/`service.*` telemetry-counter exclusions.
 ///
 /// **Physical sampling** reads `/proc/self/statm`, `/proc/self/status`
-/// (VmRSS/VmHWM) and getrusage into monotonic high-water atomics, either
-/// on demand (`SamplePhysical`) or from a background sampler thread
-/// (`StartSampler`; serve mode turns it on, `--resource-sample-ms N` opts
-/// in everywhere else). Physical numbers
-/// are environmental: they go into the manifest `mem` block and the
-/// Prometheus exposition but never into fingerprints or compare gates.
+/// (VmRSS/VmHWM) and getrusage into monotonic high-water atomics on
+/// demand (`SamplePhysical`): when a manifest is stamped, on every
+/// `stats` reply and exposition write, and when a served session closes.
+/// The peak needs no background thread: the kernel keeps its own high
+/// water (VmHWM, ru_maxrss). Physical numbers are environmental: they go
+/// into the manifest `mem` block and the Prometheus exposition but never
+/// into fingerprints or compare gates.
 /// Missing or truncated `/proc` files are absent-not-fatal (containers
 /// and non-Linux hosts degrade to getrusage or to nothing).
 ///
-/// **Cost contract.** Accounting is off by default; `Account` and
-/// `AccountPeak` first check one relaxed atomic and return — the same
-/// contract as telemetry/trace_events/journal, pinned by
-/// BM_InstrumentationOff. The sampler costs nothing when not started.
+/// **Cost contract.** Accounting rides the telemetry switch
+/// (`telemetry::Enabled()`, the process switch; a thread's muted
+/// `telemetry::Scope` still charges). When it is off, `Account` and
+/// `AccountPeak` check one relaxed atomic and return -- the same contract
+/// as telemetry/trace_events/journal, pinned by BM_InstrumentationOff.
 
 #pragma once
 
@@ -59,21 +61,14 @@ namespace stemroot::resource {
 // Logical accounting (deterministic, compare-gated)
 // ---------------------------------------------------------------------------
 
-/// Turn logical accounting on or off (default off). Flipping the switch
-/// does not clear existing charges; pair with ResetAccounting() for a
-/// fresh run.
-void SetAccountingEnabled(bool enabled);
-
-/// One relaxed atomic load — the hot-path guard.
-bool AccountingEnabled();
-
-/// Charge `bytes` to `category`'s running total (no-op when disabled).
+/// Charge `bytes` to `category`'s running total (no-op when telemetry is
+/// off; ResetAccounting() starts a fresh run).
 /// Charge-only: totals never decrease, so the category peak equals the
 /// final sum at any thread count.
 void Account(std::string_view category, uint64_t bytes);
 
 /// Fold one deterministic per-call byte count into `category`'s peak
-/// with max() (no-op when disabled). `bytes` must be derived from
+/// with max() (no-op when telemetry is off). `bytes` must be derived from
 /// seed/config/index only — never from scheduling.
 void AccountPeak(std::string_view category, uint64_t bytes);
 
@@ -123,40 +118,19 @@ PhysicalSample ReadProcFiles(const std::string& statm_path,
 
 /// Take one live observation of this process (/proc/self + getrusage)
 /// and fold it into the monotonic high-water state below. Safe to call
-/// from any thread at any time; the sampler thread calls it every tick.
+/// from any thread at any time. Emits a warn-severity "mem_highwater"
+/// journal event when the peak beats the last reported one by >= 20%
+/// (visible, never gated -- regress gates journal errors only).
 PhysicalSample SamplePhysical();
 
 /// Highest RSS ever observed for this process: max over VmHWM,
 /// ru_maxrss, and every sampled VmRSS. 0 when no source was available.
-/// Folds one fresh SamplePhysical() first, so the value is current even
-/// when the sampler never ran.
+/// Folds one fresh SamplePhysical() first, so the value is current.
 uint64_t PeakRssBytes();
-
-/// Most recently sampled RSS (0 before the first sample).
-uint64_t CurrentRssBytes();
-
-// ---------------------------------------------------------------------------
-// Background sampler
-// ---------------------------------------------------------------------------
-
-/// Start the background sampler thread at the given tick interval. Each
-/// tick takes one SamplePhysical(), records the RSS into the
-/// "resource.rss_mb" telemetry distribution (when telemetry is enabled),
-/// and emits a warn-severity "mem_highwater" journal event when RSS
-/// crosses a new high-water mark by >= 20% (slow-request-style: visible,
-/// never gated — regress gates errors only). No-op when already running; interval_ms == 0 is
-/// clamped to 1.
-void StartSampler(uint64_t interval_ms);
-
-/// Stop and join the sampler thread (one final sample is taken). Safe
-/// when not running.
-void StopSampler();
-
-bool SamplerRunning();
 
 /// Cumulative physical-side statistics since process start.
 struct Stats {
-  uint64_t samples = 0;           ///< sampler ticks + on-demand samples
+  uint64_t samples = 0;           ///< SamplePhysical() calls so far
   uint64_t current_rss_bytes = 0;
   uint64_t peak_rss_bytes = 0;    ///< monotonic high water
   double user_cpu_seconds = 0.0;  ///< from the latest sample

@@ -41,6 +41,10 @@ std::optional<int64_t> ParseInt(std::string_view s) {
   return ParseFullString<int64_t>(s);
 }
 
+std::optional<uint64_t> ParseUint(std::string_view s) {
+  return ParseFullString<uint64_t>(s);
+}
+
 std::string FormatDouble(double v) {
   char buf[64];
   const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);

@@ -23,6 +23,7 @@ std::string Format(const char* fmt, ...)
 /// std::stod/strtod which honor its decimal point.
 std::optional<double> ParseDouble(std::string_view s);
 std::optional<int64_t> ParseInt(std::string_view s);
+std::optional<uint64_t> ParseUint(std::string_view s);  ///< '-' is malformed
 
 /// Locale-independent shortest round-trip formatting (std::to_chars):
 /// the shortest decimal string that parses back to exactly `v`.

@@ -48,7 +48,7 @@ StemClustering BuildStemClusters(const KernelTrace& trace,
   }
   trace_events::CounterValue("stem.clusters",
                              static_cast<double>(out.clusters.size()));
-  if (resource::AccountingEnabled()) {
+  if (telemetry::Enabled()) {
     // Transient per-call state: the clustering is a pure function of the
     // trace, so this byte count is deterministic and max() over
     // concurrent callers is schedule-invariant.

@@ -12,6 +12,7 @@
 #include "common/cache.h"
 #include "common/json.h"
 #include "common/str.h"
+#include "eval/metrics.h"
 #include "eval/stage_report.h"
 
 namespace stemroot::eval {
@@ -503,6 +504,15 @@ void RunManifest::FillFromSnapshot(const telemetry::Snapshot& snapshot) {
   for (const StageReport::Stage& s : report.Stages())
     stages.push_back({s.name, s.count, s.total_us});
   counters = snapshot.Counters();
+}
+
+void RunManifest::FillMetrics(const EvalResult& result) {
+  metrics.present = true;
+  metrics.error_pct = result.error_pct;
+  metrics.theoretical_error_pct = result.theoretical_error_pct;
+  metrics.speedup = result.speedup;
+  metrics.num_samples = result.num_samples;
+  metrics.num_clusters = result.num_clusters;
 }
 
 bool ValidateManifestJson(std::string_view text, std::string* error) {

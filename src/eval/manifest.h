@@ -66,6 +66,8 @@
 
 namespace stemroot::eval {
 
+struct EvalResult;  // eval/metrics.h
+
 inline constexpr std::string_view kManifestSchema = "stemroot-manifest-v1";
 
 /// One run's provenance + results. Field meanings in the schema above.
@@ -132,7 +134,7 @@ struct RunManifest {
   struct Mem {
     bool present = false;  ///< serialized only when true
     uint64_t peak_rss_bytes = 0;  ///< physical high water (0 = unknown)
-    uint64_t samples = 0;         ///< sampler ticks folded into the peak
+    uint64_t samples = 0;         ///< physical samples taken so far
     std::map<std::string, uint64_t> logical;  ///< category -> peak bytes
   };
 
@@ -194,6 +196,9 @@ struct RunManifest {
   /// first, then other span names alphabetically) and `counters` from a
   /// telemetry snapshot.
   void FillFromSnapshot(const telemetry::Snapshot& snapshot);
+
+  /// Fill `metrics` from one evaluation's headline numbers.
+  void FillMetrics(const EvalResult& result);
 
   /// Stamp `build` from this binary's GetBuildInfo().
   void StampBuild() { build = GetBuildInfo(); }

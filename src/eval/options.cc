@@ -1,10 +1,10 @@
 #include "eval/options.h"
 
+#include <limits>
 #include <stdexcept>
 
 #include "common/log.h"
 #include "common/parallel.h"
-#include "common/resource.h"
 #include "common/telemetry.h"
 #include "common/trace_events.h"
 #include "eval/trace_cache.h"
@@ -36,26 +36,19 @@ void CommonOptions::Validate() const {
 
 CommonOptions ParseCommonOptions(const Flags& flags, bool pipeline_command) {
   CommonOptions options;
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  options.seed = flags.GetUint("seed", 42);
   options.scale = flags.GetDouble("scale", 1.0);
-  options.threads = static_cast<int>(flags.GetInt("threads", 0));
+  options.threads = static_cast<int>(
+      flags.GetUint("threads", 0, std::numeric_limits<int>::max()));
   options.telemetry_path = flags.GetString("telemetry", "");
   options.trace_path = flags.GetString("trace", "");
   options.log_level = flags.GetString("log-level", "");
-  const int64_t sample_ms = flags.GetInt("resource-sample-ms", 0);
-  if (sample_ms < 0)
-    throw std::invalid_argument(
-        "options: --resource-sample-ms must be >= 0");
-  options.resource_sample_ms = static_cast<uint64_t>(sample_ms);
   if (pipeline_command) {
     options.cache_dir = flags.GetString("cache", DefaultTraceCacheDir());
     options.manifest_path = flags.GetString("manifest", "");
     options.ledger_path = flags.GetString("ledger", "");
-    const int64_t chunk = flags.GetInt("trace-chunk-invocations", 0);
-    if (chunk < 0)
-      throw std::invalid_argument(
-          "options: --trace-chunk-invocations must be >= 0");
-    options.trace_chunk_invocations = static_cast<uint64_t>(chunk);
+    options.trace_chunk_invocations =
+        flags.GetUint("trace-chunk-invocations", 0);
     options.trace_spill_dir = flags.GetString("trace-spill", "");
   }
   options.Validate();
@@ -72,12 +65,6 @@ void ApplyCommonOptions(const CommonOptions& options) {
   if (!options.log_level.empty())
     SetLogLevel(*LogLevelFromName(options.log_level));
   if (!options.cache_dir.empty()) SetTraceCacheDir(options.cache_dir);
-  // Manifest/ledger emission implies logical mem accounting the same way
-  // it implies telemetry: the manifest's mem block is part of the record.
-  if (!options.manifest_path.empty() || !options.ledger_path.empty())
-    resource::SetAccountingEnabled(true);
-  if (options.resource_sample_ms > 0)
-    resource::StartSampler(options.resource_sample_ms);
 }
 
 workloads::SuiteId ResolveSuite(const std::string& name) {

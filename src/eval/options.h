@@ -46,12 +46,6 @@ struct CommonOptions {
   uint64_t trace_chunk_invocations = 0;
   /// --trace-spill: directory for the chunked on-disk spill ("" = off).
   std::string trace_spill_dir;
-  /// --resource-sample-ms: background RSS/CPU sampler cadence
-  /// (common/resource.h); 0 = sampler off (the default everywhere but
-  /// `stemroot serve`, which flips it on in ServerOptions). Logical mem
-  /// accounting is independent of the sampler: pipeline commands enable
-  /// it whenever a manifest or ledger is requested.
-  uint64_t resource_sample_ms = 0;
 
   /// The pipeline-facing subset (seed + scale).
   Pipeline::Options ToPipelineOptions() const;
@@ -69,7 +63,8 @@ CommonOptions ParseCommonOptions(const Flags& flags, bool pipeline_command);
 
 /// Apply the process-global side of the options: thread count, telemetry
 /// and trace-event switches (manifest/ledger emission implies telemetry
-/// collection), log level, and the profiled-trace cache directory.
+/// collection, and with it logical mem accounting -- common/resource.h),
+/// log level, and the profiled-trace cache directory.
 /// Idempotent; call once per invocation before pipeline work starts.
 void ApplyCommonOptions(const CommonOptions& options);
 

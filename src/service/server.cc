@@ -26,7 +26,6 @@
 #include "common/journal.h"
 #include "common/json.h"
 #include "common/log.h"
-#include "common/resource.h"
 #include "service/metrics.h"
 #include "service/protocol.h"
 
@@ -242,13 +241,6 @@ int RunServer(const ServerOptions& options) {
     ThrowErrno("listen");
   }
 
-  // Resource observability is on by default in serve mode (DESIGN.md
-  // §15): logical accounting for the per-session peaks, plus the
-  // background RSS/CPU sampler unless the cadence was zeroed out.
-  resource::SetAccountingEnabled(true);
-  if (options.resource_sample_ms > 0)
-    resource::StartSampler(options.resource_sample_ms);
-
   Service service(options.service);
   SessionBroker broker(service);
   std::atomic<bool> stop{false};
@@ -284,9 +276,6 @@ int RunServer(const ServerOptions& options) {
   for (std::thread& t : connections) t.join();
   ::close(listen_fd);
   ::unlink(options.socket_path.c_str());
-  // Sampler down before the final export so the exporter's last scrape
-  // (in its destructor) reflects the true final high water.
-  resource::StopSampler();
   // Final export happens in the exporter's destructor, after every
   // connection drained — the on-disk file ends at the true final counts.
   exporter.reset();

@@ -34,12 +34,6 @@ struct ServerOptions {
   /// starts so session lifecycle events from the first connection land
   /// in it. See common/journal.h.
   std::string journal_path;
-  /// Background RSS/CPU sampler cadence (common/resource.h). Serve is
-  /// the one mode where resource observability defaults ON: a resident
-  /// process is exactly where memory pressure accrues invisibly. 0
-  /// disables the sampler (accounting stays on — it is request-driven
-  /// and costs one relaxed load when idle).
-  uint64_t resource_sample_ms = 250;
 };
 
 /// Serve until a shutdown request arrives. Returns 0 on a clean shutdown;

@@ -57,23 +57,17 @@ std::unique_ptr<core::Sampler> MakeSessionSampler(const SessionConfig& config) {
 /// request/error counters on scope exit (success vs. in-flight exception
 /// told apart by the uncaught-exception count), and journals a
 /// warn-severity "request.slow" event past the configured threshold.
-/// When metrics are disabled the constructor is one relaxed atomic load
-/// and the destructor a branch — the instrumentation-off cost contract.
 class RequestTimer {
  public:
   RequestTimer(ServiceMetrics& metrics, Verb verb, double slow_us,
                SessionId id = 0)
       : metrics_(metrics), verb_(verb), slow_us_(slow_us), id_(id),
-        active_(metrics.Enabled()),
-        uncaught_(std::uncaught_exceptions()) {
-    if (active_) start_ = std::chrono::steady_clock::now();
-  }
+        uncaught_(std::uncaught_exceptions()) {}
 
   RequestTimer(const RequestTimer&) = delete;
   RequestTimer& operator=(const RequestTimer&) = delete;
 
   ~RequestTimer() {
-    if (!active_) return;
     const double us = std::chrono::duration<double, std::micro>(
                           std::chrono::steady_clock::now() - start_)
                           .count();
@@ -91,9 +85,9 @@ class RequestTimer {
   Verb verb_;
   double slow_us_;
   SessionId id_;
-  bool active_;
   int uncaught_;
-  std::chrono::steady_clock::time_point start_;
+  std::chrono::steady_clock::time_point start_ =
+      std::chrono::steady_clock::now();
 };
 
 /// Hand the pages freed so far back to the OS. glibc keeps freed memory
@@ -106,15 +100,6 @@ void ReturnFreedPages() {
 #ifdef __GLIBC__
   malloc_trim(0);
 #endif
-}
-
-void FillMetrics(eval::RunManifest& manifest, const eval::EvalResult& result) {
-  manifest.metrics.present = true;
-  manifest.metrics.error_pct = result.error_pct;
-  manifest.metrics.theoretical_error_pct = result.theoretical_error_pct;
-  manifest.metrics.speedup = result.speedup;
-  manifest.metrics.num_samples = result.num_samples;
-  manifest.metrics.num_clusters = result.num_clusters;
 }
 
 }  // namespace
@@ -172,7 +157,6 @@ Service::Service(const ServiceOptions& options) : options_(options) {
   if (options_.threads >= 0) SetNumThreads(options_.threads);
   if (!options_.cache_dir.empty()) eval::SetTraceCacheDir(options_.cache_dir);
   if (options_.enable_telemetry) telemetry::SetEnabled(true);
-  if (options_.enable_metrics) metrics_.SetEnabled(true);
 }
 
 Service::~Service() = default;
@@ -499,7 +483,7 @@ eval::RunManifest Service::CloseSession(SessionId id) {
   manifest.config.seed = session->config.seed;
   manifest.config.reps = session->config.reps;
   manifest.config.threads = NumThreads();
-  if (session->last_eval) FillMetrics(manifest, *session->last_eval);
+  if (session->last_eval) manifest.FillMetrics(*session->last_eval);
   // Counters that never grew stay out. The service.* ones come from
   // session-local tallies: the sink saw only the verbs under its scope.
   manifest.FillFromSnapshot(session->telemetry.Capture());
@@ -527,6 +511,10 @@ eval::RunManifest Service::CloseSession(SessionId id) {
     manifest.journal.dropped = js.dropped;
     manifest.journal.errors = js.errors;
   }
+  // The session is at its largest here: one physical sample lets a new
+  // high water reach the journal as "mem_highwater" even when nothing
+  // scrapes the server.
+  resource::SamplePhysical();
   lock.unlock();
   session.reset();
   ReturnFreedPages();
@@ -535,7 +523,6 @@ eval::RunManifest Service::CloseSession(SessionId id) {
 
 ServiceStats Service::GetStats() const {
   ServiceStats stats;
-  stats.metrics_enabled = metrics_.Enabled();
   stats.uptime_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     started_at_)
@@ -556,8 +543,8 @@ ServiceStats Service::GetStats() const {
   stats.journal_emitted = js.emitted;
   stats.journal_dropped = js.dropped;
   stats.journal_errors = js.errors;
-  // One fresh physical observation per stats assembly, so the exposition
-  // stays live even between sampler ticks.
+  // One fresh physical observation per stats assembly keeps the
+  // exposition live.
   resource::SamplePhysical();
   const resource::Stats rs = resource::GetStats();
   stats.process_rss_bytes = rs.current_rss_bytes;
@@ -598,7 +585,7 @@ eval::EvalResult Service::RunBatch(const SessionConfig& config,
     }
   }
   const eval::EvalResult result = pipeline.Evaluate(*sampler, config.reps);
-  if (manifest != nullptr) FillMetrics(*manifest, result);
+  if (manifest != nullptr) manifest->FillMetrics(result);
   return result;
 }
 

@@ -77,13 +77,9 @@ struct ServiceOptions {
   int threads = -1;            ///< -1 = leave; else SetNumThreads(threads)
   std::string cache_dir;       ///< "" = leave; "none" = disable the cache
   bool enable_telemetry = false;  ///< true = telemetry::SetEnabled(true)
-  /// Per-verb latency histograms + request counters (service/metrics.h).
-  /// Off by default so the batch RunBatch path pays one atomic load;
-  /// `stemroot serve` turns it on.
-  bool enable_metrics = false;
   /// Journal a warn-severity "request.slow" event for any verb slower
-  /// than this (microseconds; 0 disables). Needs enable_metrics and an
-  /// open journal to have any effect.
+  /// than this (microseconds; 0 disables). Needs an open journal to have
+  /// any effect.
   double slow_request_us = 0.0;
 
   void Validate() const;  ///< throws std::invalid_argument
@@ -223,8 +219,8 @@ class Service {
 
   size_t NumOpenSessions() const;
 
-  /// The live observability surface (enabled via
-  /// ServiceOptions::enable_metrics).
+  /// The live observability surface: per-verb latency and request
+  /// counts, always recorded.
   ServiceMetrics& Metrics() { return metrics_; }
   const ServiceMetrics& Metrics() const { return metrics_; }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace stemroot {
 namespace {
 
@@ -38,6 +41,44 @@ TEST(FlagsTest, TypedParsingErrors) {
   EXPECT_THROW(flags.GetDouble("epsilon", 0.0), std::invalid_argument);
   EXPECT_THROW(flags.GetInt("reps", 0), std::invalid_argument);
   EXPECT_THROW(flags.GetBool("flush", false), std::invalid_argument);
+}
+
+/// The message of the std::invalid_argument `get` throws ("" if none).
+template <typename Get>
+std::string Refusal(Get get) {
+  try {
+    get();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FlagsTest, GetUintRefusesWhatACastWouldWrap) {
+  const Flags flags =
+      Make({"--reps", "7", "--plus", "+3", "--neg", "-1", "--big",
+            "4294967296", "--huge", "18446744073709551616", "--text", "abc",
+            "--max", "18446744073709551615"});
+  EXPECT_EQ(flags.GetUint("reps", 0, 10), 7u);
+  EXPECT_EQ(flags.GetUint("plus", 0), 3u);  // a leading '+', as GetInt
+  EXPECT_EQ(flags.GetUint("absent", 5, 1), 5u);  // the fallback is trusted
+  EXPECT_EQ(flags.GetUint("max", 0), 18446744073709551615u);
+  EXPECT_EQ(flags.GetUint("big", 0), 4294967296u);  // fits without a max
+
+  // Each refusal names the flag and the accepted range.
+  EXPECT_EQ(Refusal([&] { flags.GetUint("neg", 0); }),
+            "Flags: --neg expects an integer in [0, 18446744073709551615], "
+            "got '-1'");
+  EXPECT_EQ(Refusal([&] { flags.GetUint("big", 0, 4294967295u); }),
+            "Flags: --big expects an integer in [0, 4294967295], got "
+            "'4294967296'");
+  EXPECT_NE(Refusal([&] { flags.GetUint("huge", 0); }), "");
+  EXPECT_NE(Refusal([&] { flags.GetUint("text", 0); }), "");
+  EXPECT_NE(Refusal([&] { flags.GetUint("reps", 0, 6); }), "");
+
+  // A refused flag still counts as read: the error is the range, not an
+  // unknown flag.
+  EXPECT_NO_THROW(flags.CheckAllRead());
 }
 
 TEST(FlagsTest, BoolAcceptsCanonicalForms) {

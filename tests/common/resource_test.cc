@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/telemetry.h"
 
 #ifndef SR_TESTDATA_DIR
 #error "SR_TESTDATA_DIR must point at tests/common/testdata"
@@ -19,16 +19,17 @@ std::string Fixture(const std::string& name) {
   return std::string(SR_TESTDATA_DIR) + "/" + name;
 }
 
-/// Accounting state is process-global; every test that touches it starts
-/// from a clean slate and leaves the switch off (the process default).
+/// Accounting state is process-global and rides the telemetry switch;
+/// every test that touches it starts from a clean slate and leaves the
+/// switch off (the process default).
 class AccountingTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    SetAccountingEnabled(false);
+    telemetry::SetEnabled(false);
     ResetAccounting();
   }
   void TearDown() override {
-    SetAccountingEnabled(false);
+    telemetry::SetEnabled(false);
     ResetAccounting();
   }
 };
@@ -136,14 +137,36 @@ TEST(ResourceParseTest, ReadProcFilesMissingFilesAbsentNotFatal) {
 }
 
 TEST_F(AccountingTest, DisabledIsNoOp) {
-  EXPECT_FALSE(AccountingEnabled());
+  EXPECT_FALSE(telemetry::Enabled());
   Account("trace", 1000);
   AccountPeak("sim", 2000);
   EXPECT_TRUE(LogicalPeaks().empty());
 }
 
+TEST_F(AccountingTest, TelemetrySwitchGatesChargesButAMutedScopeDoesNot) {
+  Account("trace", 1);  // telemetry off: nothing lands
+  AccountPeak("sim", 1);
+  EXPECT_TRUE(LogicalPeaks().empty());
+
+  telemetry::SetEnabled(true);
+  Account("trace", 100);
+  AccountPeak("sim", 200);
+  {
+    // A muted thread (a session's streaming fold) records no telemetry,
+    // but its memory is still the process's memory.
+    const telemetry::Scope mute(nullptr);
+    Account("trace", 5);
+    AccountPeak("service.session", 300);
+  }
+  const std::map<std::string, uint64_t> peaks = LogicalPeaks();
+  ASSERT_EQ(peaks.size(), 3u);
+  EXPECT_EQ(peaks.at("trace"), 105u);
+  EXPECT_EQ(peaks.at("sim"), 200u);
+  EXPECT_EQ(peaks.at("service.session"), 300u);
+}
+
 TEST_F(AccountingTest, AccountIsChargeOnly) {
-  SetAccountingEnabled(true);
+  telemetry::SetEnabled(true);
   Account("trace", 100);
   Account("trace", 50);
   Account("root", 7);
@@ -154,7 +177,7 @@ TEST_F(AccountingTest, AccountIsChargeOnly) {
 }
 
 TEST_F(AccountingTest, AccountPeakTakesMax) {
-  SetAccountingEnabled(true);
+  telemetry::SetEnabled(true);
   AccountPeak("sim", 500);
   AccountPeak("sim", 200);  // lower value never shrinks the peak
   AccountPeak("sim", 900);
@@ -162,7 +185,7 @@ TEST_F(AccountingTest, AccountPeakTakesMax) {
 }
 
 TEST_F(AccountingTest, ResetClearsCategories) {
-  SetAccountingEnabled(true);
+  telemetry::SetEnabled(true);
   Account("trace", 1);
   ResetAccounting();
   EXPECT_TRUE(LogicalPeaks().empty());
@@ -172,7 +195,7 @@ TEST_F(AccountingTest, ConcurrentChargesAreScheduleInvariant) {
   // The determinism contract: N threads issuing a fixed set of charges
   // always land on the same peaks — Account peaks equal the total sum,
   // AccountPeak peaks equal the max over the fixed per-call values.
-  SetAccountingEnabled(true);
+  telemetry::SetEnabled(true);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 1000;
   std::vector<std::thread> threads;
@@ -201,8 +224,8 @@ TEST(ResourceSamplerTest, SamplePhysicalFoldsIntoStats) {
   ASSERT_TRUE(sample.rss_bytes.has_value());
   EXPECT_GT(*sample.rss_bytes, 0u);
   EXPECT_GT(after.peak_rss_bytes, 0u);
-  EXPECT_GT(CurrentRssBytes(), 0u);
-  EXPECT_GE(after.peak_rss_bytes, CurrentRssBytes());
+  EXPECT_GT(after.current_rss_bytes, 0u);
+  EXPECT_GE(after.peak_rss_bytes, after.current_rss_bytes);
 #endif
   EXPECT_GE(after.user_cpu_seconds + after.system_cpu_seconds, 0.0);
 }
@@ -226,21 +249,6 @@ TEST(ResourceSamplerTest, PeakIsMonotone) {
   const uint64_t second = PeakRssBytes();
   EXPECT_GE(second, first);
   (void)ballast[ballast.size() / 2];
-}
-
-TEST(ResourceSamplerTest, StartStopLifecycle) {
-  EXPECT_FALSE(SamplerRunning());
-  const uint64_t samples_before = GetStats().samples;
-  StartSampler(1);
-  EXPECT_TRUE(SamplerRunning());
-  StartSampler(1);  // idempotent while running
-  EXPECT_TRUE(SamplerRunning());
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  StopSampler();
-  EXPECT_FALSE(SamplerRunning());
-  StopSampler();  // safe when not running
-  // At least the initial tick plus the final sample in the destructor.
-  EXPECT_GE(GetStats().samples, samples_before + 2);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "common/parallel.h"
 #include "common/resource.h"
 #include "common/rng.h"
+#include "common/telemetry.h"
 #include "core/sampler.h"
 #include "eval/metrics.h"
 #include "eval/pipeline.h"
@@ -132,7 +133,7 @@ TEST(ParallelDeterminismTest, LogicalMemPeaksIdenticalAcrossThreadCounts) {
   // per-category peaks are computed from container sizes, never from the
   // allocator or the schedule, so threads 1 and threads 4 must agree to
   // the byte. Physical RSS is environmental and deliberately unasserted.
-  resource::SetAccountingEnabled(true);
+  telemetry::SetEnabled(true);  // memory accounting rides telemetry
   resource::ResetAccounting();
   RunCasioSubset(1);
   const std::map<std::string, uint64_t> serial = DeterministicPeaks();
@@ -140,7 +141,8 @@ TEST(ParallelDeterminismTest, LogicalMemPeaksIdenticalAcrossThreadCounts) {
   resource::ResetAccounting();
   RunCasioSubset(4);
   const std::map<std::string, uint64_t> parallel = DeterministicPeaks();
-  resource::SetAccountingEnabled(false);
+  telemetry::SetEnabled(false);
+  telemetry::Reset();
   resource::ResetAccounting();
 
   // The pipeline charges at least trace/plan/eval/root on this path.

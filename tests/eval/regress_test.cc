@@ -294,8 +294,9 @@ TEST(RegressTest, NoisyBaselineAbsorbsJitterViaMad) {
   const RegressReport report = CheckRegression(ledger, RegressOptions{});
   ASSERT_TRUE(report.checked);
   for (const GateResult& gate : report.gates)
-    if (gate.gate.rfind("perf:", 0) == 0)
+    if (gate.gate.rfind("perf:", 0) == 0) {
       EXPECT_FALSE(gate.regressed) << gate.gate << "\n" << report.ToText();
+    }
 }
 
 TEST(RegressTest, AccuracyBudgetGateNeedsNoHistory) {
@@ -364,8 +365,9 @@ TEST(RegressTest, WindowLimitsTheBaseline) {
   options.window = 0;
   const RegressReport full = CheckRegression(ledger, options);
   for (const GateResult& gate : full.gates)
-    if (gate.gate == "perf:wall_time")
+    if (gate.gate == "perf:wall_time") {
       EXPECT_FALSE(gate.regressed) << full.ToText();
+    }
 }
 
 TEST(RegressTest, PerfBaselineIsWarmthMatched) {

@@ -17,19 +17,8 @@ TEST(ServiceMetricsTest, VerbNamesAreCanonical) {
   EXPECT_STREQ(VerbName(Verb::kClose), "close");
 }
 
-TEST(ServiceMetricsTest, DisabledRecordingIsANoOp) {
-  ServiceMetrics metrics;
-  EXPECT_FALSE(metrics.Enabled());
-  metrics.RecordRequest(Verb::kFeed, 100.0, true);
-  metrics.RecordRequest(Verb::kFeed, 100.0, false);
-  EXPECT_EQ(metrics.Requests(Verb::kFeed), 0u);
-  EXPECT_EQ(metrics.Errors(Verb::kFeed), 0u);
-  EXPECT_EQ(metrics.Latency(Verb::kFeed).Count(), 0u);
-}
-
 TEST(ServiceMetricsTest, RecordRequestTracksPerVerb) {
   ServiceMetrics metrics;
-  metrics.SetEnabled(true);
   metrics.RecordRequest(Verb::kFeed, 100.0, true);
   metrics.RecordRequest(Verb::kFeed, 300.0, true);
   metrics.RecordRequest(Verb::kFeed, 200.0, false);
@@ -57,7 +46,6 @@ TEST(ServiceMetricsTest, RecordRequestTracksPerVerb) {
 
 TEST(ServiceMetricsTest, AllVerbsCoversEnumOrder) {
   ServiceMetrics metrics;
-  metrics.SetEnabled(true);
   metrics.RecordRequest(Verb::kClose, 10.0, true);
   const std::vector<VerbStats> all = metrics.AllVerbs();
   ASSERT_EQ(all.size(), kNumVerbs);
@@ -83,7 +71,6 @@ TEST(ServiceMetricsTest, RegisteredCounterSetIsClosedAndSorted) {
 
 ServiceStats MakeStats() {
   ServiceStats stats;
-  stats.metrics_enabled = true;
   stats.uptime_seconds = 12.5;
   stats.open_sessions = 1;
   stats.max_sessions = 8;

@@ -169,9 +169,7 @@ TEST_F(ProtocolTest, ParamsForwardToTheSampler) {
 }
 
 TEST(ProtocolMetricsTest, StatsReportsVerbLatenciesAndJournal) {
-  ServiceOptions options;
-  options.enable_metrics = true;
-  Service service(options);
+  Service service;
   SessionBroker broker(service);
   const auto Handle = [&broker](const std::string& line) {
     return broker.HandleLine(line);

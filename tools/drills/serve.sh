@@ -89,10 +89,11 @@ EARLY
   stop_server
 
   # Exposition format, counter and high-water monotonicity across the two
-  # scrapes, the sampler's process-memory families, and the journal.
+  # scrapes, the process and logical memory families, and the journal.
   "$sr" validate metrics metrics-mid.prom >/dev/null
   "$sr" validate metrics metrics.prom --prev metrics-mid.prom >/dev/null
-  for fam in stemroot_process_rss_bytes stemroot_process_hwm_bytes; do
+  for fam in stemroot_process_rss_bytes stemroot_process_hwm_bytes \
+      stemroot_mem_trace_bytes stemroot_mem_service_session_bytes; do
     grep -q "^$fam " metrics.prom || fail "exposition lacks $fam"
   done
   "$sr" validate journal journal.jsonl --require-event session.open >/dev/null

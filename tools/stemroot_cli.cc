@@ -57,6 +57,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -99,6 +100,9 @@
 using namespace stemroot;
 
 namespace {
+
+/// Upper bound of the 32-bit count flags (--reps, --trials, ...).
+constexpr uint64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
 
 int Usage() {
   std::fprintf(stderr, R"(usage: stemroot <command> [--flags]
@@ -182,9 +186,8 @@ resource observability (DESIGN.md section 15): pipeline commands with
 --manifest/--ledger record a "mem" block -- physical peak RSS
 (environmental, regress-gated against the rolling baseline) plus the
 deterministic logical per-category peaks (trace, root, plan, sim, eval,
-...) that `compare` gates byte-for-byte. serve samples RSS/CPU in the
-background by default and exports stemroot_process_*/stemroot_mem_*
-metrics; elsewhere the sampler is opt-in via --resource-sample-ms.
+...) that `compare` gates byte-for-byte. serve exports the same as
+stemroot_process_*/stemroot_mem_* metrics, read fresh at every scrape.
 
 audit compares every ROOT cluster's predicted error bound (Eq. 2 under
 the KKT allocation) against the realized error of seeded sampling plans;
@@ -249,10 +252,6 @@ every command accepts:
                      rounds) and write chrome://tracing / Perfetto JSON.
   --log-level L      silent|warn|inform|debug (default warn).
   --seed N           master seed; every stage derives its own stream.
-  --resource-sample-ms N
-                     sample RSS/CPU every N ms in the background (0 = off,
-                     the default; serve defaults on). physical peaks land
-                     in the manifest mem block and the metrics export.
 )");
   return 2;
 }
@@ -303,26 +302,14 @@ void FillSamplerConfig(eval::RunManifest& manifest, const Flags& flags) {
 }
 
 /// Stamp the manifest's mem block from the resource subsystem: the
-/// physical peak (always available via VmHWM/ru_maxrss, sampler or not)
-/// plus the deterministic logical per-category peaks. No-op when
-/// accounting never ran -- the block stays absent, and compare treats
-/// that as environmental, not drift.
+/// physical peak (from VmHWM/ru_maxrss) plus the deterministic logical
+/// per-category peaks, which telemetry -- on whenever a manifest or
+/// ledger is written -- has been charging all along.
 void FillMem(eval::RunManifest& manifest) {
-  if (!resource::AccountingEnabled()) return;
   manifest.mem.present = true;
   manifest.mem.peak_rss_bytes = resource::PeakRssBytes();
   manifest.mem.samples = resource::GetStats().samples;
   manifest.mem.logical = resource::LogicalPeaks();
-}
-
-void FillMetrics(eval::RunManifest& manifest,
-                 const eval::EvalResult& result) {
-  manifest.metrics.present = true;
-  manifest.metrics.error_pct = result.error_pct;
-  manifest.metrics.theoretical_error_pct = result.theoretical_error_pct;
-  manifest.metrics.speedup = result.speedup;
-  manifest.metrics.num_samples = result.num_samples;
-  manifest.metrics.num_clusters = result.num_clusters;
 }
 
 int CmdGenerate(const Flags& flags, const eval::CommonOptions& common,
@@ -368,7 +355,7 @@ int CmdProfile(const Flags& flags, const eval::CommonOptions& common,
 
 int CmdInfo(const Flags& flags, eval::RunManifest& manifest) {
   const std::string in = flags.Require("in");
-  const int64_t top = flags.GetInt("top", 10);
+  const uint64_t top = flags.GetUint("top", 10);
   flags.CheckAllRead();
 
   const KernelTrace trace = AssembleTrace(FileChunkSource(in));
@@ -384,7 +371,7 @@ int CmdInfo(const Flags& flags, eval::RunManifest& manifest) {
   const hw::WorkloadProfile profile = hw::WorkloadProfile::FromTrace(trace);
   std::printf("total %s; top kernels by time:\n",
               HumanDuration(profile.total_duration_us).c_str());
-  int64_t shown = 0;
+  uint64_t shown = 0;
   for (const hw::KernelProfile* kp : profile.ByTotalTime()) {
     if (shown++ >= top) break;
     std::printf("  %-36s n=%-8zu mean=%9.1fus CoV=%.3f peaks=%zu "
@@ -435,7 +422,8 @@ void PrintResult(const eval::EvalResult& result) {
 int CmdEvaluate(const Flags& flags, const eval::CommonOptions& common,
                 eval::RunManifest& manifest) {
   const std::string in = flags.Require("in");
-  const uint32_t reps = static_cast<uint32_t>(flags.GetInt("reps", 10));
+  const uint32_t reps =
+      static_cast<uint32_t>(flags.GetUint("reps", 10, kMaxU32));
   const std::unique_ptr<core::Sampler> sampler = MakeSampler(flags);
   FillSamplerConfig(manifest, flags);
   manifest.config.reps = reps;
@@ -445,7 +433,7 @@ int CmdEvaluate(const Flags& flags, const eval::CommonOptions& common,
       AssembleTrace(FileChunkSource(in)), common.ToPipelineOptions());
   pipeline.FillManifest(manifest);
   const eval::EvalResult result = pipeline.Evaluate(*sampler, reps);
-  FillMetrics(manifest, result);
+  manifest.FillMetrics(result);
   PrintResult(result);
   return 0;
 }
@@ -460,7 +448,7 @@ int CmdRun(const Flags& flags, const eval::CommonOptions& common,
   config.params = SamplerParamsFromFlags(flags);
   config.seed = common.seed;
   config.scale = common.scale;
-  config.reps = static_cast<uint32_t>(flags.GetInt("reps", 10));
+  config.reps = static_cast<uint32_t>(flags.GetUint("reps", 10, kMaxU32));
   config.suite = flags.Require("suite");
   config.workload = flags.Require("workload");
   config.gpu = flags.GetString("gpu", "rtx2080");
@@ -493,8 +481,7 @@ int CmdStream(const Flags& flags, const eval::CommonOptions& common,
   const workloads::SuiteId suite = eval::ResolveSuite(flags.Require("suite"));
   const std::string workload = flags.Require("workload");
   const hw::GpuSpec spec = eval::ResolveGpu(flags.GetString("gpu", "rtx2080"));
-  const uint64_t target =
-      static_cast<uint64_t>(flags.GetInt("target-invocations", 0));
+  const uint64_t target = flags.GetUint("target-invocations", 0);
   const bool cluster = flags.GetBool("cluster", true);
 
   eval::StreamOptions stream_options;
@@ -565,7 +552,8 @@ int CmdAudit(const Flags& flags, const eval::CommonOptions& common,
   const std::unique_ptr<core::Sampler> sampler = MakeSampler(flags);
 
   eval::AuditOptions options;
-  options.trials = static_cast<uint32_t>(flags.GetInt("trials", 10));
+  options.trials =
+      static_cast<uint32_t>(flags.GetUint("trials", 10, kMaxU32));
   options.seed = common.seed;
   options.size_scale = common.scale;
   // The audit's reference budget uses the same epsilon/confidence flags
@@ -750,8 +738,7 @@ int CmdCache(const Flags& flags) {
   const std::string action = pos.empty() ? "stats" : pos[0];
   const std::string dir =
       flags.GetString("cache", eval::DefaultTraceCacheDir());
-  const uint64_t max_bytes =
-      static_cast<uint64_t>(flags.GetInt("max-bytes", 0));
+  const uint64_t max_bytes = flags.GetUint("max-bytes", 0);
   flags.CheckAllRead();
   if (dir == "none" || dir.empty())
     throw std::invalid_argument("cache: --cache none names no directory");
@@ -833,14 +820,12 @@ int CmdRegress(const Flags& flags) {
       journal_path.empty() ? flags.Require("ledger")
                            : flags.GetString("ledger", "");
   eval::RegressOptions options;
-  options.window = static_cast<size_t>(flags.GetInt("window", 8));
-  options.min_history =
-      static_cast<size_t>(flags.GetInt("min-history", 2));
+  options.window = flags.GetUint("window", 8);
+  options.min_history = flags.GetUint("min-history", 2);
   options.mad_factor = flags.GetDouble("mad-factor", 3.0);
   options.rel_slack = flags.GetDouble("rel-slack", 0.02);
   options.accuracy_slack_pct = flags.GetDouble("accuracy-slack", 1e-6);
-  options.max_journal_errors = static_cast<uint64_t>(
-      flags.GetInt("max-journal-errors", 0));
+  options.max_journal_errors = flags.GetUint("max-journal-errors", 0);
   options.max_journal_dropped = flags.GetInt("max-journal-dropped", -1);
   flags.CheckAllRead();
 
@@ -1099,8 +1084,7 @@ int CmdJournal(const Flags& flags) {
   options.min_severity = flags.GetString("min-severity", "");
   options.event = flags.GetString("verb", "");
   options.follow = flags.GetBool("follow", false);
-  options.poll_ms =
-      static_cast<uint64_t>(flags.GetInt("poll-ms", 200));
+  options.poll_ms = flags.GetUint("poll-ms", 200);
   flags.CheckAllRead();
   if (!options.min_severity.empty() &&
       eval::SeverityRank(options.min_severity) < 0)
@@ -1122,13 +1106,10 @@ int CmdServe(const Flags& flags) {
   service::ServerOptions options;
   options.socket_path = flags.Require("socket");
   options.service.max_sessions =
-      static_cast<uint32_t>(flags.GetInt("max-sessions", 64));
+      static_cast<uint32_t>(flags.GetUint("max-sessions", 64, kMaxU32));
   // Session manifests need counter/stage telemetry; the trace cache makes
   // repeat OpenSession(workload) cheap, exactly like repeat `run`s.
   options.service.enable_telemetry = true;
-  // A resident server is the introspection use case: per-verb latency
-  // histograms on (the batch commands leave them off).
-  options.service.enable_metrics = true;
   options.service.slow_request_us =
       flags.GetDouble("slow-ms", 0.0) * 1000.0;
   options.service.cache_dir =
@@ -1137,12 +1118,6 @@ int CmdServe(const Flags& flags) {
   options.metrics_interval_seconds =
       flags.GetDouble("metrics-interval", 2.0);
   options.journal_path = flags.GetString("journal", "");
-  // Serve defaults the sampler ON (a resident process is where memory
-  // pressure accrues invisibly); an explicit --resource-sample-ms 0
-  // turns it off. ParseCommonOptions already consumed the flag, so this
-  // re-read just resolves serve's different default.
-  options.resource_sample_ms =
-      static_cast<uint64_t>(flags.GetInt("resource-sample-ms", 250));
   flags.CheckAllRead();
   return service::RunServer(options);
 }
@@ -1225,10 +1200,10 @@ void PrintStats(const json::Value& stats) {
 
 int CmdStats(const Flags& flags) {
   const std::string socket = flags.Require("socket");
-  const int watch = flags.GetInt("watch", 0);
+  const int watch = static_cast<int>(
+      flags.GetUint("watch", 0, std::numeric_limits<int>::max()));
   const bool raw = flags.GetBool("json", false);
   flags.CheckAllRead();
-  if (watch < 0) throw std::invalid_argument("stats: --watch must be >= 0");
 
   while (true) {
     const std::string response =
@@ -1339,9 +1314,6 @@ int main(int argc, char** argv) {
                      trace_events::RingCapacity());
     }
 
-    // Sampler down before the mem stamp so its final fold is part of
-    // the recorded peak (idempotent when it never ran).
-    resource::StopSampler();
     if (!manifest_path.empty() || !ledger_path.empty()) {
       manifest.completed = rc == 0;
       manifest.wall_time_seconds = std::chrono::duration<double>(
@@ -1362,7 +1334,6 @@ int main(int argc, char** argv) {
     return rc;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    resource::StopSampler();
     // Leave crash evidence: finalize the manifest as a failed run.
     if (!manifest_path.empty()) {
       try {
