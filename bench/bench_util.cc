@@ -18,7 +18,6 @@
 #include "core/sampler_registry.h"
 #include "eval/ledger.h"
 #include "eval/manifest.h"
-#include "eval/stage_report.h"
 #include "eval/trace_cache.h"
 
 namespace stemroot::bench {
@@ -26,9 +25,9 @@ namespace stemroot::bench {
 namespace {
 
 /// The flag pairs Session consumes; shared with StripFlags.
-constexpr const char* kSessionFlags[] = {"--threads", "--telemetry",
-                                         "--trace", "--log-level",
-                                         "--ledger", "--cache"};
+constexpr const char* kSessionFlags[] = {"--threads", "--trace",
+                                         "--log-level", "--ledger",
+                                         "--cache"};
 
 bool IsSessionFlag(const char* arg) {
   for (const char* flag : kSessionFlags)
@@ -64,8 +63,6 @@ Session::Session(int argc, const char* const* argv) {
         std::fprintf(stderr, "%s\n", e.what());
         std::exit(2);
       }
-    } else if (std::strcmp(argv[i], "--telemetry") == 0) {
-      telemetry_path_ = argv[i + 1];
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       trace_path_ = argv[i + 1];
     } else if (std::strcmp(argv[i], "--log-level") == 0) {
@@ -101,7 +98,7 @@ Session::Session(int argc, const char* const* argv) {
   eval::SetTraceCacheDir(cache_dir);
   std::printf("[threads: %d -- results are thread-count invariant]\n",
               threads_);
-  if (!telemetry_path_.empty()) telemetry::SetEnabled(true);
+  telemetry::SetEnabled(true);
   if (!trace_path_.empty()) trace_events::SetEnabled(true);
   start_ = std::chrono::steady_clock::now();
   // Flush the manifest up front with completed=false: a bench that
@@ -123,8 +120,7 @@ void Session::WriteManifest(bool completed) const {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start_)
           .count();
-  if (telemetry::Enabled())
-    manifest.FillFromSnapshot(telemetry::Capture());
+  manifest.FillFromSnapshot(telemetry::Capture());
 
   const std::string path = ResultsDir() + "/BENCH_" + name_ + ".json";
   try {
@@ -143,14 +139,6 @@ void Session::WriteManifest(bool completed) const {
 }
 
 Session::~Session() {
-  if (!telemetry_path_.empty()) {
-    try {
-      eval::WriteTelemetry(telemetry::Capture(), telemetry_path_);
-      std::printf("telemetry: %s\n", telemetry_path_.c_str());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "telemetry export failed: %s\n", e.what());
-    }
-  }
   if (!trace_path_.empty()) {
     try {
       trace_events::WriteTrace(trace_path_);
@@ -160,9 +148,9 @@ Session::~Session() {
     }
   }
 
-  // Finalize the run manifest (wall time, stages, counters) and append it
-  // to the perf ledger -- the always-on machine-readable summary sweep
-  // scripts and `stemroot regress` consume.
+  // Finalize the run manifest (wall time, stages, counters,
+  // distributions) and append it to the perf ledger -- the always-on
+  // machine-readable summary sweep scripts and `stemroot regress` consume.
   WriteManifest(/*completed=*/true);
 }
 

@@ -2,7 +2,8 @@
 /// Shared plumbing for the bench binaries: the standard sampler roster
 /// (Table 1's four methods + uniform random, built via the sampler
 /// registry), result directories, the experiment-wide default seed, and the
-/// Session helper every bench main opens first (threads + telemetry).
+/// Session helper every bench main opens first (threads, telemetry and
+/// the run manifest).
 ///
 /// Every bench prints the paper-table layout to stdout and mirrors the raw
 /// series into bench_results/*.csv (like the paper artifact's per-figure
@@ -50,11 +51,10 @@ struct SamplerSet {
 ///     ...
 ///   }
 ///
-/// Parses `--threads N` (0 = auto; STEMROOT_THREADS works too -- results
-/// are bit-identical at any thread count), `--telemetry FILE` (enables
-/// the telemetry subsystem; the destructor captures and writes the export,
-/// .csv extension selecting CSV over JSON), `--trace FILE` (records Chrome
-/// trace events, written by the destructor), `--log-level L`
+/// Turns telemetry on and parses `--threads N` (0 = auto;
+/// STEMROOT_THREADS works too -- results are bit-identical at any thread
+/// count), `--trace FILE` (records Chrome trace events, written by the
+/// destructor), `--log-level L`
 /// (silent|warn|inform|debug), `--ledger FILE` (override the run
 /// ledger path; `--ledger none` disables the append), and
 /// `--cache DIR|none` (relocate or disable the content-addressed
@@ -69,7 +69,7 @@ struct SamplerSet {
 /// manifest at bench_results/BENCH_<name>.json (the bench name is
 /// argv[0]'s basename): the constructor flushes it immediately with
 /// `"completed": false`, and the destructor rewrites it with the final
-/// wall time, build stamp, telemetry stage/counter data (when enabled),
+/// wall time, build stamp, telemetry stages, counters and distributions,
 /// and `"completed": true` -- so a crashed, OOM-killed, or timed-out
 /// bench still leaves evidence of what started and never finished. On
 /// clean completion the manifest is also appended to the perf ledger
@@ -89,13 +89,11 @@ class Session {
   /// Bench name derived from argv[0] (basename, no directories).
   const std::string& name() const { return name_; }
 
-  /// Remove the Session-consumed flag pairs (--threads, --telemetry,
-  /// --trace, --log-level, --ledger, --cache) from argv in place,
-  /// updating *argc:
-  /// benches
-  /// that forward argv to another parser (google-benchmark) call this
-  /// after constructing the Session so the foreign parser never sees our
-  /// flags.
+  /// Remove the Session-consumed flag pairs (--threads, --trace,
+  /// --log-level, --ledger, --cache) from argv in place, updating *argc:
+  /// benches that forward argv to another parser (google-benchmark) call
+  /// this after constructing the Session so the foreign parser never sees
+  /// our flags.
   static void StripFlags(int* argc, char** argv);
 
  private:
@@ -108,7 +106,6 @@ class Session {
   std::string benchmark_filter_;
   uint32_t benchmark_repetitions_ = 0;
   std::string name_;
-  std::string telemetry_path_;
   std::string trace_path_;
   std::string ledger_path_;  ///< empty = append disabled
   std::chrono::steady_clock::time_point start_;

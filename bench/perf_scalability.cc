@@ -333,11 +333,14 @@ BENCHMARK(BM_InstrumentationBaseline);
 }  // namespace
 
 /// Custom main instead of BENCHMARK_MAIN(): open the standard bench
-/// Session first (so --threads/--telemetry/--trace/--log-level and the
+/// Session first (so --threads/--trace/--log-level and the
 /// BENCH_perf_scalability.json summary work here like in every other
 /// bench), then strip those flags before google-benchmark parses argv.
+/// Telemetry goes back off: the loops time library calls, which must not
+/// pay for recording, so this bench's manifest has no stages or counters.
 int main(int argc, char** argv) {
   stemroot::bench::Session session(argc, argv);
+  stemroot::telemetry::SetEnabled(false);
   stemroot::bench::Session::StripFlags(&argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 
-#include "common/csv.h"
 #include "common/json.h"
 #include "common/str.h"
 #include "common/trace_events.h"
@@ -18,30 +17,15 @@ namespace {
 struct SpanAgg {
   uint64_t count = 0;
   double total_us = 0.0;
-  double min_us = 0.0;
-  double max_us = 0.0;
 
   void Add(double us) {
-    if (count == 0) {
-      min_us = max_us = us;
-    } else {
-      min_us = std::min(min_us, us);
-      max_us = std::max(max_us, us);
-    }
     ++count;
     total_us += us;
   }
 
   void Merge(const SpanAgg& other) {
-    if (other.count == 0) return;
-    if (count == 0) {
-      *this = other;
-      return;
-    }
     count += other.count;
     total_us += other.total_us;
-    min_us = std::min(min_us, other.min_us);
-    max_us = std::max(max_us, other.max_us);
   }
 };
 
@@ -175,8 +159,6 @@ std::map<SpanKey, SpanStats> ToSpanStats(
     stats.parent = key.second;
     stats.count = agg.count;
     stats.total_us = agg.total_us;
-    stats.min_us = agg.min_us;
-    stats.max_us = agg.max_us;
   }
   return out;
 }
@@ -199,21 +181,6 @@ DistSummary Summarize(const std::vector<double>& sorted) {
   s.p50 = quantile(0.50);
   s.p99 = quantile(0.99);
   return s;
-}
-
-void AppendDistJson(std::string& out, const DistSummary& s) {
-  out += Format("{\"count\":%llu,\"min\":",
-                static_cast<unsigned long long>(s.count));
-  out += json::Number(s.min);
-  out += ",\"mean\":";
-  out += json::Number(s.mean);
-  out += ",\"max\":";
-  out += json::Number(s.max);
-  out += ",\"p50\":";
-  out += json::Number(s.p50);
-  out += ",\"p99\":";
-  out += json::Number(s.p99);
-  out += '}';
 }
 
 }  // namespace
@@ -324,71 +291,31 @@ std::string Snapshot::CountersJson() const {
   return out;
 }
 
+std::map<std::string, DistSummary> Snapshot::Summaries() const {
+  std::map<std::string, DistSummary> out;
+  for (const auto& [name, vals] : values_) out[name] = Summarize(vals);
+  return out;
+}
+
 std::string Snapshot::DistributionsJson() const {
+  return telemetry::DistributionsJson(Summaries());
+}
+
+std::string DistributionsJson(
+    const std::map<std::string, DistSummary>& dists) {
   std::string out = "{";
-  bool first = true;
-  for (const auto& [name, vals] : values_) {
-    if (!first) out += ',';
-    first = false;
+  for (const auto& [name, s] : dists) {
+    if (out.size() > 1) out += ',';
     json::AppendString(out, name);
-    out += ':';
-    AppendDistJson(out, Summarize(vals));
+    out += Format(":{\"count\":%llu,\"min\":",
+                  static_cast<unsigned long long>(s.count));
+    out += json::Number(s.min) + ",\"mean\":" + json::Number(s.mean);
+    out += ",\"max\":" + json::Number(s.max);
+    out += ",\"p50\":" + json::Number(s.p50);
+    out += ",\"p99\":" + json::Number(s.p99);
+    out += '}';
   }
   out += '}';
-  return out;
-}
-
-std::string Snapshot::ToJson() const {
-  std::string out = "{\"schema\":\"stemroot-telemetry-v1\",\"counters\":";
-  out += CountersJson();
-  out += ",\"distributions\":";
-  out += DistributionsJson();
-  out += ",\"spans\":[";
-  bool first = true;
-  for (const auto& [key, stats] : spans_) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":";
-    json::AppendString(out, stats.name);
-    out += ",\"parent\":";
-    json::AppendString(out, stats.parent);
-    out += Format(",\"count\":%llu,\"total_us\":%.3f,\"min_us\":%.3f,"
-                  "\"max_us\":%.3f}",
-                  static_cast<unsigned long long>(stats.count),
-                  stats.total_us, stats.min_us, stats.max_us);
-  }
-  out += "]}";
-  return out;
-}
-
-std::string Snapshot::ToCsv() const {
-  // Names are usually code-controlled identifiers, but nothing stops a
-  // caller from embedding a comma or quote -- RFC 4180 quoting keeps the
-  // export parseable regardless.
-  std::string out = "kind,name,parent,count,min,mean,max,p50,p99,total\n";
-  for (const auto& [name, value] : counters_) {
-    out += "counter," + CsvWriter::Quote(name) + ",," +
-           Format("%llu", static_cast<unsigned long long>(value)) +
-           ",,,,,,\n";
-  }
-  for (const auto& [name, vals] : values_) {
-    const DistSummary s = Summarize(vals);
-    // FormatDouble, not %.17g: snprintf would write the global locale's
-    // decimal point into the CSV cells.
-    out += "distribution," + CsvWriter::Quote(name) + ",," +
-           Format("%llu", static_cast<unsigned long long>(s.count)) + "," +
-           FormatDouble(s.min) + "," + FormatDouble(s.mean) + "," +
-           FormatDouble(s.max) + "," + FormatDouble(s.p50) + "," +
-           FormatDouble(s.p99) + ",\n";
-  }
-  for (const auto& [key, stats] : spans_) {
-    out += "span," + CsvWriter::Quote(stats.name) + "," +
-           CsvWriter::Quote(stats.parent) + "," +
-           Format("%llu", static_cast<unsigned long long>(stats.count)) +
-           "," + FormatDoubleFixed(stats.min_us, 3) + ",," +
-           FormatDoubleFixed(stats.max_us, 3) + ",,," +
-           FormatDoubleFixed(stats.total_us, 3) + "\n";
-  }
   return out;
 }
 

@@ -1,6 +1,7 @@
 /// \file
 /// Process-wide pipeline telemetry: RAII wall-time spans, monotonic
-/// counters, and value distributions, with JSON/CSV export.
+/// counters, and value distributions. The run manifest (eval/manifest.h)
+/// is the one artifact that carries them out of the process.
 ///
 /// Design constraints (DESIGN.md "Telemetry and the Pipeline facade"):
 ///
@@ -8,7 +9,8 @@
 ///   relaxed atomic and returns immediately when telemetry is disabled, so
 ///   instrumented hot paths (the ROOT recursion, the KKT solver, per-plan
 ///   bookkeeping) cost a load+branch in normal runs. Enable with
-///   SetEnabled(true) (the CLI/benches do this when --telemetry is given).
+///   SetEnabled(true) (the CLI does this for --manifest/--ledger; every
+///   bench Session does it).
 /// - **Determinism.** Counters and distributions are schedule-invariant:
 ///   every thread records into its own mutex-guarded buffer, and Capture()
 ///   merges buffers into order-independent aggregates (integer sums for
@@ -16,7 +18,7 @@
 ///   summed in sorted order). Instrumentation must never count
 ///   schedule-dependent events (chunks, steals, thread ids) -- only facts
 ///   derived from (seed, index) like the rest of the library. Under that
-///   rule the counters/distributions sections of the export are
+///   rule the counters/distributions sections of a manifest are
 ///   byte-identical at any thread count; only span wall times (and span
 ///   parentage, which reflects per-thread nesting) may vary.
 /// - **TSan cleanliness.** All shared state is mutex-protected; the
@@ -69,7 +71,7 @@ struct Buffer;
 /// When the trace-event subsystem (common/trace_events.h) is enabled, a
 /// Span additionally emits a begin/end trace-event pair, independent of
 /// the telemetry switch -- so `--trace` sees the pipeline stages even
-/// without `--telemetry`.
+/// without `--manifest`.
 class Span {
  public:
   explicit Span(std::string_view name);
@@ -93,8 +95,6 @@ struct SpanStats {
   std::string parent;
   uint64_t count = 0;
   double total_us = 0.0;
-  double min_us = 0.0;
-  double max_us = 0.0;
 };
 
 /// Five-number summary of a distribution (computed over the sorted value
@@ -106,6 +106,8 @@ struct DistSummary {
   double max = 0.0;
   double p50 = 0.0;
   double p99 = 0.0;
+
+  bool operator==(const DistSummary&) const = default;
 };
 
 /// A merged, immutable view of everything recorded so far.
@@ -127,18 +129,15 @@ class Snapshot {
 
   uint64_t Counter(std::string_view name) const;  ///< 0 when absent
   DistSummary Dist(std::string_view name) const;  ///< zeros when absent
+  /// Dist() of every distribution, sorted by name.
+  std::map<std::string, DistSummary> Summaries() const;
   /// True when a span with this name was recorded under any parent.
   bool HasSpan(std::string_view name) const;
 
-  /// Full export: {"schema": ..., "counters": {...},
-  /// "distributions": {...}, "spans": [...]}.
-  std::string ToJson() const;
-  /// Flat CSV export: kind,name,parent,count,min,mean,max,p50,p99,total.
-  std::string ToCsv() const;
-  /// The counters object alone, e.g. {"a":1,"b":2} -- byte-identical
+  /// The counters as one JSON object, e.g. {"a":1,"b":2} -- byte-identical
   /// across thread counts (the determinism contract).
   std::string CountersJson() const;
-  /// The distributions object alone -- also byte-identical.
+  /// DistributionsJson(Summaries()) -- also byte-identical.
   std::string DistributionsJson() const;
 
  private:
@@ -149,6 +148,12 @@ class Snapshot {
   std::map<std::string, std::vector<double>> values_;
   std::map<std::pair<std::string, std::string>, SpanStats> spans_;
 };
+
+/// A name -> summary map as one compact JSON object:
+/// {"<name>":{"count":N,"min":..,"mean":..,"max":..,"p50":..,"p99":..}}.
+/// Numbers are shortest round-trip decimals, so parsing them back gives
+/// the same doubles.
+std::string DistributionsJson(const std::map<std::string, DistSummary>& dists);
 
 /// Merge every live thread buffer into the central aggregate and return a
 /// copy. Cumulative: repeated captures include everything since the last

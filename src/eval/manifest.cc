@@ -12,8 +12,8 @@
 #include "common/cache.h"
 #include "common/json.h"
 #include "common/str.h"
+#include "common/table.h"
 #include "eval/metrics.h"
-#include "eval/stage_report.h"
 
 namespace stemroot::eval {
 
@@ -124,6 +124,12 @@ bool GetBoolField(const json::Value& obj, std::string_view key, bool& out,
 
 }  // namespace
 
+const std::vector<std::string>& PipelineStageNames() {
+  static const std::vector<std::string> kStages = {
+      "generate", "profile", "cluster", "sample", "evaluate"};
+  return kStages;
+}
+
 std::string RunManifest::ToJson(bool pretty) const {
   Writer w{.out = {}, .pretty = pretty};
   w.out += '{';
@@ -196,6 +202,10 @@ std::string RunManifest::ToJson(bool pretty) const {
   }
   w.out += '}';
 
+  if (!distributions.empty()) {
+    w.Comma();
+    w.Field("distributions", telemetry::DistributionsJson(distributions));
+  }
   if (metrics.present) {
     w.Comma();
     std::string m = "{\"error_pct\":" + json::Number(metrics.error_pct);
@@ -355,6 +365,24 @@ bool RunManifest::FromJson(std::string_view text, RunManifest& out,
     m.counters[name] = *count;
   }
 
+  if (const json::Value* dists = root.Find("distributions")) {
+    if (!dists->IsObject())
+      return SchemaFail(error, "\"distributions\" is not an object");
+    for (const auto& [name, value] : *dists->object) {
+      const std::string where = "distribution \"" + name + "\"";
+      if (!value.IsObject())
+        return SchemaFail(error, where + " is not an object");
+      telemetry::DistSummary& d = m.distributions[name];
+      if (!GetUintField(value, "count", d.count, error, where) ||
+          !GetNumberField(value, "min", d.min, error, where) ||
+          !GetNumberField(value, "mean", d.mean, error, where) ||
+          !GetNumberField(value, "max", d.max, error, where) ||
+          !GetNumberField(value, "p50", d.p50, error, where) ||
+          !GetNumberField(value, "p99", d.p99, error, where))
+        return false;
+    }
+  }
+
   if (const json::Value* metrics = root.Find("metrics")) {
     if (!metrics->IsObject())
       return SchemaFail(error, "\"metrics\" is not an object");
@@ -499,11 +527,36 @@ const RunManifest::Stage* RunManifest::FindStage(std::string_view name) const {
 }
 
 void RunManifest::FillFromSnapshot(const telemetry::Snapshot& snapshot) {
+  std::map<std::string, Stage> by_name;
+  for (const auto& [key, span] : snapshot.Spans()) {
+    Stage& stage = by_name[span.name];
+    stage.name = span.name;
+    stage.count += span.count;
+    stage.total_us += span.total_us;
+  }
   stages.clear();
-  const StageReport report = StageReport::FromSnapshot(snapshot);
-  for (const StageReport::Stage& s : report.Stages())
-    stages.push_back({s.name, s.count, s.total_us});
+  for (const std::string& name : PipelineStageNames()) {
+    const auto it = by_name.find(name);
+    if (it == by_name.end()) continue;
+    stages.push_back(it->second);
+    by_name.erase(it);
+  }
+  for (const auto& [name, stage] : by_name) stages.push_back(stage);
   counters = snapshot.Counters();
+  distributions = snapshot.Summaries();
+}
+
+std::string RunManifest::StagesText() const {
+  TextTable table({"Stage", "Spans", "Wall time", "Share"});
+  table.SetTitle("Pipeline stage telemetry");
+  double total = 0.0;
+  for (const Stage& stage : stages) total += stage.total_us;
+  for (const Stage& stage : stages)
+    table.AddRow({stage.name, U64(stage.count), HumanDuration(stage.total_us),
+                  total > 0.0
+                      ? Format("%.1f%%", stage.total_us / total * 100.0)
+                      : "-"});
+  return table.Render();
 }
 
 void RunManifest::FillMetrics(const EvalResult& result) {

@@ -2,8 +2,9 @@
 /// Run manifests: one validated JSON document per `stemroot` command or
 /// bench run, capturing everything needed to compare that run against
 /// another -- the full resolved configuration, the build-info stamp, wall
-/// time per pipeline stage, a telemetry counter snapshot, and the headline
-/// accuracy metrics.
+/// time per pipeline stage, the telemetry counters and value
+/// distributions, and the headline accuracy metrics. The manifest is the
+/// one aggregate artifact a run leaves.
 ///
 /// Schema "stemroot-manifest-v1":
 ///
@@ -21,6 +22,10 @@
 ///     "stages": [ { "name": "generate", "count": 1,
 ///                   "total_us": 123.4 }, ... ],
 ///     "counters": { "kkt.iterations": 42, ... },
+///     "distributions": {             // optional: only when non-empty
+///       "eval.error_pct": { "count": 10, "min": 0.1, "mean": 0.8,
+///                           "max": 2.1, "p50": 0.7, "p99": 2.1 }, ...
+///     },
 ///     "metrics": {                   // optional: absent for stage-only
 ///       "error_pct": 0.81,           //   commands (generate, profile, ...)
 ///       "theoretical_error_pct": 5.0,
@@ -49,9 +54,10 @@
 /// (src/eval/ledger.h). `stemroot compare` diffs two manifests;
 /// `stemroot regress` checks the newest ledger entry against a rolling
 /// baseline (src/eval/regress.h). `stemroot validate manifest` validates
-/// files in CI. The determinism contract (DESIGN.md) makes the config, counters,
-/// and metrics sections byte-identical at any --threads for a fixed seed;
-/// only wall times vary.
+/// files in CI. The determinism contract (DESIGN.md) makes the config,
+/// counters, distributions and metrics sections byte-identical at any
+/// --threads for a fixed seed; only wall times vary. `compare` and
+/// `regress` do not gate the distributions.
 
 #pragma once
 
@@ -70,10 +76,12 @@ struct EvalResult;  // eval/metrics.h
 
 inline constexpr std::string_view kManifestSchema = "stemroot-manifest-v1";
 
+/// Canonical stage span names, pipeline order (paper Fig. 5).
+const std::vector<std::string>& PipelineStageNames();
+
 /// One run's provenance + results. Field meanings in the schema above.
 struct RunManifest {
-  /// Wall time of one pipeline stage (aggregated over span parents, the
-  /// StageReport view).
+  /// Wall time of one pipeline stage, aggregated over span parents.
   struct Stage {
     std::string name;
     uint64_t count = 0;
@@ -160,6 +168,9 @@ struct RunManifest {
   double wall_time_seconds = 0.0;
   std::vector<Stage> stages;
   std::map<std::string, uint64_t> counters;
+  /// Telemetry value distributions by name; serialized only when
+  /// non-empty, so an absent block reads as empty.
+  std::map<std::string, telemetry::DistSummary> distributions;
   Metrics metrics;
   Journal journal;
   Mem mem;
@@ -192,10 +203,15 @@ struct RunManifest {
   /// Stage row by name; nullptr when absent.
   const Stage* FindStage(std::string_view name) const;
 
-  /// Fill `stages` (StageReport aggregation: canonical pipeline stages
-  /// first, then other span names alphabetically) and `counters` from a
-  /// telemetry snapshot.
+  /// Fill `stages`, `counters` and `distributions` from a telemetry
+  /// snapshot. Spans fold by name over their parents; the canonical
+  /// pipeline stages come first, in pipeline order, then every other span
+  /// name alphabetically.
   void FillFromSnapshot(const telemetry::Snapshot& snapshot);
+
+  /// The "where did the time go" table `stemroot run` prints: stage,
+  /// span count, wall time and share of the summed stage time.
+  std::string StagesText() const;
 
   /// Fill `metrics` from one evaluation's headline numbers.
   void FillMetrics(const EvalResult& result);

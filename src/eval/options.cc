@@ -40,7 +40,6 @@ CommonOptions ParseCommonOptions(const Flags& flags, bool pipeline_command) {
   options.scale = flags.GetDouble("scale", 1.0);
   options.threads = static_cast<int>(
       flags.GetUint("threads", 0, std::numeric_limits<int>::max()));
-  options.telemetry_path = flags.GetString("telemetry", "");
   options.trace_path = flags.GetString("trace", "");
   options.log_level = flags.GetString("log-level", "");
   if (pipeline_command) {
@@ -58,8 +57,7 @@ CommonOptions ParseCommonOptions(const Flags& flags, bool pipeline_command) {
 void ApplyCommonOptions(const CommonOptions& options) {
   options.Validate();
   SetNumThreads(options.threads);
-  if (!options.telemetry_path.empty() || !options.manifest_path.empty() ||
-      !options.ledger_path.empty())
+  if (!options.manifest_path.empty() || !options.ledger_path.empty())
     telemetry::SetEnabled(true);
   if (!options.trace_path.empty()) trace_events::SetEnabled(true);
   if (!options.log_level.empty())

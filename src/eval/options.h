@@ -6,7 +6,7 @@
 ///   Flags -> ParseCommonOptions() -> CommonOptions -> ApplyCommonOptions()
 ///
 /// CommonOptions carries the flags every command understands (--seed,
-/// --scale, --threads, --telemetry, --trace, --log-level) plus the
+/// --scale, --threads, --trace, --log-level) plus the
 /// pipeline-command trio (--cache, --manifest, --ledger). Parsing marks
 /// the flags consumed, so each command's trailing Flags::CheckAllRead()
 /// still rejects unknown flags with the usual single error format;
@@ -34,7 +34,6 @@ struct CommonOptions {
   uint64_t seed = 42;          ///< master seed (per-stage streams derive)
   double scale = 1.0;          ///< workload size scale
   int threads = 0;             ///< 0 = auto
-  std::string telemetry_path;  ///< "" = telemetry off
   std::string trace_path;      ///< "" = trace events off
   std::string log_level;       ///< "" = leave the log level untouched
   std::string cache_dir;       ///< "" = leave untouched; "none" = disabled
@@ -62,8 +61,8 @@ struct CommonOptions {
 CommonOptions ParseCommonOptions(const Flags& flags, bool pipeline_command);
 
 /// Apply the process-global side of the options: thread count, telemetry
-/// and trace-event switches (manifest/ledger emission implies telemetry
-/// collection, and with it logical mem accounting -- common/resource.h),
+/// and trace-event switches (manifest/ledger emission turns telemetry
+/// collection on, and with it logical mem accounting -- common/resource.h),
 /// log level, and the profiled-trace cache directory.
 /// Idempotent; call once per invocation before pipeline work starts.
 void ApplyCommonOptions(const CommonOptions& options);

@@ -22,8 +22,8 @@
 ///
 /// Each stage runs inside a telemetry::Span named after the stage
 /// ("generate" / "profile" / "sample" / "evaluate"; "cluster" is emitted
-/// inside the samplers themselves), so `--telemetry` output always covers
-/// the full pipeline.
+/// inside the samplers themselves), so a manifest's stage table always
+/// covers the full pipeline.
 ///
 /// Stages may run internally parallel (ProfileTrace, EvaluateRepeated use
 /// ParallelFor) but a Pipeline object itself is single-owner: do not share

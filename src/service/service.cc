@@ -3,6 +3,15 @@
 #ifdef __GLIBC__
 #include <malloc.h>
 #endif
+// AddressSanitizer builds: GCC defines __SANITIZE_ADDRESS__, clang
+// answers __has_feature(address_sanitizer).
+#if defined(__SANITIZE_ADDRESS__)
+#define SR_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SR_ASAN 1
+#endif
+#endif
 
 #include <algorithm>
 #include <chrono>
@@ -95,9 +104,10 @@ class RequestTimer {
 /// spread their traces over the connection threads' arenas. Without this,
 /// every arena keeps the high-water mark of the sessions it ever held, and
 /// peak RSS grows with the number of connection threads instead of with
-/// the open sessions.
+/// the open sessions. Under AddressSanitizer the heap is ASan's, not
+/// glibc's: malloc_trim would walk arenas ASan never set up and crash.
 void ReturnFreedPages() {
-#ifdef __GLIBC__
+#if defined(__GLIBC__) && !defined(SR_ASAN)
   malloc_trim(0);
 #endif
 }

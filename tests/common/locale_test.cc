@@ -19,6 +19,7 @@
 #include "common/str.h"
 #include "common/telemetry.h"
 #include "core/sampler_registry.h"
+#include "eval/manifest.h"
 
 namespace stemroot {
 namespace {
@@ -125,18 +126,25 @@ TEST(LocaleTest, SamplerParamsRoundTripUnderHostileLocale) {
   EXPECT_EQ(params.GetDouble("epsilon", 0.0), 0.05);
 }
 
-TEST(LocaleTest, TelemetryCsvStaysMachineReadable) {
+TEST(LocaleTest, ManifestDistributionsStayMachineReadable) {
   ScopedHostileLocale hostile;
   telemetry::SetEnabled(true);
   telemetry::Reset();
   telemetry::Record("locale.dist", 1.5);
   telemetry::Record("locale.dist", 2.5);
-  const std::string csv = telemetry::Capture().ToCsv();
+  eval::RunManifest manifest;
+  manifest.FillFromSnapshot(telemetry::Capture());
   telemetry::SetEnabled(false);
   telemetry::Reset();
-  EXPECT_NE(csv.find("1.5"), std::string::npos) << csv;
-  EXPECT_NE(csv.find("2.5"), std::string::npos) << csv;
-  EXPECT_EQ(csv.find("1,5"), std::string::npos) << csv;
+  const std::string json = manifest.ToJson(/*pretty=*/false);
+  EXPECT_NE(json.find("\"mean\":2,"), std::string::npos) << json;
+  EXPECT_NE(json.find("1.5"), std::string::npos) << json;
+  EXPECT_NE(json.find("2.5"), std::string::npos) << json;
+  EXPECT_EQ(json.find("1,5"), std::string::npos) << json;
+  eval::RunManifest back;
+  std::string error;
+  ASSERT_TRUE(eval::RunManifest::FromJson(json, back, &error)) << error;
+  EXPECT_EQ(back.distributions, manifest.distributions);
 }
 
 }  // namespace

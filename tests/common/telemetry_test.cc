@@ -10,7 +10,6 @@
 
 #include "common/parallel.h"
 #include "common/trace_events.h"
-#include "eval/stage_report.h"
 
 namespace stemroot::telemetry {
 namespace {
@@ -125,42 +124,6 @@ TEST_F(TelemetryTest, CountersJsonIsSortedAndStable) {
   const std::string json = Capture().CountersJson();
   EXPECT_EQ(json, "{\"alpha\":1,\"zeta\":2}");
   EXPECT_EQ(Capture().CountersJson(), json);
-}
-
-TEST_F(TelemetryTest, ExportsValidateAndRoundTrip) {
-  Count("c", 7);
-  Record("d", 1.5);
-  Record("d", 2.5);
-  { Span span("stage"); }
-  const Snapshot snap = Capture();
-
-  std::string error;
-  std::vector<std::string> span_names;
-  ASSERT_TRUE(eval::ValidateTelemetryJson(snap.ToJson(), &error, &span_names))
-      << error;
-  ASSERT_EQ(span_names.size(), 1u);
-  EXPECT_EQ(span_names[0], "stage");
-
-  const std::string csv = snap.ToCsv();
-  EXPECT_EQ(
-      csv.rfind("kind,name,parent,count,min,mean,max,p50,p99,total", 0), 0u);
-  EXPECT_NE(csv.find("counter,c,"), std::string::npos);
-  EXPECT_NE(csv.find("distribution,d,"), std::string::npos);
-  EXPECT_NE(csv.find("span,stage,"), std::string::npos);
-}
-
-TEST_F(TelemetryTest, ValidateRejectsMalformedJson) {
-  std::string error;
-  EXPECT_FALSE(eval::ValidateTelemetryJson("", &error));
-  EXPECT_FALSE(eval::ValidateTelemetryJson("{", &error));
-  EXPECT_FALSE(eval::ValidateTelemetryJson("[]", &error));
-  EXPECT_FALSE(eval::ValidateTelemetryJson("{\"schema\":\"wrong\"}", &error));
-  EXPECT_FALSE(error.empty());
-  // Truncating a valid export must fail the full-grammar parse.
-  Count("c");
-  const std::string json = Capture().ToJson();
-  EXPECT_FALSE(eval::ValidateTelemetryJson(
-      std::string_view(json).substr(0, json.size() - 2), &error));
 }
 
 // Regression: SetEnabled may flip between a Span's construction and its

@@ -34,6 +34,10 @@ RunManifest MakeManifest() {
               {"cluster", 10, 2500.5},
               {"evaluate", 1, 321.0}};
   m.counters = {{"core.kkt.solves", 100}, {"eval.evaluations", 1}};
+  m.distributions = {
+      {"core.root.cluster_size", {9, 1.0, 1.0 / 3.0 + 40.0, 212.0, 7.0,
+                                  212.0}},
+      {"eval.error_pct", {12, 0.1, 0.81, 2.25, 0.7, 2.25}}};
   m.metrics.present = true;
   m.metrics.error_pct = 0.81;
   m.metrics.theoretical_error_pct = 5.0;
@@ -68,6 +72,7 @@ void ExpectEqual(const RunManifest& a, const RunManifest& b) {
     EXPECT_DOUBLE_EQ(a.stages[i].total_us, b.stages[i].total_us);
   }
   EXPECT_EQ(a.counters, b.counters);
+  EXPECT_EQ(a.distributions, b.distributions);
   EXPECT_EQ(a.metrics.present, b.metrics.present);
   EXPECT_DOUBLE_EQ(a.metrics.error_pct, b.metrics.error_pct);
   EXPECT_DOUBLE_EQ(a.metrics.theoretical_error_pct,
@@ -207,6 +212,47 @@ TEST(ManifestTest, MemBlockRejectsNegativeAndMalformed) {
   EXPECT_FALSE(RunManifest::FromJson(
       broke(",\"logical\":{\"trace\":5}", ""), back, &error));
   EXPECT_FALSE(error.empty());
+}
+
+TEST(ManifestTest, DistributionsBlockIsOptionalAndNeverGated) {
+  // Pre-distribution manifests and ledger lines carry no block: they
+  // read as empty, and compare clean against a manifest that has one.
+  const RunManifest with = MakeManifest();
+  RunManifest without = MakeManifest();
+  without.distributions.clear();
+  const std::string text = without.ToJson(/*pretty=*/false);
+  EXPECT_EQ(text.find("distributions"), std::string::npos);
+  RunManifest back;
+  std::string error;
+  ASSERT_TRUE(RunManifest::FromJson(text, back, &error)) << error;
+  EXPECT_TRUE(back.distributions.empty());
+  EXPECT_EQ(CompareManifests(with, back).ExitCode({}), 0);
+  EXPECT_EQ(CompareManifests(back, with).ExitCode({}), 0);
+}
+
+TEST(ManifestTest, DistributionsBlockRejectsMalformed) {
+  const std::string good = MakeManifest().ToJson(/*pretty=*/false);
+  const size_t from = good.find("\"distributions\":");
+  const size_t to = good.find(",\"metrics\"");
+  ASSERT_NE(from, std::string::npos);
+  ASSERT_NE(to, std::string::npos);
+  const std::string fields = "\"min\":1,\"mean\":1,\"max\":1,\"p50\":1";
+  for (const std::string& block : {
+           std::string("[]"),  // not an object
+           std::string("{\"d\":3}"),  // entry not an object
+           "{\"d\":{" + fields + ",\"p99\":1}}",  // no count
+           "{\"d\":{\"count\":1," + fields + "}}",  // no p99
+           "{\"d\":{\"count\":1," + fields + ",\"p99\":\"1\"}}",
+           "{\"d\":{\"count\":-1," + fields + ",\"p99\":1}}",
+           "{\"d\":{\"count\":2.5," + fields + ",\"p99\":1}}",
+           "{\"d\":{\"count\":1e300," + fields + ",\"p99\":1}}"}) {
+    const std::string doc = good.substr(0, from) + "\"distributions\":" +
+                            block + good.substr(to);
+    RunManifest back;
+    std::string error;
+    EXPECT_FALSE(RunManifest::FromJson(doc, back, &error)) << block;
+    EXPECT_NE(error.find("distribution"), std::string::npos) << error;
+  }
 }
 
 TEST(ManifestTest, CountsOutsideExactUint64RangeAreRejected) {
@@ -592,6 +638,71 @@ TEST(ManifestTest, FillFromSnapshotAggregatesStagesAndCounters) {
   EXPECT_EQ(m.stages[0].name, "generate");
   EXPECT_EQ(m.stages[1].name, "evaluate");
   EXPECT_EQ(m.counters.at("widgets"), 3u);
+
+  // An empty snapshot empties all three, and the stage table renders
+  // without dividing by the zero total.
+  m.distributions["stale"] = {};
+  m.FillFromSnapshot(telemetry::Snapshot());
+  EXPECT_TRUE(m.stages.empty());
+  EXPECT_TRUE(m.counters.empty());
+  EXPECT_TRUE(m.distributions.empty());
+  EXPECT_FALSE(m.StagesText().empty());
+}
+
+TEST(ManifestTest, NestedParentageAggregatesByName) {
+  telemetry::SetEnabled(true);
+  telemetry::Reset();
+  {
+    telemetry::Span gen("generate");
+    { telemetry::Span inner("profile"); }
+  }
+  // The same stage name under a different parent still folds into one row.
+  { telemetry::Span profile_again("profile"); }
+  telemetry::Record("sizes", 4.0);
+  telemetry::Record("sizes", 1.0);
+  RunManifest m;
+  m.FillFromSnapshot(telemetry::Capture());
+  telemetry::Reset();
+  telemetry::SetEnabled(false);
+
+  // Canonical stages come first, in pipeline order.
+  ASSERT_EQ(m.stages.size(), 2u);
+  EXPECT_EQ(m.stages[0].name, "generate");
+  EXPECT_EQ(m.stages[0].count, 1u);
+  EXPECT_EQ(m.stages[1].name, "profile");
+  EXPECT_EQ(m.stages[1].count, 2u);
+  const telemetry::DistSummary sizes = m.distributions.at("sizes");
+  EXPECT_EQ(sizes.count, 2u);
+  EXPECT_EQ(sizes.min, 1.0);
+  EXPECT_EQ(sizes.mean, 2.5);
+  EXPECT_EQ(sizes.max, 4.0);
+}
+
+TEST(ManifestTest, DeeplyNestedSpansKeepDistinctParents) {
+  telemetry::SetEnabled(true);
+  telemetry::Reset();
+  {
+    telemetry::Span a("a");
+    telemetry::Span b("b");
+    telemetry::Span c("c");
+    telemetry::Span d("d");
+  }
+  const telemetry::Snapshot snap = telemetry::Capture();
+  telemetry::Reset();
+  telemetry::SetEnabled(false);
+  ASSERT_EQ(snap.Spans().count({"d", "c"}), 1u);
+  ASSERT_EQ(snap.Spans().count({"c", "b"}), 1u);
+  ASSERT_EQ(snap.Spans().count({"b", "a"}), 1u);
+  ASSERT_EQ(snap.Spans().count({"a", ""}), 1u);
+
+  // Non-canonical span names follow alphabetically, one row each.
+  RunManifest m;
+  m.FillFromSnapshot(snap);
+  ASSERT_EQ(m.stages.size(), 4u);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(m.stages[i].name, std::string(1, static_cast<char>('a' + i)));
+    EXPECT_EQ(m.stages[i].count, 1u);
+  }
 }
 
 TEST(ManifestTest, SaveAndLoad) {

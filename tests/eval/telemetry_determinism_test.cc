@@ -2,9 +2,10 @@
 /// The ISSUE acceptance test for the telemetry determinism contract: run
 /// the full pipeline (generate -> profile -> cluster -> sample ->
 /// evaluate) at 1 and at 8 threads and require the counters and
-/// distributions sections of the export to be byte-identical. Span wall
-/// times are excluded by design (telemetry.h), but all five canonical
-/// stage spans must be present at every thread count.
+/// distributions sections of the snapshot, and so of the run manifest, to
+/// be byte-identical. Span wall times are excluded by design
+/// (telemetry.h), but all five canonical stage spans must be present at
+/// every thread count.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,7 @@
 #include "common/telemetry.h"
 #include "core/sampler.h"
 #include "eval/pipeline.h"
-#include "eval/stage_report.h"
+#include "eval/manifest.h"
 #include "hw/hardware_model.h"
 #include "workloads/suite.h"
 
@@ -66,24 +67,38 @@ TEST(TelemetryDeterminismTest, AllFiveStageSpansPresent) {
     for (const std::string& stage : PipelineStageNames())
       EXPECT_TRUE(run.snapshot.HasSpan(stage))
           << stage << " missing at threads=" << threads;
-    const StageReport report = StageReport::FromSnapshot(run.snapshot);
-    for (const std::string& stage : PipelineStageNames())
-      EXPECT_TRUE(report.HasStage(stage)) << stage;
-    EXPECT_GT(report.TotalUs(), 0.0);
-    EXPECT_FALSE(report.ToText().empty());
+    RunManifest manifest;
+    manifest.FillFromSnapshot(run.snapshot);
+    for (const std::string& stage : PipelineStageNames()) {
+      ASSERT_NE(manifest.FindStage(stage), nullptr) << stage;
+      EXPECT_GT(manifest.FindStage(stage)->total_us, 0.0) << stage;
+    }
+    EXPECT_NE(manifest.StagesText().find("evaluate"), std::string::npos);
   }
 }
 
+// The run manifest is the one export: it validates and round-trips its
+// distributions at both thread counts, and they agree.
 TEST(TelemetryDeterminismTest, ExportValidatesAtBothThreadCounts) {
+  std::string distributions[2];
   for (const int threads : {1, 8}) {
     const TelemetryRun run = RunInstrumentedPipeline(threads);
+    RunManifest manifest;
+    manifest.tool = "stemroot";
+    manifest.command = "run";
+    manifest.completed = true;
+    manifest.FillFromSnapshot(run.snapshot);
+    RunManifest back;
     std::string error;
-    std::vector<std::string> span_names;
-    ASSERT_TRUE(ValidateTelemetryJson(run.snapshot.ToJson(), &error,
-                                      &span_names))
+    ASSERT_TRUE(RunManifest::FromJson(manifest.ToJson(/*pretty=*/true), back,
+                                      &error))
         << "threads=" << threads << ": " << error;
-    EXPECT_FALSE(span_names.empty());
+    EXPECT_EQ(back.distributions, manifest.distributions);
+    EXPECT_EQ(back.distributions.count("core.root.cluster_size"), 1u);
+    distributions[threads == 1 ? 0 : 1] =
+        telemetry::DistributionsJson(back.distributions);
   }
+  EXPECT_EQ(distributions[0], distributions[1]);
 }
 
 }  // namespace

@@ -28,14 +28,15 @@
 /// Stage wiring goes through eval::Pipeline (one master --seed per command;
 /// per-stage seeds are derived from it — see src/eval/pipeline.h) and
 /// samplers are built through core::SamplerRegistry, so the CLI, benches,
-/// and tests share one code path. `--telemetry FILE.json|.csv` on any
-/// command enables the telemetry subsystem and exports on exit.
+/// and tests share one code path.
 ///
 /// Every pipeline command can emit a stemroot-manifest-v1 run manifest
 /// (`--manifest FILE`, written as completed=false up front so crashes
 /// leave evidence) and append it to the perf/accuracy ledger
-/// (`--ledger FILE`, JSONL). `compare` diffs two manifests; `regress`
-/// gates the newest ledger entry against its rolling baseline.
+/// (`--ledger FILE`, JSONL). The manifest is the one aggregate artifact of
+/// a run: stages, counters and value distributions all land there.
+/// `compare` diffs two manifests; `regress` gates the newest ledger entry
+/// against its rolling baseline.
 ///
 /// Pipeline commands memoize the generate->profile prefix in a
 /// content-addressed on-disk cache (default bench_results/cache/;
@@ -43,7 +44,7 @@
 /// `stemroot cache` inspects and maintains it.
 ///
 /// `stemroot validate KIND FILE...` checks the artifacts the other
-/// commands write (manifest, telemetry, trace, metrics, journal); each
+/// commands write (manifest, trace, metrics, journal); each
 /// check lives beside the writer of its format, so the verb only wires
 /// flags to those library calls.
 ///
@@ -87,7 +88,6 @@
 #include "eval/options.h"
 #include "eval/pipeline.h"
 #include "eval/regress.h"
-#include "eval/stage_report.h"
 #include "eval/stream.h"
 #include "eval/trace_cache.h"
 #include "hw/profile.h"
@@ -139,8 +139,7 @@ commands:
   journal   tail FILE [--min-severity debug|info|warn|error] [--verb EVENT]
             [--follow true] [--poll-ms N]
   cache     stats|verify|evict [--cache DIR] [--max-bytes N]
-  validate  telemetry FILE... [--require-stage A,B,..]
-            trace FILE... [--require-event A,B,..] [--min-events N]
+  validate  trace FILE... [--require-event A,B,..] [--min-events N]
             manifest FILE... [--require-stage A,..] [--require-counter A,..]
               [--require-completed true] [--stage-leq STAGE=OTHER.json,..]
               [--require-spill true] [--max-logical KEY=BYTES,..]
@@ -206,7 +205,6 @@ entry count and bytes, verify checks every entry's header and checksum
 until the cache fits --max-bytes (default 0: remove everything).
 
 validate checks exported artifacts and exits 1 when any check fails:
-telemetry exports (.csv selects the CSV schema) and their stage spans;
 Chrome traces (balanced, monotone, required events, an event floor);
 run manifests (schema, every service.* counter registered, plus the
 requirement flags; --stage-leq holds a stage to no more wall time than
@@ -223,8 +221,9 @@ pipeline commands (generate .. audit) also accept:
                      "none" disables caching for this invocation.
   --manifest FILE    write a stemroot-manifest-v1 run manifest (resolved
                      config, build stamp, per-stage wall time, telemetry
-                     counters, headline metrics). written completed=false
-                     up front, finalized on success.
+                     counters and value distributions, headline metrics).
+                     written completed=false up front, finalized on
+                     success.
   --ledger FILE      append the manifest to this JSONL ledger on success.
   --trace-chunk-invocations N
                      chunk capacity of the out-of-core trace view (0 = in-
@@ -245,8 +244,6 @@ how the 10^8..10^9-invocation scale suites run on a laptop-sized host.
 every command accepts:
   --threads N        0 = auto; or set STEMROOT_THREADS. thread count never
                      changes results -- see DESIGN.md.
-  --telemetry FILE   collect pipeline telemetry and write it on exit
-                     (.csv extension selects CSV; anything else JSON).
   --trace FILE       record Chrome trace events (pipeline stages, parallel
                      chunks, ROOT recursion, k-means iterations, KKT
                      rounds) and write chrome://tracing / Perfetto JSON.
@@ -463,9 +460,8 @@ int CmdRun(const Flags& flags, const eval::CommonOptions& common,
                                                              &manifest);
   PrintResult(result);
   if (telemetry::Enabled()) {
-    const eval::StageReport report =
-        eval::StageReport::FromSnapshot(telemetry::Capture());
-    std::printf("%s", report.ToText().c_str());
+    manifest.FillFromSnapshot(telemetry::Capture());
+    std::printf("%s", manifest.StagesText().c_str());
   }
   return 0;
 }
@@ -999,29 +995,17 @@ int CmdValidate(const Flags& flags) {
   if (pos.size() < 2)
     throw std::invalid_argument(
         "validate needs a kind and files: stemroot validate "
-        "manifest|telemetry|trace|metrics|journal FILE...");
+        "manifest|trace|metrics|journal FILE...");
   const std::string& kind = pos[0];
   const std::vector<std::string> paths(pos.begin() + 1, pos.end());
   if (kind == "manifest") return ValidateManifests(flags, paths);
 
   // The other kinds check each file's text on its own.
-  std::function<bool(const std::string& path, const std::string& text,
-                     std::string* error)>
-      check;
-  if (kind == "telemetry") {
-    const std::vector<std::string> stages = ListFlag(flags, "require-stage");
-    check = [stages](const std::string& path, const std::string& text,
-                     std::string* error) {
-      std::vector<std::string> spans;
-      const bool ok = path.ends_with(".csv")
-                          ? eval::ValidateTelemetryCsv(text, error, &spans)
-                          : eval::ValidateTelemetryJson(text, error, &spans);
-      return ok && RequireAll(stages, spans, "stage span", error);
-    };
-  } else if (kind == "trace") {
+  std::function<bool(const std::string& text, std::string* error)> check;
+  if (kind == "trace") {
     const std::vector<std::string> events = ListFlag(flags, "require-event");
     const int64_t min_events = flags.GetInt("min-events", 0);
-    check = [events, min_events](const std::string&, const std::string& text,
+    check = [events, min_events](const std::string& text,
                                  std::string* error) {
       std::vector<std::string> names;
       trace_events::TraceInfo info;
@@ -1035,8 +1019,7 @@ int CmdValidate(const Flags& flags) {
     };
   } else if (kind == "metrics") {
     const std::string prev_path = flags.GetString("prev", "");
-    check = [prev_path](const std::string&, const std::string& text,
-                        std::string* error) {
+    check = [prev_path](const std::string& text, std::string* error) {
       service::Exposition later, earlier;
       if (!service::ValidateExposition(text, error, &later)) return false;
       if (prev_path.empty()) return true;
@@ -1049,21 +1032,20 @@ int CmdValidate(const Flags& flags) {
     };
   } else if (kind == "journal") {
     const std::vector<std::string> events = ListFlag(flags, "require-event");
-    check = [events](const std::string&, const std::string& text,
-                     std::string* error) {
+    check = [events](const std::string& text, std::string* error) {
       return journal::ValidateJournal(text, events, error);
     };
   } else {
     throw std::invalid_argument(
         "validate: unknown kind '" + kind +
-        "' (manifest, telemetry, trace, metrics, journal)");
+        "' (manifest, trace, metrics, journal)");
   }
   flags.CheckAllRead();
 
   int rc = 0;
   for (const std::string& path : paths) {
     std::string error;
-    if (check(path, ReadText(path), &error)) {
+    if (check(ReadText(path), &error)) {
       std::printf("validate: %s ok\n", path.c_str());
     } else {
       std::fprintf(stderr, "validate: %s: %s\n", path.c_str(),
@@ -1300,8 +1282,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
       return Usage();
     }
-    if (!common.telemetry_path.empty())
-      eval::WriteTelemetry(telemetry::Capture(), common.telemetry_path);
     if (!common.trace_path.empty()) {
       trace_events::WriteTrace(common.trace_path);
       const trace_events::Stats stats = trace_events::GetStats();
