@@ -1,105 +1,94 @@
 #include "bench_util.h"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <limits>
-#include <stdexcept>
 #include <string_view>
 
 #include "baselines/registry.h"
 #include "common/flags.h"
-#include "common/log.h"
 #include "common/parallel.h"
+#include "common/str.h"
 #include "common/telemetry.h"
 #include "common/trace_events.h"
 #include "core/sampler_registry.h"
 #include "eval/ledger.h"
 #include "eval/manifest.h"
+#include "eval/options.h"
 #include "eval/trace_cache.h"
 
 namespace stemroot::bench {
 
 namespace {
 
-/// The flag pairs Session consumes; shared with StripFlags.
-constexpr const char* kSessionFlags[] = {"--threads", "--trace",
-                                         "--log-level", "--ledger",
-                                         "--cache"};
-
-bool IsSessionFlag(const char* arg) {
-  for (const char* flag : kSessionFlags)
-    if (std::strcmp(arg, flag) == 0) return true;
-  return false;
+/// The bench grammar: the every-command block plus --ledger and --cache.
+std::vector<FlagSpec> BenchFlags() {
+  std::vector<FlagSpec> table = eval::EveryCommandFlags();
+  table.push_back({"ledger", FlagKind::kPath, eval::Ledger::DefaultPath(),
+                   "append the finished run's manifest"});
+  table.push_back({"cache", FlagKind::kPath, eval::DefaultTraceCacheDir(),
+                   "profiled-trace cache (results are cache-invariant)"});
+  return table;
 }
 
 }  // namespace
 
-Session::Session(int argc, const char* const* argv) {
-  if (argc > 0) {
-    const std::string argv0 = argv[0];
-    const size_t slash = argv0.find_last_of('/');
-    name_ = slash == std::string::npos ? argv0 : argv0.substr(slash + 1);
-  }
+Session::Session(int argc, const char* const* argv,
+                 const BenchmarkParser& benchmark) {
+  name_ = std::filesystem::path(argc > 0 ? argv[0] : "").filename();
   if (name_.empty()) name_ = "bench";
-  ledger_path_ = eval::Ledger::DefaultPath();
-  std::string cache_dir = eval::DefaultTraceCacheDir();
 
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--ledger") == 0) {
-      const std::string value = argv[i + 1];
-      ledger_path_ = value == "none" ? "" : value;
-    } else if (std::strcmp(argv[i], "--cache") == 0) {
-      cache_dir = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      // The CLI's checked accessor: a negative, malformed or out-of-range
-      // count is refused, never read as auto.
-      try {
-        SetNumThreads(static_cast<int>(Flags::Parse(2, argv + i).GetUint(
-            "threads", 0, std::numeric_limits<int>::max())));
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        std::exit(2);
-      }
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      trace_path_ = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--log-level") == 0) {
-      const std::optional<LogLevel> level = LogLevelFromName(argv[i + 1]);
-      if (!level) {
-        std::fprintf(stderr,
-                     "bad --log-level '%s' (silent, warn, inform, debug)\n",
-                     argv[i + 1]);
-        std::exit(2);
-      }
-      SetLogLevel(*level);
-    }
-  }
-  // google-benchmark's selection flags: a filtered or repeated run
-  // measures something else than a full one, so they join the manifest
-  // fingerprint through the config's workload and reps fields.
+  // Split off google-benchmark's words (when this bench takes them) and
+  // parse the rest; nothing is written until both parsers accept.
+  std::vector<const char*> ours;
+  // google-benchmark's parser reorders the pointers, never the strings.
+  std::vector<char*> foreign = {const_cast<char*>(argv[0])};
   for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    constexpr std::string_view kFilter = "--benchmark_filter=";
-    constexpr std::string_view kRepetitions = "--benchmark_repetitions=";
-    if (arg.substr(0, kFilter.size()) == kFilter) {
-      benchmark_filter_ = arg.substr(kFilter.size());
-    } else if (arg.substr(0, kRepetitions.size()) == kRepetitions) {
-      const std::string_view value = arg.substr(kRepetitions.size());
-      // An unparsable count stays 0; google-benchmark refuses it anyway.
-      (void)std::from_chars(value.data(), value.data() + value.size(),
-                            benchmark_repetitions_);
+    const std::string_view word = argv[i];
+    if (!benchmark || !word.starts_with("--benchmark_")) {
+      ours.push_back(argv[i]);
+      continue;
     }
+    foreign.push_back(const_cast<char*>(argv[i]));
+    // google-benchmark refuses a malformed count below.
+    const std::string_view value = word.substr(word.find('=') + 1);
+    if (word.starts_with("--benchmark_filter="))
+      benchmark_filter_ = value;
+    else if (word.starts_with("--benchmark_repetitions="))
+      benchmark_repetitions_ =
+          static_cast<uint32_t>(ParseUint(value).value_or(0));
   }
+  const std::vector<FlagSpec> table = BenchFlags();
+  Flags flags;
+  try {
+    flags = Flags::Parse(static_cast<int>(ours.size()), ours.data(), table);
+    if (flags.Help()) {
+      std::printf("usage: %s [flags]\n\nflags:\n%s%s", name_.c_str(),
+                  FlagHelp(table).c_str(),
+                  benchmark ? "  --benchmark_*=V               passed on to "
+                              "google-benchmark\n"
+                            : "");
+      std::exit(0);
+    }
+    eval::CheckCommonFlags(flags);
+  } catch (const FlagError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
+  if (benchmark) {
+    int count = static_cast<int>(foreign.size());
+    foreign.push_back(nullptr);
+    if (!benchmark(&count, foreign.data())) std::exit(2);
+  }
+
+  eval::ApplyCommonFlags(flags);
+  if (!flags.Path("cache").empty())
+    eval::SetTraceCacheDir(flags.Path("cache"));
+  trace_path_ = flags.Path("trace");
+  ledger_path_ = flags.Path("ledger");
   threads_ = NumThreads();
-  // Same default the CLI uses: benches hit the profiled-trace cache
-  // transparently; results are cached-vs-uncached invariant by contract.
-  eval::SetTraceCacheDir(cache_dir);
   std::printf("[threads: %d -- results are thread-count invariant]\n",
               threads_);
   telemetry::SetEnabled(true);
-  if (!trace_path_.empty()) trace_events::SetEnabled(true);
   start_ = std::chrono::steady_clock::now();
   // Flush the manifest up front with completed=false: a bench that
   // crashes, OOMs, or is killed by a CI timeout still leaves evidence.
@@ -152,19 +141,6 @@ Session::~Session() {
   // distributions) and append it to the perf ledger -- the always-on
   // machine-readable summary sweep scripts and `stemroot regress` consume.
   WriteManifest(/*completed=*/true);
-}
-
-void Session::StripFlags(int* argc, char** argv) {
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (i + 1 < *argc && IsSessionFlag(argv[i])) {
-      ++i;  // skip the value too
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  argv[out] = nullptr;
 }
 
 SamplerSet MakeStandardSamplers(double random_probability,

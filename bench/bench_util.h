@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -51,33 +52,34 @@ struct SamplerSet {
 ///     ...
 ///   }
 ///
-/// Turns telemetry on and parses `--threads N` (0 = auto;
-/// STEMROOT_THREADS works too -- results are bit-identical at any thread
-/// count), `--trace FILE` (records Chrome trace events, written by the
-/// destructor), `--log-level L`
-/// (silent|warn|inform|debug), `--ledger FILE` (override the run
-/// ledger path; `--ledger none` disables the append), and
-/// `--cache DIR|none` (relocate or disable the content-addressed
-/// profiled-trace cache, default bench_results/cache -- a warm cache
-/// skips the generate+profile stages with byte-identical results).
-/// google-benchmark's `--benchmark_filter=` and `--benchmark_repetitions=`
-/// are left in argv for that parser but recorded as the manifest's
-/// `workload` and `reps`, so a filtered run never shares a ledger
-/// fingerprint with a full one.
+/// Parses the command line with the CLI's flag grammar (common/flags.h)
+/// against one table: the every-command block (--threads, --trace,
+/// --log-level) plus --ledger and --cache (`BENCH --help` prints it). A
+/// flag error exits 2 before any work or file; then telemetry goes on.
+/// Only a bench that hands google-benchmark's parser to the constructor
+/// (perf_scalability) takes `--benchmark_*` flags, and a refusal there
+/// exits 2 just as early. Their `--benchmark_filter=` and
+/// `--benchmark_repetitions=` values become the manifest's `workload` and
+/// `reps`, so a filtered run never shares a ledger fingerprint with a
+/// full one.
 ///
-/// Every bench run leaves a machine-readable stemroot-manifest-v1 run
-/// manifest at bench_results/BENCH_<name>.json (the bench name is
-/// argv[0]'s basename): the constructor flushes it immediately with
-/// `"completed": false`, and the destructor rewrites it with the final
-/// wall time, build stamp, telemetry stages, counters and distributions,
-/// and `"completed": true` -- so a crashed, OOM-killed, or timed-out
-/// bench still leaves evidence of what started and never finished. On
-/// clean completion the manifest is also appended to the perf ledger
-/// (bench_results/ledger.jsonl by default; see src/eval/ledger.h), which
-/// `stemroot regress` gates on.
+/// Every accepted bench run leaves a machine-readable
+/// stemroot-manifest-v1 run manifest at bench_results/BENCH_<name>.json
+/// (the bench name is argv[0]'s basename): the constructor flushes it
+/// immediately with `"completed": false`, and the destructor rewrites it
+/// with the final wall time, build stamp, telemetry stages, counters and
+/// distributions, and `"completed": true` -- so a crashed, OOM-killed, or
+/// timed-out bench still leaves evidence of what started and never
+/// finished. On clean completion the manifest is also appended to the
+/// perf ledger (see src/eval/ledger.h), which `stemroot regress` gates on.
 class Session {
  public:
-  Session(int argc, const char* const* argv);
+  /// google-benchmark's parser: gets argv[0] plus every `--benchmark_*`
+  /// word, returns false to refuse the run.
+  using BenchmarkParser = std::function<bool(int* argc, char** argv)>;
+
+  Session(int argc, const char* const* argv,
+          const BenchmarkParser& benchmark = nullptr);
   ~Session();
 
   Session(const Session&) = delete;
@@ -88,13 +90,6 @@ class Session {
 
   /// Bench name derived from argv[0] (basename, no directories).
   const std::string& name() const { return name_; }
-
-  /// Remove the Session-consumed flag pairs (--threads, --trace,
-  /// --log-level, --ledger, --cache) from argv in place, updating *argc:
-  /// benches that forward argv to another parser (google-benchmark) call
-  /// this after constructing the Session so the foreign parser never sees
-  /// our flags.
-  static void StripFlags(int* argc, char** argv);
 
  private:
   /// Manifest skeleton for this run; completed=false until the destructor.

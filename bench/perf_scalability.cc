@@ -332,18 +332,19 @@ BENCHMARK(BM_InstrumentationBaseline);
 
 }  // namespace
 
-/// Custom main instead of BENCHMARK_MAIN(): open the standard bench
-/// Session first (so --threads/--trace/--log-level and the
+/// Custom main instead of BENCHMARK_MAIN(): the standard bench Session
+/// parses the command line first (so --threads/--trace/--log-level and the
 /// BENCH_perf_scalability.json summary work here like in every other
-/// bench), then strip those flags before google-benchmark parses argv.
+/// bench) and hands the `--benchmark_*` flags to google-benchmark's
+/// parser; a flag either parser refuses exits 2 before any work.
 /// Telemetry goes back off: the loops time library calls, which must not
 /// pay for recording, so this bench's manifest has no stages or counters.
 int main(int argc, char** argv) {
-  stemroot::bench::Session session(argc, argv);
+  stemroot::bench::Session session(argc, argv, [](int* count, char** args) {
+    benchmark::Initialize(count, args);
+    return !benchmark::ReportUnrecognizedArguments(*count, args);
+  });
   stemroot::telemetry::SetEnabled(false);
-  stemroot::bench::Session::StripFlags(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -10,15 +10,10 @@
 /// contract, DESIGN.md section 12). Workloads are reduced (Sec. 5.4) so
 /// the full simulations complete here: 11 Rodinia-like workloads plus the
 /// 6 HuggingFace-like LLM/ML workloads with truncated graphs and scaled
-/// per-kernel work.
-///
-/// Extra flag (after the standard Session set): --sweep-threads N caps
-/// the concurrently evaluated points.
+/// per-kernel work. --threads sizes the sweep.
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "bench_util.h"
 #include "common/csv.h"
@@ -61,12 +56,6 @@ std::vector<KernelTrace> ReducedWorkloads(const hw::HardwareModel& gpu) {
   return traces;
 }
 
-int64_t IntFlag(int argc, char** argv, const char* flag, int64_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return std::atoll(argv[i + 1]);
-  return fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -74,8 +63,6 @@ int main(int argc, char** argv) {
 
   eval::DseSweepOptions sweep_options;
   sweep_options.seed = bench::kSeed;
-  sweep_options.sweep_threads = static_cast<int>(
-      IntFlag(argc, argv, "--sweep-threads", sweep_options.sweep_threads));
 
   std::printf("=== Table 4 + Figure 12: DSE on the cycle-level simulator "
               "===\n(11 reduced Rodinia + 6 reduced LLM workloads; full "

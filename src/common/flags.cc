@@ -1,117 +1,158 @@
 #include "common/flags.h"
 
-#include <stdexcept>
+#include <algorithm>
+#include <optional>
 
 #include "common/str.h"
 
 namespace stemroot {
 
-Flags Flags::Parse(int argc, const char* const* argv) {
+namespace {
+
+/// Throws FlagError unless `value` is a well-formed value of `spec`.
+/// ParseDouble (from_chars), not std::stod: stod reads the global
+/// locale's decimal point, so "1.5" would parse as 1 under a
+/// comma-decimal locale.
+void CheckValue(const FlagSpec& spec, const std::string& value) {
+  const std::string flag = "Flags: --" + spec.name;
+  const std::string got = ", got '" + value + "'";
+  const std::optional<uint64_t> count = ParseUint(value);
+  if (spec.kind == FlagKind::kUint && (!count || *count > spec.max))
+    throw FlagError(flag + " expects an integer in [0, " +
+                    std::to_string(spec.max) + "]" + got);
+  if (spec.kind == FlagKind::kDouble && !ParseDouble(value))
+    throw FlagError(flag + " expects a number" + got);
+  if (spec.kind == FlagKind::kBool && value != "true" && value != "false" &&
+      value != "1" && value != "0")
+    throw FlagError(flag + " expects true/false" + got);
+}
+
+bool IsFlagWord(const std::string& word) {
+  return StartsWith(word, "--") || word == "-h";
+}
+
+/// The help text's stand-in for a value without a default, by kind.
+const char* Placeholder(FlagKind kind) {
+  static constexpr const char* kNames[] = {"N",   "X",   "BOOL",
+                                           "STR", "A,B", "FILE"};
+  return kNames[static_cast<int>(kind)];
+}
+
+}  // namespace
+
+FlagSpec Required(FlagSpec spec) {
+  spec.required = true;
+  return spec;
+}
+
+const FlagSpec* FindFlag(const std::vector<FlagSpec>& table,
+                         const std::string& name) {
+  for (const FlagSpec& spec : table)
+    if (spec.name == name) return &spec;
+  return nullptr;
+}
+
+Flags Flags::Parse(int argc, const char* const* argv,
+                   std::vector<FlagSpec> table, size_t max_positional) {
   Flags flags;
+  flags.table_ = std::move(table);
   int i = 0;
-  while (i < argc && !StartsWith(argv[i], "--"))
+  while (i < argc && !IsFlagWord(argv[i]))
     flags.positional_.emplace_back(argv[i++]);
-  while (i < argc) {
-    std::string key = argv[i];
-    if (!StartsWith(key, "--"))
-      throw std::invalid_argument("Flags: expected --flag, got '" + key +
-                                  "'");
-    key = key.substr(2);
-    // Support --key=value and --key value.
-    const size_t eq = key.find('=');
-    if (eq != std::string::npos) {
-      flags.values_[key.substr(0, eq)] = key.substr(eq + 1);
-      ++i;
+  if (flags.positional_.size() > max_positional)
+    throw FlagError("Flags: unexpected argument '" +
+                    flags.positional_[max_positional] + "'");
+
+  std::string unknown;
+  for (; i < argc; ++i) {
+    const std::string word = argv[i];
+    if (word == "--help" || word == "-h") {
+      flags.help_ = true;
       continue;
     }
-    if (i + 1 >= argc)
-      throw std::invalid_argument("Flags: --" + key + " needs a value");
-    flags.values_[key] = argv[i + 1];
-    i += 2;
+    if (!StartsWith(word, "--"))
+      throw FlagError("Flags: expected --flag, got '" + word + "'");
+    std::string key = word.substr(2);
+    std::string value;
+    const size_t eq = key.find('=');
+    const bool inline_value = eq != std::string::npos;
+    if (inline_value) {
+      value = key.substr(eq + 1);
+      key.resize(eq);
+    }
+    const FlagSpec* spec = FindFlag(flags.table_, key);
+    if (spec == nullptr) {
+      // An unknown flag's value (if it has one) is skipped with it, so
+      // the error names every unknown flag at once.
+      if (!inline_value && i + 1 < argc && !IsFlagWord(argv[i + 1])) ++i;
+      if (!unknown.empty()) unknown += ", ";
+      unknown += "--" + key;
+      continue;
+    }
+    if (!inline_value) {
+      if (i + 1 >= argc)
+        throw FlagError("Flags: --" + key + " needs a value");
+      value = argv[++i];
+    }
+    CheckValue(*spec, value);
+    if (!flags.values_.emplace(key, value).second)
+      throw FlagError("Flags: --" + key + " given more than once");
   }
+  if (!unknown.empty())
+    throw FlagError("Flags: unknown flag(s): " + unknown);
+  if (!flags.help_)
+    for (const FlagSpec& spec : flags.table_)
+      if (spec.required && !flags.Has(spec.name))
+        throw FlagError("Flags: missing required --" + spec.name);
   return flags;
 }
 
-bool Flags::Has(const std::string& key) const {
-  return values_.count(key) > 0;
+bool Flags::Has(const std::string& name) const {
+  return values_.count(name) > 0;
 }
 
-std::string Flags::GetString(const std::string& key,
-                             const std::string& fallback) const {
-  read_.insert(key);
-  auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
+std::string Flags::String(const std::string& name) const {
+  const FlagSpec* spec = FindFlag(table_, name);
+  if (spec == nullptr)
+    throw std::logic_error("Flags: --" + name + " is not declared");
+  const auto it = values_.find(name);
+  return it == values_.end() ? spec->default_value : it->second;
 }
 
-double Flags::GetDouble(const std::string& key, double fallback) const {
-  read_.insert(key);
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  // ParseDouble (from_chars) rather than std::stod: stod reads the global
-  // locale's decimal point, so "--scale 1.5" would parse as 1 under a
-  // comma-decimal locale.
-  const std::optional<double> value = ParseDouble(it->second);
-  if (!value)
-    throw std::invalid_argument("Flags: --" + key + " expects a number, got '" +
-                                it->second + "'");
-  return *value;
+std::string Flags::Path(const std::string& name) const {
+  const std::string value = String(name);
+  return value == "none" ? "" : value;
 }
 
-int64_t Flags::GetInt(const std::string& key, int64_t fallback) const {
-  read_.insert(key);
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  const std::optional<int64_t> value = ParseInt(it->second);
-  if (!value)
-    throw std::invalid_argument("Flags: --" + key +
-                                " expects an integer, got '" + it->second +
-                                "'");
-  return *value;
+// A value was checked at Parse; only a flag with neither a value nor a
+// default (a program error) reaches value() on an empty optional.
+uint64_t Flags::Uint(const std::string& name) const {
+  return ParseUint(String(name)).value();
 }
 
-uint64_t Flags::GetUint(const std::string& key, uint64_t fallback,
-                        uint64_t max) const {
-  read_.insert(key);
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  const std::optional<uint64_t> value = ParseUint(it->second);
-  if (!value || *value > max)
-    throw std::invalid_argument("Flags: --" + key +
-                                " expects an integer in [0, " +
-                                std::to_string(max) + "], got '" +
-                                it->second + "'");
-  return *value;
+double Flags::Double(const std::string& name) const {
+  return ParseDouble(String(name)).value();
 }
 
-bool Flags::GetBool(const std::string& key, bool fallback) const {
-  read_.insert(key);
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  if (it->second == "true" || it->second == "1") return true;
-  if (it->second == "false" || it->second == "0") return false;
-  throw std::invalid_argument("Flags: --" + key +
-                              " expects true/false, got '" + it->second +
-                              "'");
+bool Flags::Bool(const std::string& name) const {
+  return String(name) == "true" || String(name) == "1";
 }
 
-std::string Flags::Require(const std::string& key) const {
-  read_.insert(key);
-  auto it = values_.find(key);
-  if (it == values_.end())
-    throw std::invalid_argument("Flags: missing required --" + key);
-  return it->second;
+std::vector<std::string> Flags::List(const std::string& name) const {
+  const std::string value = String(name);
+  return value.empty() ? std::vector<std::string>{} : Split(value, ',');
 }
 
-void Flags::CheckAllRead() const {
-  std::string unknown;
-  for (const auto& [key, value] : values_) {
-    if (read_.count(key) == 0) {
-      if (!unknown.empty()) unknown += ", ";
-      unknown += "--" + key;
-    }
+std::string FlagHelp(const std::vector<FlagSpec>& table) {
+  std::string out;
+  for (const FlagSpec& spec : table) {
+    std::string left = "  --" + spec.name + " " +
+                       (spec.default_value.empty() ? Placeholder(spec.kind)
+                                                   : spec.default_value);
+    left.resize(std::max<size_t>(left.size() + 2, 32), ' ');
+    out += left + spec.help + (spec.required ? " (required)" : "") + "\n";
   }
-  if (!unknown.empty())
-    throw std::invalid_argument("Flags: unknown flag(s): " + unknown);
+  return out;
 }
 
 }  // namespace stemroot

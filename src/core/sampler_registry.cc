@@ -1,5 +1,6 @@
 #include "core/sampler_registry.h"
 
+#include <limits>
 #include <stdexcept>
 
 #include "common/str.h"
@@ -59,15 +60,16 @@ double SamplerParams::GetDouble(const std::string& key,
   return *value;
 }
 
-int64_t SamplerParams::GetInt(const std::string& key,
-                              int64_t fallback) const {
+uint64_t SamplerParams::GetUint(const std::string& key, uint64_t fallback,
+                                uint64_t max) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  const std::optional<int64_t> value = ParseInt(it->second);
-  if (!value)
+  const std::optional<uint64_t> value = ParseUint(it->second);
+  if (!value || *value > max)
     throw std::invalid_argument("SamplerParams: '" + key +
-                                "' expects an integer, got '" + it->second +
-                                "'");
+                                "' expects an integer in [0, " +
+                                std::to_string(max) + "], got '" +
+                                it->second + "'");
   return *value;
 }
 
@@ -84,30 +86,40 @@ bool SamplerParams::GetBool(const std::string& key, bool fallback) const {
 SamplerRegistry& SamplerRegistry::Global() {
   static SamplerRegistry* registry = [] {
     auto* reg = new SamplerRegistry;
-    reg->Register("stem", [](const SamplerParams& params) {
-      StemRootConfig config;
-      config.root.stem.epsilon =
-          params.GetDouble("epsilon", config.root.stem.epsilon);
-      config.root.stem.confidence =
-          params.GetDouble("confidence", config.root.stem.confidence);
-      config.root.stem.min_samples = static_cast<uint64_t>(params.GetInt(
-          "min_samples",
-          static_cast<int64_t>(config.root.stem.min_samples)));
-      config.root.branch_k = static_cast<uint32_t>(params.GetInt(
-          "branch_k", static_cast<int64_t>(config.root.branch_k)));
-      return std::make_unique<StemRootSampler>(config);
-    });
+    reg->Register(
+        "stem",
+        [](const SamplerParams& params) {
+          StemRootConfig config;
+          config.root.stem.epsilon =
+              params.GetDouble("epsilon", config.root.stem.epsilon);
+          config.root.stem.confidence =
+              params.GetDouble("confidence", config.root.stem.confidence);
+          config.root.stem.min_samples =
+              params.GetUint("min_samples", config.root.stem.min_samples,
+                             std::numeric_limits<uint64_t>::max());
+          config.root.branch_k = static_cast<uint32_t>(
+              params.GetUint("branch_k", config.root.branch_k,
+                             std::numeric_limits<uint32_t>::max()));
+          return std::make_unique<StemRootSampler>(config);
+        },
+        {{"epsilon", FlagKind::kDouble, "", "relative error bound"},
+         {"confidence", FlagKind::kDouble, "", "confidence of the bound"},
+         {"min_samples", FlagKind::kUint, "", "samples per cluster floor"},
+         {"branch_k", FlagKind::kUint, "", "ROOT's k-means branching factor",
+          std::numeric_limits<uint32_t>::max()}});
     return reg;
   }();
   return *registry;
 }
 
-void SamplerRegistry::Register(const std::string& name, Factory factory) {
+void SamplerRegistry::Register(const std::string& name, Factory factory,
+                               std::vector<FlagSpec> params) {
   if (name.empty() || !factory)
     throw std::invalid_argument(
         "SamplerRegistry: name and factory must be non-empty");
   std::lock_guard<std::mutex> lock(mu_);
-  if (!factories_.emplace(name, std::move(factory)).second)
+  if (!factories_.emplace(name, Entry{std::move(factory), std::move(params)})
+           .second)
     throw std::invalid_argument("SamplerRegistry: '" + name +
                                 "' is already registered");
 }
@@ -121,32 +133,37 @@ std::vector<std::string> SamplerRegistry::Names() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
   names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) names.push_back(name);
+  for (const auto& [name, entry] : factories_) names.push_back(name);
   return names;  // std::map iteration order is already sorted
+}
+
+const SamplerRegistry::Entry& SamplerRegistry::Find(
+    const std::string& name) const {
+  // Entries are never removed and std::map nodes are stable, so the entry
+  // can be used through a reference after dropping the lock -- no
+  // std::function copy per Create, and no lock held during the (arbitrary
+  // user code) factory call.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = factories_.find(name);
+    if (it != factories_.end()) return it->second;
+  }
+  std::string known;
+  for (const std::string& n : Names()) {
+    if (!known.empty()) known += ", ";
+    known += n;
+  }
+  throw std::invalid_argument("unknown sampler '" + name +
+                              "' (registered: " + known + ")");
 }
 
 std::unique_ptr<Sampler> SamplerRegistry::Create(
     const std::string& name, const SamplerParams& params) const {
-  // Entries are never removed and std::map nodes are stable, so the
-  // factory can be invoked through a pointer after dropping the lock --
-  // no std::function copy per Create, and no lock held during the
-  // (arbitrary user code) factory call.
-  const Factory* factory = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = factories_.find(name);
-    if (it != factories_.end()) factory = &it->second;
-  }
-  if (factory == nullptr) {
-    std::string known;
-    for (const std::string& n : Names()) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
-    throw std::invalid_argument("unknown sampler '" + name +
-                                "' (registered: " + known + ")");
-  }
-  return (*factory)(params);
+  return Find(name).factory(params);
+}
+
+std::vector<FlagSpec> SamplerRegistry::Params(const std::string& name) const {
+  return Find(name).params;
 }
 
 }  // namespace stemroot::core

@@ -4,10 +4,13 @@
 /// the same way and unknown-method errors can list what is available.
 ///
 /// Factories take a SamplerParams bag -- a small string map with typed
-/// getters, shaped like common/flags.h but decoupled from argv parsing so
-/// library code can use it too. The registry is created with "stem"
-/// registered; the baseline samplers add themselves via
-/// baselines::EnsureBuiltinSamplers() (core cannot depend on baselines).
+/// getters, decoupled from argv parsing so library code can use it too.
+/// Each factory declares the keys it reads once, at registration, as flag
+/// table rows (common/flags.h): the CLI derives its sampler flags from
+/// those declarations and refuses a key the chosen method does not take.
+/// The registry is created with "stem" registered; the baseline samplers
+/// add themselves via baselines::EnsureBuiltinSamplers() (core cannot
+/// depend on baselines).
 
 #pragma once
 
@@ -19,12 +22,13 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "core/sampler.h"
 
 namespace stemroot::core {
 
-/// Flags-like parameter map for sampler factories. Values are stored as
-/// strings; typed getters parse with the same strictness as Flags and
+/// Parameter map for sampler factories. Values are stored as strings;
+/// typed getters parse with the same strictness as the flag grammar and
 /// throw std::invalid_argument on malformed values.
 class SamplerParams {
  public:
@@ -40,7 +44,11 @@ class SamplerParams {
   std::string GetString(const std::string& key,
                         const std::string& fallback) const;
   double GetDouble(const std::string& key, double fallback) const;
-  int64_t GetInt(const std::string& key, int64_t fallback) const;
+  /// A count or size: throws std::invalid_argument naming the key when
+  /// the value is negative, malformed or above `max` (the range of the
+  /// field it is narrowed into).
+  uint64_t GetUint(const std::string& key, uint64_t fallback,
+                   uint64_t max) const;
   bool GetBool(const std::string& key, bool fallback) const;
 
  private:
@@ -60,9 +68,11 @@ class SamplerRegistry {
   SamplerRegistry(const SamplerRegistry&) = delete;
   SamplerRegistry& operator=(const SamplerRegistry&) = delete;
 
-  /// Register a factory under a unique lowercase name; throws
-  /// std::invalid_argument on duplicates (register once).
-  void Register(const std::string& name, Factory factory);
+  /// Register a factory under a unique lowercase name, with the keys it
+  /// reads (`params`, one flag row each); throws std::invalid_argument on
+  /// duplicates (register once).
+  void Register(const std::string& name, Factory factory,
+                std::vector<FlagSpec> params = {});
 
   bool Contains(const std::string& name) const;
 
@@ -74,9 +84,20 @@ class SamplerRegistry {
   std::unique_ptr<Sampler> Create(const std::string& name,
                                   const SamplerParams& params = {}) const;
 
+  /// The keys `name`'s factory reads, as declared at registration. Unknown
+  /// names throw like Create.
+  std::vector<FlagSpec> Params(const std::string& name) const;
+
  private:
+  struct Entry {
+    Factory factory;
+    std::vector<FlagSpec> params;
+  };
+  /// The entry for `name`; throws the unknown-sampler error.
+  const Entry& Find(const std::string& name) const;
+
   mutable std::mutex mu_;
-  std::map<std::string, Factory> factories_;
+  std::map<std::string, Entry> factories_;
 };
 
 }  // namespace stemroot::core

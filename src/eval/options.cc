@@ -1,68 +1,68 @@
 #include "eval/options.h"
 
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "common/log.h"
 #include "common/parallel.h"
-#include "common/telemetry.h"
 #include "common/trace_events.h"
 #include "eval/trace_cache.h"
 
 namespace stemroot::eval {
 
-Pipeline::Options CommonOptions::ToPipelineOptions() const {
+const std::vector<FlagSpec>& EveryCommandFlags() {
+  static const std::vector<FlagSpec> block = {
+      {"threads", FlagKind::kUint, "0", "0 = auto; never changes results",
+       static_cast<uint64_t>(std::numeric_limits<int>::max())},
+      {"trace", FlagKind::kPath, "", "write Chrome trace events"},
+      {"log-level", FlagKind::kString, "", "silent|warn|inform|debug"},
+  };
+  return block;
+}
+
+const std::vector<FlagSpec>& PipelineFlags() {
+  static const std::vector<FlagSpec> block = {
+      {"seed", FlagKind::kUint, "42", "master seed of every stage"},
+      {"scale", FlagKind::kDouble, "1", "workload size scale (> 0)"},
+      {"cache", FlagKind::kPath, DefaultTraceCacheDir(),
+       "profiled-trace cache (results are cache-invariant)"},
+      {"manifest", FlagKind::kPath, "", "write the run manifest"},
+      {"ledger", FlagKind::kPath, "", "append the manifest on success"},
+      {"trace-chunk-invocations", FlagKind::kUint, "0",
+       "out-of-core chunk capacity (0 = in memory)"},
+      {"trace-spill", FlagKind::kPath, "", "spill the trace to this dir"},
+  };
+  return block;
+}
+
+void CheckCommonFlags(const Flags& flags) {
+  if (flags.Declares("scale") && !(flags.Double("scale") > 0.0))
+    throw FlagError("options: --scale must be > 0");
+  const std::string level = flags.String("log-level");
+  if (!level.empty() && !LogLevelFromName(level))
+    throw FlagError("options: unknown --log-level '" + level +
+                    "' (available: silent, warn, inform, debug)");
+  if (flags.Declares("manifest") && !flags.Path("manifest").empty() &&
+      flags.Path("manifest") == flags.Path("ledger"))
+    throw FlagError("options: --manifest and --ledger name the same file");
+}
+
+void ApplyCommonFlags(const Flags& flags) {
+  SetNumThreads(static_cast<int>(flags.Uint("threads")));
+  if (!flags.Path("trace").empty()) trace_events::SetEnabled(true);
+  if (const std::optional<LogLevel> level =
+          LogLevelFromName(flags.String("log-level")))
+    SetLogLevel(*level);
+}
+
+Pipeline::Options PipelineOptions(const Flags& flags) {
   Pipeline::Options options;
-  options.seed = seed;
-  options.size_scale = scale;
-  options.trace_chunk_invocations = trace_chunk_invocations;
-  options.trace_spill_dir = trace_spill_dir;
+  options.seed = flags.Uint("seed");
+  options.size_scale = flags.Double("scale");
+  options.trace_chunk_invocations = flags.Uint("trace-chunk-invocations");
+  options.trace_spill_dir = flags.Path("trace-spill");
   return options;
-}
-
-void CommonOptions::Validate() const {
-  if (!(scale > 0.0))
-    throw std::invalid_argument("options: --scale must be > 0");
-  if (threads < 0)
-    throw std::invalid_argument("options: --threads must be >= 0");
-  if (!log_level.empty() && !LogLevelFromName(log_level))
-    throw std::invalid_argument(
-        "options: unknown --log-level '" + log_level +
-        "' (available: silent, warn, inform, debug)");
-  if (!manifest_path.empty() && manifest_path == ledger_path)
-    throw std::invalid_argument(
-        "options: --manifest and --ledger name the same file");
-}
-
-CommonOptions ParseCommonOptions(const Flags& flags, bool pipeline_command) {
-  CommonOptions options;
-  options.seed = flags.GetUint("seed", 42);
-  options.scale = flags.GetDouble("scale", 1.0);
-  options.threads = static_cast<int>(
-      flags.GetUint("threads", 0, std::numeric_limits<int>::max()));
-  options.trace_path = flags.GetString("trace", "");
-  options.log_level = flags.GetString("log-level", "");
-  if (pipeline_command) {
-    options.cache_dir = flags.GetString("cache", DefaultTraceCacheDir());
-    options.manifest_path = flags.GetString("manifest", "");
-    options.ledger_path = flags.GetString("ledger", "");
-    options.trace_chunk_invocations =
-        flags.GetUint("trace-chunk-invocations", 0);
-    options.trace_spill_dir = flags.GetString("trace-spill", "");
-  }
-  options.Validate();
-  return options;
-}
-
-void ApplyCommonOptions(const CommonOptions& options) {
-  options.Validate();
-  SetNumThreads(options.threads);
-  if (!options.manifest_path.empty() || !options.ledger_path.empty())
-    telemetry::SetEnabled(true);
-  if (!options.trace_path.empty()) trace_events::SetEnabled(true);
-  if (!options.log_level.empty())
-    SetLogLevel(*LogLevelFromName(options.log_level));
-  if (!options.cache_dir.empty()) SetTraceCacheDir(options.cache_dir);
 }
 
 workloads::SuiteId ResolveSuite(const std::string& name) {

@@ -1,17 +1,14 @@
 /// \file
-/// Typed option structs for every stemroot front end (CLI commands,
-/// benches, the resident service), replacing per-command ad-hoc flag
-/// plumbing with one validated path:
+/// The flags shared by the stemroot front ends (CLI commands and
+/// benches), in the one flag grammar (common/flags.h). They come in two
+/// blocks, each declared once here, and those tables hold the defaults:
+/// every command and bench takes EveryCommandFlags() (--threads --trace
+/// --log-level); the commands that run the pipeline also take
+/// PipelineFlags() (--seed --scale --cache --manifest --ledger
+/// --trace-chunk-invocations --trace-spill). A front end parses its table,
+/// checks and applies the common flags, then reads the rest:
 ///
-///   Flags -> ParseCommonOptions() -> CommonOptions -> ApplyCommonOptions()
-///
-/// CommonOptions carries the flags every command understands (--seed,
-/// --scale, --threads, --trace, --log-level) plus the
-/// pipeline-command trio (--cache, --manifest, --ledger). Parsing marks
-/// the flags consumed, so each command's trailing Flags::CheckAllRead()
-/// still rejects unknown flags with the usual single error format;
-/// Validate() rejects conflicting or out-of-range values the same way
-/// (std::invalid_argument, "options: ..." messages).
+///   Flags::Parse -> CheckCommonFlags -> ApplyCommonFlags
 ///
 /// ResolveSuite/ResolveGpu are the one place a suite or GPU token is
 /// turned into its typed value with an exhaustive "available: ..." error,
@@ -19,8 +16,8 @@
 
 #pragma once
 
-#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/flags.h"
 #include "eval/pipeline.h"
@@ -29,43 +26,24 @@
 
 namespace stemroot::eval {
 
-/// The resolved common configuration of one front-end invocation.
-struct CommonOptions {
-  uint64_t seed = 42;          ///< master seed (per-stage streams derive)
-  double scale = 1.0;          ///< workload size scale
-  int threads = 0;             ///< 0 = auto
-  std::string trace_path;      ///< "" = trace events off
-  std::string log_level;       ///< "" = leave the log level untouched
-  std::string cache_dir;       ///< "" = leave untouched; "none" = disabled
-  std::string manifest_path;   ///< "" = no manifest file
-  std::string ledger_path;     ///< "" = no ledger append
-  /// --trace-chunk-invocations: chunk capacity of the out-of-core trace
-  /// view (0 = fully in-memory, the default; results are byte-identical
-  /// either way -- see Pipeline::Options).
-  uint64_t trace_chunk_invocations = 0;
-  /// --trace-spill: directory for the chunked on-disk spill ("" = off).
-  std::string trace_spill_dir;
+/// --threads, --trace and --log-level.
+const std::vector<FlagSpec>& EveryCommandFlags();
 
-  /// The pipeline-facing subset (seed + scale).
-  Pipeline::Options ToPipelineOptions() const;
+/// --seed, --scale, --cache, --manifest, --ledger,
+/// --trace-chunk-invocations and --trace-spill.
+const std::vector<FlagSpec>& PipelineFlags();
 
-  /// Range/consistency checks; throws std::invalid_argument.
-  void Validate() const;
-};
+/// The checks no flag kind makes: --scale > 0, a known --log-level, and
+/// --manifest and --ledger naming different files; throws FlagError.
+void CheckCommonFlags(const Flags& flags);
 
-/// Read the common flags out of `flags` (marking them consumed so
-/// CheckAllRead stays strict). `pipeline_command` additionally consumes
-/// --cache/--manifest/--ledger and defaults cache_dir to the process
-/// default; non-pipeline commands leave all three empty. The result is
-/// already Validate()d.
-CommonOptions ParseCommonOptions(const Flags& flags, bool pipeline_command);
+/// Apply the every-command block's process-global switches: thread
+/// count, trace events and log level. Call once per invocation, after
+/// CheckCommonFlags, before any work starts.
+void ApplyCommonFlags(const Flags& flags);
 
-/// Apply the process-global side of the options: thread count, telemetry
-/// and trace-event switches (manifest/ledger emission turns telemetry
-/// collection on, and with it logical mem accounting -- common/resource.h),
-/// log level, and the profiled-trace cache directory.
-/// Idempotent; call once per invocation before pipeline work starts.
-void ApplyCommonOptions(const CommonOptions& options);
+/// The pipeline block as Pipeline::Options (seed, scale, trace view).
+Pipeline::Options PipelineOptions(const Flags& flags);
 
 /// Parse a suite token ("rodinia" / "casio" / "huggingface"); throws
 /// std::invalid_argument listing the available suites.

@@ -24,7 +24,9 @@ eval::RunManifest ManifestOf(const std::vector<std::string>& args) {
   for (const std::string& arg : args) argv.push_back(arg.c_str());
   argv.push_back("--ledger");
   argv.push_back("none");
-  { Session session(static_cast<int>(argv.size()), argv.data()); }
+  // perf_scalability's shape: `--benchmark_*` words go to a parser.
+  const auto accept = [](int*, char**) { return true; };
+  { Session session(static_cast<int>(argv.size()), argv.data(), accept); }
   const eval::RunManifest manifest =
       eval::RunManifest::Load("bench_results/BENCH_perf_probe.json");
   std::filesystem::current_path(old_cwd);

@@ -113,9 +113,11 @@ TEST(LocaleTest, JsonParsesAndFormatsUnderHostileLocale) {
 TEST(LocaleTest, FlagsParseDoublesUnderHostileLocale) {
   ScopedHostileLocale hostile;
   const char* argv[] = {"--scale", "0.05", "--reps", "3"};
-  const Flags flags = Flags::Parse(4, argv);
-  EXPECT_EQ(flags.GetDouble("scale", 1.0), 0.05);
-  EXPECT_EQ(flags.GetInt("reps", 1), 3);
+  const Flags flags =
+      Flags::Parse(4, argv, {{"scale", FlagKind::kDouble, "1", ""},
+                             {"reps", FlagKind::kUint, "1", ""}});
+  EXPECT_EQ(flags.Double("scale"), 0.05);
+  EXPECT_EQ(flags.Uint("reps"), 3u);
 }
 
 TEST(LocaleTest, SamplerParamsRoundTripUnderHostileLocale) {

@@ -118,12 +118,12 @@ TEST(LogTest, LevelNamesRoundTrip) {
 TEST(LogTest, LogLevelFlagDrivesGlobalLevel) {
   const LogLevel old = GetLogLevel();
   const char* argv[] = {"--log-level", "debug"};
-  const Flags flags = Flags::Parse(2, argv);
-  const auto level = LogLevelFromName(flags.GetString("log-level", "warn"));
+  const Flags flags =
+      Flags::Parse(2, argv, {{"log-level", FlagKind::kString, "warn", ""}});
+  const auto level = LogLevelFromName(flags.String("log-level"));
   ASSERT_TRUE(level.has_value());
   SetLogLevel(*level);
   EXPECT_EQ(GetLogLevel(), LogLevel::kDebug);
-  flags.CheckAllRead();
   SetLogLevel(old);
 }
 

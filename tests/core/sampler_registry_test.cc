@@ -97,11 +97,11 @@ TEST(SamplerParamsTest, TypedGettersParseAndFallBack) {
   EXPECT_FALSE(params.Has("missing"));
   EXPECT_EQ(params.GetString("s", ""), "hello");
   EXPECT_DOUBLE_EQ(params.GetDouble("d", 0.0), 0.5);
-  EXPECT_EQ(params.GetInt("i", 0), 42);
+  EXPECT_EQ(params.GetUint("i", 0, 42), 42u);
   EXPECT_TRUE(params.GetBool("b", false));
   EXPECT_EQ(params.GetString("missing", "fb"), "fb");
   EXPECT_DOUBLE_EQ(params.GetDouble("missing", 1.5), 1.5);
-  EXPECT_EQ(params.GetInt("missing", 7), 7);
+  EXPECT_EQ(params.GetUint("missing", 7, 1), 7u);  // the fallback is trusted
   EXPECT_FALSE(params.GetBool("missing", false));
 }
 
@@ -109,9 +109,38 @@ TEST(SamplerParamsTest, MalformedValuesThrow) {
   SamplerParams params;
   params.Set("x", "not-a-number");
   EXPECT_THROW(params.GetDouble("x", 0.0), std::invalid_argument);
-  EXPECT_THROW(params.GetInt("x", 0), std::invalid_argument);
+  EXPECT_THROW(params.GetUint("x", 0, 10), std::invalid_argument);
   EXPECT_THROW(params.GetBool("x", false), std::invalid_argument);
   EXPECT_EQ(params.GetString("x", ""), "not-a-number");
+
+  // A count is range-checked before it is narrowed: 2^32 + 2 would wrap
+  // to 2 in a uint32_t field, -1 to 4294967295.
+  params.Set("wide", "4294967298").Set("neg", "-1");
+  try {
+    params.GetUint("wide", 0, 4294967295u);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "SamplerParams: 'wide' expects an integer in [0, "
+                 "4294967295], got '4294967298'");
+  }
+  EXPECT_THROW(params.GetUint("neg", 0, 4294967295u), std::invalid_argument);
+}
+
+// Each factory's declared keys are the keys it reads: a malformed value
+// for any declared key makes Create throw.
+TEST_F(SamplerRegistryTest, EveryDeclaredParamIsRead) {
+  const SamplerRegistry& registry = SamplerRegistry::Global();
+  size_t declared = 0;
+  for (const std::string& name : registry.Names())
+    for (const FlagSpec& param : registry.Params(name)) {
+      ++declared;
+      const SamplerParams malformed = SamplerParams().Set(param.name, "abc");
+      EXPECT_THROW(registry.Create(name, malformed), std::invalid_argument)
+          << name << " --" << param.name;
+    }
+  EXPECT_EQ(declared, 18u);  // random_representative twice (pka, sieve)
+  EXPECT_THROW(registry.Params("foo"), std::invalid_argument);
 }
 
 }  // namespace

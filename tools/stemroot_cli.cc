@@ -1,52 +1,24 @@
 /// \file
 /// stemroot — command-line front end to the library, mirroring the
-/// paper's Fig. 5 pipeline as composable steps over trace files:
+/// paper's Fig. 5 pipeline as composable steps over trace files
+/// (`stemroot --help` lists the commands, `stemroot COMMAND --help` one
+/// command's flags).
 ///
-///   stemroot generate --suite casio --workload bert_infer --out t.srtc
-///   stemroot profile  --in t.srtc --gpu rtx2080 --out t.srtc
-///   stemroot info     --in t.srtc
-///   stemroot sample   --in t.srtc --method stem --epsilon 0.05 --out p.csv
-///   stemroot evaluate --in t.srtc --method stem --reps 10
-///   stemroot run      --suite casio --workload bert_infer --method stem
-///   stemroot serve    --socket /tmp/stemroot.sock
-///   stemroot session  --socket /tmp/stemroot.sock --script requests.jsonl
-///   stemroot compare  A.json B.json
-///   stemroot regress  --ledger bench_results/ledger.jsonl --window 8
-///   stemroot cache    stats|verify|evict [--cache DIR] [--max-bytes N]
-///   stemroot validate manifest a.json b.json --require-completed true
+/// Every command declares its flags once, in the command table at the end
+/// of this file: its own rows plus the shared blocks it takes (every
+/// command: eval::EveryCommandFlags; pipeline commands:
+/// eval::PipelineFlags, with a run manifest; sampler commands: the
+/// parameters the registered samplers declare). main parses the whole
+/// command line against that table before any work and exits 2 on a flag
+/// error; the same table prints `--help`.
 ///
-/// `serve` hosts the resident service::Service over an AF_UNIX socket
-/// speaking the line-delimited JSON protocol (service/protocol.h);
-/// `session` replays a request script against it. `run` itself routes
-/// through service::Service::RunBatch, so the batch command and a served
-/// session share one typed configuration path (service::SessionConfig).
-///
-/// Common flags are parsed once through eval::ParseCommonOptions into a
-/// typed eval::CommonOptions (no per-command ad-hoc plumbing); suite and
-/// GPU tokens resolve through eval::ResolveSuite / eval::ResolveGpu.
-///
-/// Stage wiring goes through eval::Pipeline (one master --seed per command;
-/// per-stage seeds are derived from it — see src/eval/pipeline.h) and
+/// `run` routes through service::Service::RunBatch, so the batch command
+/// and a served session share one typed configuration path
+/// (service::SessionConfig). Stage wiring goes through eval::Pipeline (one
+/// master --seed per command; per-stage seeds derive from it) and
 /// samplers are built through core::SamplerRegistry, so the CLI, benches,
-/// and tests share one code path.
-///
-/// Every pipeline command can emit a stemroot-manifest-v1 run manifest
-/// (`--manifest FILE`, written as completed=false up front so crashes
-/// leave evidence) and append it to the perf/accuracy ledger
-/// (`--ledger FILE`, JSONL). The manifest is the one aggregate artifact of
-/// a run: stages, counters and value distributions all land there.
-/// `compare` diffs two manifests; `regress` gates the newest ledger entry
-/// against its rolling baseline.
-///
-/// Pipeline commands memoize the generate->profile prefix in a
-/// content-addressed on-disk cache (default bench_results/cache/;
-/// `--cache DIR|none`; see src/eval/trace_cache.h for the key contract).
-/// `stemroot cache` inspects and maintains it.
-///
-/// `stemroot validate KIND FILE...` checks the artifacts the other
-/// commands write (manifest, trace, metrics, journal); each
-/// check lives beside the writer of its format, so the verb only wires
-/// flags to those library calls.
+/// and tests share one code path. `validate KIND` only wires flags to the
+/// check that lives beside each format's writer.
 ///
 /// Trace files are chunked "SRTC" files (trace/chunked.h); sampling plans
 /// are CSVs of (invocation, weight) -- the "sampling information" a
@@ -61,6 +33,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -101,187 +74,68 @@ using namespace stemroot;
 
 namespace {
 
-/// Upper bound of the 32-bit count flags (--reps, --trials, ...).
-constexpr uint64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
 
-int Usage() {
-  std::fprintf(stderr, R"(usage: stemroot <command> [--flags]
-
-commands:
-  generate  --suite rodinia|casio|huggingface --workload NAME --out FILE
-            [--seed N] [--scale X]
-  profile   --in FILE --out FILE [--gpu rtx2080|h100|h200] [--seed N]
-            [--csv timeline.csv]
-  info      --in FILE [--top N]
-  sample    --in FILE --out PLAN.csv [--method NAME] [--seed N]
-  evaluate  --in FILE [--method NAME] [--reps N] [--seed N]
-  run       --suite SUITE --workload NAME [--gpu GPU] [--method NAME]
-            [--reps N] [--seed N] [--scale X]
-  stream    --suite SUITE --workload NAME [--gpu GPU]
-            [--target-invocations N] [--trace-chunk-invocations N]
-            [--trace-spill DIR] [--cluster false] [--epsilon X]
-            [--confidence X] [--seed N] [--scale X]
-  serve     --socket PATH [--max-sessions N] [--cache DIR|none]
-            [--metrics FILE|fd:N] [--metrics-interval SEC]
-            [--journal FILE] [--slow-ms MS]
-  session   --socket PATH [--script FILE|-] [--fail-on-error true]
-  stats     --socket PATH [--watch SEC] [--json true]
-  audit     --suite SUITE [--workload A,B,..] [--gpu GPU] [--method NAME]
-            [--trials N] [--seed N] [--scale X] [--json FILE]
-            [--min-within FRACTION]
-  dse       --suite SUITE --workload A[,B,..] [--gpu GPU] [--method A,B,..]
-            [--variants baseline,cache_x2,cache_half,sm_x2,sm_half]
-            [--seed N] [--scale X] [--csv FILE]
-  compare   A.json B.json [--allow-config-diff true]
-  regress   --ledger FILE [--window K] [--min-history N] [--mad-factor C]
-            [--rel-slack X] [--accuracy-slack PP] [--journal FILE]
-            [--max-journal-errors N] [--max-journal-dropped N]
-  journal   tail FILE [--min-severity debug|info|warn|error] [--verb EVENT]
-            [--follow true] [--poll-ms N]
-  cache     stats|verify|evict [--cache DIR] [--max-bytes N]
-  validate  trace FILE... [--require-event A,B,..] [--min-events N]
-            manifest FILE... [--require-stage A,..] [--require-counter A,..]
-              [--require-completed true] [--stage-leq STAGE=OTHER.json,..]
-              [--require-spill true] [--max-logical KEY=BYTES,..]
-            metrics FILE.prom... [--prev EARLIER.prom]
-            journal FILE.jsonl... [--require-event A,B,..]
-
-trace FILEs are chunked SRTC trace files (e.g. t.srtc); profile may
-write its --out over its own --in.
-
-methods come from the sampler registry (stem random pka sieve photon
-tbpoint); sampler parameters (--epsilon, --probability, --confidence, ...)
-are forwarded to the method's factory.
-
-dse runs the Table 4 protocol on the cycle-level simulator: plans are
-built from the baseline profile, then every (variant, workload) point --
-full simulation plus one sampled simulation per method -- is evaluated
-concurrently over the shared cached traces; results are byte-identical
-at any --threads (DESIGN.md section 12).
-
-serve hosts the resident sampling service on an AF_UNIX socket: clients
-hold concurrent streaming sessions (open/feed/query/plan/eval/close as
-line-delimited JSON; `shutdown` stops the server) and can stop feeding
-the moment `query` reports converged=true -- see DESIGN.md section 13.
-session connects to a server and replays --script (one JSON request per
-line, '-' or omitted = stdin), echoing one response per line;
---fail-on-error true exits 1 if any response had ok=false. `run` routes
-through the same service code path, so a fully-fed session's manifest
-compares clean against the matching `stemroot run` manifest.
-
-serve exposes live introspection (DESIGN.md section 14): --metrics
-exports Prometheus text every --metrics-interval seconds (atomically to
-a file, or rewriting fd:N); --journal appends a structured JSONL event
-journal (session lifecycle, convergence, slow requests past --slow-ms,
-connection errors); the `stats` and `health` protocol verbs report
-per-verb latency quantiles and liveness. `stemroot stats` renders the
-stats verb (--watch N refreshes every N seconds; --json prints the raw
-response). regress --journal gates on that journal's error/drop counts.
-`stemroot journal tail` pretty-prints a journal file (--min-severity
-filters below the floor, --verb keeps one event name, --follow polls
-for appended lines like tail -f).
-
-resource observability (DESIGN.md section 15): pipeline commands with
---manifest/--ledger record a "mem" block -- physical peak RSS
-(environmental, regress-gated against the rolling baseline) plus the
-deterministic logical per-category peaks (trace, root, plan, sim, eval,
-...) that `compare` gates byte-for-byte. serve exports the same as
-stemroot_process_*/stemroot_mem_* metrics, read fresh at every scrape.
-
-audit compares every ROOT cluster's predicted error bound (Eq. 2 under
-the KKT allocation) against the realized error of seeded sampling plans;
---min-within makes the exit status gate on the within-budget fraction.
-
-compare diffs two run manifests: deterministic fields (config, accuracy,
-samples, counters) gate the exit status (3 on drift, 2 on config
-mismatch); wall times are reported but never gated. regress checks the
-newest ledger entry against up to --window prior same-config runs with
-noise-aware thresholds (median + max(C*MAD, slack)); exit 3 on any
-perf/accuracy regression, so CI can gate on it.
-
-cache manages the content-addressed profiled-trace cache: stats prints
-entry count and bytes, verify checks every entry's header and checksum
-(exit 1 if any entry is defective), evict removes entries oldest-first
-until the cache fits --max-bytes (default 0: remove everything).
-
-validate checks exported artifacts and exits 1 when any check fails:
-Chrome traces (balanced, monotone, required events, an event floor);
-run manifests (schema, every service.* counter registered, plus the
-requirement flags; --stage-leq holds a stage to no more wall time than
-in OTHER.json, --max-logical bounds a logical mem category); Prometheus
-expositions (format, and with --prev no counter or high-water gauge
-falling or vanishing since the earlier scrape); and event journals
-(reserved keys, non-decreasing ts_us, gap-free seq; a torn final line
-is tolerated).
-
-pipeline commands (generate .. audit) also accept:
-  --cache DIR|none   directory of the profiled-trace cache consulted by
-                     `run` (default bench_results/cache). a warm cache
-                     skips the generate+profile stages byte-identically;
-                     "none" disables caching for this invocation.
-  --manifest FILE    write a stemroot-manifest-v1 run manifest (resolved
-                     config, build stamp, per-stage wall time, telemetry
-                     counters and value distributions, headline metrics).
-                     written completed=false up front, finalized on
-                     success.
-  --ledger FILE      append the manifest to this JSONL ledger on success.
-  --trace-chunk-invocations N
-                     chunk capacity of the out-of-core trace view (0 = in-
-                     memory, the default). results are byte-identical at
-                     any chunk size; only the storage granularity moves.
-  --trace-spill DIR  spill the profiled trace to DIR as a chunked "SRTC"
-                     file (per-chunk XXH64 digests; a corrupt or stale
-                     spill is rebuilt, never trusted). the manifest gains
-                     a trace_spill block recording the chunk layout.
-
-stream runs the out-of-core pass end-to-end: generate+profile a base
-workload, then stream it chunk-by-chunk through online duration stats
-and streaming ROOT clustering in bounded memory (logical trace peak =
-header + 2 chunk budgets). --target-invocations N tiles the profiled
-base out to N logical invocations without materializing them, which is
-how the 10^8..10^9-invocation scale suites run on a laptop-sized host.
-
-every command accepts:
-  --threads N        0 = auto; or set STEMROOT_THREADS. thread count never
-                     changes results -- see DESIGN.md.
-  --trace FILE       record Chrome trace events (pipeline stages, parallel
-                     chunks, ROOT recursion, k-means iterations, KKT
-                     rounds) and write chrome://tracing / Perfetto JSON.
-  --log-level L      silent|warn|inform|debug (default warn).
-  --seed N           master seed; every stage derives its own stream.
-)");
-  return 2;
+/// The sampler-parameter block: each key a registered sampler declares,
+/// once, its help line naming the methods that take it.
+const std::vector<FlagSpec>& SamplerFlags() {
+  static const std::vector<FlagSpec> block = [] {
+    baselines::EnsureBuiltinSamplers();
+    const core::SamplerRegistry& registry = core::SamplerRegistry::Global();
+    std::vector<FlagSpec> out;
+    for (const std::string& method : registry.Names())
+      for (const FlagSpec& param : registry.Params(method)) {
+        const auto seen = std::find_if(
+            out.begin(), out.end(),
+            [&param](const FlagSpec& f) { return f.name == param.name; });
+        if (seen == out.end()) {
+          out.push_back(param);
+          out.back().help = method + ": " + param.help;
+        } else {
+          seen->help.insert(seen->help.find(':'), ", " + method);
+        }
+      }
+    return out;
+  }();
+  return block;
 }
 
-/// Forward the sampler-parameter flags that are present to the registry
-/// factory. Reading through GetString marks the flag consumed for
-/// CheckAllRead; the factory's typed getters validate the values.
+/// Refuse a sampler parameter that none of the --method list takes (a
+/// flag the command declares itself, like audit's --epsilon, is exempt).
+void CheckSamplerKeys(const Flags& flags, const std::vector<FlagSpec>& own) {
+  const core::SamplerRegistry& registry = core::SamplerRegistry::Global();
+  std::set<std::string> taken;
+  std::string takes;
+  for (const std::string& method : flags.List("method"))
+    for (const FlagSpec& param : registry.Params(method))
+      if (taken.insert(param.name).second)
+        takes += (takes.empty() ? "--" : ", --") + param.name;
+  for (const FlagSpec& spec : SamplerFlags())
+    if (flags.Has(spec.name) && taken.count(spec.name) == 0 &&
+        FindFlag(own, spec.name) == nullptr)
+      throw FlagError("Flags: --" + spec.name +
+                      " is not a parameter of --method " +
+                      flags.String("method") + " (it takes: " +
+                      (takes.empty() ? "none" : takes) + ")");
+}
+
+/// The sampler parameters given on the command line; each factory reads
+/// the keys it declared.
 core::SamplerParams SamplerParamsFromFlags(const Flags& flags) {
-  static const char* const kKeys[] = {
-      // stem
-      "epsilon", "confidence", "min_samples", "branch_k",
-      // random
-      "probability",
-      // pka
-      "max_k", "elbow_threshold", "random_representative",
-      // sieve
-      "stable_cov", "variable_cov", "use_kde", "kde_bins",
-      // photon
-      "similarity_threshold", "warp_tolerance",
-      // tbpoint
-      "merge_threshold", "max_clusters", "agglomeration_cap",
-  };
   core::SamplerParams params;
-  for (const char* key : kKeys)
-    if (flags.Has(key)) params.Set(key, flags.GetString(key, ""));
+  for (const FlagSpec& spec : SamplerFlags())
+    if (flags.Has(spec.name)) params.Set(spec.name, flags.String(spec.name));
   return params;
 }
 
 std::unique_ptr<core::Sampler> MakeSampler(const Flags& flags) {
-  baselines::EnsureBuiltinSamplers();
-  const std::string method = flags.GetString("method", "stem");
-  return core::SamplerRegistry::Global().Create(method,
+  return core::SamplerRegistry::Global().Create(flags.String("method"),
                                                 SamplerParamsFromFlags(flags));
+}
+
+/// `stem` with the --epsilon/--confidence given on the command line.
+void ReadErrorBound(const Flags& flags, core::StemConfig& stem) {
+  if (flags.Has("epsilon")) stem.epsilon = flags.Double("epsilon");
+  if (flags.Has("confidence")) stem.confidence = flags.Double("confidence");
 }
 
 /// Record the sampler-side configuration in the manifest: the registry
@@ -289,13 +143,14 @@ std::unique_ptr<core::Sampler> MakeSampler(const Flags& flags) {
 /// values when given, StemConfig defaults for the stem method, 0 for
 /// baselines that have no epsilon contract).
 void FillSamplerConfig(eval::RunManifest& manifest, const Flags& flags) {
-  manifest.config.method = flags.GetString("method", "stem");
-  const core::StemConfig defaults;
+  manifest.config.method = flags.String("method");
   const bool stem = manifest.config.method == "stem";
+  core::StemConfig bound;
+  ReadErrorBound(flags, bound);
   manifest.config.epsilon =
-      flags.GetDouble("epsilon", stem ? defaults.epsilon : 0.0);
+      stem || flags.Has("epsilon") ? bound.epsilon : 0.0;
   manifest.config.confidence =
-      flags.GetDouble("confidence", stem ? defaults.confidence : 0.0);
+      stem || flags.Has("confidence") ? bound.confidence : 0.0;
 }
 
 /// Stamp the manifest's mem block from the resource subsystem: the
@@ -309,17 +164,15 @@ void FillMem(eval::RunManifest& manifest) {
   manifest.mem.logical = resource::LogicalPeaks();
 }
 
-int CmdGenerate(const Flags& flags, const eval::CommonOptions& common,
-                eval::RunManifest& manifest) {
-  const workloads::SuiteId suite = eval::ResolveSuite(flags.Require("suite"));
-  const std::string workload = flags.Require("workload");
-  const std::string out = flags.Require("out");
-  flags.CheckAllRead();
+int CmdGenerate(const Flags& flags, eval::RunManifest& manifest) {
+  const workloads::SuiteId suite = eval::ResolveSuite(flags.String("suite"));
+  const std::string workload = flags.String("workload");
+  const std::string out = flags.String("out");
 
   const eval::Pipeline pipeline = eval::Pipeline::Generate(
       {.suite = suite,
        .workload = workload,
-       .options = common.ToPipelineOptions()});
+       .options = eval::PipelineOptions(flags)});
   pipeline.FillManifest(manifest);
   SpillTraceChunked(pipeline.Trace(), out);
   std::printf("wrote %s: %zu invocations, %zu kernel types (unprofiled)\n",
@@ -328,18 +181,16 @@ int CmdGenerate(const Flags& flags, const eval::CommonOptions& common,
   return 0;
 }
 
-int CmdProfile(const Flags& flags, const eval::CommonOptions& common,
-               eval::RunManifest& manifest) {
-  const std::string in = flags.Require("in");
-  const std::string out = flags.Require("out");
-  const hw::GpuSpec spec = eval::ResolveGpu(flags.GetString("gpu", "rtx2080"));
-  const std::string csv = flags.GetString("csv", "");
-  flags.CheckAllRead();
+int CmdProfile(const Flags& flags, eval::RunManifest& manifest) {
+  const std::string in = flags.String("in");
+  const std::string out = flags.String("out");
+  const hw::GpuSpec spec = eval::ResolveGpu(flags.String("gpu"));
+  const std::string csv = flags.Path("csv");
 
   // The temporary FileChunkSource closes its reader before the spill
   // below truncates `out`, which may be the same path as `in`.
   eval::Pipeline pipeline = eval::Pipeline::FromTrace(
-      AssembleTrace(FileChunkSource(in)), common.ToPipelineOptions());
+      AssembleTrace(FileChunkSource(in)), eval::PipelineOptions(flags));
   pipeline.Profile(spec);
   pipeline.FillManifest(manifest);
   SpillTraceChunked(pipeline.Trace(), out);
@@ -351,9 +202,8 @@ int CmdProfile(const Flags& flags, const eval::CommonOptions& common,
 }
 
 int CmdInfo(const Flags& flags, eval::RunManifest& manifest) {
-  const std::string in = flags.Require("in");
-  const uint64_t top = flags.GetUint("top", 10);
-  flags.CheckAllRead();
+  const std::string in = flags.String("in");
+  const uint64_t top = flags.Uint("top");
 
   const KernelTrace trace = AssembleTrace(FileChunkSource(in));
   manifest.config.workload = trace.WorkloadName();
@@ -380,16 +230,14 @@ int CmdInfo(const Flags& flags, eval::RunManifest& manifest) {
   return 0;
 }
 
-int CmdSample(const Flags& flags, const eval::CommonOptions& common,
-              eval::RunManifest& manifest) {
-  const std::string in = flags.Require("in");
-  const std::string out = flags.Require("out");
+int CmdSample(const Flags& flags, eval::RunManifest& manifest) {
+  const std::string in = flags.String("in");
+  const std::string out = flags.String("out");
   const std::unique_ptr<core::Sampler> sampler = MakeSampler(flags);
   FillSamplerConfig(manifest, flags);
-  flags.CheckAllRead();
 
   const eval::Pipeline pipeline = eval::Pipeline::FromTrace(
-      AssembleTrace(FileChunkSource(in)), common.ToPipelineOptions());
+      AssembleTrace(FileChunkSource(in)), eval::PipelineOptions(flags));
   pipeline.FillManifest(manifest);
   const core::SamplingPlan plan = pipeline.Sample(*sampler);
   CsvWriter csv(out);
@@ -416,18 +264,15 @@ void PrintResult(const eval::EvalResult& result) {
               result.num_clusters);
 }
 
-int CmdEvaluate(const Flags& flags, const eval::CommonOptions& common,
-                eval::RunManifest& manifest) {
-  const std::string in = flags.Require("in");
-  const uint32_t reps =
-      static_cast<uint32_t>(flags.GetUint("reps", 10, kMaxU32));
+int CmdEvaluate(const Flags& flags, eval::RunManifest& manifest) {
+  const std::string in = flags.String("in");
+  const uint32_t reps = static_cast<uint32_t>(flags.Uint("reps"));
   const std::unique_ptr<core::Sampler> sampler = MakeSampler(flags);
   FillSamplerConfig(manifest, flags);
   manifest.config.reps = reps;
-  flags.CheckAllRead();
 
   const eval::Pipeline pipeline = eval::Pipeline::FromTrace(
-      AssembleTrace(FileChunkSource(in)), common.ToPipelineOptions());
+      AssembleTrace(FileChunkSource(in)), eval::PipelineOptions(flags));
   pipeline.FillManifest(manifest);
   const eval::EvalResult result = pipeline.Evaluate(*sampler, reps);
   manifest.FillMetrics(result);
@@ -435,26 +280,24 @@ int CmdEvaluate(const Flags& flags, const eval::CommonOptions& common,
   return 0;
 }
 
-int CmdRun(const Flags& flags, const eval::CommonOptions& common,
-           eval::RunManifest& manifest) {
+int CmdRun(const Flags& flags, eval::RunManifest& manifest) {
   // `run` is the batch entry of the resident service: one typed
   // SessionConfig drives both, so a served session's manifest compares
   // clean against this command's (see service/service.h).
   service::SessionConfig config;
-  config.method = flags.GetString("method", "stem");
+  config.method = flags.String("method");
   config.params = SamplerParamsFromFlags(flags);
-  config.seed = common.seed;
-  config.scale = common.scale;
-  config.reps = static_cast<uint32_t>(flags.GetUint("reps", 10, kMaxU32));
-  config.suite = flags.Require("suite");
-  config.workload = flags.Require("workload");
-  config.gpu = flags.GetString("gpu", "rtx2080");
-  config.trace_chunk_invocations = common.trace_chunk_invocations;
-  config.trace_spill_dir = common.trace_spill_dir;
+  config.seed = flags.Uint("seed");
+  config.scale = flags.Double("scale");
+  config.reps = static_cast<uint32_t>(flags.Uint("reps"));
+  config.suite = flags.String("suite");
+  config.workload = flags.String("workload");
+  config.gpu = flags.String("gpu");
+  config.trace_chunk_invocations = flags.Uint("trace-chunk-invocations");
+  config.trace_spill_dir = flags.Path("trace-spill");
   FillSamplerConfig(manifest, flags);
   config.epsilon = manifest.config.epsilon;
   config.confidence = manifest.config.confidence;
-  flags.CheckAllRead();
 
   const eval::EvalResult result = service::Service::RunBatch(config,
                                                              &manifest);
@@ -466,40 +309,36 @@ int CmdRun(const Flags& flags, const eval::CommonOptions& common,
   return 0;
 }
 
-int CmdStream(const Flags& flags, const eval::CommonOptions& common,
-              eval::RunManifest& manifest) {
+int CmdStream(const Flags& flags, eval::RunManifest& manifest) {
   // Out-of-core streaming pass (DESIGN.md section 16): generate+profile a
   // base workload (trace-cache aware), optionally spill it chunked, then
   // stream a chunk iterator -- replicated out to --target-invocations
   // when asked -- through online duration stats and streaming ROOT. The
   // resident trace footprint is header + 2 chunk budgets regardless of
   // the logical timeline length, which the manifest mem block records.
-  const workloads::SuiteId suite = eval::ResolveSuite(flags.Require("suite"));
-  const std::string workload = flags.Require("workload");
-  const hw::GpuSpec spec = eval::ResolveGpu(flags.GetString("gpu", "rtx2080"));
-  const uint64_t target = flags.GetUint("target-invocations", 0);
-  const bool cluster = flags.GetBool("cluster", true);
+  const workloads::SuiteId suite = eval::ResolveSuite(flags.String("suite"));
+  const std::string workload = flags.String("workload");
+  const hw::GpuSpec spec = eval::ResolveGpu(flags.String("gpu"));
+  const uint64_t target = flags.Uint("target-invocations");
+  const bool cluster = flags.Bool("cluster");
 
   eval::StreamOptions stream_options;
-  stream_options.seed = common.seed;
+  stream_options.seed = flags.Uint("seed");
   stream_options.cluster = cluster;
-  stream_options.clustering.root.stem.epsilon = flags.GetDouble(
-      "epsilon", stream_options.clustering.root.stem.epsilon);
-  stream_options.clustering.root.stem.confidence = flags.GetDouble(
-      "confidence", stream_options.clustering.root.stem.confidence);
-  manifest.config.epsilon = stream_options.clustering.root.stem.epsilon;
-  manifest.config.confidence = stream_options.clustering.root.stem.confidence;
-  flags.CheckAllRead();
+  core::StemConfig& stem = stream_options.clustering.root.stem;
+  ReadErrorBound(flags, stem);
+  manifest.config.epsilon = stem.epsilon;
+  manifest.config.confidence = stem.confidence;
 
   const eval::Pipeline pipeline = eval::Pipeline::GenerateProfiled(
       {.suite = suite,
        .workload = workload,
-       .options = common.ToPipelineOptions()},
+       .options = eval::PipelineOptions(flags)},
       spec);
   pipeline.FillManifest(manifest);
 
-  const uint64_t cap = common.trace_chunk_invocations > 0
-                           ? common.trace_chunk_invocations
+  const uint64_t cap = flags.Uint("trace-chunk-invocations") > 0
+                           ? flags.Uint("trace-chunk-invocations")
                            : kDefaultChunkInvocations;
   std::unique_ptr<ChunkSource> source;
   if (target > pipeline.Trace().NumInvocations()) {
@@ -541,36 +380,29 @@ int CmdStream(const Flags& flags, const eval::CommonOptions& common,
   return 0;
 }
 
-int CmdAudit(const Flags& flags, const eval::CommonOptions& common,
-             eval::RunManifest& manifest) {
-  const workloads::SuiteId suite = eval::ResolveSuite(flags.Require("suite"));
-  const hw::GpuSpec spec = eval::ResolveGpu(flags.GetString("gpu", "rtx2080"));
+int CmdAudit(const Flags& flags, eval::RunManifest& manifest) {
+  const workloads::SuiteId suite = eval::ResolveSuite(flags.String("suite"));
+  const hw::GpuSpec spec = eval::ResolveGpu(flags.String("gpu"));
   const std::unique_ptr<core::Sampler> sampler = MakeSampler(flags);
 
   eval::AuditOptions options;
-  options.trials =
-      static_cast<uint32_t>(flags.GetUint("trials", 10, kMaxU32));
-  options.seed = common.seed;
-  options.size_scale = common.scale;
+  options.trials = static_cast<uint32_t>(flags.Uint("trials"));
+  options.seed = flags.Uint("seed");
+  options.size_scale = flags.Double("scale");
   // The audit's reference budget uses the same epsilon/confidence flags
   // the sampler factory consumes, so both sides see one configuration.
-  options.root.stem.epsilon =
-      flags.GetDouble("epsilon", options.root.stem.epsilon);
-  options.root.stem.confidence =
-      flags.GetDouble("confidence", options.root.stem.confidence);
-  if (flags.Has("workload"))
-    options.only_workloads = Split(flags.GetString("workload", ""), ',');
-  const std::string json_path = flags.GetString("json", "");
-  const double min_within = flags.GetDouble("min-within", 0.0);
+  ReadErrorBound(flags, options.root.stem);
+  options.only_workloads = flags.List("workload");
+  const std::string json_path = flags.Path("json");
+  const double min_within = flags.Double("min-within");
   FillSamplerConfig(manifest, flags);
-  manifest.config.suite = flags.GetString("suite", "");
+  manifest.config.suite = flags.String("suite");
   manifest.config.gpu = spec.name;
   manifest.config.seed = options.seed;
   manifest.config.scale = options.size_scale;
   manifest.config.reps = options.trials;
   manifest.config.epsilon = options.root.stem.epsilon;
   manifest.config.confidence = options.root.stem.confidence;
-  flags.CheckAllRead();
 
   const eval::AuditReport report =
       eval::AuditSuite(suite, *sampler, spec, options);
@@ -595,49 +427,33 @@ int CmdAudit(const Flags& flags, const eval::CommonOptions& common,
 /// Table 4 variant set; absent means all five.
 std::vector<eval::DseVariant> ParseVariants(const Flags& flags,
                                             const hw::GpuSpec& base) {
-  std::vector<eval::DseVariant> all = eval::StandardDseVariants(base);
+  static const std::string kTokens[] = {"baseline", "cache_x2", "cache_half",
+                                        "sm_x2", "sm_half"};
+  const std::vector<eval::DseVariant> all = eval::StandardDseVariants(base);
   if (!flags.Has("variants")) return all;
-  static const struct {
-    const char* token;
-    size_t index;
-  } kTokens[] = {{"baseline", 0},
-                 {"cache_x2", 1},
-                 {"cache_half", 2},
-                 {"sm_x2", 3},
-                 {"sm_half", 4}};
   std::vector<eval::DseVariant> out;
-  for (const std::string& token :
-       Split(flags.GetString("variants", ""), ',')) {
-    bool found = false;
-    for (const auto& entry : kTokens) {
-      if (token == entry.token) {
-        out.push_back(all[entry.index]);
-        found = true;
-        break;
-      }
-    }
-    if (!found)
+  for (const std::string& token : flags.List("variants")) {
+    const auto* it = std::find(std::begin(kTokens), std::end(kTokens), token);
+    if (it == std::end(kTokens))
       throw std::invalid_argument(
           "unknown variant '" + token +
           "' (available: baseline, cache_x2, cache_half, sm_x2, sm_half)");
+    out.push_back(all[it - std::begin(kTokens)]);
   }
   return out;
 }
 
-int CmdDse(const Flags& flags, const eval::CommonOptions& common,
-           eval::RunManifest& manifest) {
-  const workloads::SuiteId suite = eval::ResolveSuite(flags.Require("suite"));
-  const std::vector<std::string> workload_names =
-      Split(flags.Require("workload"), ',');
-  const hw::GpuSpec spec = eval::ResolveGpu(flags.GetString("gpu", "rtx2080"));
-  const std::vector<std::string> methods =
-      Split(flags.GetString("method", "stem,random"), ',');
-  const eval::Pipeline::Options options = common.ToPipelineOptions();
+int CmdDse(const Flags& flags, eval::RunManifest& manifest) {
+  const workloads::SuiteId suite = eval::ResolveSuite(flags.String("suite"));
+  const std::vector<std::string> workload_names = flags.List("workload");
+  const hw::GpuSpec spec = eval::ResolveGpu(flags.String("gpu"));
+  const std::vector<std::string> methods = flags.List("method");
+  const eval::Pipeline::Options options = eval::PipelineOptions(flags);
 
   eval::DseSweepOptions sweep_options;
   sweep_options.seed = options.seed;
   const std::vector<eval::DseVariant> variants = ParseVariants(flags, spec);
-  const std::string csv_path = flags.GetString("csv", "");
+  const std::string csv_path = flags.Path("csv");
 
   std::string joined_methods;
   for (const std::string& m : methods) {
@@ -645,19 +461,17 @@ int CmdDse(const Flags& flags, const eval::CommonOptions& common,
     joined_methods += m;
   }
   manifest.config.suite = workloads::ToName(suite);
-  manifest.config.workload = flags.GetString("workload", "");
+  manifest.config.workload = flags.String("workload");
   manifest.config.gpu = spec.name;
   manifest.config.method = joined_methods;
 
-  baselines::EnsureBuiltinSamplers();
-  // One flag scan for every method: the params are method-agnostic, each
-  // factory reads the keys it knows.
+  // One parameter bag for every method: each factory reads the keys it
+  // declared.
   const core::SamplerParams sampler_params = SamplerParamsFromFlags(flags);
   std::vector<std::unique_ptr<core::Sampler>> samplers;
   for (const std::string& method : methods)
     samplers.push_back(
         core::SamplerRegistry::Global().Create(method, sampler_params));
-  flags.CheckAllRead();
 
   // Generate + profile every workload once (served by the trace cache on
   // warm runs) and build the plans from the baseline profile -- the
@@ -729,14 +543,12 @@ int CmdDse(const Flags& flags, const eval::CommonOptions& common,
   return 0;
 }
 
-int CmdCache(const Flags& flags) {
+int CmdCache(const Flags& flags, eval::RunManifest&) {
   const std::vector<std::string>& pos = flags.Positional();
   const std::string action = pos.empty() ? "stats" : pos[0];
-  const std::string dir =
-      flags.GetString("cache", eval::DefaultTraceCacheDir());
-  const uint64_t max_bytes = flags.GetUint("max-bytes", 0);
-  flags.CheckAllRead();
-  if (dir == "none" || dir.empty())
+  const std::string dir = flags.Path("cache");
+  const uint64_t max_bytes = flags.Uint("max-bytes");
+  if (dir.empty())
     throw std::invalid_argument("cache: --cache none names no directory");
   const ArtifactCache cache(dir);
 
@@ -785,15 +597,10 @@ int CmdCache(const Flags& flags) {
                               "' (stats, verify, evict)");
 }
 
-int CmdCompare(const Flags& flags) {
+int CmdCompare(const Flags& flags, eval::RunManifest&) {
   const std::vector<std::string>& paths = flags.Positional();
-  if (paths.size() != 2)
-    throw std::invalid_argument(
-        "compare needs exactly two manifest files: stemroot compare "
-        "A.json B.json");
   eval::CompareOptions options;
-  options.allow_config_diff = flags.GetBool("allow-config-diff", false);
-  flags.CheckAllRead();
+  options.allow_config_diff = flags.Bool("allow-config-diff");
 
   const eval::RunManifest a = eval::RunManifest::Load(paths[0]);
   const eval::RunManifest b = eval::RunManifest::Load(paths[1]);
@@ -810,20 +617,22 @@ int CmdCompare(const Flags& flags) {
   return rc;
 }
 
-int CmdRegress(const Flags& flags) {
-  const std::string journal_path = flags.GetString("journal", "");
-  const std::string ledger_path =
-      journal_path.empty() ? flags.Require("ledger")
-                           : flags.GetString("ledger", "");
+int CmdRegress(const Flags& flags, eval::RunManifest&) {
+  const std::string journal_path = flags.Path("journal");
+  const std::string ledger_path = flags.Path("ledger");
+  if (journal_path.empty() && ledger_path.empty())
+    throw FlagError("Flags: regress needs --ledger or --journal");
   eval::RegressOptions options;
-  options.window = flags.GetUint("window", 8);
-  options.min_history = flags.GetUint("min-history", 2);
-  options.mad_factor = flags.GetDouble("mad-factor", 3.0);
-  options.rel_slack = flags.GetDouble("rel-slack", 0.02);
-  options.accuracy_slack_pct = flags.GetDouble("accuracy-slack", 1e-6);
-  options.max_journal_errors = flags.GetUint("max-journal-errors", 0);
-  options.max_journal_dropped = flags.GetInt("max-journal-dropped", -1);
-  flags.CheckAllRead();
+  options.window = flags.Uint("window");
+  options.min_history = flags.Uint("min-history");
+  options.mad_factor = flags.Double("mad-factor");
+  options.rel_slack = flags.Double("rel-slack");
+  options.accuracy_slack_pct = flags.Double("accuracy-slack");
+  options.max_journal_errors = flags.Uint("max-journal-errors");
+  options.max_journal_dropped =
+      flags.Has("max-journal-dropped")
+          ? static_cast<int64_t>(flags.Uint("max-journal-dropped"))
+          : -1;
 
   eval::RegressReport report;
   if (!ledger_path.empty()) {
@@ -863,12 +672,6 @@ std::string ReadText(const std::string& path) {
   return buffer.str();
 }
 
-/// A comma-list flag (`--require-stage a,b`); empty when absent.
-std::vector<std::string> ListFlag(const Flags& flags, const std::string& key) {
-  const std::string value = flags.GetString(key, "");
-  return value.empty() ? std::vector<std::string>{} : Split(value, ',');
-}
-
 /// One `KEY=VALUE` item of `--flag`; both halves must be non-empty.
 std::pair<std::string, std::string> KeyValue(const std::string& flag,
                                              const std::string& item) {
@@ -883,13 +686,13 @@ std::pair<std::string, std::string> KeyValue(const std::string& flag,
 std::vector<std::pair<std::string, uint64_t>> ByteSpecs(
     const Flags& flags, const std::string& flag) {
   std::vector<std::pair<std::string, uint64_t>> out;
-  for (const std::string& item : ListFlag(flags, flag)) {
+  for (const std::string& item : flags.List(flag)) {
     const auto [key, text] = KeyValue(flag, item);
-    const std::optional<int64_t> bytes = ParseInt(text);
-    if (!bytes || *bytes < 0)
+    const std::optional<uint64_t> bytes = ParseUint(text);
+    if (!bytes)
       throw std::invalid_argument("--" + flag + " wants KEY=BYTES with "
                                   "BYTES >= 0, got '" + item + "'");
-    out.emplace_back(key, static_cast<uint64_t>(*bytes));
+    out.emplace_back(key, *bytes);
   }
   return out;
 }
@@ -909,21 +712,18 @@ bool RequireAll(const std::vector<std::string>& required,
 
 /// `validate manifest`: the schema, the service.* counter-name lint and
 /// the requirement flags for every file.
-int ValidateManifests(const Flags& flags,
-                      const std::vector<std::string>& paths) {
-  const std::vector<std::string> stages = ListFlag(flags, "require-stage");
-  const std::vector<std::string> counters =
-      ListFlag(flags, "require-counter");
+int CmdValidateManifest(const Flags& flags, eval::RunManifest&) {
+  const std::vector<std::string> stages = flags.List("require-stage");
+  const std::vector<std::string> counters = flags.List("require-counter");
   std::vector<std::pair<std::string, std::string>> stage_leq;
-  for (const std::string& item : ListFlag(flags, "stage-leq"))
+  for (const std::string& item : flags.List("stage-leq"))
     stage_leq.push_back(KeyValue("stage-leq", item));
-  const bool require_completed = flags.GetBool("require-completed", false);
-  const bool require_spill = flags.GetBool("require-spill", false);
+  const bool require_completed = flags.Bool("require-completed");
+  const bool require_spill = flags.Bool("require-spill");
   const auto max_logical = ByteSpecs(flags, "max-logical");
-  flags.CheckAllRead();
 
   int rc = 0;
-  for (const std::string& path : paths) {
+  for (const std::string& path : flags.Positional()) {
     eval::RunManifest manifest;
     try {
       manifest = eval::RunManifest::Load(path);
@@ -990,60 +790,13 @@ int ValidateManifests(const Flags& flags,
   return rc;
 }
 
-int CmdValidate(const Flags& flags) {
-  const std::vector<std::string>& pos = flags.Positional();
-  if (pos.size() < 2)
-    throw std::invalid_argument(
-        "validate needs a kind and files: stemroot validate "
-        "manifest|trace|metrics|journal FILE...");
-  const std::string& kind = pos[0];
-  const std::vector<std::string> paths(pos.begin() + 1, pos.end());
-  if (kind == "manifest") return ValidateManifests(flags, paths);
-
-  // The other kinds check each file's text on its own.
-  std::function<bool(const std::string& text, std::string* error)> check;
-  if (kind == "trace") {
-    const std::vector<std::string> events = ListFlag(flags, "require-event");
-    const int64_t min_events = flags.GetInt("min-events", 0);
-    check = [events, min_events](const std::string& text,
-                                 std::string* error) {
-      std::vector<std::string> names;
-      trace_events::TraceInfo info;
-      if (!trace_events::ValidateTraceJson(text, error, &names, &info) ||
-          !RequireAll(events, names, "event", error))
-        return false;
-      if (static_cast<int64_t>(info.events) >= min_events) return true;
-      *error = Format("%zu events, below --min-events %lld", info.events,
-                      static_cast<long long>(min_events));
-      return false;
-    };
-  } else if (kind == "metrics") {
-    const std::string prev_path = flags.GetString("prev", "");
-    check = [prev_path](const std::string& text, std::string* error) {
-      service::Exposition later, earlier;
-      if (!service::ValidateExposition(text, error, &later)) return false;
-      if (prev_path.empty()) return true;
-      if (!service::ValidateExposition(ReadText(prev_path), error,
-                                       &earlier)) {
-        *error = prev_path + ": " + *error;
-        return false;
-      }
-      return service::CheckMonotonic(earlier, later, error);
-    };
-  } else if (kind == "journal") {
-    const std::vector<std::string> events = ListFlag(flags, "require-event");
-    check = [events](const std::string& text, std::string* error) {
-      return journal::ValidateJournal(text, events, error);
-    };
-  } else {
-    throw std::invalid_argument(
-        "validate: unknown kind '" + kind +
-        "' (manifest, trace, metrics, journal)");
-  }
-  flags.CheckAllRead();
-
+/// Check each positional file's text on its own.
+int ValidateFiles(
+    const Flags& flags,
+    const std::function<bool(const std::string& text, std::string* error)>&
+        check) {
   int rc = 0;
-  for (const std::string& path : paths) {
+  for (const std::string& path : flags.Positional()) {
     std::string error;
     if (check(ReadText(path), &error)) {
       std::printf("validate: %s ok\n", path.c_str());
@@ -1056,18 +809,52 @@ int CmdValidate(const Flags& flags) {
   return rc;
 }
 
-int CmdJournal(const Flags& flags) {
-  const std::vector<std::string>& pos = flags.Positional();
-  if (pos.size() != 2 || pos[0] != "tail")
-    throw std::invalid_argument(
-        "journal needs an action and a file: stemroot journal tail "
-        "FILE.jsonl");
+int CmdValidateTrace(const Flags& flags, eval::RunManifest&) {
+  const std::vector<std::string> events = flags.List("require-event");
+  const uint64_t min_events = flags.Uint("min-events");
+  return ValidateFiles(flags, [&](const std::string& text,
+                                  std::string* error) {
+    std::vector<std::string> names;
+    trace_events::TraceInfo info;
+    if (!trace_events::ValidateTraceJson(text, error, &names, &info) ||
+        !RequireAll(events, names, "event", error))
+      return false;
+    if (info.events >= min_events) return true;
+    *error = Format("%zu events, below --min-events %llu", info.events,
+                    static_cast<unsigned long long>(min_events));
+    return false;
+  });
+}
+
+int CmdValidateMetrics(const Flags& flags, eval::RunManifest&) {
+  const std::string prev_path = flags.String("prev");
+  return ValidateFiles(flags, [&](const std::string& text,
+                                  std::string* error) {
+    service::Exposition later, earlier;
+    if (!service::ValidateExposition(text, error, &later)) return false;
+    if (prev_path.empty()) return true;
+    if (!service::ValidateExposition(ReadText(prev_path), error, &earlier)) {
+      *error = prev_path + ": " + *error;
+      return false;
+    }
+    return service::CheckMonotonic(earlier, later, error);
+  });
+}
+
+int CmdValidateJournal(const Flags& flags, eval::RunManifest&) {
+  const std::vector<std::string> events = flags.List("require-event");
+  return ValidateFiles(flags, [&](const std::string& text,
+                                  std::string* error) {
+    return journal::ValidateJournal(text, events, error);
+  });
+}
+
+int CmdJournalTail(const Flags& flags, eval::RunManifest&) {
   eval::JournalTailOptions options;
-  options.min_severity = flags.GetString("min-severity", "");
-  options.event = flags.GetString("verb", "");
-  options.follow = flags.GetBool("follow", false);
-  options.poll_ms = flags.GetUint("poll-ms", 200);
-  flags.CheckAllRead();
+  options.min_severity = flags.String("min-severity");
+  options.event = flags.String("verb");
+  options.follow = flags.Bool("follow");
+  options.poll_ms = flags.Uint("poll-ms");
   if (!options.min_severity.empty() &&
       eval::SeverityRank(options.min_severity) < 0)
     throw std::invalid_argument(
@@ -1075,7 +862,7 @@ int CmdJournal(const Flags& flags) {
         "' (available: debug, info, warn, error)");
 
   const eval::JournalTailResult result =
-      eval::TailJournal(pos[1], options, std::cout);
+      eval::TailJournal(flags.Positional()[0], options, std::cout);
   std::fprintf(stderr,
                "journal: %llu printed, %llu filtered, %llu unparseable\n",
                static_cast<unsigned long long>(result.printed),
@@ -1084,23 +871,19 @@ int CmdJournal(const Flags& flags) {
   return 0;
 }
 
-int CmdServe(const Flags& flags) {
+int CmdServe(const Flags& flags, eval::RunManifest&) {
   service::ServerOptions options;
-  options.socket_path = flags.Require("socket");
+  options.socket_path = flags.String("socket");
   options.service.max_sessions =
-      static_cast<uint32_t>(flags.GetUint("max-sessions", 64, kMaxU32));
+      static_cast<uint32_t>(flags.Uint("max-sessions"));
   // Session manifests need counter/stage telemetry; the trace cache makes
   // repeat OpenSession(workload) cheap, exactly like repeat `run`s.
   options.service.enable_telemetry = true;
-  options.service.slow_request_us =
-      flags.GetDouble("slow-ms", 0.0) * 1000.0;
-  options.service.cache_dir =
-      flags.GetString("cache", eval::DefaultTraceCacheDir());
-  options.metrics_path = flags.GetString("metrics", "");
-  options.metrics_interval_seconds =
-      flags.GetDouble("metrics-interval", 2.0);
-  options.journal_path = flags.GetString("journal", "");
-  flags.CheckAllRead();
+  options.service.slow_request_us = flags.Double("slow-ms") * 1000.0;
+  options.service.cache_dir = flags.Path("cache");
+  options.metrics_path = flags.Path("metrics");
+  options.metrics_interval_seconds = flags.Double("metrics-interval");
+  options.journal_path = flags.Path("journal");
   return service::RunServer(options);
 }
 
@@ -1180,12 +963,10 @@ void PrintStats(const json::Value& stats) {
   std::printf("%s", table.Render().c_str());
 }
 
-int CmdStats(const Flags& flags) {
-  const std::string socket = flags.Require("socket");
-  const int watch = static_cast<int>(
-      flags.GetUint("watch", 0, std::numeric_limits<int>::max()));
-  const bool raw = flags.GetBool("json", false);
-  flags.CheckAllRead();
+int CmdStats(const Flags& flags, eval::RunManifest&) {
+  const std::string socket = flags.String("socket");
+  const int watch = static_cast<int>(flags.Uint("watch"));
+  const bool raw = flags.Bool("json");
 
   while (true) {
     const std::string response =
@@ -1210,12 +991,11 @@ int CmdStats(const Flags& flags) {
   return 0;
 }
 
-int CmdSession(const Flags& flags) {
+int CmdSession(const Flags& flags, eval::RunManifest&) {
   service::ClientOptions options;
-  options.socket_path = flags.Require("socket");
-  options.fail_on_error = flags.GetBool("fail-on-error", false);
-  const std::string script = flags.GetString("script", "-");
-  flags.CheckAllRead();
+  options.socket_path = flags.String("socket");
+  options.fail_on_error = flags.Bool("fail-on-error");
+  const std::string script = flags.String("script");
   if (script == "-")
     return service::RunClient(options, std::cin, std::cout);
   std::ifstream in(script, std::ios::binary);
@@ -1223,67 +1003,249 @@ int CmdSession(const Flags& flags) {
   return service::RunClient(options, in, std::cout);
 }
 
+using CommandFn = int (*)(const Flags&, eval::RunManifest&);
+
+/// One command: its own flag rows, the shared blocks it takes, and the
+/// line its `--help` prints.
+struct Command {
+  const char* name;  ///< one word, or two for "validate KIND"/"journal tail"
+  const char* about;
+  std::vector<FlagSpec> flags;
+  CommandFn run;
+  bool pipeline = false;  ///< takes eval::PipelineFlags() and a manifest
+  bool sampler = false;   ///< takes the sampler-parameter block
+  const char* positional = "";  ///< synopsis of the positional words
+  size_t min_positional = 0;
+  size_t max_positional = 0;
+};
+
+constexpr uint64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+constexpr uint64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr uint64_t kMaxInt64 = std::numeric_limits<int64_t>::max();
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = [] {
+    using enum FlagKind;
+    const FlagSpec suite =
+        Required({"suite", kString, "", "rodinia|casio|huggingface"});
+    const FlagSpec workload = Required({"workload", kString, "", "workload"});
+    const FlagSpec gpu = {"gpu", kString, "rtx2080", "rtx2080|h100|h200"};
+    const FlagSpec in = Required({"in", kString, "", "SRTC trace file"});
+    const FlagSpec out = Required({"out", kString, "", "file to write"});
+    const FlagSpec method = {"method", kString, "stem", "sampler registry key"};
+    const FlagSpec reps = {"reps", kUint, "10", "repetitions", kMaxU32};
+    const FlagSpec epsilon = {"epsilon", kDouble, "", "relative error bound"};
+    const FlagSpec confidence = {"confidence", kDouble, "", "its confidence"};
+    const FlagSpec socket = Required({"socket", kString, "", "socket path"});
+    const FlagSpec events = {"require-event", kList, "", "events required"};
+    const FlagSpec cache = {"cache", kPath, eval::DefaultTraceCacheDir(),
+                            "profiled-trace cache"};
+    return std::vector<Command>{
+        {"generate", "Generate an unprofiled kernel trace.",
+         {suite, workload, out}, CmdGenerate, true},
+        {"profile", "Profile a trace on a GPU model (--out may be --in).",
+         {in, out, gpu, {"csv", kPath, "", "export the timeline as CSV"}},
+         CmdProfile, true},
+        {"info", "Print a trace's top kernels by time.",
+         {in, {"top", kUint, "10", "kernels listed"}}, CmdInfo, true},
+        {"sample", "Write a sampling plan as CSV (invocation, weight).",
+         {in, out, method}, CmdSample, true, true},
+        {"evaluate", "Print a sampler's error and speedup over --reps plans.",
+         {in, method, reps}, CmdEvaluate, true, true},
+        {"run", "Generate, profile, sample and evaluate one workload.",
+         {suite, workload, gpu, method, reps}, CmdRun, true, true},
+        {"stream", "Stream a workload through streaming ROOT, out of core.",
+         {suite, workload, gpu,
+          {"target-invocations", kUint, "0", "tile the trace out to N"},
+          {"cluster", kBool, "true", "run streaming ROOT"}, epsilon,
+          confidence},
+         CmdStream, true},
+        {"audit", "Check ROOT's error bounds against seeded plans' errors.",
+         {suite, {"workload", kList, "", "workloads (all when absent)"}, gpu,
+          method, {"trials", kUint, "10", "plans per workload", kMaxU32},
+          epsilon, confidence, {"json", kPath, "", "write the report"},
+          {"min-within", kDouble, "0", "exit 1 below this fraction"}},
+         CmdAudit, true, true},
+        {"dse", "Table 4: full vs sampled cycle simulation per variant.",
+         {suite, Required({"workload", kList, "", "workloads"}), gpu,
+          {"method", kList, "stem,random", "samplers"},
+          {"variants", kList, "", "baseline,cache_x2,cache_half,sm_x2,sm_half"},
+          {"csv", kPath, "", "write per-point results"}},
+         CmdDse, true, true},
+        {"serve", "Host the resident sampling service on a socket.",
+         {socket, {"max-sessions", kUint, "64", "open sessions", kMaxU32},
+          {"slow-ms", kDouble, "0", "journal slower requests (0 = off)"},
+          cache, {"metrics", kPath, "", "Prometheus target: FILE or fd:N"},
+          {"metrics-interval", kDouble, "2", "seconds between expositions"},
+          {"journal", kPath, "", "append the JSONL event journal"}},
+         CmdServe},
+        {"session", "Replay a request script against a server.",
+         {socket, {"script", kString, "-", "JSON requests; - = stdin"},
+          {"fail-on-error", kBool, "false", "exit 1 on any ok=false"}},
+         CmdSession},
+        {"stats", "Render a server's stats verb.",
+         {socket, {"watch", kUint, "0", "refresh every N s", kMaxInt},
+          {"json", kBool, "false", "print the raw response"}},
+         CmdStats},
+        {"journal tail", "Pretty-print an event journal.",
+         {{"min-severity", kString, "", "debug|info|warn|error"},
+          {"verb", kString, "", "keep one event name"},
+          {"follow", kBool, "false", "poll for new lines (tail -f)"},
+          {"poll-ms", kUint, "200", "--follow poll interval"}},
+         CmdJournalTail, false, false, "FILE", 1, 1},
+        {"cache", "Show, verify or evict (oldest first) the trace cache.",
+         {cache, {"max-bytes", kUint, "0", "evict down to this size"}},
+         CmdCache, false, false, "[stats|verify|evict]", 0, 1},
+        {"compare", "Diff two manifests: exit 3 on drift, 2 on other configs.",
+         {{"allow-config-diff", kBool, "false", "diff other configs too"}},
+         CmdCompare, false, false, "A.json B.json", 2, 2},
+        {"regress", "Gate the newest ledger entry or a journal: exit 3.",
+         {{"ledger", kPath, "", "JSONL ledger (unless --journal)"},
+          {"journal", kPath, "", "serve event journal"},
+          {"window", kUint, "8", "baseline runs (0 = all)"},
+          {"min-history", kUint, "2", "baseline runs a gate needs"},
+          {"mad-factor", kDouble, "3", "C in median + C*MAD"},
+          {"rel-slack", kDouble, "0.02", "relative perf slack"},
+          {"accuracy-slack", kDouble, "1e-6", "error slack, points"},
+          {"max-journal-errors", kUint, "0", "error events allowed"},
+          {"max-journal-dropped", kUint, "", "dropped events allowed",
+           kMaxInt64}},
+         CmdRegress},
+        {"validate manifest", "Check run manifests; exit 1 on a failure.",
+         {{"require-stage", kList, "", "stages required"},
+          {"require-counter", kList, "", "nonzero counters required"},
+          {"stage-leq", kList, "", "STAGE=OTHER.json: no slower than OTHER"},
+          {"require-completed", kBool, "false", "a completed run"},
+          {"require-spill", kBool, "false", "a trace_spill block"},
+          {"max-logical", kList, "", "KEY=BYTES logical mem bounds"}},
+         CmdValidateManifest, false, false, "FILE...", 1, SIZE_MAX},
+        {"validate trace", "Check Chrome trace files.",
+         {events, {"min-events", kUint, "0", "event floor"}},
+         CmdValidateTrace, false, false, "FILE...", 1, SIZE_MAX},
+        {"validate metrics", "Check Prometheus expositions.",
+         {{"prev", kString, "", "an earlier scrape no counter may exceed"}},
+         CmdValidateMetrics, false, false, "FILE...", 1, SIZE_MAX},
+        {"validate journal", "Check event journals.", {events},
+         CmdValidateJournal, false, false, "FILE...", 1, SIZE_MAX},
+    };
+  }();
+  return commands;
+}
+
+/// The command's whole grammar: its own rows, then the shared blocks.
+std::vector<FlagSpec> FlagTable(const Command& command) {
+  std::vector<FlagSpec> table = command.flags;
+  if (command.sampler)
+    for (const FlagSpec& spec : SamplerFlags())
+      if (FindFlag(command.flags, spec.name) == nullptr)
+        table.push_back(spec);
+  if (command.pipeline)
+    table.insert(table.end(), eval::PipelineFlags().begin(),
+                 eval::PipelineFlags().end());
+  table.insert(table.end(), eval::EveryCommandFlags().begin(),
+               eval::EveryCommandFlags().end());
+  return table;
+}
+
+/// The command list: each name with its positional words, then its
+/// one-line description.
+std::string Usage() {
+  std::string out =
+      "usage: stemroot COMMAND [flags]   (stemroot COMMAND --help lists "
+      "its flags)\n\ncommands:\n";
+  for (const Command& command : Commands()) {
+    std::string name = std::string("  ") + command.name + " " +
+                       command.positional;
+    name.resize(std::max<size_t>(name.size() + 2, 32), ' ');
+    out += name + command.about + "\n";
+  }
+  return out;
+}
+
+/// The command named `two` words ("validate trace"), else `one`.
+const Command* FindCommand(const std::string& one, const std::string& two) {
+  for (const Command& command : Commands())
+    if (command.name == two) return &command;
+  for (const Command& command : Commands())
+    if (command.name == one) return &command;
+  return nullptr;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return Usage();
+  const std::string word = argc > 1 ? argv[1] : "";
+  if (word == "--help" || word == "-h") {
+    std::printf("%s", Usage().c_str());
+    return 0;
+  }
+  const std::string two = argc > 2 ? word + " " + argv[2] : "";
+  const Command* command = FindCommand(word, two);
+  if (command == nullptr) {
+    if (argc > 1)
+      std::fprintf(stderr, "unknown command '%s'\n",
+                   (argc > 2 && argv[2][0] != '-' ? two : word).c_str());
+    std::fprintf(stderr, "%s", Usage().c_str());
+    return 2;
+  }
+  const int words = command->name == two ? 2 : 1;
   const auto start = std::chrono::steady_clock::now();
-  const std::string command = argv[1];
-  const bool pipeline_command =
-      command == "generate" || command == "profile" || command == "info" ||
-      command == "sample" || command == "evaluate" || command == "run" ||
-      command == "stream" || command == "audit" || command == "dse";
 
   // Manifest skeleton: stamped and written completed=false before any real
   // work, so even a crashed command leaves provenance evidence behind.
   eval::RunManifest manifest;
   manifest.tool = "stemroot";
-  manifest.command = command;
+  manifest.command = word;
   manifest.StampBuild();
   std::string manifest_path;
   std::string ledger_path;
+  // The manifest's closing fields: wall time, telemetry and memory.
+  const auto close_manifest = [&](bool completed) {
+    manifest.completed = completed;
+    manifest.wall_time_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count();
+    manifest.FillFromSnapshot(telemetry::Capture());
+    FillMem(manifest);
+  };
 
   try {
-    const Flags flags = Flags::Parse(argc - 2, argv + 2);
-    // One typed parse for the flags every command shares; Apply flips the
-    // process-global switches (threads, telemetry, trace events, log
-    // level, trace cache) in one place.
-    const eval::CommonOptions common =
-        eval::ParseCommonOptions(flags, pipeline_command);
-    eval::ApplyCommonOptions(common);
-    if (pipeline_command) {
-      manifest_path = common.manifest_path;
-      ledger_path = common.ledger_path;
+    // The whole command line is checked against the command's table
+    // before any file is written.
+    const std::vector<FlagSpec> table = FlagTable(*command);
+    const Flags flags = Flags::Parse(argc - 1 - words, argv + 1 + words,
+                                     table, command->max_positional);
+    if (flags.Help()) {
+      std::printf("usage: stemroot %s%s%s [flags]\n\n%s\n\nflags:\n%s",
+                  command->name, *command->positional ? " " : "",
+                  command->positional, command->about,
+                  FlagHelp(table).c_str());
+      return 0;
+    }
+    if (flags.Positional().size() < command->min_positional)
+      throw FlagError(std::string("Flags: ") + command->name + " needs " +
+                      command->positional);
+    eval::CheckCommonFlags(flags);
+    if (command->sampler) CheckSamplerKeys(flags, command->flags);
+
+    eval::ApplyCommonFlags(flags);
+    if (command->pipeline) {
+      manifest_path = flags.Path("manifest");
+      ledger_path = flags.Path("ledger");
+      // A manifest or ledger line records telemetry, and with it logical
+      // mem accounting (common/resource.h).
+      if (!manifest_path.empty() || !ledger_path.empty())
+        telemetry::SetEnabled(true);
+      if (!flags.Path("cache").empty())
+        eval::SetTraceCacheDir(flags.Path("cache"));
       manifest.config.threads = NumThreads();
-      manifest.config.seed = common.seed;
-      manifest.config.scale = common.scale;
+      manifest.config.seed = flags.Uint("seed");
+      manifest.config.scale = flags.Double("scale");
       if (!manifest_path.empty()) manifest.Save(manifest_path);
     }
 
-    int rc = -1;
-    if (command == "generate") rc = CmdGenerate(flags, common, manifest);
-    else if (command == "profile") rc = CmdProfile(flags, common, manifest);
-    else if (command == "info") rc = CmdInfo(flags, manifest);
-    else if (command == "sample") rc = CmdSample(flags, common, manifest);
-    else if (command == "evaluate") rc = CmdEvaluate(flags, common, manifest);
-    else if (command == "run") rc = CmdRun(flags, common, manifest);
-    else if (command == "stream") rc = CmdStream(flags, common, manifest);
-    else if (command == "audit") rc = CmdAudit(flags, common, manifest);
-    else if (command == "dse") rc = CmdDse(flags, common, manifest);
-    else if (command == "serve") rc = CmdServe(flags);
-    else if (command == "session") rc = CmdSession(flags);
-    else if (command == "stats") rc = CmdStats(flags);
-    else if (command == "journal") rc = CmdJournal(flags);
-    else if (command == "cache") rc = CmdCache(flags);
-    else if (command == "compare") rc = CmdCompare(flags);
-    else if (command == "regress") rc = CmdRegress(flags);
-    else if (command == "validate") rc = CmdValidate(flags);
-    else {
-      std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-      return Usage();
-    }
-    if (!common.trace_path.empty()) {
-      trace_events::WriteTrace(common.trace_path);
+    const int rc = command->run(flags, manifest);
+    if (const std::string trace = flags.Path("trace"); !trace.empty()) {
+      trace_events::WriteTrace(trace);
       const trace_events::Stats stats = trace_events::GetStats();
       if (stats.dropped > 0)
         std::fprintf(stderr,
@@ -1295,13 +1257,7 @@ int main(int argc, char** argv) {
     }
 
     if (!manifest_path.empty() || !ledger_path.empty()) {
-      manifest.completed = rc == 0;
-      manifest.wall_time_seconds = std::chrono::duration<double>(
-                                       std::chrono::steady_clock::now() -
-                                       start)
-                                       .count();
-      manifest.FillFromSnapshot(telemetry::Capture());
-      FillMem(manifest);
+      close_manifest(rc == 0);
       if (!manifest_path.empty()) {
         manifest.Save(manifest_path);
         std::printf("manifest: %s\n", manifest_path.c_str());
@@ -1312,19 +1268,16 @@ int main(int argc, char** argv) {
       }
     }
     return rc;
+  } catch (const FlagError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     // Leave crash evidence: finalize the manifest as a failed run.
     if (!manifest_path.empty()) {
       try {
-        manifest.completed = false;
         manifest.error = e.what();
-        manifest.wall_time_seconds = std::chrono::duration<double>(
-                                         std::chrono::steady_clock::now() -
-                                         start)
-                                         .count();
-        manifest.FillFromSnapshot(telemetry::Capture());
-        FillMem(manifest);
+        close_manifest(false);
         manifest.Save(manifest_path);
       } catch (const std::exception&) {
         // The original error is the one worth reporting.
