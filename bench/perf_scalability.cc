@@ -74,6 +74,8 @@ BENCHMARK(BM_PhotonBuildPlan)
 /// Args: (n, shape). Shape 0 is one log-normal mode. Shape 1 is what ROOT
 /// splits on gpt2's largest kernel: a log-normal body plus a far mode
 /// holding ~0.6% of the points, interleaved through the population.
+/// n = 256 is a full streaming-ROOT reservoir (the default
+/// `reservoir_capacity`), the size StreamingRoot::Probe splits.
 void BM_Kmeans1D(benchmark::State& state) {
   Rng rng(3);
   const bool root_shaped = state.range(1) != 0;
@@ -91,7 +93,7 @@ void BM_Kmeans1D(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Kmeans1D)
-    ->ArgsProduct({benchmark::CreateRange(1000, 512000, 8), {0, 1}})
+    ->ArgsProduct({{256, 1000, 8000, 64000, 512000}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_KktSolver(benchmark::State& state) {

@@ -1,9 +1,12 @@
 #include "core/kmeans.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "common/telemetry.h"
 #include "common/trace_events.h"
@@ -73,6 +76,221 @@ bool AssignTwo(std::span<const double> values, double c0, double c1,
   return moved != 0;
 }
 
+/// Seeding rank of center c: floor((c + 0.5) / k * n), clamped to n - 1.
+/// Ascends with c.
+size_t SeedRank(uint32_t c, uint32_t k, size_t n) {
+  const double q = (c + 0.5) / static_cast<double>(k);
+  return std::min(n - 1, static_cast<size_t>(q * static_cast<double>(n)));
+}
+
+/// Sets centers[c] to the order statistic of `order` at SeedRank(c) by
+/// nth_element, permuting `order`. The ranks ascend, so each nth_element
+/// only searches the tail the previous one left above its rank.
+void NthElementSeeds(std::span<double> order, uint32_t k, double* centers) {
+  const size_t n = order.size();
+  size_t searched_from = 0;
+  for (uint32_t c = 0; c < k; ++c) {
+    const size_t rank = SeedRank(c, k, n);
+    if (rank >= searched_from) {
+      std::nth_element(order.begin() + static_cast<ptrdiff_t>(searched_from),
+                       order.begin() + static_cast<ptrdiff_t>(rank),
+                       order.end());
+      searched_from = rank + 1;
+    }
+    centers[c] = order[rank];
+  }
+}
+
+/// The order-preserving key of a non-NaN double: all bits of a negative
+/// value flipped, the sign bit of a positive one set. Unsigned key order
+/// is then `<` order, with -0.0 just below +0.0.
+uint64_t OrderKey(double x) {
+  constexpr uint64_t kSign = uint64_t{1} << 63;
+  const uint64_t bits = std::bit_cast<uint64_t>(x);
+  const uint64_t negative =
+      static_cast<uint64_t>(static_cast<int64_t>(bits) >> 63);
+  return bits ^ (negative | kSign);
+}
+
+double FromOrderKey(uint64_t key) {
+  constexpr uint64_t kSign = uint64_t{1} << 63;
+  return std::bit_cast<double>((key & kSign) != 0 ? key ^ kSign : ~key);
+}
+
+/// Exact quantile selection by radix buckets over order keys, for values
+/// with no NaN and no zero (DESIGN.md §7). Each level histograms the keys
+/// in a range [lo, hi], gathers the values of the small buckets that hold
+/// seeding ranks and finishes there with nth_element, and re-histograms
+/// a bucket that still holds more than an eighth of the values over its
+/// own key range. A level narrows the range by at least 2^7, so there
+/// are at most 10 levels of O(n) passes.
+class RadixSeeder {
+ public:
+  RadixSeeder(std::span<const double> values, uint32_t k, double* centers)
+      : values_(values), k_(k), centers_(centers) {}
+
+  /// Sets the centers [c_begin, c_end), whose ranks fall among the
+  /// `count` values with keys in [lo, hi]; `lo` and `hi` are the least
+  /// and greatest of those keys, and `below` values have smaller keys.
+  void Select(uint64_t lo, uint64_t hi, size_t below, size_t count,
+              uint32_t c_begin, uint32_t c_end);
+
+ private:
+  static constexpr int kMaxBinBits = 12;
+  static constexpr size_t kMaxBins = size_t{1} << kMaxBinBits;
+  static constexpr uint32_t kNone = ~uint32_t{0};
+
+  size_t Rank(uint32_t c) const { return SeedRank(c, k_, values_.size()); }
+  /// The least and greatest key in [lo, hi], over every value.
+  std::pair<uint64_t, uint64_t> KeyBounds(uint64_t lo, uint64_t hi) const;
+
+  std::span<const double> values_;
+  uint32_t k_;
+  double* centers_;
+};
+
+std::pair<uint64_t, uint64_t> RadixSeeder::KeyBounds(uint64_t lo,
+                                                     uint64_t hi) const {
+  uint64_t least = hi;
+  uint64_t greatest = lo;
+  for (const double x : values_) {
+    const uint64_t key = OrderKey(x);
+    const bool in = key - lo <= hi - lo;
+    least = in && key < least ? key : least;
+    greatest = in && key > greatest ? key : greatest;
+  }
+  return {least, greatest};
+}
+
+void RadixSeeder::Select(uint64_t lo, uint64_t hi, size_t below,
+                         size_t count, uint32_t c_begin, uint32_t c_end) {
+  if (lo == hi) {
+    std::fill(centers_ + c_begin, centers_ + c_end, FromOrderKey(lo));
+    return;
+  }
+  // About four keys per bin, at most 4096 bins; bin `bins` collects the
+  // keys outside [lo, hi].
+  const int bin_bits =
+      std::min(static_cast<int>(std::bit_width(count)) - 2, kMaxBinBits);
+  const int shift =
+      std::max(0, static_cast<int>(std::bit_width(hi - lo)) - bin_bits);
+  const size_t bins = static_cast<size_t>((hi - lo) >> shift) + 1;
+  const auto bin_of = [lo, span = hi - lo, shift, bins](double x) {
+    const uint64_t offset = OrderKey(x) - lo;
+    return offset <= span ? static_cast<size_t>(offset >> shift) : bins;
+  };
+  std::array<uint32_t, kMaxBins + 1> hist;
+  std::fill_n(hist.begin(), bins + 1, 0u);
+  for (const double x : values_) ++hist[bin_of(x)];
+
+  // Calls fn(bin, below_bin, bin_count, c_first, c_last) for each bin
+  // that holds the ranks of centers [c_first, c_last), in bin order.
+  const auto for_each_target = [&](auto&& fn) {
+    size_t start = below;
+    uint32_t c = c_begin;
+    size_t rank = Rank(c);
+    for (size_t b = 0; b < bins && c < c_end; ++b) {
+      const size_t end = start + hist[b];
+      if (rank < end) {
+        const uint32_t c_first = c;
+        while (++c < c_end && (rank = Rank(c)) < end) {
+        }
+        fn(b, start, size_t{hist[b]}, c_first, c);
+      }
+      start = end;
+    }
+  };
+  const auto gathered = [&](size_t bin_count) {
+    return shift != 0 && bin_count <= values_.size() / 8;
+  };
+
+  // Gather the values of the small target bins in one pass, each bin's
+  // values contiguous in scratch.
+  std::array<uint32_t, kMaxBins + 1> pos;
+  std::fill_n(pos.begin(), bins + 1, kNone);
+  uint32_t total = 0;
+  for_each_target([&](size_t b, size_t, size_t bin_count, uint32_t,
+                      uint32_t) {
+    if (!gathered(bin_count)) return;
+    pos[b] = total;
+    total += static_cast<uint32_t>(bin_count);
+  });
+  std::vector<double> scratch(total);
+  if (total > 0) {
+    for (const double x : values_) {
+      const size_t b = bin_of(x);
+      const uint32_t p = pos[b];
+      if (p != kNone) {
+        scratch[p] = x;
+        pos[b] = p + 1;
+      }
+    }
+  }
+
+  // Equal values share a bit pattern here, so nth_element over a bin's
+  // values picks the value the key order puts at the rank.
+  double* bin_values = scratch.data();
+  for_each_target([&](size_t b, size_t start, size_t bin_count,
+                      uint32_t c_first, uint32_t c_last) {
+    const uint64_t bin_lo = lo + (static_cast<uint64_t>(b) << shift);
+    if (shift == 0) {  // a one-key bin
+      std::fill(centers_ + c_first, centers_ + c_last, FromOrderKey(bin_lo));
+    } else if (gathered(bin_count)) {
+      size_t searched_from = 0;
+      for (uint32_t c = c_first; c < c_last; ++c) {
+        const size_t rank = Rank(c) - start;
+        if (rank >= searched_from) {
+          std::nth_element(bin_values + searched_from, bin_values + rank,
+                           bin_values + bin_count);
+          searched_from = rank + 1;
+        }
+        centers_[c] = bin_values[rank];
+      }
+      bin_values += bin_count;
+    } else {
+      const uint64_t bin_hi =
+          bin_lo + std::min(hi - bin_lo, (uint64_t{1} << shift) - 1);
+      const auto [sub_lo, sub_hi] = KeyBounds(bin_lo, bin_hi);
+      Select(sub_lo, sub_hi, start, bin_count, c_first, c_last);
+    }
+  });
+}
+
+/// Quantile seeding: centers[c] is the order statistic of `values` at
+/// SeedRank(c), exactly the value nth_element over a copy picks.
+/// - Up to kSmallCopy values (a 32 KiB copy, which fits L1d, where
+///   nth_element beats three passes): nth_element over a stack copy.
+/// - A NaN or a zero: nth_element over a heap copy, since only
+///   nth_element itself defines its NaN placement and its pick of ±0.
+/// - Otherwise values equal under `<` share a bit pattern, so every exact
+///   selection returns the same values: radix selection, with no copy.
+void SeedQuantiles(std::span<const double> values, uint32_t k,
+                   double* centers) {
+  constexpr size_t kSmallCopy = 4096;
+  const size_t n = values.size();
+  if (n <= kSmallCopy) {
+    std::array<double, kSmallCopy> copy;
+    std::copy(values.begin(), values.end(), copy.begin());
+    NthElementSeeds({copy.data(), n}, k, centers);
+    return;
+  }
+  uint64_t least = ~uint64_t{0};
+  uint64_t greatest = 0;
+  bool nan_or_zero = false;
+  for (const double x : values) {
+    const uint64_t key = OrderKey(x);
+    least = std::min(least, key);
+    greatest = std::max(greatest, key);
+    nan_or_zero |= !((x < 0.0) | (x > 0.0));
+  }
+  if (nan_or_zero || n > std::numeric_limits<uint32_t>::max()) {
+    std::vector<double> copy(values.begin(), values.end());
+    NthElementSeeds(copy, k, centers);
+    return;
+  }
+  RadixSeeder(values, k, centers).Select(least, greatest, 0, n, 0, k);
+}
+
 }  // namespace
 
 KmeansResult Kmeans1D(std::span<const double> values, uint32_t k,
@@ -86,24 +304,7 @@ KmeansResult Kmeans1D(std::span<const double> values, uint32_t k,
   result.assignment.assign(n, 0);
   result.centers.resize(k);
 
-  // Quantile seeding: center c is the order statistic at rank
-  // floor((c + 0.5) / k * n). The ranks ascend, so each nth_element only
-  // searches the tail the previous one left above its rank -- O(n k)
-  // instead of a full sort, with the same values.
-  std::vector<double> order(values.begin(), values.end());
-  size_t searched_from = 0;
-  for (uint32_t c = 0; c < k; ++c) {
-    const double q = (c + 0.5) / static_cast<double>(k);
-    const size_t rank =
-        std::min(n - 1, static_cast<size_t>(q * static_cast<double>(n)));
-    if (rank >= searched_from) {
-      std::nth_element(order.begin() + static_cast<ptrdiff_t>(searched_from),
-                       order.begin() + static_cast<ptrdiff_t>(rank),
-                       order.end());
-      searched_from = rank + 1;
-    }
-    result.centers[c] = order[rank];
-  }
+  SeedQuantiles(values, k, result.centers.data());
 
   telemetry::Count("core.kmeans.runs");
   trace_events::Scope run_scope("kmeans.run");

@@ -22,11 +22,12 @@ struct KmeansResult {
   double inertia = 0.0;  ///< sum of squared distances to assigned centers
 };
 
-/// 1-D k-means over scalar values. Deterministic: centers seeded at the
-/// (i + 0.5)/k quantiles. Empty clusters are re-seeded at the point
-/// farthest from its center. Throws for k == 0 or empty input; if the
-/// input has fewer distinct values than k the result may have empty
-/// clusters (callers must check).
+/// 1-D k-means over scalar values. Deterministic: center i is seeded at
+/// the order statistic of rank floor((i + 0.5) / k * n), found by exact
+/// selection in O(n) without copying large inputs (DESIGN.md §7). Empty
+/// clusters are re-seeded at the point farthest from its center. Throws
+/// for k == 0 or empty input; if the input has fewer distinct values
+/// than k the result may have empty clusters (callers must check).
 KmeansResult Kmeans1D(std::span<const double> values, uint32_t k,
                       uint32_t max_iters = 50);
 

@@ -26,51 +26,27 @@ Cache::Cache(uint64_t size_bytes, uint32_t associativity,
   set_shift_ = static_cast<uint32_t>(std::countr_zero(num_sets_));
   set_mask_ = num_sets_ - 1;
   tags_.assign(num_lines, kInvalid);
-  lru_.assign(num_lines, 0);
 }
 
 bool Cache::Access(uint64_t addr) {
   const uint64_t line_addr = addr >> line_shift_;
   const uint64_t tag = TagOf(line_addr);
-  const size_t base = static_cast<size_t>(SetOf(line_addr)) * assoc_;
-  uint64_t* tags = &tags_[base];
-  uint64_t* lru = &lru_[base];
-  ++clock_;
+  uint64_t* tags = &tags_[static_cast<size_t>(SetOf(line_addr)) * assoc_];
 
-  // A tag is resident in at most one way, so a full scan without an early
-  // exit finds the same way and compiles to conditional moves.
-  uint32_t hit = assoc_;
-  for (uint32_t way = 0; way < assoc_; ++way)
-    if (tags[way] == tag) hit = way;
-  if (hit != assoc_) {
-    lru[hit] = clock_;
-    ++hits_;
-    return true;
-  }
-  // Victim: the last invalid way if there is one, else the way with the
-  // smallest LRU stamp. Only Flush invalidates (every way), and fills
-  // consume invalid ways from the top down, so a set's invalid ways are
-  // always a prefix 0..k-1: way 0 is invalid exactly when any way is.
-  uint32_t victim = 0;
-  if (tags[0] == kInvalid) {
-    while (victim + 1 < assoc_ && tags[victim + 1] == kInvalid) ++victim;
-  } else {
-    // Valid ways carry distinct stamps (each access takes a fresh clock),
-    // so the minimum is unique: find its value over two independent
-    // min chains, then its way.
-    uint64_t low_a = lru[0], low_b = lru[0];
-    uint32_t way = 1;
-    for (; way + 1 < assoc_; way += 2) {
-      low_a = std::min(low_a, lru[way]);
-      low_b = std::min(low_b, lru[way + 1]);
+  // The set is in recency order. Scan from the most recent way, moving
+  // each tag passed down one way, and stop at the hit: the tag ends at way
+  // 0. A miss moves every way and drops the last one, an invalid way if
+  // any is left, else the least recently used.
+  uint64_t carry = tag;
+  for (uint32_t way = 0; way < assoc_; ++way) {
+    const uint64_t held = tags[way];
+    tags[way] = carry;
+    if (held == tag) {
+      ++hits_;
+      return true;
     }
-    if (way < assoc_) low_a = std::min(low_a, lru[way]);
-    const uint64_t oldest = std::min(low_a, low_b);
-    for (way = 0; way < assoc_; ++way)
-      if (lru[way] == oldest) victim = way;
+    carry = held;
   }
-  tags[victim] = tag;
-  lru[victim] = clock_;
   ++misses_;
   return false;
 }
@@ -102,23 +78,15 @@ uint64_t Cache::ContentDigest() const {
       digest *= kPrime;
     }
   };
-  std::vector<uint32_t> ways(assoc_);
   for (uint32_t set = 0; set < num_sets_; ++set) {
     const uint64_t* tags = &tags_[static_cast<size_t>(set) * assoc_];
-    const uint64_t* lru = &lru_[static_cast<size_t>(set) * assoc_];
-    // Valid ways in LRU-rank order (oldest first): the digest captures
-    // replacement priority, not the absolute clock values.
+    // Valid ways are a prefix in recency order; the digest takes them
+    // least recent first.
     uint32_t valid = 0;
-    for (uint32_t way = 0; way < assoc_; ++way)
-      if (tags[way] != kInvalid) ways[valid++] = way;
-    std::sort(ways.begin(), ways.begin() + valid,
-              [lru](uint32_t a, uint32_t b) {
-                if (lru[a] != lru[b]) return lru[a] < lru[b];
-                return a < b;
-              });
+    while (valid < assoc_ && tags[valid] != kInvalid) ++valid;
     mix(set);
     mix(valid);
-    for (uint32_t k = 0; k < valid; ++k) mix(tags[ways[k]]);
+    for (uint32_t way = valid; way > 0; --way) mix(tags[way - 1]);
   }
   return digest;
 }

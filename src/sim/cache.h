@@ -12,7 +12,10 @@ namespace stemroot::sim {
 /// Classic set-associative cache with true-LRU replacement. Tracks hits
 /// and misses; allocate-on-miss for both reads and writes (GPU L2s are
 /// write-allocate; Sec. 5.5 notes writes always hit L2 under the paper's
-/// policy assumption).
+/// policy assumption). Each set keeps its tags in recency order, most
+/// recent first, with invalid ways at the tail: an access moves its tag
+/// to the front, and a miss drops the last way, so a fill takes an
+/// invalid way while one is left and the least recently used way after.
 class Cache {
  public:
   /// Throws std::invalid_argument on non-power-of-two line size, zero
@@ -45,11 +48,11 @@ class Cache {
   uint32_t Associativity() const { return assoc_; }
   uint64_t SizeBytes() const { return size_bytes_; }
 
-  /// Logical model-state footprint in bytes (the tag and LRU arrays plus
-  /// the object itself) — a pure function of the cache geometry, for the
+  /// Logical model-state footprint in bytes (the tag array plus the
+  /// object itself) — a pure function of the cache geometry, for the
   /// "sim" category of resource::AccountPeak (DESIGN.md §15).
   uint64_t ApproxBytes() const {
-    return sizeof(*this) + (tags_.size() + lru_.size()) * sizeof(uint64_t);
+    return sizeof(*this) + tags_.size() * sizeof(uint64_t);
   }
 
  private:
@@ -75,11 +78,9 @@ class Cache {
   bool set_pow2_;
   uint32_t set_shift_;  ///< log2(num_sets_) when set_pow2_
   uint64_t set_mask_;   ///< num_sets_ - 1 when set_pow2_
-  // Split arrays, num_sets_ * assoc_ each, set-major: a hit check reads
-  // only the set's tags.
-  std::vector<uint64_t> tags_;  ///< kInvalid marks an invalid way
-  std::vector<uint64_t> lru_;   ///< global access counter at last touch
-  uint64_t clock_ = 0;
+  /// num_sets_ * assoc_ tags, set-major, each set most recent first;
+  /// kInvalid marks an invalid way, and invalid ways form the set's tail.
+  std::vector<uint64_t> tags_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 };

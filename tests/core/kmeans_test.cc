@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -95,7 +96,8 @@ TEST(Kmeans1DTest, Validation) {
 /// a blocked branch-free pass. The references below differ only in how
 /// they seed it.
 KmeansResult ReferenceLloyd(const std::vector<double>& values,
-                            std::vector<double> centers) {
+                            std::vector<double> centers,
+                            uint32_t max_iters = 50) {
   const size_t n = values.size();
   const uint32_t k = static_cast<uint32_t>(centers.size());
   KmeansResult result;
@@ -104,7 +106,7 @@ KmeansResult ReferenceLloyd(const std::vector<double>& values,
   result.centers = std::move(centers);
   std::vector<double> sums(k);
   std::vector<uint64_t> counts(k);
-  for (uint32_t iter = 0; iter < 50; ++iter) {
+  for (uint32_t iter = 0; iter < max_iters; ++iter) {
     bool moved = false;
     std::fill(sums.begin(), sums.end(), 0.0);
     std::fill(counts.begin(), counts.end(), 0);
@@ -207,11 +209,14 @@ TEST(Kmeans1DTest, SelectionSeedingMatchesFullSortSeeding) {
 }
 
 /// Kmeans1D as it was before its k = 2 assignment step became a blocked
-/// branch-free pass: today's nth_element quantile seeding, verbatim, and
-/// the general Lloyd loop. The production result must match it bit for
-/// bit at every k, NaN inputs included (both sides make the same
-/// nth_element calls on the same data).
-KmeansResult ReferenceKmeans1D(const std::vector<double>& values, uint32_t k) {
+/// branch-free pass and its seeding an exact selection: nth_element
+/// quantile seeding over a copy, verbatim, and the general Lloyd loop.
+/// The production result must match it bit for bit at every k, NaN and
+/// ±0 inputs included: on those, and on up to 4096 values, production
+/// makes the same nth_element calls on the same data; elsewhere values
+/// equal under `<` share a bit pattern, so any exact selection agrees.
+KmeansResult ReferenceKmeans1D(const std::vector<double>& values, uint32_t k,
+                               uint32_t max_iters = 50) {
   const size_t n = values.size();
   std::vector<double> centers(k);
   std::vector<double> order(values.begin(), values.end());
@@ -228,7 +233,7 @@ KmeansResult ReferenceKmeans1D(const std::vector<double>& values, uint32_t k) {
     }
     centers[c] = order[rank];
   }
-  return ReferenceLloyd(values, std::move(centers));
+  return ReferenceLloyd(values, std::move(centers), max_iters);
 }
 
 TEST(Kmeans1DTest, MatchesReferenceLloydLoopBitForBit) {
@@ -269,12 +274,122 @@ TEST(Kmeans1DTest, MatchesReferenceLloydLoopBitForBit) {
   for (int i = 0; i < 500; ++i)
     noisy_nan.push_back(i % 97 == 5 ? kNaN : rng.NextLogNormal(2.0, 1.0));
   inputs["nan_sprinkled"] = noisy_nan;
+  for (int i = 0; i < 5000; ++i)
+    inputs["nan_sprinkled_5000"].push_back(
+        i % 997 == 5 ? kNaN : rng.NextLogNormal(2.0, 1.0));
+  // Over 4096 values, inputs without a NaN or a zero take the radix
+  // selection path; the rest keep nth_element over a copy.
+  for (int i = 0; i < 5000; ++i)
+    inputs["negative"].push_back(-rng.NextLogNormal(3.0, 0.5));
+  for (int i = 0; i < 6000; ++i) {
+    const double magnitude = rng.NextLogNormal(1.0, 1.5);
+    inputs["mixed_signs"].push_back(rng.NextBounded(3) == 0 ? -magnitude
+                                                            : magnitude);
+  }
+  for (int i = 0; i < 5000; ++i) {
+    inputs["infinities_no_nan"].push_back(
+        i % 37 == 3 ? -kInf : i % 41 == 7 ? kInf : rng.NextDouble(-5, 9));
+  }
+  // A narrow body between 1e-300 and 1e300: the body shares one top-level
+  // bucket, so the selection goes down further levels.
+  for (int i = 0; i < 5000; ++i)
+    inputs["span_1e300"].push_back(rng.NextLogNormal(3.0, 0.25));
+  for (const double extreme : {1e-300, 1e-200, 1e200, 1e300, -1e300})
+    inputs["span_1e300"].push_back(extreme);
+  std::vector<double> positives;
+  for (int i = 0; i < 5000; ++i)
+    positives.push_back(rng.NextLogNormal(2.0, 1.0));
+  inputs["positives_plus_zero"] = positives;
+  inputs["positives_plus_zero"].push_back(0.0);
+  inputs["positives_plus_negative_zero"] = positives;
+  inputs["positives_plus_negative_zero"].insert(
+      inputs["positives_plus_negative_zero"].begin() + 2500, -0.0);
+  // +0.0 before -0.0: a key order would put every -0.0 first, where
+  // nth_element picks as it partitions.
+  for (int i = 0; i < 6000; ++i) {
+    inputs["zero_blocks"].push_back(i < 2000   ? 0.0
+                                    : i < 4000 ? -0.0
+                                               : 1.0 + i);
+  }
+  for (int i = 0; i < 256; ++i)  // a full streaming-ROOT reservoir
+    inputs["reservoir_256"].push_back(rng.NextLogNormal(3.0, 0.25));
+  // Each size where the selection doubles its bin count, and one either
+  // side; 4096 is also the largest input nth_element seeds from a copy.
+  for (size_t threshold = 64; threshold <= 8192; threshold *= 2) {
+    for (const size_t n : {threshold - 1, threshold, threshold + 1}) {
+      std::vector<double>& values = inputs["bins_n" + std::to_string(n)];
+      for (size_t i = 0; i < n; ++i)
+        values.push_back(rng.NextBounded(1000) < 6
+                             ? rng.NextLogNormal(4.6, 0.05)
+                             : rng.NextLogNormal(3.0, 0.25));
+    }
+  }
 
   for (const auto& [name, values] : inputs) {
-    for (uint32_t k = 1; k <= 5; ++k) {
+    for (const uint32_t k : {1u, 2u, 3u, 4u, 5u, 8u}) {
       const std::string where = name + " k=" + std::to_string(k);
       ExpectBitIdentical(Kmeans1D(values, k), ReferenceKmeans1D(values, k),
                          where);
+      // The seeds alone: Lloyd steps forget which of ±0 seeded a center.
+      ExpectBitIdentical(Kmeans1D(values, k, 0),
+                         ReferenceKmeans1D(values, k, 0), where + " seeds");
+    }
+  }
+}
+
+/// With max_iters = 0 the centers are the seeds: each must be the
+/// order statistic at its quantile rank, bit for bit, as a full sort
+/// gives it. Inputs hold no NaN and no zero, so a sort defines a unique
+/// bit pattern at every rank.
+TEST(Kmeans1DTest, SeedsAreSortedOrderStatistics) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (uint64_t seed = 0; seed < 240; ++seed) {
+    Rng rng(DeriveSeed(31, seed));
+    const size_t n = 1 + rng.NextBounded(seed % 2 == 0 ? 40000 : 6000);
+    const uint32_t k = 1 + static_cast<uint32_t>(rng.NextBounded(9));
+    std::vector<double> values(n);
+    const uint64_t shape = seed % 6;
+    const double base = rng.NextLogNormal(0.0, 3.0);
+    for (size_t i = 0; i < n; ++i) {
+      double v = 0.0;
+      switch (shape) {
+        case 0:  // ROOT-shaped
+          v = rng.NextLogNormal(3.0, 0.25);
+          break;
+        case 1:  // mixed signs, wide
+          v = (rng.NextBounded(2) != 0 ? -1.0 : 1.0) *
+              rng.NextLogNormal(0.0, 20.0);
+          break;
+        case 2:  // a run of adjacent bit patterns, both signs
+          v = (i % 2 != 0 ? -1.0 : 1.0) *
+              std::bit_cast<double>(std::bit_cast<uint64_t>(base) +
+                                    rng.NextBounded(300));
+          break;
+        case 3:  // few distinct values
+          v = -base * static_cast<double>(1 + rng.NextBounded(4));
+          break;
+        case 4:  // narrow body, far outliers, infinities
+          v = rng.NextBounded(100) == 0
+                  ? (rng.NextBounded(2) != 0 ? kInf : -1e300)
+                  : 1.0 + static_cast<double>(rng.NextBounded(1000)) * 1e-12;
+          break;
+        default:  // subnormals to huge
+          v = std::bit_cast<double>(1 + rng.NextBounded(0x7FEFFFFFFFFFFFFFull));
+          break;
+      }
+      values[i] = v;
+    }
+    std::vector<double> sorted(values);
+    std::sort(sorted.begin(), sorted.end());
+    const KmeansResult result = Kmeans1D(values, k, 0);
+    for (uint32_t c = 0; c < k; ++c) {
+      const double q = (c + 0.5) / static_cast<double>(k);
+      const double want = sorted[std::min(
+          n - 1, static_cast<size_t>(q * static_cast<double>(n)))];
+      EXPECT_EQ(std::bit_cast<uint64_t>(result.centers[c]),
+                std::bit_cast<uint64_t>(want))
+          << "seed " << seed << " shape " << shape << " n " << n << " k "
+          << k << " c " << c;
     }
   }
 }
