@@ -13,7 +13,7 @@
 /// geometric buckets spanning many decades, lock-free Record() via relaxed
 /// atomics, and nearest-rank quantile readout (p50/p90/p99) over the
 /// bucket counts — the per-request latency distribution behind the
-/// service's Stats verb and Prometheus exposition.
+/// service's `stats` verb, its one reader.
 
 #pragma once
 
@@ -74,9 +74,9 @@ class Histogram {
 /// bucket i (1 <= i <= bins-2) covers [lo*growth^(i-1), lo*growth^i); the
 /// last bucket is the overflow bin. Record() is wait-free (one relaxed
 /// fetch_add per bucket plus CAS loops for sum/max), so concurrent server
-/// threads record without a lock and a reader (the metrics exporter) sees a
-/// consistent-enough view mid-run. Counts never decrease; readers see
-/// monotone totals (the Prometheus counter contract).
+/// threads record without a lock and a reader (the `stats` verb) sees a
+/// consistent-enough view mid-run. Counts never decrease, so successive
+/// `stats` replies report monotone totals.
 ///
 /// Quantiles are nearest-rank over the bucket counts: the reported value
 /// is the upper bound of the bucket holding the rank (an overestimate by

@@ -33,10 +33,10 @@
 /// **Physical sampling** reads `/proc/self/statm`, `/proc/self/status`
 /// (VmRSS/VmHWM) and getrusage into monotonic high-water atomics on
 /// demand (`SamplePhysical`): when a manifest is stamped, on every
-/// `stats` reply and exposition write, and when a served session closes.
-/// The peak needs no background thread: the kernel keeps its own high
-/// water (VmHWM, ru_maxrss). Physical numbers are environmental: they go
-/// into the manifest `mem` block and the Prometheus exposition but never
+/// `stats` reply, and when a served session closes. The peak needs no
+/// background thread: the kernel keeps its own high water (VmHWM,
+/// ru_maxrss). Physical numbers are environmental: they go into the
+/// manifest `mem` block and the `stats` reply's `mem` object but never
 /// into fingerprints or compare gates.
 /// Missing or truncated `/proc` files are absent-not-fatal (containers
 /// and non-Linux hosts degrade to getrusage or to nothing).

@@ -1,31 +1,24 @@
 /// \file
-/// Live service introspection: per-verb request metrics and their
-/// Prometheus text exposition (DESIGN.md §14).
+/// Live service introspection: per-verb request metrics and the
+/// aggregate view the `stats` verb reports (DESIGN.md §14).
 ///
 /// ServiceMetrics is the per-Service-instance observability surface:
 /// each protocol verb (open/feed/query/plan/eval/close) gets a
 /// log-bucketed latency histogram (common/histogram.h LogHistogram) plus
 /// request and error counters — all wait-free relaxed atomics, so
-/// recording never blocks a session operation and readers (the stats
-/// verb, the metrics exporter) see a live view without quiescing.
+/// recording never blocks a session operation and the stats verb sees a
+/// live view without quiescing.
 ///
 /// **Always on.** A Service records every verb; recording is a few
 /// relaxed atomic adds, small beside any verb's work. The batch
 /// `stemroot run` path (the static Service::RunBatch) never touches it,
 /// so batch manifests do not depend on this subsystem.
 ///
-/// **Metric naming.** Exposition families are
-/// `stemroot_<subsystem>_<name>[_unit][_total]` — `_total` on counters
-/// (Prometheus convention), `_us` for microsecond-valued families.
-/// Telemetry counters under the `service.*` prefix are environmental
-/// (excluded from the compare gate) and must be registered here:
-/// RegisteredServiceCounters() is the closed set that `stemroot validate
-/// manifest` enforces, so a typo'd or undocumented service counter fails
-/// CI instead of silently escaping the gates.
-///
-/// **Read side.** ValidateExposition parses and checks what
-/// PrometheusText writes, and CheckMonotonic compares two scrapes of one
-/// process; `stemroot validate metrics [--prev EARLIER]` wires both.
+/// **Counter registry.** Telemetry counters under the `service.*` prefix
+/// are environmental (excluded from the compare gate) and must be
+/// registered here: RegisteredServiceCounters() is the closed set that
+/// `stemroot validate manifest` enforces, so a typo'd or undocumented
+/// service counter fails CI instead of silently escaping the gates.
 
 #pragma once
 
@@ -51,8 +44,8 @@ inline constexpr size_t kNumVerbs = 6;
 /// Canonical lowercase wire token ("open", "feed", ...).
 const char* VerbName(Verb verb);
 
-/// One verb's aggregate view, as the stats response and the Prometheus
-/// exposition report it. Quantiles are nearest-rank over the log buckets
+/// One verb's aggregate view, as the stats response reports it (its
+/// `verbs.<verb>` object). Quantiles are nearest-rank over the log buckets
 /// (a bucket upper bound, i.e. within one growth factor of exact);
 /// max_us is exact.
 struct VerbStats {
@@ -67,7 +60,7 @@ struct VerbStats {
   double max_us = 0.0;
 };
 
-/// Everything the stats verb / exporter reports, assembled by
+/// Everything the stats verb reports, assembled by
 /// Service::GetStats() under no lock (all relaxed-atomic reads).
 struct ServiceStats {
   double uptime_seconds = 0.0;
@@ -138,37 +131,5 @@ class ServiceMetrics {
 /// rejects any `service.*` name outside this set.
 std::span<const std::string_view> RegisteredServiceCounters();
 bool IsRegisteredServiceCounter(std::string_view name);
-
-/// Render `stats` in the Prometheus text exposition format (version
-/// 0.0.4): `# TYPE` line per family, counters suffixed `_total`, the
-/// per-verb latency summaries with quantile labels. Deterministic for
-/// identical inputs (fixed family and label order). Validated by
-/// ValidateExposition.
-std::string PrometheusText(const ServiceStats& stats);
-
-/// A parsed exposition: each family's declared type, and each sample's
-/// value keyed by "name{labels}" (the key CheckMonotonic compares on).
-struct Exposition {
-  std::map<std::string, std::string> types;  ///< family -> type
-  std::map<std::string, double> samples;     ///< "name{labels}" -> value
-};
-
-/// Strict validation of an exposition text: every line is a comment, a
-/// `# TYPE <name> counter|gauge|summary|histogram` declaration, or a
-/// `<name>[{labels}] <value>` sample; names match
-/// [a-zA-Z_:][a-zA-Z0-9_:]*; every sample follows its family's # TYPE;
-/// counter families end in `_total`; values are finite, and counters
-/// and the stemroot_process_* / stemroot_mem_* families are >= 0. On
-/// failure, `error` (when non-null) gets a one-line reason with its
-/// 1-based line number; `out` (when non-null) receives the parse.
-bool ValidateExposition(std::string_view text, std::string* error,
-                        Exposition* out = nullptr);
-
-/// Monotonicity between two scrapes of one process: no counter sample,
-/// and no high-water gauge sample (stemroot_process_hwm_bytes and every
-/// stemroot_mem_* logical peak, monotone by construction), may be lower
-/// in `later` than in `earlier` or missing from it.
-bool CheckMonotonic(const Exposition& earlier, const Exposition& later,
-                    std::string* error);
 
 }  // namespace stemroot::service

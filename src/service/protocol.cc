@@ -311,6 +311,7 @@ BrokerResult SessionBroker::HandleLine(const std::string& line) {
         ObjectWriter vw;
         vw.Int("requests", v.requests);
         vw.Int("errors", v.errors);
+        vw.Num("total_us", v.total_us);
         vw.Num("mean_us", v.mean_us);
         vw.Num("p50_us", v.p50_us);
         vw.Num("p90_us", v.p90_us);

@@ -28,8 +28,10 @@
 ///            (sessions_opened/closed, feed_invocations, early_stops,
 ///            requests, errors), a "verbs" object with per-verb
 ///            requests/errors and latency aggregates
-///            (mean/p50/p90/p99/max, microseconds), and a
-///            "journal" object with emitted/dropped/errors counts
+///            (total/mean/p50/p90/p99/max, microseconds), a
+///            "journal" object with emitted/dropped/errors counts, and a
+///            "mem" object (rss/hwm bytes, samples, cpu seconds, the
+///            logical per-category peaks)
 ///   health                  -> {"ok":true,"status":"ok","ready":true,
 ///            "accepting":B,"uptime_seconds":S,"open_sessions":N,
 ///            "max_sessions":N,"git_hash":"..."} — a cheap liveness

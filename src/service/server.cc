@@ -6,27 +6,18 @@
 
 #include <atomic>
 #include <cerrno>
-#include <chrono>
-#include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <istream>
-#include <mutex>
-#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/cache.h"
 #include "common/journal.h"
 #include "common/json.h"
 #include "common/log.h"
-#include "service/metrics.h"
 #include "service/protocol.h"
 
 namespace stemroot::service {
@@ -67,114 +58,33 @@ bool SendLine(int fd, const std::string& data) {
   return true;
 }
 
+enum class LineRead { kLine, kEnd, kTooLong };
+
 /// Read one '\n'-terminated line into `line` using `buffer` as carry-over
-/// between calls. Returns false on EOF/error with no complete line.
-bool ReadLine(int fd, std::string& buffer, std::string& line) {
+/// between calls. kEnd on EOF/error with no complete line; kTooLong once
+/// the line runs past `max_bytes`, without reading further. Each read's
+/// bytes are scanned for the newline once.
+LineRead ReadLine(int fd, std::string& buffer, std::string& line,
+                  size_t max_bytes = SIZE_MAX) {
+  size_t scanned = 0;
   while (true) {
-    const size_t pos = buffer.find('\n');
+    const size_t pos = buffer.find('\n', scanned);
     if (pos != std::string::npos) {
+      if (pos > max_bytes) return LineRead::kTooLong;
       line = buffer.substr(0, pos);
       buffer.erase(0, pos + 1);
       if (!line.empty() && line.back() == '\r') line.pop_back();
-      return true;
+      return LineRead::kLine;
     }
+    if (buffer.size() > max_bytes) return LineRead::kTooLong;
+    scanned = buffer.size();
     char chunk[4096];
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
+    if (n <= 0) return LineRead::kEnd;
     buffer.append(chunk, static_cast<size_t>(n));
   }
 }
-
-/// Write one Prometheus scrape. A plain path is written atomically (temp
-/// + rename, the manifest Save convention) so a concurrently-reading
-/// scraper never sees a torn exposition; "fd:N" rewrites descriptor N in
-/// place (truncate + write), the pipe-friendly mode.
-void WriteMetrics(const std::string& target, const std::string& text) {
-  if (target.rfind("fd:", 0) == 0) {
-    const int fd = std::atoi(target.c_str() + 3);
-    if (::lseek(fd, 0, SEEK_SET) >= 0) (void)::ftruncate(fd, 0);
-    size_t off = 0;
-    while (off < text.size()) {
-      const ssize_t n =
-          ::write(fd, text.data() + off, text.size() - off);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        Warn("serve: metrics write to %s failed: %s", target.c_str(),
-             std::strerror(errno));
-        return;
-      }
-      off += static_cast<size_t>(n);
-    }
-    return;
-  }
-  const std::string tmp = UniqueTempPath(target);
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      Warn("serve: cannot write metrics temp file %s", tmp.c_str());
-      return;
-    }
-    out << text;
-    out.flush();
-    if (!out) {
-      Warn("serve: metrics write failed: %s", tmp.c_str());
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, target, ec);
-  if (ec) {
-    Warn("serve: metrics rename into %s failed: %s", target.c_str(),
-         ec.message().c_str());
-    std::error_code ignore;
-    std::filesystem::remove(tmp, ignore);
-  }
-}
-
-/// Background scrape loop: exports every `interval_seconds` until
-/// stopped, then once more so the final file reflects the full run.
-class MetricsExporter {
- public:
-  MetricsExporter(const Service& service, std::string target,
-                  double interval_seconds)
-      : service_(service), target_(std::move(target)),
-        interval_(interval_seconds <= 0.0 ? 0.1 : interval_seconds),
-        thread_([this] { Loop(); }) {}
-
-  ~MetricsExporter() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-    WriteMetrics(target_, PrometheusText(service_.GetStats()));
-  }
-
- private:
-  void Loop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!stop_) {
-      cv_.wait_for(lock, std::chrono::duration<double>(interval_),
-                   [this] { return stop_; });
-      if (stop_) break;
-      lock.unlock();
-      WriteMetrics(target_, PrometheusText(service_.GetStats()));
-      lock.lock();
-    }
-  }
-
-  const Service& service_;
-  const std::string target_;
-  const double interval_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
 
 void HandleConnection(int fd, SessionBroker& broker,
                       std::atomic<bool>& stop,
@@ -184,7 +94,9 @@ void HandleConnection(int fd, SessionBroker& broker,
                   {{"fd", static_cast<uint64_t>(fd)}});
   std::string buffer;
   std::string line;
-  while (ReadLine(fd, buffer, line)) {
+  LineRead status;
+  while ((status = ReadLine(fd, buffer, line, kMaxRequestLineBytes)) ==
+         LineRead::kLine) {
     if (line.empty()) continue;
     const BrokerResult result = broker.HandleLine(line);
     if (!result.ok && journal::Enabled())
@@ -210,6 +122,18 @@ void HandleConnection(int fd, SessionBroker& broker,
       }
       break;
     }
+  }
+  if (status == LineRead::kTooLong) {
+    // A line this long is no request; reading on would only grow the
+    // buffer, so the connection ends here.
+    if (journal::Enabled())
+      journal::Emit(journal::Severity::kWarn, "request.too_long",
+                    {{"fd", static_cast<uint64_t>(fd)},
+                     {"max_bytes", static_cast<uint64_t>(
+                                       kMaxRequestLineBytes)}});
+    (void)SendLine(fd, "{\"ok\":false,\"error\":\"request line exceeds " +
+                           std::to_string(kMaxRequestLineBytes) +
+                           " bytes\"}");
   }
   if (journal::Enabled())
     journal::Emit(journal::Severity::kDebug, "conn.close",
@@ -245,10 +169,6 @@ int RunServer(const ServerOptions& options) {
   SessionBroker broker(service);
   std::atomic<bool> stop{false};
   std::vector<std::thread> connections;
-  std::optional<MetricsExporter> exporter;
-  if (!options.metrics_path.empty())
-    exporter.emplace(service, options.metrics_path,
-                     options.metrics_interval_seconds);
   Inform("serve: listening on %s", options.socket_path.c_str());
 
   while (!stop.load()) {
@@ -276,9 +196,6 @@ int RunServer(const ServerOptions& options) {
   for (std::thread& t : connections) t.join();
   ::close(listen_fd);
   ::unlink(options.socket_path.c_str());
-  // Final export happens in the exporter's destructor, after every
-  // connection drained — the on-disk file ends at the true final counts.
-  exporter.reset();
   if (journal::Enabled()) {
     journal::Emit(journal::Severity::kInfo, "server.stop",
                   {{"open_sessions",
@@ -315,7 +232,7 @@ int RunClient(const ClientOptions& options, std::istream& script,
           std::strerror(err) + ")");
     }
     errno = 0;  // lets the failure path tell clean EOF from a read error
-    if (!ReadLine(fd, buffer, response)) {
+    if (ReadLine(fd, buffer, response) != LineRead::kLine) {
       const int err = errno;
       ::close(fd);
       // errno 0 here means a clean EOF: the server hung up, nothing
@@ -360,7 +277,7 @@ std::string RequestOnce(const std::string& socket_path,
   std::string buffer;
   std::string response;
   errno = 0;
-  if (!ReadLine(fd, buffer, response)) {
+  if (ReadLine(fd, buffer, response) != LineRead::kLine) {
     const int err = errno;
     ::close(fd);
     throw std::runtime_error(

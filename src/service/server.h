@@ -6,14 +6,18 @@
 /// The server owns one resident Service; each accepted connection gets a
 /// handler thread, so concurrent clients drive concurrent sessions (the
 /// Service is the synchronization point). It runs until a client sends
-/// {"op":"shutdown"}. Unix sockets keep the surface local and
-/// permission-guarded by the filesystem — there is no network listener.
+/// {"op":"shutdown"}. A request line longer than kMaxRequestLineBytes
+/// gets one error reply and ends its connection, so a client that never
+/// sends a newline cannot grow the server's memory. Unix sockets keep
+/// the surface local and permission-guarded by the filesystem — there
+/// is no network listener.
 ///
 /// The client connects, replays a script of request lines (blank lines
 /// and '#' comments skipped), and prints one response line per request.
 
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
@@ -21,15 +25,14 @@
 
 namespace stemroot::service {
 
+/// The longest request line a server reads (the newline excluded). Valid
+/// requests are well under 4 KiB; an `open` with sampler params is the
+/// longest.
+inline constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
+
 struct ServerOptions {
   std::string socket_path;  ///< AF_UNIX path; unlinked + rebound at start
   ServiceOptions service;   ///< resident service configuration
-  /// Prometheus exposition target: "" = off, "fd:N" = rewrite to file
-  /// descriptor N (the whole text per scrape), else a path written
-  /// atomically (temp + rename) every metrics_interval_seconds and once
-  /// more at shutdown.
-  std::string metrics_path;
-  double metrics_interval_seconds = 2.0;
   /// Structured event journal file ("" = off); opened before the service
   /// starts so session lifecycle events from the first connection land
   /// in it. See common/journal.h.

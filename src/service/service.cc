@@ -522,8 +522,8 @@ eval::RunManifest Service::CloseSession(SessionId id) {
     manifest.journal.errors = js.errors;
   }
   // The session is at its largest here: one physical sample lets a new
-  // high water reach the journal as "mem_highwater" even when nothing
-  // scrapes the server.
+  // high water reach the journal as "mem_highwater" even when no client
+  // asks for `stats`.
   resource::SamplePhysical();
   lock.unlock();
   session.reset();
@@ -553,8 +553,8 @@ ServiceStats Service::GetStats() const {
   stats.journal_emitted = js.emitted;
   stats.journal_dropped = js.dropped;
   stats.journal_errors = js.errors;
-  // One fresh physical observation per stats assembly keeps the
-  // exposition live.
+  // One fresh physical observation per stats assembly keeps the `mem`
+  // object live.
   resource::SamplePhysical();
   const resource::Stats rs = resource::GetStats();
   stats.process_rss_bytes = rs.current_rss_bytes;

@@ -249,7 +249,7 @@ class Service {
   const std::chrono::steady_clock::time_point started_at_ =
       std::chrono::steady_clock::now();
   /// Service-wide lifetime tallies (session-local copies feed manifests;
-  /// these feed GetStats / the exporter).
+  /// these feed GetStats and the `stats` verb).
   std::atomic<uint64_t> sessions_opened_{0};
   std::atomic<uint64_t> sessions_closed_{0};
   std::atomic<uint64_t> feed_invocations_{0};

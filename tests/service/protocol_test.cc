@@ -4,9 +4,13 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "common/json.h"
+#include "common/rng.h"
+#include "common/telemetry.h"
 #include "eval/manifest.h"
 
 namespace stemroot::service {
@@ -350,6 +354,226 @@ TEST_F(ProtocolTest, ConfidenceMustBeFinite) {
     EXPECT_FALSE(Handle(OpenWith(std::string(R"("confidence":)") + v)).ok)
         << v;
   EXPECT_EQ(service_.NumOpenSessions(), 0u);
+}
+
+// What a stats reply promises a watcher that polls it.
+
+/// Every numeric leaf of a stats reply, keyed by its dotted path
+/// ("verbs.feed.requests", "mem.logical.trace").
+void Flatten(const json::Value& value, const std::string& path,
+             std::map<std::string, double>& out) {
+  if (!value.IsObject()) {
+    out[path] = value.number;
+    return;
+  }
+  for (const auto& [key, member] : *value.object)
+    Flatten(member, path.empty() ? key : path + "." + key, out);
+}
+
+/// The counters and high-water marks of a stats reply: none may be lower
+/// in a later reply of the same server.
+bool IsMonotone(const std::string& key) {
+  for (const char* counter :
+       {"requests", "errors", "sessions_opened", "sessions_closed",
+        "feed_invocations", "early_stops", "mem.samples", "mem.hwm_bytes"})
+    if (key == counter) return true;
+  if (key.starts_with("journal.") || key.starts_with("mem.logical."))
+    return true;
+  return key.starts_with("verbs.") &&
+         (key.ends_with(".requests") || key.ends_with(".errors") ||
+          key.ends_with(".total_us"));
+}
+
+TEST(ProtocolMetricsTest, StatsCountersNeverFallBetweenReplies) {
+  ServiceOptions options;
+  options.enable_telemetry = true;  // the logical mem peaks need it
+  Service service(options);
+  SessionBroker broker(service);
+  const auto Handle = [&broker](const std::string& line) {
+    return broker.HandleLine(line);
+  };
+  const std::string open =
+      R"({"op":"open","suite":"casio","workload":"bert_infer",)"
+      R"("scale":0.02,"seed":5,"reps":2,"order":"shuffled"})";
+  std::string sid = std::to_string(
+      static_cast<SessionId>(Num(Parsed(Handle(open)), "id")));
+  Handle(R"({"op":"feed","id":)" + sid + R"(,"count":64})");
+  std::map<std::string, double> earlier;
+  Flatten(Parsed(Handle(R"({"op":"stats"})")), "", earlier);
+
+  // Traffic between the replies: every verb, an error, a closed session
+  // and a new one.
+  Handle(R"({"op":"feed","id":)" + sid + R"(,"count":128})");
+  Handle(R"({"op":"query","id":)" + sid + "}");
+  Handle(R"({"op":"plan","id":)" + sid + "}");
+  Handle(R"({"op":"eval","id":)" + sid + "}");
+  EXPECT_FALSE(Handle(R"({"op":"feed","id":999,"count":4})").ok);
+  Handle(R"({"op":"close","id":)" + sid + "}");
+  sid = std::to_string(
+      static_cast<SessionId>(Num(Parsed(Handle(open)), "id")));
+  Handle(R"({"op":"feed","id":)" + sid + R"(,"count":32})");
+  std::map<std::string, double> later;
+  Flatten(Parsed(Handle(R"({"op":"stats"})")), "", later);
+  Handle(R"({"op":"close","id":)" + sid + "}");
+  telemetry::SetEnabled(false);
+  telemetry::Reset();
+
+  EXPECT_GT(later.at("requests"), earlier.at("requests"));
+  EXPECT_TRUE(later.count("mem.logical.trace"));
+  EXPECT_TRUE(later.count("mem.logical.service.session"));
+  size_t monotone = 0;
+  for (const auto& [key, before] : earlier) {
+    const auto it = later.find(key);
+    ASSERT_NE(it, later.end()) << key << " vanished from the later reply";
+    if (!IsMonotone(key)) continue;
+    ++monotone;
+    EXPECT_GE(it->second, before) << key << " went backwards";
+  }
+  // The six verbs' requests/errors, the journal's three counts and the
+  // eight top-level and mem counters at least.
+  EXPECT_GE(monotone, 6u * 2 + 3 + 8);
+}
+
+TEST(ProtocolMetricsTest, StatsReportsEachVerbsTotalLatency) {
+  Service service;
+  SessionBroker broker(service);
+  const BrokerResult opened = broker.HandleLine(
+      R"({"op":"open","suite":"casio","workload":"bert_infer",)"
+      R"("scale":0.02,"seed":5,"reps":2})");
+  ASSERT_TRUE(opened.ok) << opened.response;
+  const std::string sid =
+      std::to_string(static_cast<SessionId>(Num(Parsed(opened), "id")));
+  broker.HandleLine(R"({"op":"feed","id":)" + sid + R"(,"count":64})");
+  broker.HandleLine(R"({"op":"feed","id":)" + sid + R"(,"count":64})");
+  broker.HandleLine(R"({"op":"query","id":)" + sid + "}");
+
+  const json::Value stats = Parsed(broker.HandleLine(R"({"op":"stats"})"));
+  const json::Value* verbs = stats.Find("verbs");
+  ASSERT_NE(verbs, nullptr);
+  size_t busy = 0;
+  for (const char* verb : {"open", "feed", "query", "plan", "eval", "close"}) {
+    const json::Value* v = verbs->Find(verb);
+    ASSERT_NE(v, nullptr) << verb;
+    ASSERT_NE(v->Find("total_us"), nullptr) << verb;
+    const double total = Num(*v, "total_us");
+    if (Num(*v, "requests") == 0.0) {
+      EXPECT_EQ(total, 0.0) << verb;
+      continue;
+    }
+    ++busy;
+    EXPECT_GT(total, 0.0) << verb;
+    EXPECT_GE(total, Num(*v, "max_us")) << verb;
+  }
+  EXPECT_EQ(busy, 3u);  // open, feed and query
+  broker.HandleLine(R"({"op":"close","id":)" + sid + "}");
+}
+
+// A bounded, deterministic slice of a protocol-line fuzzer: whatever
+// bytes arrive, HandleLine answers with one JSON line and the service
+// stays usable.
+
+TEST_F(ProtocolTest, MutatedLinesGetOneJsonReplyAndTheServiceServesOn) {
+  const std::string open =
+      R"({"op":"open","suite":"casio","workload":"bert_infer",)"
+      R"("scale":0.02,"seed":11,"reps":2,"order":"shuffled"})";
+  // Bytes of the open line left unflipped: its numeric values, where a
+  // flipped digit is a valid and larger request, and the scale member,
+  // whose loss opens the workload at full scale.
+  std::vector<bool> frozen(open.size(), false);
+  for (size_t i = 0; i < open.size(); ++i)
+    frozen[i] = (open[i] >= '0' && open[i] <= '9') || open[i] == '.';
+  const size_t scale = open.find(R"("scale")");
+  for (size_t i = scale; i < open.find(',', scale); ++i) frozen[i] = true;
+
+  const auto open_session = [&] {
+    const BrokerResult opened = Handle(open);
+    EXPECT_TRUE(opened.ok) << opened.response;
+    return std::to_string(static_cast<SessionId>(Num(Parsed(opened), "id")));
+  };
+  std::string sid = open_session();
+  const auto lines = [&sid]() -> std::vector<std::string> {
+    return {R"({"op":"feed","id":)" + sid + R"(,"count":64})",
+            R"({"op":"query","id":)" + sid + R"(,"clusters":true})",
+            R"({"op":"plan","id":)" + sid + "}",
+            R"({"op":"eval","id":)" + sid + "}",
+            R"({"op":"stats"})",
+            R"({"op":"health"})",
+            R"({"op":"close","id":)" + sid + "}"};
+  };
+  // Control: every line but close succeeds unmutated.
+  for (const std::string& line : lines()) {
+    if (line.find("close") == std::string::npos) {
+      ASSERT_TRUE(Handle(line).ok) << line;
+    }
+  }
+
+  size_t cases = 0;
+  const auto check = [&](const std::string& line, bool from_open) {
+    ++cases;
+    BrokerResult result;
+    ASSERT_NO_THROW(result = Handle(line)) << line;
+    ASSERT_EQ(result.response.find('\n'), std::string::npos) << line;
+    json::Value reply;
+    std::string error;
+    ASSERT_TRUE(json::Parse(result.response, reply, &error))
+        << error << "\n" << line;
+    const json::Value* ok = reply.Find("ok");
+    ASSERT_NE(ok, nullptr) << result.response;
+    ASSERT_EQ(ok->kind, json::Value::Kind::kBool) << result.response;
+    EXPECT_EQ(ok->number != 0.0, result.ok) << result.response;
+    if (!result.ok) {
+      const json::Value* message = reply.Find("error");
+      ASSERT_NE(message, nullptr) << result.response;
+      EXPECT_TRUE(message->IsString()) << result.response;
+      EXPECT_FALSE(message->string.empty()) << result.response;
+    }
+    // A mutated open that still opens made a session of its own; a
+    // mutated close that still closes ended ours.
+    if (from_open && result.ok)
+      Handle(R"({"op":"close","id":)" + std::to_string(static_cast<SessionId>(
+                                            Num(reply, "id"))) +
+             "}");
+    if (service_.NumOpenSessions() == 0) sid = open_session();
+  };
+  const auto flip = [](std::string line, size_t bit) {
+    line[bit / 8] = static_cast<char>(line[bit / 8] ^ (1 << (bit % 8)));
+    return line;
+  };
+
+  // Lines are rebuilt per case: a mutation may have moved `sid` on.
+  for (size_t i = 0; i < lines().size(); ++i) {
+    for (size_t bit = 0; bit < lines()[i].size() * 8; ++bit)
+      check(flip(lines()[i], bit), false);
+    for (size_t len = 0; len < lines()[i].size(); ++len)
+      check(lines()[i].substr(0, len), false);
+  }
+  for (size_t bit = 0; bit < open.size() * 8; ++bit)
+    if (!frozen[bit / 8]) check(flip(open, bit), true);
+  for (size_t len = 0; len < open.size(); ++len)
+    check(open.substr(0, len), true);
+
+  // Random bytes at random places, a few at a time.
+  Rng rng(20261019);
+  for (int round = 0; round < 2048; ++round) {
+    const bool from_open = round % 4 == 0;
+    std::string line =
+        from_open ? open : lines()[rng.NextBounded(lines().size())];
+    for (uint64_t n = 1 + rng.NextBounded(4); n > 0; --n) {
+      const size_t at = rng.NextBounded(line.size());
+      if (from_open && frozen[at]) continue;
+      line[at] = static_cast<char>(rng.NextBounded(256));
+    }
+    check(line, from_open);
+  }
+  EXPECT_GT(cases, 4000u);
+
+  // Afterwards a fresh session opens, feeds and evaluates.
+  const std::string fresh = open_session();
+  ASSERT_TRUE(
+      Handle(R"({"op":"feed","id":)" + fresh + R"(,"count":4096})").ok);
+  const BrokerResult eval = Handle(R"({"op":"eval","id":)" + fresh + "}");
+  ASSERT_TRUE(eval.ok) << eval.response;
+  EXPECT_GT(Num(Parsed(eval), "speedup"), 0.0);
 }
 
 }  // namespace

@@ -826,21 +826,6 @@ int CmdValidateTrace(const Flags& flags, eval::RunManifest&) {
   });
 }
 
-int CmdValidateMetrics(const Flags& flags, eval::RunManifest&) {
-  const std::string prev_path = flags.String("prev");
-  return ValidateFiles(flags, [&](const std::string& text,
-                                  std::string* error) {
-    service::Exposition later, earlier;
-    if (!service::ValidateExposition(text, error, &later)) return false;
-    if (prev_path.empty()) return true;
-    if (!service::ValidateExposition(ReadText(prev_path), error, &earlier)) {
-      *error = prev_path + ": " + *error;
-      return false;
-    }
-    return service::CheckMonotonic(earlier, later, error);
-  });
-}
-
 int CmdValidateJournal(const Flags& flags, eval::RunManifest&) {
   const std::vector<std::string> events = flags.List("require-event");
   return ValidateFiles(flags, [&](const std::string& text,
@@ -881,8 +866,6 @@ int CmdServe(const Flags& flags, eval::RunManifest&) {
   options.service.enable_telemetry = true;
   options.service.slow_request_us = flags.Double("slow-ms") * 1000.0;
   options.service.cache_dir = flags.Path("cache");
-  options.metrics_path = flags.Path("metrics");
-  options.metrics_interval_seconds = flags.Double("metrics-interval");
   options.journal_path = flags.Path("journal");
   return service::RunServer(options);
 }
@@ -1074,9 +1057,7 @@ const std::vector<Command>& Commands() {
         {"serve", "Host the resident sampling service on a socket.",
          {socket, {"max-sessions", kUint, "64", "open sessions", kMaxU32},
           {"slow-ms", kDouble, "0", "journal slower requests (0 = off)"},
-          cache, {"metrics", kPath, "", "Prometheus target: FILE or fd:N"},
-          {"metrics-interval", kDouble, "2", "seconds between expositions"},
-          {"journal", kPath, "", "append the JSONL event journal"}},
+          cache, {"journal", kPath, "", "append the JSONL event journal"}},
          CmdServe},
         {"session", "Replay a request script against a server.",
          {socket, {"script", kString, "-", "JSON requests; - = stdin"},
@@ -1121,9 +1102,6 @@ const std::vector<Command>& Commands() {
         {"validate trace", "Check Chrome trace files.",
          {events, {"min-events", kUint, "0", "event floor"}},
          CmdValidateTrace, false, false, "FILE...", 1, SIZE_MAX},
-        {"validate metrics", "Check Prometheus expositions.",
-         {{"prev", kString, "", "an earlier scrape no counter may exceed"}},
-         CmdValidateMetrics, false, false, "FILE...", 1, SIZE_MAX},
         {"validate journal", "Check event journals.", {events},
          CmdValidateJournal, false, false, "FILE...", 1, SIZE_MAX},
     };
