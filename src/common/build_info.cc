@@ -1,7 +1,5 @@
 #include "common/build_info.h"
 
-#include "common/json.h"
-
 // CMake injects these through set_source_files_properties on this file
 // only, so a hash change never rebuilds the whole library.
 #ifndef SR_GIT_HASH
@@ -27,21 +25,6 @@ const BuildInfo& GetBuildInfo() {
                                   SR_COMPILER_ID, SR_BUILD_TYPE,
                                   SR_SANITIZE_MODE};
   return kInfo;
-}
-
-std::string BuildInfoJson(const BuildInfo& info) {
-  std::string out = "{\"git_hash\":";
-  json::AppendString(out, info.git_hash);
-  out += ",\"git_dirty\":";
-  out += info.git_dirty ? "true" : "false";
-  out += ",\"compiler\":";
-  json::AppendString(out, info.compiler);
-  out += ",\"build_type\":";
-  json::AppendString(out, info.build_type);
-  out += ",\"sanitizer\":";
-  json::AppendString(out, info.sanitizer);
-  out += '}';
-  return out;
 }
 
 }  // namespace stemroot

@@ -33,9 +33,4 @@ struct BuildInfo {
 /// The stamp baked into this binary.
 const BuildInfo& GetBuildInfo();
 
-/// Compact JSON object form, e.g.
-/// {"git_hash":"abc123","git_dirty":false,"compiler":"GNU 13.2.0",
-///  "build_type":"RelWithDebInfo","sanitizer":""}.
-std::string BuildInfoJson(const BuildInfo& info);
-
 }  // namespace stemroot

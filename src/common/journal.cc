@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "common/log.h"
-#include "common/str.h"
 
 namespace stemroot::journal {
 
@@ -95,32 +94,17 @@ void Emit(Severity severity, std::string_view event,
 
   // Serialize outside the lock; seq is assigned only once the event is
   // admitted, so written seq numbers are gap-free.
-  std::string body;
-  body.reserve(128);
-  body += ",\"sev\":\"";
-  body += SeverityName(severity);
-  body += "\",\"event\":";
-  json::AppendString(body, event);
+  json::Writer body;
+  body.String("sev", SeverityName(severity)).String("event", event);
   for (const Field& f : fields) {
-    body += ',';
-    json::AppendString(body, f.key);
-    body += ':';
     switch (f.kind) {
-      case Field::Kind::kString:
-        json::AppendString(body, f.string);
-        break;
-      case Field::Kind::kNumber:
-        body += json::Number(f.number);
-        break;
-      case Field::Kind::kUint:
-        body += Format("%llu",
-                       static_cast<unsigned long long>(f.uint_value));
-        break;
-      case Field::Kind::kBool:
-        body += f.uint_value != 0 ? "true" : "false";
-        break;
+      case Field::Kind::kString: body.String(f.key, f.string); break;
+      case Field::Kind::kNumber: body.Number(f.key, f.number); break;
+      case Field::Kind::kUint: body.Uint(f.key, f.uint_value); break;
+      case Field::Kind::kBool: body.Bool(f.key, f.uint_value != 0); break;
     }
   }
+  const std::string members = body.Finish();
 
   std::lock_guard<std::mutex> lock(s.mu);
   if (!s.out.is_open()) return;  // raced with Close
@@ -144,19 +128,16 @@ void Emit(Severity severity, std::string_view event,
     ++s.window_emitted;
   }
 
-  std::string line = Format(
-      "{\"ts_us\":%llu,\"tid\":%u,\"seq\":%llu",
-      static_cast<unsigned long long>(ts_us), tid,
-      static_cast<unsigned long long>(
-          s.seq.fetch_add(1, std::memory_order_relaxed)));
-  line += body;
+  json::Writer line;
+  line.Uint("ts_us", ts_us)
+      .Uint("tid", tid)
+      .Uint("seq", s.seq.fetch_add(1, std::memory_order_relaxed))
+      .Members(members);
   if (s.dropped_unreported > 0) {
-    line += Format(",\"dropped_since_last\":%llu",
-                   static_cast<unsigned long long>(s.dropped_unreported));
+    line.Uint("dropped_since_last", s.dropped_unreported);
     s.dropped_unreported = 0;
   }
-  line += "}\n";
-  s.out << line;
+  s.out << line.Finish() << '\n';
   if (severity == Severity::kError) {
     s.errors.fetch_add(1, std::memory_order_relaxed);
     s.out.flush();  // errors are the lines a crash must not lose

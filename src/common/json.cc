@@ -274,14 +274,13 @@ std::optional<uint64_t> DigitsValue(const std::string& digits) {
 }  // namespace
 
 std::optional<uint64_t> ExactUint(const Value& value) {
-  constexpr uint64_t kMaxExact = 1ull << 53;
   if (HasDigits(value)) {
     const std::optional<uint64_t> digits = DigitsValue(value.string);
-    if (!digits || *digits > kMaxExact) return std::nullopt;
+    if (!digits || *digits > kMaxExactUint) return std::nullopt;
     return digits;
   }
   if (!value.IsNumber() || !(value.number >= 0.0) ||
-      value.number > static_cast<double>(kMaxExact) ||
+      value.number > static_cast<double>(kMaxExactUint) ||
       value.number != std::floor(value.number))
     return std::nullopt;
   return static_cast<uint64_t>(value.number);
@@ -315,5 +314,216 @@ void AppendString(std::string& out, std::string_view s) {
 // keeps manifests, fingerprints, and cache keys free of %.17g's trailing
 // digit noise ("0.1" instead of "0.10000000000000001").
 std::string Number(double v) { return FormatDouble(v); }
+
+Writer::Writer(Layout layout, Wrap wrap)
+    : pretty_(layout == Layout::kPretty) {
+  Open('{', '}', wrap);
+}
+
+Writer& Writer::String(std::string_view key, std::string_view value) {
+  Key(key);
+  AppendString(out_, value);
+  return *this;
+}
+
+Writer& Writer::Number(std::string_view key, double value) {
+  return Raw(key, json::Number(value));
+}
+
+Writer& Writer::Uint(std::string_view key, uint64_t value) {
+  char digits[24];
+  const auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), value);
+  return Raw(key, std::string_view(digits, static_cast<size_t>(end - digits)));
+}
+
+Writer& Writer::Bool(std::string_view key, bool value) {
+  return Raw(key, value ? "true" : "false");
+}
+
+Writer& Writer::Raw(std::string_view key, std::string_view value) {
+  Key(key);
+  out_ += value;
+  return *this;
+}
+
+Writer& Writer::Members(std::string_view object) {
+  if (object.size() <= 2) return *this;  // "{}"
+  Next();
+  out_ += object.substr(1, object.size() - 2);
+  return *this;
+}
+
+Writer& Writer::Object(std::string_view key, Wrap wrap) {
+  Key(key);
+  Open('{', '}', wrap);
+  return *this;
+}
+
+Writer& Writer::Array(std::string_view key, Wrap wrap) {
+  Key(key);
+  Open('[', ']', wrap);
+  return *this;
+}
+
+Writer& Writer::Item(Wrap wrap) {
+  Next();
+  Open('{', '}', wrap);
+  return *this;
+}
+
+Writer& Writer::End() {
+  const Frame frame = open_.back();
+  open_.pop_back();
+  if (frame.lines) {
+    --lines_depth_;
+    if (!frame.empty) NewLine();
+  }
+  out_ += frame.close;
+  return *this;
+}
+
+std::string Writer::Finish() {
+  while (!open_.empty()) End();
+  if (pretty_) out_ += '\n';
+  return std::move(out_);
+}
+
+void Writer::Next() {
+  Frame& frame = open_.back();
+  if (!frame.empty) out_ += ',';
+  frame.empty = false;
+  if (frame.lines) NewLine();
+}
+
+void Writer::Key(std::string_view key) {
+  Next();
+  AppendString(out_, key);
+  out_ += open_.back().lines ? ": " : ":";
+}
+
+void Writer::Open(char open, char close, Wrap wrap) {
+  out_ += open;
+  const bool lines = pretty_ && wrap == Wrap::kLines;
+  open_.push_back({.close = close, .lines = lines});
+  if (lines) ++lines_depth_;
+}
+
+void Writer::NewLine() {
+  out_ += '\n';
+  out_.append(static_cast<size_t>(lines_depth_) * 2, ' ');
+}
+
+Reader::Reader(const Value& value, std::string context)
+    : value_(value), context_(std::move(context)) {
+  if (!value_.IsObject())
+    throw std::invalid_argument(context_ + " must be an object");
+}
+
+bool Reader::Has(std::string_view key) const {
+  return value_.Find(key) != nullptr;
+}
+
+void Reader::Refuse(std::string_view key, std::string_view why) const {
+  throw std::invalid_argument(context_ + ": '" + std::string(key) + "' " +
+                              std::string(why));
+}
+
+const Value& Reader::Need(std::string_view key) const {
+  const Value* v = value_.Find(key);
+  if (v == nullptr) Refuse(key, "is missing");
+  return *v;
+}
+
+const Value* Reader::Typed(std::string_view key, Value::Kind kind,
+                           std::string_view what) const {
+  const Value* v = value_.Find(key);
+  if (v != nullptr && v->kind != kind)
+    Refuse(key, "must be " + std::string(what));
+  return v;
+}
+
+uint64_t Reader::ReadUint(std::string_view key, const Value& v,
+                          uint64_t max) const {
+  const std::optional<uint64_t> n = ExactUint(v);
+  if (!n) Refuse(key, "must be a whole number in [0, 2^53]");
+  if (*n > max) Refuse(key, Format("%llu exceeds %llu",
+                                   static_cast<unsigned long long>(*n),
+                                   static_cast<unsigned long long>(max)));
+  return *n;
+}
+
+const std::string& Reader::String(std::string_view key) const {
+  Need(key);
+  return Typed(key, Value::Kind::kString, "a string")->string;
+}
+
+double Reader::Number(std::string_view key) const {
+  Need(key);
+  return Typed(key, Value::Kind::kNumber, "a number")->number;
+}
+
+bool Reader::Bool(std::string_view key) const {
+  Need(key);
+  return Typed(key, Value::Kind::kBool, "a bool")->number != 0.0;
+}
+
+uint64_t Reader::Uint(std::string_view key, uint64_t max) const {
+  return ReadUint(key, Need(key), max);
+}
+
+uint64_t Reader::Uint64(std::string_view key) const {
+  const std::optional<uint64_t> n = ExactUint64(Need(key));
+  if (!n) Refuse(key, "must be a whole number in [0, 2^64)");
+  return *n;
+}
+
+Reader Reader::Object(std::string_view key) const {
+  Need(key);
+  return Reader(*Typed(key, Value::Kind::kObject, "an object"),
+                std::string(key));
+}
+
+const json::Array& Reader::Array(std::string_view key) const {
+  Need(key);
+  return *Typed(key, Value::Kind::kArray, "an array")->array;
+}
+
+std::string Reader::StringOr(std::string_view key,
+                             std::string_view fallback) const {
+  const Value* v = Typed(key, Value::Kind::kString, "a string");
+  return v != nullptr ? v->string : std::string(fallback);
+}
+
+double Reader::NumberOr(std::string_view key, double fallback) const {
+  const Value* v = Typed(key, Value::Kind::kNumber, "a number");
+  return v != nullptr ? v->number : fallback;
+}
+
+double Reader::FiniteOr(std::string_view key, double fallback) const {
+  const double v = NumberOr(key, fallback);
+  if (!std::isfinite(v)) Refuse(key, "must be finite");
+  return v;
+}
+
+bool Reader::BoolOr(std::string_view key, bool fallback) const {
+  const Value* v = Typed(key, Value::Kind::kBool, "a bool");
+  return v != nullptr ? v->number != 0.0 : fallback;
+}
+
+uint64_t Reader::UintOr(std::string_view key, uint64_t fallback,
+                        uint64_t max) const {
+  return Has(key) ? Uint(key, max) : fallback;
+}
+
+uint64_t Reader::Uint64Or(std::string_view key, uint64_t fallback) const {
+  return Has(key) ? Uint64(key) : fallback;
+}
+
+std::map<std::string, uint64_t> Reader::UintMap() const {
+  std::map<std::string, uint64_t> out;
+  for (const auto& [key, v] : Members())
+    out[key] = ReadUint(key, v, kMaxExactUint);
+  return out;
+}
 
 }  // namespace stemroot::json

@@ -6,8 +6,6 @@
 #include <memory>
 #include <mutex>
 
-#include "common/json.h"
-#include "common/str.h"
 #include "common/trace_events.h"
 
 namespace stemroot::telemetry {
@@ -278,44 +276,9 @@ bool Snapshot::HasSpan(std::string_view name) const {
   return false;
 }
 
-std::string Snapshot::CountersJson() const {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [name, value] : counters_) {
-    if (!first) out += ',';
-    first = false;
-    json::AppendString(out, name);
-    out += Format(":%llu", static_cast<unsigned long long>(value));
-  }
-  out += '}';
-  return out;
-}
-
 std::map<std::string, DistSummary> Snapshot::Summaries() const {
   std::map<std::string, DistSummary> out;
   for (const auto& [name, vals] : values_) out[name] = Summarize(vals);
-  return out;
-}
-
-std::string Snapshot::DistributionsJson() const {
-  return telemetry::DistributionsJson(Summaries());
-}
-
-std::string DistributionsJson(
-    const std::map<std::string, DistSummary>& dists) {
-  std::string out = "{";
-  for (const auto& [name, s] : dists) {
-    if (out.size() > 1) out += ',';
-    json::AppendString(out, name);
-    out += Format(":{\"count\":%llu,\"min\":",
-                  static_cast<unsigned long long>(s.count));
-    out += json::Number(s.min) + ",\"mean\":" + json::Number(s.mean);
-    out += ",\"max\":" + json::Number(s.max);
-    out += ",\"p50\":" + json::Number(s.p50);
-    out += ",\"p99\":" + json::Number(s.p99);
-    out += '}';
-  }
-  out += '}';
   return out;
 }
 

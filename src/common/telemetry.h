@@ -134,12 +134,6 @@ class Snapshot {
   /// True when a span with this name was recorded under any parent.
   bool HasSpan(std::string_view name) const;
 
-  /// The counters as one JSON object, e.g. {"a":1,"b":2} -- byte-identical
-  /// across thread counts (the determinism contract).
-  std::string CountersJson() const;
-  /// DistributionsJson(Summaries()) -- also byte-identical.
-  std::string DistributionsJson() const;
-
  private:
   friend Snapshot Capture();
   friend class Sink;
@@ -148,12 +142,6 @@ class Snapshot {
   std::map<std::string, std::vector<double>> values_;
   std::map<std::pair<std::string, std::string>, SpanStats> spans_;
 };
-
-/// A name -> summary map as one compact JSON object:
-/// {"<name>":{"count":N,"min":..,"mean":..,"max":..,"p50":..,"p99":..}}.
-/// Numbers are shortest round-trip decimals, so parsing them back gives
-/// the same doubles.
-std::string DistributionsJson(const std::map<std::string, DistSummary>& dists);
 
 /// Merge every live thread buffer into the central aggregate and return a
 /// copy. Cumulative: repeated captures include everything since the last

@@ -169,8 +169,8 @@ std::string ExportJson() {
   uint64_t recorded = 0;
   uint64_t dropped = 0;
   uint64_t repaired = 0;
-  std::string events_json;
-  bool first = true;
+  // Copies: a ring's slots are rewritten in place once its lock drops.
+  std::vector<std::pair<Event, uint32_t>> events;  // event, tid
 
   for (const std::shared_ptr<ThreadRing>& ring_ptr : reg.rings) {
     ThreadRing& ring = *ring_ptr;
@@ -211,36 +211,33 @@ std::string ExportJson() {
       ++repaired;
     }
 
-    for (size_t k = 0; k < retained; ++k) {
-      if (!emit[k]) continue;
-      const Event& e = *ordered[k];
-      if (!first) events_json += ",\n";
-      first = false;
-      events_json += "{\"name\":";
-      json::AppendString(events_json, e.name);
-      events_json += Format(",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,"
-                            "\"tid\":%u",
-                            PhaseTag(e.phase), e.ts_us, ring.tid);
-      if (e.phase == Phase::kInstant) events_json += ",\"s\":\"t\"";
-      if (e.phase == Phase::kCounter) {
-        events_json += ",\"args\":{\"value\":";
-        events_json += json::Number(e.value);
-        events_json += '}';
-      }
-      events_json += '}';
-    }
+    for (size_t k = 0; k < retained; ++k)
+      if (emit[k]) events.emplace_back(*ordered[k], ring.tid);
   }
 
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"otherData\":{"
-                    "\"schema\":\"stemroot-trace-v1\"";
-  out += Format(",\"recorded\":%llu,\"dropped\":%llu,\"repaired\":%llu}",
-                static_cast<unsigned long long>(recorded),
-                static_cast<unsigned long long>(dropped),
-                static_cast<unsigned long long>(repaired));
-  out += ",\"traceEvents\":[\n";
-  out += events_json;
-  out += "\n]}";
-  return out;
+  // One event per line inside an otherwise compact document.
+  json::Writer w(json::Writer::Layout::kPretty, json::Writer::Wrap::kInline);
+  w.String("displayTimeUnit", "ms");
+  w.Object("otherData")
+      .String("schema", "stemroot-trace-v1")
+      .Uint("recorded", recorded)
+      .Uint("dropped", dropped)
+      .Uint("repaired", repaired)
+      .End();
+  w.Array("traceEvents", json::Writer::Wrap::kLines);
+  for (const auto& [e, tid] : events) {
+    w.Item()
+        .String("name", e.name)
+        .String("ph", PhaseTag(e.phase))
+        .Raw("ts", Format("%.3f", e.ts_us))
+        .Uint("pid", 1)
+        .Uint("tid", tid);
+    if (e.phase == Phase::kInstant) w.String("s", "t");
+    if (e.phase == Phase::kCounter)
+      w.Object("args").Number("value", e.value).End();
+    w.End();
+  }
+  return w.Finish();
 }
 
 void WriteTrace(const std::string& path) {

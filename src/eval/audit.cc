@@ -288,134 +288,84 @@ std::string AuditReport::ToText(size_t max_rows) const {
 }
 
 std::string AuditReport::ToJson() const {
-  std::string out = "{\n  \"schema\": \"stemroot-audit-v1\",\n  \"method\": ";
-  json::AppendString(out, method);
-  out += ",\n  \"epsilon\": " + json::Number(epsilon);
-  out += ",\n  \"confidence\": " + json::Number(confidence);
-  out += ",\n  \"trials\": " + json::Number(trials);
-  out += ",\n  \"seed\": " + json::Number(static_cast<double>(seed));
-  out +=
-      ",\n  \"within_budget_fraction\": " + json::Number(WithinBudgetFraction());
-  out += ",\n  \"mean_coverage\": " + json::Number(MeanCoverage());
-  out += ",\n  \"workloads\": [";
-  for (size_t w = 0; w < workloads.size(); ++w) {
-    const WorkloadAudit& audit = workloads[w];
-    out += w == 0 ? "\n" : ",\n";
-    out += "    {\n      \"workload\": ";
-    json::AppendString(out, audit.workload);
-    out += ",\n      \"joint_predicted_error\": " +
-           json::Number(audit.joint_predicted_error);
-    out += ",\n      \"total_mean_abs_error\": " +
-           json::Number(audit.total_mean_abs_error);
-    out += ",\n      \"total_coverage\": " +
-           json::Number(audit.total_coverage);
-    out += ",\n      \"clusters\": [";
-    for (size_t c = 0; c < audit.clusters.size(); ++c) {
-      const ClusterAuditRow& r = audit.clusters[c];
-      out += c == 0 ? "\n" : ",\n";
-      out += "        {\"kernel\": ";
-      json::AppendString(out, r.kernel);
-      out += ", \"cluster_id\": " + json::Number(r.cluster_id);
-      out += ", \"population\": " +
-             json::Number(static_cast<double>(r.population));
-      out += ", \"mean_us\": " + json::Number(r.mean_us);
-      out += ", \"cov\": " + json::Number(r.cov);
-      out += ", \"m_allocated\": " +
-             json::Number(static_cast<double>(r.m_allocated));
-      out += ", \"mean_draws\": " + json::Number(r.mean_draws);
-      out += ", \"predicted_error\": " + json::Number(r.predicted_error);
-      out += ", \"mean_signed_error\": " + json::Number(r.mean_signed_error);
-      out += ", \"mean_abs_error\": " + json::Number(r.mean_abs_error);
-      out += ", \"worst_abs_error\": " + json::Number(r.worst_abs_error);
-      out += ", \"budget_share\": " + json::Number(r.budget_share);
-      out += ", \"coverage\": " + json::Number(r.coverage);
-      out += std::string(", \"within_budget\": ") +
-             (r.within_budget ? "true" : "false");
-      out += "}";
-    }
-    out += audit.clusters.empty() ? "]" : "\n      ]";
-    out += "\n    }";
+  using Wrap = json::Writer::Wrap;
+  json::Writer w(json::Writer::Layout::kPretty);
+  w.String("schema", "stemroot-audit-v1")
+      .String("method", method)
+      .Number("epsilon", epsilon)
+      .Number("confidence", confidence)
+      .Uint("trials", trials)
+      .Uint("seed", seed)
+      .Number("within_budget_fraction", WithinBudgetFraction())
+      .Number("mean_coverage", MeanCoverage());
+  w.Array("workloads", Wrap::kLines);
+  for (const WorkloadAudit& audit : workloads) {
+    w.Item(Wrap::kLines)
+        .String("workload", audit.workload)
+        .Number("joint_predicted_error", audit.joint_predicted_error)
+        .Number("total_mean_abs_error", audit.total_mean_abs_error)
+        .Number("total_coverage", audit.total_coverage);
+    w.Array("clusters", Wrap::kLines);
+    for (const ClusterAuditRow& r : audit.clusters)
+      w.Item()
+          .String("kernel", r.kernel)
+          .Uint("cluster_id", r.cluster_id)
+          .Uint("population", r.population)
+          .Number("mean_us", r.mean_us)
+          .Number("cov", r.cov)
+          .Uint("m_allocated", r.m_allocated)
+          .Number("mean_draws", r.mean_draws)
+          .Number("predicted_error", r.predicted_error)
+          .Number("mean_signed_error", r.mean_signed_error)
+          .Number("mean_abs_error", r.mean_abs_error)
+          .Number("worst_abs_error", r.worst_abs_error)
+          .Number("budget_share", r.budget_share)
+          .Number("coverage", r.coverage)
+          .Bool("within_budget", r.within_budget)
+          .End();
+    w.End().End();
   }
-  out += workloads.empty() ? "]" : "\n  ]";
-  out += "\n}\n";
-  return out;
+  return w.Finish();
 }
-
-namespace {
-
-bool Fail(std::string* error, const std::string& message) {
-  if (error) *error = message;
-  return false;
-}
-
-bool RequireNumbers(const json::Value& object,
-                    std::initializer_list<const char*> keys,
-                    const std::string& where, std::string* error) {
-  for (const char* key : keys) {
-    const json::Value* v = object.Find(key);
-    if (v == nullptr || !v->IsNumber())
-      return Fail(error, where + ": missing numeric field '" + key + "'");
-  }
-  return true;
-}
-
-}  // namespace
 
 bool ValidateAuditJson(std::string_view text, std::string* error) {
-  json::Value root;
+  json::Value doc;
   std::string parse_error;
-  if (!json::Parse(text, root, &parse_error))
-    return Fail(error, "parse error: " + parse_error);
-  if (!root.IsObject()) return Fail(error, "top level is not an object");
-
-  const json::Value* schema = root.Find("schema");
-  if (schema == nullptr || !schema->IsString() ||
-      schema->string != "stemroot-audit-v1")
-    return Fail(error, "schema is not \"stemroot-audit-v1\"");
-  const json::Value* method = root.Find("method");
-  if (method == nullptr || !method->IsString())
-    return Fail(error, "missing string field 'method'");
-  if (!RequireNumbers(root,
-                      {"epsilon", "confidence", "trials", "seed",
-                       "within_budget_fraction", "mean_coverage"},
-                      "top level", error))
+  if (!json::Parse(text, doc, &parse_error)) {
+    if (error != nullptr) *error = "parse error: " + parse_error;
     return false;
-
-  const json::Value* workloads = root.Find("workloads");
-  if (workloads == nullptr || !workloads->IsArray())
-    return Fail(error, "missing array field 'workloads'");
-  for (const json::Value& w : *workloads->array) {
-    if (!w.IsObject()) return Fail(error, "workload entry is not an object");
-    const json::Value* name = w.Find("workload");
-    if (name == nullptr || !name->IsString())
-      return Fail(error, "workload entry missing string 'workload'");
-    const std::string where = "workload '" + name->string + "'";
-    if (!RequireNumbers(w,
-                        {"joint_predicted_error", "total_mean_abs_error",
-                         "total_coverage"},
-                        where, error))
-      return false;
-    const json::Value* clusters = w.Find("clusters");
-    if (clusters == nullptr || !clusters->IsArray())
-      return Fail(error, where + ": missing array 'clusters'");
-    for (const json::Value& c : *clusters->array) {
-      if (!c.IsObject())
-        return Fail(error, where + ": cluster entry is not an object");
-      const json::Value* kernel = c.Find("kernel");
-      if (kernel == nullptr || !kernel->IsString())
-        return Fail(error, where + ": cluster missing string 'kernel'");
-      if (!RequireNumbers(c,
-                          {"cluster_id", "population", "mean_us", "cov",
-                           "m_allocated", "mean_draws", "predicted_error",
-                           "mean_signed_error", "mean_abs_error",
-                           "worst_abs_error", "budget_share", "coverage"},
-                          where + " cluster", error))
-        return false;
-      const json::Value* within = c.Find("within_budget");
-      if (within == nullptr || within->kind != json::Value::Kind::kBool)
-        return Fail(error,
-                    where + ": cluster missing boolean 'within_budget'");
+  }
+  try {
+    const json::Reader root(doc, "top level");
+    if (root.String("schema") != "stemroot-audit-v1")
+      throw std::invalid_argument("schema is not \"stemroot-audit-v1\"");
+    root.String("method");
+    for (const char* key : {"epsilon", "confidence", "trials", "seed",
+                            "within_budget_fraction", "mean_coverage"})
+      root.Number(key);
+    for (const json::Value& entry : root.Array("workloads")) {
+      const std::string where =
+          "workload '" +
+          json::Reader(entry, "workload entry").String("workload") + "'";
+      const json::Reader workload(entry, where);
+      for (const char* key : {"joint_predicted_error", "total_mean_abs_error",
+                              "total_coverage"})
+        workload.Number(key);
+      for (const json::Value& c : workload.Array("clusters")) {
+        const json::Reader cluster(c, where + " cluster");
+        cluster.String("kernel");
+        for (const char* key :
+             {"cluster_id", "population", "mean_us", "cov", "m_allocated",
+              "mean_draws", "predicted_error", "mean_signed_error",
+              "mean_abs_error", "worst_abs_error", "budget_share",
+              "coverage"})
+          cluster.Number(key);
+        cluster.Bool("within_budget");
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    if (error != nullptr) *error = e.what();
+    return false;
   }
   return true;
 }

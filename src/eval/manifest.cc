@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -23,105 +22,6 @@ std::string U64(uint64_t v) {
   return Format("%llu", static_cast<unsigned long long>(v));
 }
 
-/// Serialization helper carrying the pretty/compact convention: pretty
-/// mode indents nested lines by two spaces per level, compact mode emits
-/// everything on one line (the ledger encoding).
-struct Writer {
-  std::string out;
-  bool pretty;
-  int depth = 0;
-
-  void NewLine() {
-    if (!pretty) return;
-    out += '\n';
-    out.append(static_cast<size_t>(depth) * 2, ' ');
-  }
-  void Key(std::string_view name) {
-    json::AppendString(out, name);
-    out += pretty ? ": " : ":";
-  }
-  void Field(std::string_view name, const std::string& raw_value) {
-    NewLine();
-    Key(name);
-    out += raw_value;
-  }
-  void StringField(std::string_view name, std::string_view value) {
-    NewLine();
-    Key(name);
-    json::AppendString(out, value);
-  }
-  void Comma() { out += ','; }
-};
-
-bool SchemaFail(std::string* error, const std::string& why) {
-  if (error != nullptr) *error = "manifest schema: " + why;
-  return false;
-}
-
-const json::Value* Need(const json::Value& obj, std::string_view key,
-                        json::Value::Kind kind, std::string* error,
-                        const std::string& where) {
-  const json::Value* v = obj.Find(key);
-  if (v == nullptr || v->kind != kind) {
-    SchemaFail(error, where + " lacks required field \"" + std::string(key) +
-                          "\" of the right type");
-    return nullptr;
-  }
-  return v;
-}
-
-bool GetStringField(const json::Value& obj, std::string_view key,
-                    std::string& out, std::string* error,
-                    const std::string& where) {
-  const json::Value* v =
-      Need(obj, key, json::Value::Kind::kString, error, where);
-  if (v == nullptr) return false;
-  out = v->string;
-  return true;
-}
-
-bool GetNumberField(const json::Value& obj, std::string_view key, double& out,
-                    std::string* error, const std::string& where) {
-  const json::Value* v =
-      Need(obj, key, json::Value::Kind::kNumber, error, where);
-  if (v == nullptr) return false;
-  out = v->number;
-  return true;
-}
-
-/// A count field: a whole number in [0, 2^53], the journal::ReadLine rule.
-bool GetUintField(const json::Value& obj, std::string_view key,
-                  uint64_t& out, std::string* error, const std::string& where) {
-  const json::Value* v =
-      Need(obj, key, json::Value::Kind::kNumber, error, where);
-  if (v == nullptr) return false;
-  const std::optional<uint64_t> value = json::ExactUint(*v);
-  if (!value)
-    return SchemaFail(error, where + " \"" + std::string(key) +
-                                 "\" is not a whole number in [0, 2^53]");
-  out = *value;
-  return true;
-}
-
-/// A config count: a GetUintField whole number that also fits its target
-/// type, whose largest value is `max`.
-bool GetCountField(const json::Value& obj, std::string_view key,
-                   uint64_t max, uint64_t& out, std::string* error) {
-  if (!GetUintField(obj, key, out, error, "config")) return false;
-  if (out > max)
-    return SchemaFail(error, "config \"" + std::string(key) + "\" " +
-                                 U64(out) + " exceeds " + U64(max));
-  return true;
-}
-
-bool GetBoolField(const json::Value& obj, std::string_view key, bool& out,
-                  std::string* error, const std::string& where) {
-  const json::Value* v = Need(obj, key, json::Value::Kind::kBool, error, where);
-  if (v == nullptr) return false;
-  out = v->number != 0.0;
-  return true;
-}
-
 }  // namespace
 
 const std::vector<std::string>& PipelineStageNames() {
@@ -131,328 +31,199 @@ const std::vector<std::string>& PipelineStageNames() {
 }
 
 std::string RunManifest::ToJson(bool pretty) const {
-  Writer w{.out = {}, .pretty = pretty};
-  w.out += '{';
-  ++w.depth;
-
-  w.StringField("schema", kManifestSchema);
-  w.Comma();
-  w.StringField("tool", tool);
-  w.Comma();
-  w.StringField("command", command);
-  w.Comma();
-  w.Field("completed", completed ? "true" : "false");
-  w.Comma();
-  w.Field("build", BuildInfoJson(build));
-  w.Comma();
-
-  {
-    std::string cfg = "{\"suite\":";
-    json::AppendString(cfg, config.suite);
-    cfg += ",\"workload\":";
-    json::AppendString(cfg, config.workload);
-    cfg += ",\"gpu\":";
-    json::AppendString(cfg, config.gpu);
-    cfg += ",\"method\":";
-    json::AppendString(cfg, config.method);
-    cfg += ",\"epsilon\":" + json::Number(config.epsilon);
-    cfg += ",\"confidence\":" + json::Number(config.confidence);
-    cfg += ",\"scale\":" + json::Number(config.scale);
-    cfg += ",\"seed\":" + U64(config.seed);
-    cfg += ",\"reps\":" + U64(config.reps);
-    cfg += ",\"threads\":" + Format("%d", config.threads);
-    // Only a legacy sharded manifest carries a lane count; writing it
-    // back keeps that manifest's identity.
-    if (config.sim_shards > 1)
-      cfg += ",\"sim_shards\":" + U64(config.sim_shards);
-    cfg += '}';
-    w.Field("config", cfg);
-  }
-  w.Comma();
-  w.Field("wall_time_seconds", json::Number(wall_time_seconds));
-  w.Comma();
-
-  w.NewLine();
-  w.Key("stages");
-  w.out += '[';
-  ++w.depth;
-  for (size_t i = 0; i < stages.size(); ++i) {
-    if (i > 0) w.Comma();
-    w.NewLine();
-    w.out += "{\"name\":";
-    json::AppendString(w.out, stages[i].name);
-    w.out += ",\"count\":" + U64(stages[i].count);
-    w.out += ",\"total_us\":" + json::Number(stages[i].total_us);
-    w.out += '}';
-  }
-  --w.depth;
-  if (!stages.empty()) w.NewLine();
-  w.out += ']';
-  w.Comma();
-
-  w.NewLine();
-  w.Key("counters");
-  w.out += '{';
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    if (!first) w.Comma();
-    first = false;
-    json::AppendString(w.out, name);
-    w.out += ':' + U64(value);
-  }
-  w.out += '}';
-
+  using Wrap = json::Writer::Wrap;
+  json::Writer w(pretty ? json::Writer::Layout::kPretty
+                        : json::Writer::Layout::kCompact);
+  w.String("schema", kManifestSchema)
+      .String("tool", tool)
+      .String("command", command)
+      .Bool("completed", completed);
+  w.Object("build")
+      .String("git_hash", build.git_hash)
+      .Bool("git_dirty", build.git_dirty)
+      .String("compiler", build.compiler)
+      .String("build_type", build.build_type)
+      .String("sanitizer", build.sanitizer)
+      .End();
+  w.Object("config")
+      .String("suite", config.suite)
+      .String("workload", config.workload)
+      .String("gpu", config.gpu)
+      .String("method", config.method)
+      .Number("epsilon", config.epsilon)
+      .Number("confidence", config.confidence)
+      .Number("scale", config.scale)
+      .Uint("seed", config.seed)
+      .Uint("reps", config.reps)
+      .Raw("threads", Format("%d", config.threads));
+  // Only a legacy sharded manifest carries a lane count; writing it back
+  // keeps that manifest's identity.
+  if (config.sim_shards > 1) w.Uint("sim_shards", config.sim_shards);
+  w.End();
+  w.Number("wall_time_seconds", wall_time_seconds);
+  w.Array("stages", Wrap::kLines);
+  for (const Stage& stage : stages)
+    w.Item()
+        .String("name", stage.name)
+        .Uint("count", stage.count)
+        .Number("total_us", stage.total_us)
+        .End();
+  w.End();
+  w.Object("counters");
+  for (const auto& [name, value] : counters) w.Uint(name, value);
+  w.End();
   if (!distributions.empty()) {
-    w.Comma();
-    w.Field("distributions", telemetry::DistributionsJson(distributions));
+    w.Object("distributions");
+    for (const auto& [name, d] : distributions)
+      w.Object(name)
+          .Uint("count", d.count)
+          .Number("min", d.min)
+          .Number("mean", d.mean)
+          .Number("max", d.max)
+          .Number("p50", d.p50)
+          .Number("p99", d.p99)
+          .End();
+    w.End();
   }
-  if (metrics.present) {
-    w.Comma();
-    std::string m = "{\"error_pct\":" + json::Number(metrics.error_pct);
-    m += ",\"theoretical_error_pct\":" +
-         json::Number(metrics.theoretical_error_pct);
-    m += ",\"speedup\":" + json::Number(metrics.speedup);
-    m += ",\"num_samples\":" + U64(metrics.num_samples);
-    m += ",\"num_clusters\":" + U64(metrics.num_clusters);
-    m += '}';
-    w.Field("metrics", m);
-  }
-  if (journal.present) {
-    w.Comma();
-    std::string j = "{\"emitted\":" + U64(journal.emitted);
-    j += ",\"dropped\":" + U64(journal.dropped);
-    j += ",\"errors\":" + U64(journal.errors);
-    j += '}';
-    w.Field("journal", j);
-  }
+  if (metrics.present)
+    w.Object("metrics")
+        .Number("error_pct", metrics.error_pct)
+        .Number("theoretical_error_pct", metrics.theoretical_error_pct)
+        .Number("speedup", metrics.speedup)
+        .Uint("num_samples", metrics.num_samples)
+        .Uint("num_clusters", metrics.num_clusters)
+        .End();
+  if (journal.present)
+    w.Object("journal")
+        .Uint("emitted", journal.emitted)
+        .Uint("dropped", journal.dropped)
+        .Uint("errors", journal.errors)
+        .End();
   if (mem.present) {
-    w.Comma();
-    std::string b = "{\"peak_rss_bytes\":" + U64(mem.peak_rss_bytes);
-    b += ",\"samples\":" + U64(mem.samples);
-    b += ",\"logical\":{";
-    bool first_cat = true;
-    for (const auto& [category, bytes] : mem.logical) {
-      if (!first_cat) b += ',';
-      first_cat = false;
-      json::AppendString(b, category);
-      b += ':' + U64(bytes);
-    }
-    b += "}}";
-    w.Field("mem", b);
+    w.Object("mem")
+        .Uint("peak_rss_bytes", mem.peak_rss_bytes)
+        .Uint("samples", mem.samples)
+        .Object("logical");
+    for (const auto& [category, bytes] : mem.logical) w.Uint(category, bytes);
+    w.End().End();
   }
-  if (trace_spill.present) {
-    w.Comma();
-    std::string t =
-        "{\"chunk_invocations\":" + U64(trace_spill.chunk_invocations);
-    t += ",\"chunks\":" + U64(trace_spill.chunks);
-    t += ",\"bytes\":" + U64(trace_spill.bytes);
-    t += '}';
-    w.Field("trace_spill", t);
-  }
-  if (!error.empty()) {
-    w.Comma();
-    w.StringField("error", error);
-  }
-
-  --w.depth;
-  w.NewLine();
-  w.out += '}';
-  if (pretty) w.out += '\n';
-  return w.out;
+  if (trace_spill.present)
+    w.Object("trace_spill")
+        .Uint("chunk_invocations", trace_spill.chunk_invocations)
+        .Uint("chunks", trace_spill.chunks)
+        .Uint("bytes", trace_spill.bytes)
+        .End();
+  if (!error.empty()) w.String("error", error);
+  return w.Finish();
 }
 
 bool RunManifest::FromJson(std::string_view text, RunManifest& out,
                            std::string* error) {
-  json::Value root;
-  if (!json::Parse(text, root, error)) return false;
-  if (!root.IsObject())
-    return SchemaFail(error, "top level is not an object");
-
-  const json::Value* schema = root.Find("schema");
-  if (schema == nullptr || !schema->IsString() ||
-      schema->string != kManifestSchema)
-    return SchemaFail(error, "missing or wrong \"schema\" tag (want " +
-                                 std::string(kManifestSchema) + ")");
-
+  json::Value doc;
+  if (!json::Parse(text, doc, error)) return false;
   RunManifest m;
-  if (!GetStringField(root, "tool", m.tool, error, "manifest")) return false;
-  if (!GetStringField(root, "command", m.command, error, "manifest"))
-    return false;
-  if (!GetBoolField(root, "completed", m.completed, error, "manifest"))
-    return false;
+  try {
+    const json::Reader root(doc, "manifest");
+    if (root.StringOr("schema", "") != kManifestSchema)
+      throw std::invalid_argument("missing or wrong \"schema\" tag (want " +
+                                  std::string(kManifestSchema) + ")");
+    m.tool = root.String("tool");
+    m.command = root.String("command");
+    m.completed = root.Bool("completed");
 
-  const json::Value* build =
-      Need(root, "build", json::Value::Kind::kObject, error, "manifest");
-  if (build == nullptr) return false;
-  if (!GetStringField(*build, "git_hash", m.build.git_hash, error, "build") ||
-      !GetBoolField(*build, "git_dirty", m.build.git_dirty, error, "build") ||
-      !GetStringField(*build, "compiler", m.build.compiler, error, "build") ||
-      !GetStringField(*build, "build_type", m.build.build_type, error,
-                      "build") ||
-      !GetStringField(*build, "sanitizer", m.build.sanitizer, error, "build"))
-    return false;
+    const json::Reader build = root.Object("build");
+    m.build.git_hash = build.String("git_hash");
+    m.build.git_dirty = build.Bool("git_dirty");
+    m.build.compiler = build.String("compiler");
+    m.build.build_type = build.String("build_type");
+    m.build.sanitizer = build.String("sanitizer");
 
-  const json::Value* config =
-      Need(root, "config", json::Value::Kind::kObject, error, "manifest");
-  if (config == nullptr) return false;
-  uint64_t reps = 0, threads = 0;
-  if (!GetStringField(*config, "suite", m.config.suite, error, "config") ||
-      !GetStringField(*config, "workload", m.config.workload, error,
-                      "config") ||
-      !GetStringField(*config, "gpu", m.config.gpu, error, "config") ||
-      !GetStringField(*config, "method", m.config.method, error, "config") ||
-      !GetNumberField(*config, "epsilon", m.config.epsilon, error, "config") ||
-      !GetNumberField(*config, "confidence", m.config.confidence, error,
-                      "config") ||
-      !GetNumberField(*config, "scale", m.config.scale, error, "config") ||
-      !GetCountField(*config, "reps", UINT32_MAX, reps, error) ||
-      !GetCountField(*config, "threads", INT_MAX, threads, error))
-    return false;
-  m.config.reps = static_cast<uint32_t>(reps);
-  m.config.threads = static_cast<int>(threads);
-  // The seed is any uint64_t the CLI took: read its digits exactly rather
-  // than through a double, which would round seeds above 2^53.
-  const json::Value* seed =
-      Need(*config, "seed", json::Value::Kind::kNumber, error, "config");
-  if (seed == nullptr) return false;
-  const std::optional<uint64_t> exact_seed = json::ExactUint64(*seed);
-  if (!exact_seed)
-    return SchemaFail(error,
-                      "config \"seed\" is not a whole number in [0, 2^64)");
-  m.config.seed = *exact_seed;
-  // The retired sharded simulator's fields, written by older builds: each
-  // is range-checked when present, and only a lane count > 1 (a sharded,
-  // so different, model) is kept. One lane was the serial simulator.
-  uint64_t sim_shards = 0, unused = 0;
-  if ((config->Find("sim_shards") != nullptr &&
-       !GetCountField(*config, "sim_shards", UINT32_MAX, sim_shards,
-                      error)) ||
-      (config->Find("sim_threads") != nullptr &&
-       !GetCountField(*config, "sim_threads", INT_MAX, unused, error)) ||
-      (config->Find("epoch_cycles") != nullptr &&
-       !GetUintField(*config, "epoch_cycles", unused, error, "config")))
-    return false;
-  if (sim_shards > 1) m.config.sim_shards = static_cast<uint32_t>(sim_shards);
+    const json::Reader config = root.Object("config");
+    m.config.suite = config.String("suite");
+    m.config.workload = config.String("workload");
+    m.config.gpu = config.String("gpu");
+    m.config.method = config.String("method");
+    m.config.epsilon = config.Number("epsilon");
+    m.config.confidence = config.Number("confidence");
+    m.config.scale = config.Number("scale");
+    // The seed is any uint64_t the CLI took: read its digits exactly
+    // rather than through a double, which would round seeds above 2^53.
+    m.config.seed = config.Uint64("seed");
+    m.config.reps = static_cast<uint32_t>(config.Uint("reps", UINT32_MAX));
+    m.config.threads = static_cast<int>(config.Uint("threads", INT_MAX));
+    // The retired sharded simulator's fields, written by older builds:
+    // each is range-checked when present, and only a lane count > 1 (a
+    // sharded, so different, model) is kept. One lane was the serial
+    // simulator.
+    const uint64_t sim_shards = config.UintOr("sim_shards", 0, UINT32_MAX);
+    config.UintOr("sim_threads", 0, INT_MAX);
+    config.UintOr("epoch_cycles", 0);
+    if (sim_shards > 1)
+      m.config.sim_shards = static_cast<uint32_t>(sim_shards);
 
-  if (!GetNumberField(root, "wall_time_seconds", m.wall_time_seconds, error,
-                      "manifest"))
-    return false;
-  if (m.wall_time_seconds < 0.0)
-    return SchemaFail(error, "negative wall_time_seconds");
+    m.wall_time_seconds = root.Number("wall_time_seconds");
+    if (m.wall_time_seconds < 0.0)
+      throw std::invalid_argument("negative wall_time_seconds");
 
-  const json::Value* stages =
-      Need(root, "stages", json::Value::Kind::kArray, error, "manifest");
-  if (stages == nullptr) return false;
-  for (const json::Value& entry : *stages->array) {
-    if (!entry.IsObject())
-      return SchemaFail(error, "stage entry is not an object");
-    Stage stage;
-    if (!GetStringField(entry, "name", stage.name, error, "stage") ||
-        !GetUintField(entry, "count", stage.count, error, "stage") ||
-        !GetNumberField(entry, "total_us", stage.total_us, error, "stage"))
-      return false;
-    m.stages.push_back(std::move(stage));
-  }
-
-  const json::Value* counters =
-      Need(root, "counters", json::Value::Kind::kObject, error, "manifest");
-  if (counters == nullptr) return false;
-  for (const auto& [name, value] : *counters->object) {
-    const std::optional<uint64_t> count = json::ExactUint(value);
-    if (!count)
-      return SchemaFail(error, "counter \"" + name +
-                                   "\" is not a whole number in [0, 2^53]");
-    m.counters[name] = *count;
-  }
-
-  if (const json::Value* dists = root.Find("distributions")) {
-    if (!dists->IsObject())
-      return SchemaFail(error, "\"distributions\" is not an object");
-    for (const auto& [name, value] : *dists->object) {
-      const std::string where = "distribution \"" + name + "\"";
-      if (!value.IsObject())
-        return SchemaFail(error, where + " is not an object");
-      telemetry::DistSummary& d = m.distributions[name];
-      if (!GetUintField(value, "count", d.count, error, where) ||
-          !GetNumberField(value, "min", d.min, error, where) ||
-          !GetNumberField(value, "mean", d.mean, error, where) ||
-          !GetNumberField(value, "max", d.max, error, where) ||
-          !GetNumberField(value, "p50", d.p50, error, where) ||
-          !GetNumberField(value, "p99", d.p99, error, where))
-        return false;
+    for (const json::Value& entry : root.Array("stages")) {
+      const json::Reader stage(entry, "stage");
+      m.stages.push_back({.name = stage.String("name"),
+                          .count = stage.Uint("count"),
+                          .total_us = stage.Number("total_us")});
     }
-  }
+    m.counters = root.Object("counters").UintMap();
 
-  if (const json::Value* metrics = root.Find("metrics")) {
-    if (!metrics->IsObject())
-      return SchemaFail(error, "\"metrics\" is not an object");
-    if (!GetNumberField(*metrics, "error_pct", m.metrics.error_pct, error,
-                        "metrics") ||
-        !GetNumberField(*metrics, "theoretical_error_pct",
-                        m.metrics.theoretical_error_pct, error, "metrics") ||
-        !GetNumberField(*metrics, "speedup", m.metrics.speedup, error,
-                        "metrics") ||
-        !GetUintField(*metrics, "num_samples", m.metrics.num_samples, error,
-                      "metrics") ||
-        !GetUintField(*metrics, "num_clusters", m.metrics.num_clusters, error,
-                      "metrics"))
-      return false;
-    m.metrics.present = true;
-  }
-
-  if (const json::Value* journal = root.Find("journal")) {
-    if (!journal->IsObject())
-      return SchemaFail(error, "\"journal\" is not an object");
-    if (!GetUintField(*journal, "emitted", m.journal.emitted, error,
-                      "journal") ||
-        !GetUintField(*journal, "dropped", m.journal.dropped, error,
-                      "journal") ||
-        !GetUintField(*journal, "errors", m.journal.errors, error, "journal"))
-      return false;
-    m.journal.present = true;
-  }
-
-  if (const json::Value* mem = root.Find("mem")) {
-    if (!mem->IsObject())
-      return SchemaFail(error, "\"mem\" is not an object");
-    if (!GetUintField(*mem, "peak_rss_bytes", m.mem.peak_rss_bytes, error,
-                      "mem") ||
-        !GetUintField(*mem, "samples", m.mem.samples, error, "mem"))
-      return false;
-    const json::Value* logical =
-        Need(*mem, "logical", json::Value::Kind::kObject, error, "mem");
-    if (logical == nullptr) return false;
-    for (const auto& [category, value] : *logical->object) {
-      const std::optional<uint64_t> bytes = json::ExactUint(value);
-      if (!bytes)
-        return SchemaFail(error, "mem logical \"" + category +
-                                     "\" is not a whole number in [0, 2^53]");
-      m.mem.logical[category] = *bytes;
+    if (root.Has("distributions")) {
+      for (const auto& [name, value] :
+           root.Object("distributions").Members()) {
+        const json::Reader d(value, "distribution '" + name + "'");
+        m.distributions[name] = {.count = d.Uint("count"),
+                                 .min = d.Number("min"),
+                                 .mean = d.Number("mean"),
+                                 .max = d.Number("max"),
+                                 .p50 = d.Number("p50"),
+                                 .p99 = d.Number("p99")};
+      }
     }
-    m.mem.present = true;
+    if (root.Has("metrics")) {
+      const json::Reader metrics = root.Object("metrics");
+      m.metrics = {.present = true,
+                   .error_pct = metrics.Number("error_pct"),
+                   .theoretical_error_pct =
+                       metrics.Number("theoretical_error_pct"),
+                   .speedup = metrics.Number("speedup"),
+                   .num_samples = metrics.Uint("num_samples"),
+                   .num_clusters = metrics.Uint("num_clusters")};
+    }
+    if (root.Has("journal")) {
+      const json::Reader journal = root.Object("journal");
+      m.journal = {.present = true,
+                   .emitted = journal.Uint("emitted"),
+                   .dropped = journal.Uint("dropped"),
+                   .errors = journal.Uint("errors")};
+    }
+    if (root.Has("mem")) {
+      const json::Reader mem = root.Object("mem");
+      m.mem = {.present = true,
+               .peak_rss_bytes = mem.Uint("peak_rss_bytes"),
+               .samples = mem.Uint("samples"),
+               .logical = mem.Object("logical").UintMap()};
+    }
+    if (root.Has("trace_spill")) {
+      const json::Reader spill = root.Object("trace_spill");
+      m.trace_spill = {.present = true,
+                       .chunk_invocations = spill.Uint("chunk_invocations"),
+                       .chunks = spill.Uint("chunks"),
+                       .bytes = spill.Uint("bytes")};
+      if (m.trace_spill.chunk_invocations < 1)
+        throw std::invalid_argument(
+            "trace_spill chunk_invocations must be >= 1");
+    }
+    m.error = root.StringOr("error", "");
+  } catch (const std::invalid_argument& e) {
+    if (error != nullptr) *error = std::string("manifest schema: ") + e.what();
+    return false;
   }
-
-  if (const json::Value* spill = root.Find("trace_spill")) {
-    if (!spill->IsObject())
-      return SchemaFail(error, "\"trace_spill\" is not an object");
-    if (!GetUintField(*spill, "chunk_invocations",
-                      m.trace_spill.chunk_invocations, error, "trace_spill") ||
-        !GetUintField(*spill, "chunks", m.trace_spill.chunks, error,
-                      "trace_spill") ||
-        !GetUintField(*spill, "bytes", m.trace_spill.bytes, error,
-                      "trace_spill"))
-      return false;
-    if (m.trace_spill.chunk_invocations < 1)
-      return SchemaFail(error, "trace_spill chunk_invocations must be >= 1");
-    m.trace_spill.present = true;
-  }
-
-  if (const json::Value* err = root.Find("error")) {
-    if (!err->IsString())
-      return SchemaFail(error, "\"error\" is not a string");
-    m.error = err->string;
-  }
-
   out = std::move(m);
   return true;
 }

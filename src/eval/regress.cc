@@ -40,15 +40,12 @@ void DiffField(std::vector<std::string>& diffs, const char* name, double a,
 /// results. The service.* counters are environmental the same way: how a
 /// session was chunked (service.feed_invocations) or whether it stopped
 /// early never moves a deterministic result byte. Like wall times, both
-/// families are excluded from the determinism gate. resource.* is
-/// excluded the same way: anything the background RSS sampler emits is
-/// timing-dependent by construction.
+/// families are excluded from the determinism gate.
 std::map<std::string, uint64_t> DeterministicCounters(
     const std::map<std::string, uint64_t>& counters) {
   std::map<std::string, uint64_t> out;
   for (const auto& [name, value] : counters)
-    if (name.rfind("cache.", 0) != 0 && name.rfind("service.", 0) != 0 &&
-        name.rfind("resource.", 0) != 0)
+    if (name.rfind("cache.", 0) != 0 && name.rfind("service.", 0) != 0)
       out.emplace(name, value);
   return out;
 }
@@ -203,7 +200,7 @@ std::string CompareReport::ToText() const {
            "contract)\n";
     if (deterministic_drift) {
       out += "DETERMINISTIC DRIFT (a determinism contract violation for "
-             "same-seed runs; cache.*/service.*/resource.* counters, "
+             "same-seed runs; cache.*/service.* counters, "
              "cache*/service* mem categories and physical RSS are "
              "environmental and never gated):\n";
       for (const std::string& note : drift_notes) out += "  " + note + "\n";

@@ -9,13 +9,17 @@
 /// malformed line, unknown op, or Service exception becomes an error
 /// response, and the connection stays usable.
 ///
+/// Requests are read through json::Reader and replies written through
+/// json::Writer (common/json.h).
+///
 /// Ops (the "op" member selects; numbers where noted, strings otherwise):
 ///
 ///   open     method, suite, workload, gpu, epsilon, confidence, seed,
 ///            scale, reps, min_invocations, order ("timeline"|"shuffled"),
 ///            params (object of sampler parameters)
 ///            -> {"ok":true,"id":N}
-///   feed     id, count      -> {"ok":true,"fed":N,"seen":N}
+///   feed     id, count      -> {"ok":true,"fed":N,"seen":N,
+///            "converged":B,"early_stop":B} (counted as a feed only)
 ///   query    id [, clusters:true]
 ///            -> the SessionStatus fields (+ a "clusters" array on request)
 ///   plan     id             -> plan summary (num_samples, ...)
@@ -35,7 +39,8 @@
 ///   health                  -> {"ok":true,"status":"ok","ready":true,
 ///            "accepting":B,"uptime_seconds":S,"open_sessions":N,
 ///            "max_sessions":N,"git_hash":"..."} — a cheap liveness
-///            probe that never touches session state
+///            probe that never touches session state, request counters
+///            or /proc
 ///   shutdown                -> {"ok":true,"shutdown":true} and flags the
 ///            server loop to stop
 ///

@@ -131,9 +131,13 @@ void HandleConnection(int fd, SessionBroker& broker,
                     {{"fd", static_cast<uint64_t>(fd)},
                      {"max_bytes", static_cast<uint64_t>(
                                        kMaxRequestLineBytes)}});
-    (void)SendLine(fd, "{\"ok\":false,\"error\":\"request line exceeds " +
-                           std::to_string(kMaxRequestLineBytes) +
-                           " bytes\"}");
+    (void)SendLine(fd, json::Writer()
+                           .Bool("ok", false)
+                           .String("error",
+                                   "request line exceeds " +
+                                       std::to_string(kMaxRequestLineBytes) +
+                                       " bytes")
+                           .Finish());
   }
   if (journal::Enabled())
     journal::Emit(journal::Severity::kDebug, "conn.close",

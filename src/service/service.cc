@@ -276,7 +276,8 @@ void Service::Feed(SessionId id, const KernelTrace& source) {
   Feed(id, source, source.Invocations());
 }
 
-uint64_t Service::FeedFromSource(SessionId id, uint64_t count) {
+uint64_t Service::FeedFromSource(SessionId id, uint64_t count,
+                                  SessionStatus* progress) {
   RequestTimer timer(metrics_, Verb::kFeed, options_.slow_request_us, id);
   const std::shared_ptr<Session> session = Find(id);
   uint64_t n = 0;
@@ -300,6 +301,10 @@ uint64_t Service::FeedFromSource(SessionId id, uint64_t count) {
   if (journal::Enabled())
     journal::Emit(journal::Severity::kDebug, "session.feed",
                   {{"session", id}, {"count", n}, {"seen", seen}});
+  if (progress != nullptr) {
+    std::lock_guard<std::mutex> lock(session->mu);
+    FillProgress(*session, id, *progress);
+  }
   return n;
 }
 
@@ -359,11 +364,6 @@ SessionStatus Service::Query(SessionId id) {
   const std::shared_ptr<Session> session = Find(id);
   std::lock_guard<std::mutex> lock(session->mu);
   SessionStatus status;
-  status.invocations_seen = session->accumulated.NumInvocations();
-  status.invocations_total = session->source
-                                 ? session->source->Trace().NumInvocations()
-                                 : session->config.expected_invocations;
-  status.seen_total_us = session->seen.Sum();
   status.num_kernels = session->roots.size();
 
   std::vector<core::ClusterStats> stats;
@@ -381,12 +381,11 @@ SessionStatus Service::Query(SessionId id) {
       stats.push_back(c);
     }
   }
-  const core::StemConfig& stem = session->config.streaming.root.stem;
   if (!stats.empty()) {
     // Muted for the same reason as the feed's streaming ROOT.
     const core::KktSolution solution = [&] {
       const telemetry::Scope mute(nullptr);
-      return core::SolveKkt(stats, stem);
+      return core::SolveKkt(stats, session->config.streaming.root.stem);
     }();
     for (size_t i = 0; i < stats.size(); ++i) {
       status.clusters[i].stem_samples = solution.sample_sizes[i];
@@ -395,32 +394,42 @@ SessionStatus Service::Query(SessionId id) {
     status.stem_cost_us = solution.cost_us;
     status.allocation_error = solution.theoretical_error;
   }
+  FillProgress(*session, id, status);
+  return status;
+}
 
-  const uint64_t n = session->seen.Count();
-  if (n > 0 && session->seen.Mean() > 0.0) {
-    status.predicted_error =
-        stem.Z() * session->seen.Cov() / std::sqrt(static_cast<double>(n));
-    status.converged = n >= session->config.min_invocations &&
-                       status.predicted_error <= session->config.epsilon;
+void Service::FillProgress(Session& session, SessionId id,
+                           SessionStatus& status) {
+  status.invocations_seen = session.accumulated.NumInvocations();
+  status.invocations_total = session.source
+                                 ? session.source->Trace().NumInvocations()
+                                 : session.config.expected_invocations;
+  status.seen_total_us = session.seen.Sum();
+  const uint64_t n = session.seen.Count();
+  if (n > 0 && session.seen.Mean() > 0.0) {
+    status.predicted_error = session.config.streaming.root.stem.Z() *
+                             session.seen.Cov() /
+                             std::sqrt(static_cast<double>(n));
+    status.converged = n >= session.config.min_invocations &&
+                       status.predicted_error <= session.config.epsilon;
   }
   status.estimated_total_us =
       status.invocations_total > 0
-          ? session->seen.Mean() *
-                static_cast<double>(status.invocations_total)
-          : session->seen.Sum();
+          ? session.seen.Mean() * static_cast<double>(status.invocations_total)
+          : session.seen.Sum();
   status.early_stop = status.converged && status.invocations_total > 0 &&
                       status.invocations_seen < status.invocations_total;
-  if (status.converged && !session->converged_reported) {
-    session->converged_reported = true;
+  if (status.converged && !session.converged_reported) {
+    session.converged_reported = true;
     if (journal::Enabled())
       journal::Emit(journal::Severity::kInfo, "session.converged",
                     {{"session", id},
                      {"seen", status.invocations_seen},
                      {"predicted_error", status.predicted_error},
-                     {"epsilon", session->config.epsilon}});
+                     {"epsilon", session.config.epsilon}});
   }
-  if (status.early_stop && !session->early_stopped) {
-    session->early_stopped = true;
+  if (status.early_stop && !session.early_stopped) {
+    session.early_stopped = true;
     telemetry::Count("service.early_stops");
     early_stops_.fetch_add(1, std::memory_order_relaxed);
     if (journal::Enabled())
@@ -430,7 +439,6 @@ SessionStatus Service::Query(SessionId id) {
                      {"total", status.invocations_total},
                      {"predicted_error", status.predicted_error}});
   }
-  return status;
 }
 
 core::SamplingPlan Service::BuildPlan(SessionId id) {
@@ -531,12 +539,15 @@ eval::RunManifest Service::CloseSession(SessionId id) {
   return manifest;
 }
 
+double Service::UptimeSeconds() const {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       started_at_)
+      .count();
+}
+
 ServiceStats Service::GetStats() const {
   ServiceStats stats;
-  stats.uptime_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started_at_)
-          .count();
+  stats.uptime_seconds = UptimeSeconds();
   stats.open_sessions = NumOpenSessions();
   stats.max_sessions = options_.max_sessions;
   stats.sessions_opened = sessions_opened_.load(std::memory_order_relaxed);

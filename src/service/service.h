@@ -197,8 +197,12 @@ class Service {
   /// Feed the next `count` invocations of the session's generated source
   /// in the session's feed order; returns how many were actually fed
   /// (less than `count` at the end of the trace). Throws std::logic_error
-  /// when the session was opened without a workload.
-  uint64_t FeedFromSource(SessionId id, uint64_t count);
+  /// when the session was opened without a workload. With `progress`,
+  /// also fills its seen counts, error bound, `converged` and `early_stop`
+  /// as Query would (clusters and allocation stay empty), firing the same
+  /// once-per-session convergence events, within this feed request.
+  uint64_t FeedFromSource(SessionId id, uint64_t count,
+                          SessionStatus* progress = nullptr);
 
   /// Recompute clusters, STEM allocation, and error bounds over the data
   /// seen so far. Cheap: no pipeline stages run.
@@ -219,10 +223,8 @@ class Service {
 
   size_t NumOpenSessions() const;
 
-  /// The live observability surface: per-verb latency and request
-  /// counts, always recorded.
-  ServiceMetrics& Metrics() { return metrics_; }
-  const ServiceMetrics& Metrics() const { return metrics_; }
+  uint32_t MaxSessions() const { return options_.max_sessions; }
+  double UptimeSeconds() const;
 
   /// Assemble the full introspection view: uptime, session tallies,
   /// per-verb latency aggregates, journal counters. Lock-free except for
@@ -243,6 +245,10 @@ class Service {
   std::shared_ptr<Session> Find(SessionId id) const;
   static void FeedChunk(Session& session, const KernelTrace& source,
                         std::span<const KernelInvocation> invocations);
+  /// The seen-prefix half of a status (counts, the CLT bound, converged,
+  /// early_stop), journaling and tallying the first convergence and early
+  /// stop. The caller holds session.mu.
+  void FillProgress(Session& session, SessionId id, SessionStatus& status);
 
   ServiceOptions options_;
   ServiceMetrics metrics_;

@@ -118,12 +118,13 @@ TEST_F(TelemetryTest, ThreadBuffersMergeDeterministically) {
   SetNumThreads(0);
 }
 
-TEST_F(TelemetryTest, CountersJsonIsSortedAndStable) {
+TEST_F(TelemetryTest, CountersAreSortedAndStable) {
   Count("zeta", 2);
   Count("alpha", 1);
-  const std::string json = Capture().CountersJson();
-  EXPECT_EQ(json, "{\"alpha\":1,\"zeta\":2}");
-  EXPECT_EQ(Capture().CountersJson(), json);
+  const std::map<std::string, uint64_t> counters = Capture().Counters();
+  EXPECT_EQ(counters,
+            (std::map<std::string, uint64_t>{{"alpha", 1}, {"zeta", 2}}));
+  EXPECT_EQ(Capture().Counters(), counters);
 }
 
 // Regression: SetEnabled may flip between a Span's construction and its
@@ -320,10 +321,9 @@ TEST_F(TelemetryTest, ScopedParallelForLandsInTheSinkExactly) {
     EXPECT_EQ(items, 1000u) << threads;
     // The process-global record is what it is without a scope.
     const Snapshot all = Capture();
-    EXPECT_EQ(all.CountersJson(), unscoped.CountersJson()) << threads;
-    EXPECT_EQ(all.DistributionsJson(), unscoped.DistributionsJson())
-        << threads;
-    EXPECT_EQ(mine.CountersJson(), all.CountersJson()) << threads;
+    EXPECT_EQ(all.Counters(), unscoped.Counters()) << threads;
+    EXPECT_EQ(all.Summaries(), unscoped.Summaries()) << threads;
+    EXPECT_EQ(mine.Counters(), all.Counters()) << threads;
   }
   SetNumThreads(0);
 }

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "baselines/random_sampler.h"
+#include "common/json.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "core/sampler.h"
@@ -74,6 +75,40 @@ TEST(AuditTest, ValidateRejectsMalformedJson) {
   EXPECT_FALSE(ValidateAuditJson("[]", &error));
   EXPECT_FALSE(ValidateAuditJson("{\"schema\":\"wrong\"}", &error));
   EXPECT_FALSE(error.empty());
+}
+
+// Integers leave the export as their exact digits: a seed above 2^53
+// (here 2^64 - 1) would come back rounded through a double.
+TEST(AuditTest, ExportKeepsIntegersExact) {
+  AuditReport report;
+  report.method = "STEM";
+  report.trials = 4294967295u;
+  report.seed = 18446744073709551615ull;
+  WorkloadAudit audit;
+  audit.workload = "w";
+  ClusterAuditRow row;
+  row.kernel = "k";
+  row.cluster_id = 7;
+  row.population = 9007199254740993ull;  // 2^53 + 1
+  row.m_allocated = 9007199254740995ull;
+  audit.clusters.push_back(row);
+  report.workloads.push_back(audit);
+
+  const std::string exported = report.ToJson();
+  std::string error;
+  ASSERT_TRUE(ValidateAuditJson(exported, &error)) << error;
+  json::Value doc;
+  ASSERT_TRUE(json::Parse(exported, doc, &error)) << error;
+  ASSERT_NE(doc.Find("seed"), nullptr);
+  EXPECT_EQ(json::ExactUint64(*doc.Find("seed")), 18446744073709551615ull);
+  EXPECT_EQ(json::ExactUint64(*doc.Find("trials")), 4294967295u);
+  const json::Value& cluster =
+      (*(*doc.Find("workloads")->array)[0].Find("clusters")->array)[0];
+  EXPECT_EQ(json::ExactUint64(*cluster.Find("cluster_id")), 7u);
+  EXPECT_EQ(json::ExactUint64(*cluster.Find("population")),
+            9007199254740993ull);
+  EXPECT_EQ(json::ExactUint64(*cluster.Find("m_allocated")),
+            9007199254740995ull);
 }
 
 TEST(AuditTest, ReportIsThreadCountInvariant) {

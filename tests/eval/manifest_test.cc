@@ -1,12 +1,16 @@
 #include "eval/manifest.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 
+#include "common/journal.h"
+#include "common/rng.h"
 #include "common/telemetry.h"
 #include "eval/regress.h"
 
@@ -454,7 +458,7 @@ TEST(ManifestTest, SeedsAbove2To53ReadBackExactly) {
     RunManifest back;
     std::string error;
     EXPECT_FALSE(RunManifest::FromJson(doc, back, &error)) << bad;
-    EXPECT_NE(error.find("\"seed\""), std::string::npos) << error;
+    EXPECT_NE(error.find("'seed'"), std::string::npos) << error;
   }
 }
 
@@ -771,6 +775,95 @@ TEST(ManifestTest, FailedRenamePreservesTheDestination) {
   EXPECT_TRUE(std::filesystem::is_directory(path));
   EXPECT_EQ(TempResidue(dir), 0u);
   std::filesystem::remove_all(dir);
+}
+
+// A bounded, deterministic slice of a fuzzer for the two line readers:
+// whatever bytes a manifest or journal line holds, the reader loads it or
+// refuses it with a reason, and never throws.
+TEST(ManifestTest, MutatedManifestAndJournalLinesLoadOrRefuse) {
+  RunManifest every = MakeManifest();  // with distributions and metrics
+  every.journal = {.present = true, .emitted = 12, .dropped = 1, .errors = 0};
+  every.mem = {.present = true,
+               .peak_rss_bytes = 123456789,
+               .samples = 5,
+               .logical = {{"service.session", 4096}, {"trace", 77}}};
+  every.trace_spill = {
+      .present = true, .chunk_invocations = 65536, .chunks = 3, .bytes = 999};
+  const std::string manifest = every.ToJson(/*pretty=*/false);
+
+  const std::filesystem::path journal_path =
+      std::filesystem::temp_directory_path() /
+      ("sr_manifest_fuzz_" + std::to_string(::getpid()) + ".jsonl");
+  std::filesystem::remove(journal_path);
+  journal::Open(journal_path.string());
+  journal::Emit(journal::Severity::kWarn, "request.slow",
+                {{"verb", "feed"},
+                 {"session", uint64_t{3}},
+                 {"latency_us", 312000.5},
+                 {"slow", true}});
+  journal::Close();
+  std::string journal_line;
+  std::getline(std::ifstream(journal_path), journal_line);
+  std::filesystem::remove(journal_path);
+  const std::optional<journal::Line> control = journal::ReadLine(journal_line);
+  ASSERT_TRUE(control && control->WellFormed()) << journal_line;
+
+  size_t cases = 0;
+  size_t loaded = 0;
+  const auto check_manifest = [&](const std::string& text) {
+    ++cases;
+    RunManifest m;
+    std::string error;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = RunManifest::FromJson(text, m, &error)) << text;
+    if (!ok) {
+      EXPECT_FALSE(error.empty()) << text;
+      return;
+    }
+    ++loaded;
+    // What loads writes back to bytes that load to the same bytes.
+    const std::string again = m.ToJson(/*pretty=*/false);
+    RunManifest back;
+    ASSERT_TRUE(RunManifest::FromJson(again, back, &error))
+        << error << "\n" << text;
+    EXPECT_EQ(back.ToJson(/*pretty=*/false), again) << text;
+  };
+  const auto check_journal = [&](const std::string& text) {
+    ++cases;
+    ASSERT_NO_THROW(journal::ReadLine(text)) << text;
+  };
+  const auto flip = [](std::string line, size_t bit) {
+    line[bit / 8] = static_cast<char>(line[bit / 8] ^ (1 << (bit % 8)));
+    return line;
+  };
+
+  for (size_t bit = 0; bit < manifest.size() * 8; ++bit)
+    check_manifest(flip(manifest, bit));
+  for (size_t len = 0; len < manifest.size(); ++len)
+    check_manifest(manifest.substr(0, len));
+  for (size_t bit = 0; bit < journal_line.size() * 8; ++bit)
+    check_journal(flip(journal_line, bit));
+  for (size_t len = 0; len < journal_line.size(); ++len)
+    check_journal(journal_line.substr(0, len));
+
+  // Random bytes at random places, a few at a time.
+  Rng rng(20261019);
+  for (int round = 0; round < 2048; ++round) {
+    const bool is_manifest = round % 2 == 0;
+    std::string line = is_manifest ? manifest : journal_line;
+    for (uint64_t n = 1 + rng.NextBounded(4); n > 0; --n)
+      line[rng.NextBounded(line.size())] =
+          static_cast<char>(rng.NextBounded(256));
+    if (is_manifest) {
+      check_manifest(line);
+    } else {
+      check_journal(line);
+    }
+  }
+  EXPECT_GT(cases, 10000u);
+  // Flips inside names and digits still load: the mutations reach past
+  // the parser into the schema reads.
+  EXPECT_GT(loaded, 500u);
 }
 
 }  // namespace

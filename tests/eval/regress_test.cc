@@ -95,7 +95,8 @@ TEST(CompareTest, CounterDriftTripsTheExitCode) {
   EXPECT_EQ(report.drift_notes,
             (std::vector<std::string>{"counter core.kkt.solves: 100 vs 101",
                                       "counter core.new: absent vs 7"}));
-  EXPECT_NE(report.ToText().find("resource.*"), std::string::npos);
+  EXPECT_NE(report.ToText().find("cache.*/service.* counters"),
+            std::string::npos);
 }
 
 TEST(CompareTest, CacheCountersAreEnvironmental) {
@@ -224,6 +225,19 @@ TEST(CompareTest, StageTableCoversTheUnion) {
 
 // ---------------------------------------------------------------------------
 // regress
+
+// No code emits a resource.* counter, so the prefix is no environmental
+// family: such a counter gates the compare like any other.
+TEST(RegressTest, ResourceCountersGateTheCompareLikeAnyOther) {
+  const RunManifest a = MakeRun();
+  RunManifest b = MakeRun();
+  b.counters["resource.reads"] = 3;
+  const CompareReport report = CompareManifests(a, b);
+  EXPECT_TRUE(report.deterministic_drift);
+  EXPECT_EQ(report.ExitCode(CompareOptions{}), kExitRegression);
+  EXPECT_EQ(report.drift_notes, (std::vector<std::string>{
+                                    "counter resource.reads: absent vs 3"}));
+}
 
 TEST(RegressTest, EmptyLedgerIsUncheckedAndClean) {
   const Ledger ledger;

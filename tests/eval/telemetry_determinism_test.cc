@@ -23,8 +23,6 @@ namespace stemroot::eval {
 namespace {
 
 struct TelemetryRun {
-  std::string counters_json;
-  std::string distributions_json;
   telemetry::Snapshot snapshot;
 };
 
@@ -43,8 +41,6 @@ TelemetryRun RunInstrumentedPipeline(int threads) {
 
   TelemetryRun run;
   run.snapshot = telemetry::Capture();
-  run.counters_json = run.snapshot.CountersJson();
-  run.distributions_json = run.snapshot.DistributionsJson();
   telemetry::Reset();
   telemetry::SetEnabled(false);
   SetNumThreads(0);
@@ -57,8 +53,8 @@ TEST(TelemetryDeterminismTest, CountersByteIdenticalAcrossThreadCounts) {
 
   EXPECT_FALSE(one.snapshot.Counters().empty());
   EXPECT_FALSE(one.snapshot.Distributions().empty());
-  EXPECT_EQ(one.counters_json, eight.counters_json);
-  EXPECT_EQ(one.distributions_json, eight.distributions_json);
+  EXPECT_EQ(one.snapshot.Counters(), eight.snapshot.Counters());
+  EXPECT_EQ(one.snapshot.Summaries(), eight.snapshot.Summaries());
 }
 
 TEST(TelemetryDeterminismTest, AllFiveStageSpansPresent) {
@@ -80,7 +76,7 @@ TEST(TelemetryDeterminismTest, AllFiveStageSpansPresent) {
 // The run manifest is the one export: it validates and round-trips its
 // distributions at both thread counts, and they agree.
 TEST(TelemetryDeterminismTest, ExportValidatesAtBothThreadCounts) {
-  std::string distributions[2];
+  std::map<std::string, telemetry::DistSummary> distributions[2];
   for (const int threads : {1, 8}) {
     const TelemetryRun run = RunInstrumentedPipeline(threads);
     RunManifest manifest;
@@ -95,8 +91,7 @@ TEST(TelemetryDeterminismTest, ExportValidatesAtBothThreadCounts) {
         << "threads=" << threads << ": " << error;
     EXPECT_EQ(back.distributions, manifest.distributions);
     EXPECT_EQ(back.distributions.count("core.root.cluster_size"), 1u);
-    distributions[threads == 1 ? 0 : 1] =
-        telemetry::DistributionsJson(back.distributions);
+    distributions[threads == 1 ? 0 : 1] = back.distributions;
   }
   EXPECT_EQ(distributions[0], distributions[1]);
 }

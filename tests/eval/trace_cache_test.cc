@@ -230,7 +230,7 @@ TEST_F(TraceCacheTest, WarmRunReplaysStageCountersAndSpans) {
     return counters;
   };
   EXPECT_EQ(non_cache(cold), non_cache(warm));
-  EXPECT_EQ(cold.DistributionsJson(), warm.DistributionsJson());
+  EXPECT_EQ(cold.Summaries(), warm.Summaries());
 
   // Stage spans still exist on the warm path (manifests and stage checks
   // rely on them), plus the cache.load span.

@@ -195,7 +195,9 @@ TEST(ProtocolMetricsTest, StatsReportsVerbLatenciesAndJournal) {
   EXPECT_EQ(Num(stats, "sessions_opened"), 1.0);
   EXPECT_EQ(Num(stats, "sessions_closed"), 0.0);
   EXPECT_EQ(Num(stats, "feed_invocations"), 32.0);
-  EXPECT_GE(Num(stats, "requests"), 3.0);  // open + feed + query
+  // open + feed + query: a feed's reply reads the session's progress
+  // without counting as a query.
+  EXPECT_EQ(Num(stats, "requests"), 3.0);
 
   // Per-verb breakdown: the verbs object carries a latency summary for
   // every verb; the ones exercised here show traffic.
@@ -210,6 +212,9 @@ TEST(ProtocolMetricsTest, StatsReportsVerbLatenciesAndJournal) {
   EXPECT_GT(Num(*feed, "p50_us"), 0.0);
   EXPECT_GE(Num(*feed, "p99_us"), Num(*feed, "p50_us"));
   EXPECT_GT(Num(*feed, "max_us"), 0.0);
+  const json::Value* query = verbs->Find("query");
+  ASSERT_NE(query, nullptr);
+  EXPECT_EQ(Num(*query, "requests"), 1.0);
   const json::Value* close_verb = verbs->Find("close");
   ASSERT_NE(close_verb, nullptr);
   EXPECT_EQ(Num(*close_verb, "requests"), 0.0);
@@ -247,6 +252,20 @@ TEST_F(ProtocolTest, HealthReportsReadiness) {
   // Health is not a session verb: it must not count request traffic.
   const json::Value stats = Parsed(Handle(R"({"op":"stats"})"));
   EXPECT_EQ(Num(stats, "requests"), 0.0);
+}
+
+// A liveness probe reads no /proc file: only `stats` takes a memory
+// sample, so three health probes between two stats replies add none.
+TEST_F(ProtocolTest, HealthTakesNoMemorySample) {
+  const auto samples = [this] {
+    const json::Value stats = Parsed(Handle(R"({"op":"stats"})"));
+    const json::Value* mem = stats.Find("mem");
+    EXPECT_NE(mem, nullptr);
+    return mem == nullptr ? 0.0 : Num(*mem, "samples");
+  };
+  const double before = samples();
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(Handle(R"({"op":"health"})").ok);
+  EXPECT_EQ(samples(), before + 1.0);
 }
 
 TEST_F(ProtocolTest, ShutdownFlagsTheLoop) {

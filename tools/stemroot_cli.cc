@@ -870,78 +870,57 @@ int CmdServe(const Flags& flags, eval::RunManifest&) {
   return service::RunServer(options);
 }
 
-/// Render one stats response (already parsed) as the human view: a
-/// header line plus the per-verb latency table.
-void PrintStats(const json::Value& stats) {
-  const auto num = [&stats](std::string_view key) {
-    const json::Value* v = stats.Find(key);
-    return v != nullptr && v->IsNumber() ? v->number : 0.0;
+/// Render one stats reply as the human view: a header line plus the
+/// per-verb latency table. Absent members read as 0.
+void PrintStats(const json::Reader& stats) {
+  const auto count = [](const json::Reader& r, std::string_view key) {
+    return static_cast<unsigned long long>(r.NumberOr(key, 0.0));
   };
   std::printf("uptime %.1fs  sessions %llu/%llu open (%llu opened, %llu "
               "closed)  requests %llu (%llu errors)\n",
-              num("uptime_seconds"),
-              static_cast<unsigned long long>(num("open_sessions")),
-              static_cast<unsigned long long>(num("max_sessions")),
-              static_cast<unsigned long long>(num("sessions_opened")),
-              static_cast<unsigned long long>(num("sessions_closed")),
-              static_cast<unsigned long long>(num("requests")),
-              static_cast<unsigned long long>(num("errors")));
+              stats.NumberOr("uptime_seconds", 0.0),
+              count(stats, "open_sessions"), count(stats, "max_sessions"),
+              count(stats, "sessions_opened"), count(stats, "sessions_closed"),
+              count(stats, "requests"), count(stats, "errors"));
   std::printf("fed invocations %llu, early stops %llu\n",
-              static_cast<unsigned long long>(num("feed_invocations")),
-              static_cast<unsigned long long>(num("early_stops")));
-  if (const json::Value* j = stats.Find("journal"); j && j->IsObject()) {
-    const json::Value* emitted = j->Find("emitted");
-    const json::Value* dropped = j->Find("dropped");
-    const json::Value* errors = j->Find("errors");
+              count(stats, "feed_invocations"), count(stats, "early_stops"));
+  if (stats.Has("journal")) {
+    const json::Reader journal = stats.Object("journal");
     std::printf("journal: %llu emitted, %llu dropped, %llu errors\n",
-                static_cast<unsigned long long>(
-                    emitted && emitted->IsNumber() ? emitted->number : 0.0),
-                static_cast<unsigned long long>(
-                    dropped && dropped->IsNumber() ? dropped->number : 0.0),
-                static_cast<unsigned long long>(
-                    errors && errors->IsNumber() ? errors->number : 0.0));
+                count(journal, "emitted"), count(journal, "dropped"),
+                count(journal, "errors"));
   }
-  if (const json::Value* m = stats.Find("mem"); m && m->IsObject()) {
-    const auto field = [&m](std::string_view key) {
-      const json::Value* f = m->Find(key);
-      return f != nullptr && f->IsNumber() ? f->number : 0.0;
-    };
+  if (stats.Has("mem")) {
+    const json::Reader mem = stats.Object("mem");
     std::printf("mem: rss %s, high water %s (%llu samples), cpu "
                 "%.1fs user + %.1fs system\n",
-                HumanCount(field("rss_bytes")).c_str(),
-                HumanCount(field("hwm_bytes")).c_str(),
-                static_cast<unsigned long long>(field("samples")),
-                field("cpu_user_seconds"), field("cpu_system_seconds"));
-    if (const json::Value* logical = m->Find("logical");
-        logical && logical->IsObject() && !logical->object->empty()) {
-      std::string line = "mem logical peaks:";
-      for (const auto& [category, bytes] : *logical->object)
-        if (bytes.IsNumber())
+                HumanCount(mem.NumberOr("rss_bytes", 0.0)).c_str(),
+                HumanCount(mem.NumberOr("hwm_bytes", 0.0)).c_str(),
+                count(mem, "samples"), mem.NumberOr("cpu_user_seconds", 0.0),
+                mem.NumberOr("cpu_system_seconds", 0.0));
+    if (mem.Has("logical")) {
+      const json::Reader logical = mem.Object("logical");
+      if (!logical.Members().empty()) {
+        std::string line = "mem logical peaks:";
+        for (const auto& [category, bytes] : logical.Members())
           line += Format(" %s=%s", category.c_str(),
-                         HumanCount(bytes.number).c_str());
-      std::printf("%s\n", line.c_str());
+                         HumanCount(logical.Number(category)).c_str());
+        std::printf("%s\n", line.c_str());
+      }
     }
   }
-  const json::Value* verbs = stats.Find("verbs");
-  if (verbs == nullptr || !verbs->IsObject()) return;
+  if (!stats.Has("verbs")) return;
   TextTable table({"Verb", "Requests", "Errors", "Mean", "p50", "p90",
                    "p99", "Max"});
-  for (const auto& [verb, v] : *verbs->object) {
-    if (!v.IsObject()) continue;
-    const auto field = [&v](std::string_view key) {
-      const json::Value* f = v.Find(key);
-      return f != nullptr && f->IsNumber() ? f->number : 0.0;
-    };
-    table.AddRow({verb,
-                  Format("%llu", static_cast<unsigned long long>(
-                                     field("requests"))),
-                  Format("%llu", static_cast<unsigned long long>(
-                                     field("errors"))),
-                  HumanDuration(field("mean_us")),
-                  HumanDuration(field("p50_us")),
-                  HumanDuration(field("p90_us")),
-                  HumanDuration(field("p99_us")),
-                  HumanDuration(field("max_us"))});
+  for (const auto& [verb, value] : stats.Object("verbs").Members()) {
+    const json::Reader v(value, verb);
+    table.AddRow({verb, Format("%llu", count(v, "requests")),
+                  Format("%llu", count(v, "errors")),
+                  HumanDuration(v.NumberOr("mean_us", 0.0)),
+                  HumanDuration(v.NumberOr("p50_us", 0.0)),
+                  HumanDuration(v.NumberOr("p90_us", 0.0)),
+                  HumanDuration(v.NumberOr("p99_us", 0.0)),
+                  HumanDuration(v.NumberOr("max_us", 0.0))});
   }
   std::printf("%s", table.Render().c_str());
 }
@@ -957,12 +936,12 @@ int CmdStats(const Flags& flags, eval::RunManifest&) {
     if (raw) {
       std::printf("%s\n", response.c_str());
     } else {
-      json::Value stats;
+      json::Value reply;
       std::string error;
-      if (!json::Parse(response, stats, &error) || !stats.IsObject())
+      if (!json::Parse(response, reply, &error))
         throw std::runtime_error("stats: bad response: " + error);
-      if (const json::Value* ok = stats.Find("ok");
-          ok == nullptr || ok->number == 0.0)
+      const json::Reader stats(reply, "stats: reply");
+      if (!stats.BoolOr("ok", false))
         throw std::runtime_error("stats: server error: " + response);
       if (watch > 0) std::printf("\033[H\033[2J");
       PrintStats(stats);
