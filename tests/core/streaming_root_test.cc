@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -201,6 +202,109 @@ TEST(StreamingRootTest, GoldenStructureWithFullReservoirs) {
   // stream; the probe cache must skip a good share of them.
   EXPECT_GT(kmeans_runs, 0u);
   EXPECT_LT(kmeans_runs, 11497u / 2);
+}
+
+/// About 40k values built so that reservoirs fill, split and merge on
+/// inputs that stress the split probe: runs of duplicates, a constant
+/// segment, two modes one ulp apart, and rare outliers from 1e-300 to
+/// 1e300, first in separate phases and then interleaved.
+std::vector<double> AdversarialStream() {
+  Rng rng(4099);
+  const double twin = 100.0;
+  const double twin_up = std::nextafter(twin, 1000.0);
+  std::vector<double> durations;
+  durations.reserve(41000);
+  const auto duplicate_run = [&] {
+    const double value = rng.NextLogNormal(3.0, 0.5);
+    for (uint64_t run = 1 + rng.NextBounded(40); run > 0; --run)
+      durations.push_back(value);
+  };
+  const auto ulp_twins = [&] {
+    durations.push_back(rng.NextBounded(2) == 0 ? twin : twin_up);
+  };
+  const auto outlier = [&] {
+    durations.push_back(std::pow(10.0, rng.NextDouble(-300.0, 300.0)));
+  };
+  const auto body = [&] {
+    durations.push_back(rng.NextBounded(2) == 0 ? rng.NextGaussian(12.0, 0.5)
+                                                : rng.NextGaussian(900.0, 20.0));
+  };
+  while (durations.size() < 8000) duplicate_run();
+  for (int i = 0; i < 4000; ++i) durations.push_back(37.5);
+  for (int i = 0; i < 8000; ++i) ulp_twins();
+  for (int i = 0; i < 8000; ++i) {
+    if (rng.NextBounded(97) == 0) {
+      outlier();
+    } else {
+      body();
+    }
+  }
+  while (durations.size() < 40000) {
+    const uint64_t pick = rng.NextBounded(8);
+    if (pick == 0) {
+      duplicate_run();
+    } else if (pick == 1) {
+      durations.push_back(37.5);
+    } else if (pick <= 3) {
+      ulp_twins();
+    } else if (pick == 4) {
+      if (rng.NextBounded(20) == 0) outlier();
+    } else {
+      body();
+    }
+  }
+  return durations;
+}
+
+TEST(StreamingRootTest, GoldenStructureOnAdversarialStream) {
+  // Exact structure (hex doubles) of AdversarialStream(), recorded when
+  // every split probe seeded its k-means by nth_element and ran Lloyd
+  // until a pass moved no point. Faster probes must reproduce it bit for
+  // bit.
+  const ClusterStats expected[] = {
+      {5u, 0x1.56e0f38bd2dbap-824, 0x0p+0},
+      {1371u, 0x1.c59a69be823a3p+2, 0x1.594ff69c0c0d6p+0},
+      {128u, 0x1.16682e8d014d4p+3, 0x1.cae17d179f47fp-3},
+      {312u, 0x1.2c7d511c8a6dbp+3, 0x1.492966924762fp-4},
+      {1936u, 0x1.44c75b8d806f2p+3, 0x1.6cb08fc4f59c5p-3},
+      {2308u, 0x1.6057e1522ca13p+3, 0x1.9f6a2e9c9e521p-3},
+      {7082u, 0x1.7a3d343201611p+3, 0x1.70d6592299889p-2},
+      {1668u, 0x1.9f45fb97eb4p+3, 0x1.8bf1160d6d76ep-2},
+      {942u, 0x1.d4fc3f55332p+3, 0x1.d96aca1f876b5p-2},
+      {925u, 0x1.ffe786e1066f3p+3, 0x1.3fa2f5a940e66p-2},
+      {1010u, 0x1.1414226189f6ep+4, 0x1.a8b889c156535p-2},
+      {1261u, 0x1.2d569b638e7dbp+4, 0x1.da625aff13aefp-2},
+      {1089u, 0x1.46b2b69ee5555p+4, 0x1.0877a6cb68cb2p-1},
+      {1357u, 0x1.6aea6ccc7c708p+4, 0x1.2afaf50dab41p-1},
+      {1253u, 0x1.8f2e9818afcc1p+4, 0x1.3a4d7a59a621bp-1},
+      {1190u, 0x1.b7bddaa7e574bp+4, 0x1.c14b9f1ff9f95p-1},
+      {1103u, 0x1.e7b7832c534cep+4, 0x1.cdaeea24940efp-1},
+      {874u, 0x1.0a30a868e1965p+5, 0x1.bb78ce0915403p-1},
+      {5499u, 0x1.2d086e220e6b1p+5, 0x1.684de938ee3bcp+0},
+      {206u, 0x1.708bd3c7f184ep+5, 0x1.0d9df67d7bd94p+0},
+      {221u, 0x1.949b5b43eb098p+5, 0x1.7ee512476ede1p+0},
+      {39u, 0x1.c8a27b52b67b5p+5, 0x1.ce183319e3d3ep-5},
+      {160u, 0x1.f7d86647b90d8p+5, 0x1.89ea9e816f54dp-1},
+      {386u, 0x1.0e68cb5efbe07p+6, 0x1.8862d0781a3edp+0},
+      {4570u, 0x1.8f9782fe3df82p+6, 0x1.2f5b29941ecep+0},
+      {3113u, 0x1.c2c160ebc807ep+9, 0x1.4c85d095f162ap+4},
+  };
+  StreamingRoot root(StreamingRootConfig{}, 91);
+  const std::vector<double> durations = AdversarialStream();
+  for (double d : durations) root.Observe(d);
+
+  EXPECT_EQ(root.NumSplits(), 331u);
+  EXPECT_EQ(root.NumMerges(), 306u);
+  const std::vector<ClusterStats> stats = root.Stats();
+  ASSERT_EQ(stats.size(), std::size(expected));
+  uint64_t members = 0;
+  for (size_t i = 0; i < stats.size(); ++i) {
+    EXPECT_EQ(stats[i].n, expected[i].n) << "cluster " << i;
+    EXPECT_EQ(stats[i].mean, expected[i].mean) << "cluster " << i;
+    EXPECT_EQ(stats[i].stddev, expected[i].stddev) << "cluster " << i;
+    members += stats[i].n;
+  }
+  EXPECT_EQ(members, durations.size());
 }
 
 TEST(StreamingRootTest, RespectsMaxClusters) {
