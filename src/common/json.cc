@@ -472,7 +472,11 @@ uint64_t Reader::Uint(std::string_view key, uint64_t max) const {
 }
 
 uint64_t Reader::Uint64(std::string_view key) const {
-  const std::optional<uint64_t> n = ExactUint64(Need(key));
+  return ReadUint64(key, Need(key));
+}
+
+uint64_t Reader::ReadUint64(std::string_view key, const Value& v) const {
+  const std::optional<uint64_t> n = ExactUint64(v);
   if (!n) Refuse(key, "must be a whole number in [0, 2^64)");
   return *n;
 }
@@ -522,7 +526,7 @@ uint64_t Reader::Uint64Or(std::string_view key, uint64_t fallback) const {
 std::map<std::string, uint64_t> Reader::UintMap() const {
   std::map<std::string, uint64_t> out;
   for (const auto& [key, v] : Members())
-    out[key] = ReadUint(key, v, kMaxExactUint);
+    out[key] = ReadUint64(key, v);
   return out;
 }
 

@@ -170,7 +170,7 @@ class Reader {
                   uint64_t max = kMaxExactUint) const;
   uint64_t Uint64Or(std::string_view key, uint64_t fallback) const;
 
-  /// Every member read as a Uint, by key (counter and byte tables).
+  /// Every member read as a Uint64, by key (counter and byte tables).
   std::map<std::string, uint64_t> UintMap() const;
 
  private:
@@ -180,6 +180,7 @@ class Reader {
   const Value* Typed(std::string_view key, Value::Kind kind,
                      std::string_view what) const;
   uint64_t ReadUint(std::string_view key, const Value& v, uint64_t max) const;
+  uint64_t ReadUint64(std::string_view key, const Value& v) const;
 
   const Value& value_;
   std::string context_;

@@ -11,7 +11,7 @@ namespace stemroot::core {
 namespace {
 
 /// Fill the theoretical error + cost of a finished solution.
-void Finish(std::span<const ClusterStats> clusters, const StemConfig& config,
+void Finish(std::span<const ClusterStats> clusters, double z,
             KktSolution& solution) {
   solution.cost_us = SampleCost(clusters, solution.sample_sizes);
   // Exhaustive clusters (m_i == N_i) contribute zero estimation variance;
@@ -28,13 +28,19 @@ void Finish(std::span<const ClusterStats> clusters, const StemConfig& config,
                 static_cast<double>(solution.sample_sizes[i]);
   }
   solution.theoretical_error =
-      total_mean > 0.0 ? config.Z() * std::sqrt(variance) / total_mean : 0.0;
+      total_mean > 0.0 ? z * std::sqrt(variance) / total_mean : 0.0;
 }
 
 }  // namespace
 
 KktSolution SolveKkt(std::span<const ClusterStats> clusters,
                      const StemConfig& config) {
+  config.Validate();
+  return SolveKkt(clusters, config, config.Z());
+}
+
+KktSolution SolveKkt(std::span<const ClusterStats> clusters,
+                     const StemConfig& config, double z) {
   config.Validate();
   telemetry::Count("core.kkt.solves");
   trace_events::Scope solve_scope("kkt.solve");
@@ -50,7 +56,6 @@ KktSolution SolveKkt(std::span<const ClusterStats> clusters,
   }
   if (total_mean <= 0.0) return solution;
 
-  const double z = config.Z();
   const double budget = std::pow(config.epsilon * total_mean / z, 2.0);
 
   // Clusters currently in the interior of the feasible region. Clusters
@@ -105,7 +110,7 @@ KktSolution SolveKkt(std::span<const ClusterStats> clusters,
     std::erase(active, static_cast<size_t>(worst));
   }
 
-  Finish(clusters, config, solution);
+  Finish(clusters, z, solution);
   return solution;
 }
 
@@ -113,11 +118,12 @@ KktSolution SolvePerCluster(std::span<const ClusterStats> clusters,
                             const StemConfig& config) {
   config.Validate();
   telemetry::Count("core.kkt.per_cluster_solves");
+  const double z = config.Z();
   KktSolution solution;
   solution.sample_sizes.reserve(clusters.size());
   for (const ClusterStats& c : clusters)
-    solution.sample_sizes.push_back(SingleClusterSampleSize(c, config));
-  Finish(clusters, config, solution);
+    solution.sample_sizes.push_back(SingleClusterSampleSize(c, config, z));
+  Finish(clusters, z, solution);
   return solution;
 }
 

@@ -43,6 +43,10 @@ struct KktSolution {
 /// std::invalid_argument on non-positive means of non-empty clusters.
 KktSolution SolveKkt(std::span<const ClusterStats> clusters,
                      const StemConfig& config);
+/// The same with z = config.Z() given, for callers that solve many times
+/// under one config and compute z once.
+KktSolution SolveKkt(std::span<const ClusterStats> clusters,
+                     const StemConfig& config, double z);
 
 /// Independent per-cluster sizing via Eq. (3) -- the naive alternative the
 /// paper compares against ("imposes strict error bounds on every cluster,

@@ -15,17 +15,25 @@ namespace stemroot::core {
 
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The general loop's rule for k = 2: center 1 wins iff
+/// d1 < (d0 < inf ? d0 : inf), a strict `<` against a best distance that
+/// starts at +inf, so NaN and inf distances resolve as they always did.
+inline bool JoinsOne(double v, double c0, double c1) {
+  const double d0 = std::abs(v - c0);
+  const double d1 = std::abs(v - c1);
+  return d1 < (d0 < kInf ? d0 : kInf);
+}
+
 /// The assignment step of Kmeans1D for k = 2: branch-free, and
 /// bit-identical to the general loop (DESIGN.md §7).
 ///
 /// Points go in blocks of kBlock. A fixed-trip loop first decides the
-/// whole block, with the general loop's rule: center 1 wins iff
-/// d1 < (d0 < inf ? d0 : inf), a strict `<` against a best distance that
-/// starts at +inf, so NaN and inf distances resolve as they always did.
-/// It also writes each point's two addends: its value for its own
-/// cluster and +0.0 for the other. That loop has no cross-point
-/// dependence, so the compiler turns its selects into vector compares
-/// and blends. A second loop then adds the addends to the two sums in
+/// whole block by JoinsOne. It also writes each point's two addends: its
+/// value for its own cluster and +0.0 for the other. That loop has no
+/// cross-point dependence, so the compiler turns its selects into vector
+/// compares and blends. A second loop then adds the addends to the two sums in
 /// point order and updates assignment, counts and `moved`.
 ///
 /// A sum that starts at +0.0 never becomes -0.0, and x + (+0.0) == x for
@@ -34,7 +42,6 @@ namespace {
 bool AssignTwo(std::span<const double> values, double c0, double c1,
                uint32_t* assignment, double* sums, uint64_t* counts) {
   constexpr size_t kBlock = 64;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   double add0[kBlock];
   double add1[kBlock];
   double to1[kBlock];  // 1.0 where the point joins cluster 1, else 0.0
@@ -52,9 +59,7 @@ bool AssignTwo(std::span<const double> values, double c0, double c1,
       v = padded;
     }
     for (size_t j = 0; j < kBlock; ++j) {
-      const double d0 = std::abs(v[j] - c0);
-      const double d1 = std::abs(v[j] - c1);
-      const bool one = d1 < (d0 < kInf ? d0 : kInf);
+      const bool one = JoinsOne(v[j], c0, c1);
       add0[j] = one ? 0.0 : v[j];
       add1[j] = one ? v[j] : 0.0;
       to1[j] = one ? 1.0 : 0.0;
@@ -117,6 +122,10 @@ double FromOrderKey(uint64_t key) {
   return std::bit_cast<double>((key & kSign) != 0 ? key ^ kSign : ~key);
 }
 
+/// SeedQuantiles copies up to this many values (32 KiB, which fits L1d)
+/// for nth_element; RadixSeeder selects among more.
+constexpr size_t kSmallCopy = 4096;
+
 /// Exact quantile selection by radix buckets over order keys, for values
 /// with no NaN and no zero (DESIGN.md §7). Each level histograms the keys
 /// in a range [lo, hi], gathers the values of the small buckets that hold
@@ -139,6 +148,14 @@ class RadixSeeder {
   static constexpr int kMaxBinBits = 12;
   static constexpr size_t kMaxBins = size_t{1} << kMaxBinBits;
   static constexpr uint32_t kNone = ~uint32_t{0};
+  /// A level re-histograms a bin of more than an eighth of the values,
+  /// and there are more than kSmallCopy of them. With at least 8 bin
+  /// bits (bit_width(count) - 2), even such a level narrows the key range
+  /// by 2^7, so 64-bit keys take at most ten levels (DESIGN.md §7). Fewer
+  /// values give fewer bits: at 2 or fewer a level need not narrow at all.
+  static constexpr size_t kFewestRehistogrammed = (kSmallCopy + 1) / 8 + 1;
+  static_assert(std::bit_width(kFewestRehistogrammed) >= 10,
+                "kSmallCopy is too small for the ten-level bound");
 
   size_t Rank(uint32_t c) const { return SeedRank(c, k_, values_.size()); }
   /// The least and greatest key in [lo, hi], over every value.
@@ -258,15 +275,14 @@ void RadixSeeder::Select(uint64_t lo, uint64_t hi, size_t below,
 
 /// Quantile seeding: centers[c] is the order statistic of `values` at
 /// SeedRank(c), exactly the value nth_element over a copy picks.
-/// - Up to kSmallCopy values (a 32 KiB copy, which fits L1d, where
-///   nth_element beats three passes): nth_element over a stack copy.
+/// - Up to kSmallCopy values (where nth_element in L1d beats three
+///   passes): nth_element over a stack copy.
 /// - A NaN or a zero: nth_element over a heap copy, since only
 ///   nth_element itself defines its NaN placement and its pick of ±0.
 /// - Otherwise values equal under `<` share a bit pattern, so every exact
 ///   selection returns the same values: radix selection, with no copy.
 void SeedQuantiles(std::span<const double> values, uint32_t k,
                    double* centers) {
-  constexpr size_t kSmallCopy = 4096;
   const size_t n = values.size();
   if (n <= kSmallCopy) {
     std::array<double, kSmallCopy> copy;
@@ -291,10 +307,29 @@ void SeedQuantiles(std::span<const double> values, uint32_t k,
   RadixSeeder(values, k, centers).Select(least, greatest, 0, n, 0, k);
 }
 
-}  // namespace
+/// Whether JoinsOne is a threshold for centers c0 < c1 over values no
+/// greater than `greatest`: the values that join center 1 are exactly
+/// those from some value up, a suffix of the ascending order
+/// (DESIGN.md section 16).
+/// - At or below c0, |v - c0| rounds to at most |v - c1|: center 0.
+/// - Between the centers, d0 grows and d1 shrinks with v.
+/// - Above c1, the exact distances differ by the gap c1 - c0, and each
+///   rounds by at most half the rounding step of greatest - c0. A gap
+///   above that step keeps d1 < d0. Below it, a far value can round d0
+///   and d1 to a tie and keep center 0 above values that joined 1.
+/// The gap test also asks c0 < c1, and fails on a NaN or an infinity.
+bool RuleIsThreshold(double c0, double c1, double greatest) {
+  const double far = greatest - c0;
+  const double step = std::nextafter(far, kInf) - far;
+  return c1 - c0 > step;
+}
 
-KmeansResult Kmeans1D(std::span<const double> values, uint32_t k,
-                      uint32_t max_iters) {
+/// Seeds the centers and runs Lloyd's loop. With `order`, the ascending
+/// order of `values`, the seeds are read by index, and for k = 2 the loop
+/// stops before a pass that could only confirm that no point moved.
+KmeansResult Lloyd1D(std::span<const double> values,
+                     std::span<const uint16_t> order, uint32_t k,
+                     uint32_t max_iters) {
   if (k == 0) throw std::invalid_argument("Kmeans1D: k == 0");
   if (values.empty()) throw std::invalid_argument("Kmeans1D: empty input");
 
@@ -304,7 +339,21 @@ KmeansResult Kmeans1D(std::span<const double> values, uint32_t k,
   result.assignment.assign(n, 0);
   result.centers.resize(k);
 
-  SeedQuantiles(values, k, result.centers.data());
+  const bool sorted = !order.empty();
+  if (sorted) {
+    for (uint32_t c = 0; c < k; ++c)
+      result.centers[c] = values[order[SeedRank(c, k, n)]];
+  } else {
+    SeedQuantiles(values, k, result.centers.data());
+  }
+  // The early stop: when the rule that made this pass's assignment was a
+  // threshold, the assignment is its counts[0] lowest values at center 0.
+  // If the rule for the updated centers is a threshold at the same place,
+  // the next pass moves no point and ends the loop with these centers.
+  const bool stop_early = sorted && k == 2;
+  const double greatest = sorted ? values[order.back()] : 0.0;
+  bool threshold = stop_early && RuleIsThreshold(result.centers[0],
+                                                 result.centers[1], greatest);
 
   telemetry::Count("core.kmeans.runs");
   trace_events::Scope run_scope("kmeans.run");
@@ -361,6 +410,18 @@ KmeansResult Kmeans1D(std::span<const double> values, uint32_t k,
       }
     }
     if (!moved && iter > 0) break;
+    if (stop_early) {
+      const bool was_threshold = threshold;
+      const double c0 = result.centers[0];
+      const double c1 = result.centers[1];
+      threshold = RuleIsThreshold(c0, c1, greatest);
+      if (was_threshold && threshold && counts[0] > 0 && counts[1] > 0) {
+        const auto stays = std::partition_point(
+            order.begin(), order.end(),
+            [&](uint16_t i) { return !JoinsOne(values[i], c0, c1); });
+        if (static_cast<uint64_t>(stays - order.begin()) == counts[0]) break;
+      }
+    }
   }
 
   result.inertia = 0.0;
@@ -369,6 +430,21 @@ KmeansResult Kmeans1D(std::span<const double> values, uint32_t k,
     result.inertia += d * d;
   }
   return result;
+}
+
+}  // namespace
+
+KmeansResult Kmeans1D(std::span<const double> values, uint32_t k,
+                      uint32_t max_iters) {
+  return Lloyd1D(values, {}, k, max_iters);
+}
+
+KmeansResult Kmeans1D(std::span<const double> values,
+                      std::span<const uint16_t> order, uint32_t k,
+                      uint32_t max_iters) {
+  if (order.size() != values.size())
+    throw std::invalid_argument("Kmeans1D: order size differs from input");
+  return Lloyd1D(values, order, k, max_iters);
 }
 
 namespace {

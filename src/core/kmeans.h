@@ -31,6 +31,18 @@ struct KmeansResult {
 KmeansResult Kmeans1D(std::span<const double> values, uint32_t k,
                       uint32_t max_iters = 50);
 
+/// Kmeans1D over values whose ascending order is known: `order` lists
+/// the indices of `values` by ascending value, so it holds at most 65,536
+/// values. The seeds are read from it by index, and for k = 2 Lloyd's
+/// loop stops before a pass that could only confirm that no point moved
+/// (DESIGN.md section 16). When `values` hold no NaN and no zero, values
+/// equal under `<` share a bit pattern, and the result equals
+/// Kmeans1D(values, k, max_iters) bit for bit. Throws like Kmeans1D, and
+/// when `order` and `values` differ in size.
+KmeansResult Kmeans1D(std::span<const double> values,
+                      std::span<const uint16_t> order, uint32_t k,
+                      uint32_t max_iters = 50);
+
 /// General d-dimensional k-means (row-major points, n x d). Deterministic
 /// maximin ("farthest point") seeding from the data centroid.
 KmeansResult KmeansNd(std::span<const double> points, size_t dim, uint32_t k,

@@ -26,6 +26,12 @@ ClusterStats ClusterStats::Of(std::span<const double> durations) {
 uint64_t SingleClusterSampleSize(const ClusterStats& cluster,
                                  const StemConfig& config) {
   config.Validate();
+  return SingleClusterSampleSize(cluster, config, config.Z());
+}
+
+uint64_t SingleClusterSampleSize(const ClusterStats& cluster,
+                                 const StemConfig& config, double z) {
+  config.Validate();
   if (cluster.n == 0) return 0;
   if (cluster.mean <= 0.0)
     throw std::invalid_argument(
@@ -33,7 +39,6 @@ uint64_t SingleClusterSampleSize(const ClusterStats& cluster,
   if (cluster.stddev <= 0.0)
     return std::min<uint64_t>(config.min_samples, cluster.n);
 
-  const double z = config.Z();
   const double m_real =
       std::pow(z / config.epsilon * cluster.stddev / cluster.mean, 2.0);
   const uint64_t m = static_cast<uint64_t>(std::ceil(m_real));

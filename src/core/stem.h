@@ -56,6 +56,10 @@ struct ClusterStats {
 /// config.min_samples for degenerate (sigma == 0) clusters.
 uint64_t SingleClusterSampleSize(const ClusterStats& cluster,
                                  const StemConfig& config);
+/// The same with z = config.Z() given, for callers that size many
+/// clusters under one config and compute z once.
+uint64_t SingleClusterSampleSize(const ClusterStats& cluster,
+                                 const StemConfig& config, double z);
 
 /// Eq. (2): theoretical relative error (at the config's confidence level)
 /// of estimating the cluster total from m samples. Throws for m == 0 or a

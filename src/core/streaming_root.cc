@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/parallel.h"
@@ -16,6 +17,9 @@ void StreamingRootConfig::Validate() const {
   if (reservoir_capacity < 8)
     throw std::invalid_argument(
         "StreamingRootConfig: reservoir_capacity must be >= 8");
+  if (reservoir_capacity > 65536)
+    throw std::invalid_argument(
+        "StreamingRootConfig: reservoir_capacity must be <= 65536");
   if (min_split_observations < 2)
     throw std::invalid_argument(
         "StreamingRootConfig: min_split_observations must be >= 2");
@@ -35,6 +39,26 @@ ClusterStats StreamingRoot::Cluster::PopulationStats() const {
   return out;
 }
 
+namespace {
+
+/// Orders reservoir slots by value, equal values by slot, so every slot
+/// has one place in a cluster's order.
+struct SlotLess {
+  const std::vector<double>& reservoir;
+  bool operator()(uint16_t a, uint16_t b) const {
+    return reservoir[a] < reservoir[b] ||
+           (reservoir[a] == reservoir[b] && a < b);
+  }
+};
+
+}  // namespace
+
+void StreamingRoot::Cluster::SortOrder() {
+  order.resize(reservoir.size());
+  std::iota(order.begin(), order.end(), uint16_t{0});
+  std::sort(order.begin(), order.end(), SlotLess{reservoir});
+}
+
 StreamingRoot::StreamingRoot(const StreamingRootConfig& config, uint64_t seed)
     : config_(config), seed_(seed) {
   config_.Validate();
@@ -51,15 +75,25 @@ StreamingRoot::Cluster StreamingRoot::MakeCluster() {
 void StreamingRoot::ObserveInto(Cluster& cluster, double duration_us) {
   cluster.stats.Add(duration_us);
   ++cluster.reservoir_seen;
+  std::vector<uint16_t>& order = cluster.order;
+  const SlotLess less{cluster.reservoir};
   if (cluster.reservoir.size() < config_.reservoir_capacity) {
+    // The new slot is the highest, so it goes after its equal values.
+    const auto slot = static_cast<uint16_t>(cluster.reservoir.size());
     cluster.reservoir.push_back(duration_us);
+    order.insert(std::upper_bound(order.begin(), order.end(), slot, less),
+                 slot);
     ++cluster.reservoir_version;
   } else {
     // Algorithm R: replace a random slot with probability cap/seen, so the
     // reservoir stays a uniform sample of everything this cluster saw.
     const uint64_t j = cluster.rng.NextBounded(cluster.reservoir_seen);
     if (j < cluster.reservoir.size()) {
-      cluster.reservoir[static_cast<size_t>(j)] = duration_us;
+      const auto slot = static_cast<uint16_t>(j);
+      order.erase(std::lower_bound(order.begin(), order.end(), slot, less));
+      cluster.reservoir[slot] = duration_us;
+      order.insert(std::lower_bound(order.begin(), order.end(), slot, less),
+                   slot);
       ++cluster.reservoir_version;
     }
   }
@@ -95,18 +129,19 @@ void StreamingRoot::Observe(double duration_us) {
 }
 
 void StreamingRoot::Reassess() {
+  const double z = config_.root.stem.Z();
   // Split pass: examine each current cluster once (newly created children
   // wait for the next pass -- their stats are still the parent's guess).
   const size_t current = clusters_.size();
   size_t index = 0;
   for (size_t examined = 0; examined < current && index < clusters_.size();
        ++examined) {
-    if (!TrySplit(index)) ++index;
+    if (!TrySplit(index, z)) ++index;
     // On a split, the two children replace the parent at `index`; skip
     // both (they inherit a freshly partitioned reservoir).
     else index += 2;
   }
-  TryMerges();
+  TryMerges(z);
   std::sort(clusters_.begin(), clusters_.end(),
             [](const Cluster& a, const Cluster& b) {
               return a.Center() < b.Center();
@@ -131,24 +166,40 @@ const StreamingRoot::SplitProbe& StreamingRoot::Probe(Cluster& cluster) {
   // reuse the last partition instead of re-running k-means.
   if (cluster.probe && cluster.probe->version == cluster.reservoir_version)
     return *cluster.probe;
-  const KmeansResult split = Kmeans1D(cluster.reservoir, 2);
+  const std::vector<double>& reservoir = cluster.reservoir;
+  const KmeansResult split = Kmeans1D(reservoir, cluster.order, 2);
   const uint32_t low_label = split.centers[0] > split.centers[1] ? 1 : 0;
   SplitProbe probe;
   probe.version = cluster.reservoir_version;
-  probe.in_low.resize(cluster.reservoir.size());
-  for (size_t i = 0; i < cluster.reservoir.size(); ++i)
-    probe.in_low[i] = split.assignment[i] == low_label;
-  std::vector<double> low, high;
-  Partition(cluster.reservoir, probe.in_low, low, high);
-  probe.low_count = low.size();
-  if (!low.empty() && !high.empty()) {
-    probe.low_stats = ClusterStats::Of(low);
-    probe.high_stats = ClusterStats::Of(high);
+  probe.in_low.resize(reservoir.size());
+  // The stats ClusterStats::Of gives each half, in one pass. A center
+  // with members is its half's slot-order sum over its count, which is
+  // that half's mean; the squared deviations add in slot order too.
+  uint64_t counts[2] = {0, 0};
+  double m2[2] = {0.0, 0.0};
+  for (size_t i = 0; i < reservoir.size(); ++i) {
+    const uint32_t label = split.assignment[i];
+    probe.in_low[i] = label == low_label;
+    const double d = reservoir[i] - split.centers[label];
+    m2[label] += d * d;
+    ++counts[label];
+  }
+  probe.low_count = counts[low_label];
+  if (counts[0] > 0 && counts[1] > 0) {
+    const auto half = [&](uint32_t label) {
+      ClusterStats stats;
+      stats.n = counts[label];
+      stats.mean = split.centers[label];
+      stats.stddev = std::sqrt(m2[label] / static_cast<double>(stats.n));
+      return stats;
+    };
+    probe.low_stats = half(low_label);
+    probe.high_stats = half(1 - low_label);
   }
   return cluster.probe.emplace(std::move(probe));
 }
 
-bool StreamingRoot::TrySplit(size_t index) {
+bool StreamingRoot::TrySplit(size_t index, double z) {
   Cluster& cluster = clusters_[index];
   const ClusterStats parent = cluster.PopulationStats();
   if (clusters_.size() >= config_.max_clusters) return false;
@@ -178,10 +229,11 @@ bool StreamingRoot::TrySplit(size_t index) {
   stats_high.n = n_high;
 
   // Batch ROOT's acceptance rule (Eq. 7 vs Eq. 8) on the scaled children.
-  const uint64_t m_old = SingleClusterSampleSize(parent, config_.root.stem);
+  const uint64_t m_old =
+      SingleClusterSampleSize(parent, config_.root.stem, z);
   const double tau_old = static_cast<double>(m_old) * parent.mean;
   const ClusterStats children[] = {stats_low, stats_high};
-  const double tau_new = SolveKkt(children, config_.root.stem).cost_us;
+  const double tau_new = SolveKkt(children, config_.root.stem, z).cost_us;
   if (tau_new >= tau_old) return false;
 
   // Rebuild the two children with Welford state synthesized from the
@@ -205,6 +257,8 @@ bool StreamingRoot::TrySplit(size_t index) {
   child_high.reservoir = std::move(high);
   child_low.reservoir_seen = n_low;
   child_high.reservoir_seen = n_high;
+  child_low.SortOrder();
+  child_high.SortOrder();
 
   clusters_[index] = std::move(child_low);
   clusters_.insert(clusters_.begin() + static_cast<ptrdiff_t>(index) + 1,
@@ -213,7 +267,7 @@ bool StreamingRoot::TrySplit(size_t index) {
   return true;
 }
 
-void StreamingRoot::TryMerges() {
+void StreamingRoot::TryMerges(double z) {
   if (clusters_.size() < 2) return;
   std::sort(clusters_.begin(), clusters_.end(),
             [](const Cluster& a, const Cluster& b) {
@@ -237,10 +291,10 @@ void StreamingRoot::TryMerges() {
     // KKT-sized pair predicts a strictly cheaper simulation than the
     // Eq. 3-sized union.
     const uint64_t m_merged =
-        SingleClusterSampleSize(merged, config_.root.stem);
+        SingleClusterSampleSize(merged, config_.root.stem, z);
     const double tau_merged = static_cast<double>(m_merged) * merged.mean;
     const ClusterStats pair[] = {a, b};
-    const double tau_pair = SolveKkt(pair, config_.root.stem).cost_us;
+    const double tau_pair = SolveKkt(pair, config_.root.stem, z).cost_us;
     if (tau_pair < tau_merged) {
       ++i;
       continue;
@@ -264,6 +318,7 @@ void StreamingRoot::TryMerges() {
       r.resize(config_.reservoir_capacity);
     }
     union_cluster.reservoir_seen = merged.n;
+    union_cluster.SortOrder();
     clusters_[i] = std::move(union_cluster);
     clusters_.erase(clusters_.begin() + static_cast<ptrdiff_t>(i) + 1);
     ++merges_;

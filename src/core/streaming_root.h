@@ -56,7 +56,8 @@ namespace stemroot::core {
 struct StreamingRootConfig {
   RootConfig root;
   /// Per-cluster reservoir capacity: the bounded uniform sample that
-  /// split decisions run k-means over.
+  /// split decisions run k-means over. At most 65,536, so 16-bit slot
+  /// indices order it.
   uint32_t reservoir_capacity = 256;
   /// Do not consider splitting a cluster before its reservoir holds this
   /// many observations (split decisions on a handful of points are noise).
@@ -108,6 +109,9 @@ class StreamingRoot {
   struct Cluster {
     StreamingStats stats;           ///< Welford accumulator (population)
     std::vector<double> reservoir;  ///< bounded uniform member sample
+    /// Reservoir slots by ascending value, equal values by slot: the
+    /// split probe seeds k-means from it (DESIGN.md section 16).
+    std::vector<uint16_t> order;
     uint64_t reservoir_seen = 0;    ///< observations offered to the reservoir
     /// Bumped on every reservoir write; a probe of an older version is
     /// stale.
@@ -118,6 +122,8 @@ class StreamingRoot {
     Cluster() : rng(0) {}
     double Center() const { return stats.Mean(); }
     ClusterStats PopulationStats() const;
+    /// Sets `order` from the reservoir after a split or a merge.
+    void SortOrder();
   };
 
   Cluster MakeCluster();
@@ -126,8 +132,10 @@ class StreamingRoot {
   static const SplitProbe& Probe(Cluster& cluster);
   void ObserveInto(Cluster& cluster, double duration_us);
   void Reassess();
-  bool TrySplit(size_t index);   ///< true when the cluster was split
-  void TryMerges();
+  /// True when the cluster was split. `z` is config_.root.stem.Z(),
+  /// computed once per reassessment.
+  bool TrySplit(size_t index, double z);
+  void TryMerges(double z);
 
   StreamingRootConfig config_;
   uint64_t seed_ = 0;

@@ -168,7 +168,7 @@ bool RunManifest::FromJson(std::string_view text, RunManifest& out,
     for (const json::Value& entry : root.Array("stages")) {
       const json::Reader stage(entry, "stage");
       m.stages.push_back({.name = stage.String("name"),
-                          .count = stage.Uint("count"),
+                          .count = stage.Uint64("count"),
                           .total_us = stage.Number("total_us")});
     }
     m.counters = root.Object("counters").UintMap();
@@ -177,7 +177,7 @@ bool RunManifest::FromJson(std::string_view text, RunManifest& out,
       for (const auto& [name, value] :
            root.Object("distributions").Members()) {
         const json::Reader d(value, "distribution '" + name + "'");
-        m.distributions[name] = {.count = d.Uint("count"),
+        m.distributions[name] = {.count = d.Uint64("count"),
                                  .min = d.Number("min"),
                                  .mean = d.Number("mean"),
                                  .max = d.Number("max"),
@@ -192,29 +192,30 @@ bool RunManifest::FromJson(std::string_view text, RunManifest& out,
                    .theoretical_error_pct =
                        metrics.Number("theoretical_error_pct"),
                    .speedup = metrics.Number("speedup"),
-                   .num_samples = metrics.Uint("num_samples"),
-                   .num_clusters = metrics.Uint("num_clusters")};
+                   .num_samples = metrics.Uint64("num_samples"),
+                   .num_clusters = metrics.Uint64("num_clusters")};
     }
     if (root.Has("journal")) {
       const json::Reader journal = root.Object("journal");
       m.journal = {.present = true,
-                   .emitted = journal.Uint("emitted"),
-                   .dropped = journal.Uint("dropped"),
-                   .errors = journal.Uint("errors")};
+                   .emitted = journal.Uint64("emitted"),
+                   .dropped = journal.Uint64("dropped"),
+                   .errors = journal.Uint64("errors")};
     }
     if (root.Has("mem")) {
       const json::Reader mem = root.Object("mem");
       m.mem = {.present = true,
-               .peak_rss_bytes = mem.Uint("peak_rss_bytes"),
-               .samples = mem.Uint("samples"),
+               .peak_rss_bytes = mem.Uint64("peak_rss_bytes"),
+               .samples = mem.Uint64("samples"),
                .logical = mem.Object("logical").UintMap()};
     }
     if (root.Has("trace_spill")) {
       const json::Reader spill = root.Object("trace_spill");
       m.trace_spill = {.present = true,
-                       .chunk_invocations = spill.Uint("chunk_invocations"),
-                       .chunks = spill.Uint("chunks"),
-                       .bytes = spill.Uint("bytes")};
+                       .chunk_invocations =
+                           spill.Uint64("chunk_invocations"),
+                       .chunks = spill.Uint64("chunks"),
+                       .bytes = spill.Uint64("bytes")};
       if (m.trace_spill.chunk_invocations < 1)
         throw std::invalid_argument(
             "trace_spill chunk_invocations must be >= 1");

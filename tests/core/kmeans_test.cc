@@ -8,9 +8,11 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <string>
 
 #include "common/rng.h"
+#include "common/telemetry.h"
 
 namespace stemroot::core {
 namespace {
@@ -392,6 +394,173 @@ TEST(Kmeans1DTest, SeedsAreSortedOrderStatistics) {
           << k << " c " << c;
     }
   }
+}
+
+/// The indices of `values` by ascending value; equal values in index
+/// order, or in reverse index order when `reverse_ties`.
+std::vector<uint16_t> AscendingOrder(const std::vector<double>& values,
+                                     bool reverse_ties) {
+  std::vector<uint16_t> order(values.size());
+  std::iota(order.begin(), order.end(), uint16_t{0});
+  std::sort(order.begin(), order.end(), [&](uint16_t a, uint16_t b) {
+    if (values[a] != values[b]) return values[a] < values[b];
+    return reverse_ties ? b < a : a < b;
+  });
+  return order;
+}
+
+/// Inputs of up to 4,096 values with no NaN and no zero, the domain where
+/// the order-seeded Kmeans1D promises bit identity: the shapes of the
+/// tests above, and a sweep of sizes and shapes like the seed test's.
+std::map<std::string, std::vector<double>> OrderSeededInputs() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+  Rng rng(37);
+  std::map<std::string, std::vector<double>> inputs;
+  for (int i = 0; i < 400; ++i)
+    inputs["duplicates"].push_back(1.0 +
+                                   static_cast<double>(rng.NextBounded(5)));
+  inputs["all_equal"] = std::vector<double>(100, 3.5);
+  inputs["single"] = {7.0};
+  inputs["two"] = {9.0, 1.0};
+  inputs["n_below_k"] = {4.0, 1.0, 9.0};
+  inputs["midpoint_pair"] = {1.0, 3.0, 2.0, 2.0, 1.0, 3.0};
+  for (int i = 0; i < 600; ++i)
+    inputs["midpoint_ties"].push_back(i % 3 == 0 ? 4.0 : i % 3 == 1 ? 2.0
+                                                                     : 6.0);
+  for (int i = 0; i < 1000; ++i)
+    inputs["bimodal_ties"].push_back(i % 3 == 0 ? 100.0 : 10.0);
+  for (int i = 0; i < 2000; ++i)
+    inputs["heavy_tail"].push_back(rng.NextLogNormal(2.0, 2.0));
+  for (int i = 0; i < 3000; ++i) {
+    const double mu = 1.0 + static_cast<double>(rng.NextBounded(3));
+    inputs["lognormal_mixture"].push_back(rng.NextLogNormal(mu, 0.6));
+  }
+  for (int i = 0; i < 256; ++i)  // a full streaming-ROOT reservoir
+    inputs["reservoir_256"].push_back(rng.NextLogNormal(3.0, 0.25));
+  for (int i = 0; i < 200; ++i)
+    inputs["subnormals"].push_back(
+        kDenorm * static_cast<double>(1 + rng.NextBounded(50)));
+  inputs["subnormals"].push_back(-kDenorm);
+  inputs["infinities"] = {1.0, kInf, 2.0, -kInf, 3.0, 4.0, kInf, 5.0};
+  inputs["one_inf"] = {1.0, 2.0, 3.0, kInf, 2.5, 1.5};
+  for (int i = 0; i < 4096; ++i)
+    inputs["negative"].push_back(-rng.NextLogNormal(3.0, 0.5));
+  for (int i = 0; i < 4000; ++i)
+    inputs["span_1e300"].push_back(rng.NextLogNormal(3.0, 0.25));
+  for (const double extreme : {1e-300, 1e-200, 1e200, 1e300, -1e300})
+    inputs["span_1e300"].push_back(extreme);
+  // Two values one ulp apart, and a far value that rounds its distances
+  // to both to a tie.
+  const double twin_up = std::nextafter(100.0, 200.0);
+  for (int i = 0; i < 300; ++i)
+    inputs["ulp_twins_far"].push_back(i % 2 == 0 ? 100.0 : twin_up);
+  inputs["ulp_twins_far"].push_back(1e30);
+  // The seeds 14 and 32 are 18 apart, below the 256 rounding step of
+  // 2^60: 2^60 ties to center 0 above 30..33 at center 1. The -(2^60 -
+  // 128) just before it in slot order cancels it in center 0's sum,
+  // which puts the updated centers at 204/7 and 31.5 with 30 below and
+  // 31 above their midpoint. The first pass left 7 values at center 0,
+  // 2^60 among them, and the next one adds 30. A search of the new split
+  // point alone finds 7 and would stop the loop.
+  inputs["gap_below_far_step"] = {-0x1p60 + 128, 0x1p60, 14.0, 14.0, 14.0,
+                                  14.0,          20.0,   30.0, 31.0, 32.0,
+                                  33.0};
+  // The seeds 14 and 40 tie 2^60 to center 0 again, so the first pass
+  // leaves 9 values at center 0 that are not the 9 lowest. The updated
+  // centers 232/9 and 2520 are far apart, a threshold that puts 40 at
+  // center 0 and 2^60 at center 1: the split point is 9 again, but both
+  // values move.
+  inputs["far_tie_then_threshold"] = {-0x1p60 + 128, 0x1p60, 14.0, 14.0,
+                                      14.0,          14.0,   14.0, 14.0,
+                                      20.0,          40.0,   5000.0};
+  for (size_t threshold = 64; threshold <= 4096; threshold *= 2) {
+    for (const size_t n : {threshold - 1, threshold}) {
+      std::vector<double>& values = inputs["bins_n" + std::to_string(n)];
+      for (size_t i = 0; i < n; ++i)
+        values.push_back(rng.NextBounded(1000) < 6
+                             ? rng.NextLogNormal(4.6, 0.05)
+                             : rng.NextLogNormal(3.0, 0.25));
+    }
+  }
+  for (uint64_t seed = 0; seed < 120; ++seed) {
+    Rng shape_rng(DeriveSeed(41, seed));
+    const size_t n = 1 + shape_rng.NextBounded(4096);
+    const double base = shape_rng.NextLogNormal(0.0, 3.0);
+    std::vector<double>& values =
+        inputs["sweep_" + std::to_string(seed)];
+    for (size_t i = 0; i < n; ++i) {
+      double v = 0.0;
+      switch (seed % 5) {
+        case 0:  // ROOT-shaped, a few far outliers
+          v = shape_rng.NextBounded(200) == 0
+                  ? shape_rng.NextLogNormal(0.0, 100.0)
+                  : shape_rng.NextLogNormal(3.0, 0.25);
+          break;
+        case 1:  // mixed signs, wide
+          v = (shape_rng.NextBounded(2) != 0 ? -1.0 : 1.0) *
+              shape_rng.NextLogNormal(0.0, 20.0);
+          break;
+        case 2:  // a run of adjacent bit patterns
+          v = std::bit_cast<double>(std::bit_cast<uint64_t>(base) +
+                                    shape_rng.NextBounded(300));
+          break;
+        case 3:  // few distinct values
+          v = base * static_cast<double>(1 + shape_rng.NextBounded(4));
+          break;
+        default:  // narrow body, far outliers, infinities
+          v = shape_rng.NextBounded(100) == 0
+                  ? (shape_rng.NextBounded(2) != 0 ? kInf : 1e300)
+                  : 1.0 + static_cast<double>(shape_rng.NextBounded(1000)) *
+                              1e-12;
+          break;
+      }
+      values.push_back(v);
+    }
+  }
+  return inputs;
+}
+
+/// The streaming split probe's k-means: seeds read from a kept ascending
+/// order, and Lloyd's loop stopped early where a threshold proof allows
+/// it. It must equal Kmeans1D bit for bit, with ties in either order.
+TEST(Kmeans1DTest, OrderSeededProbeMatchesKmeans1DBitForBit) {
+  telemetry::SetEnabled(true);
+  uint64_t plain_iterations = 0;
+  uint64_t ordered_iterations = 0;
+  for (const auto& [name, values] : OrderSeededInputs()) {
+    ASSERT_LE(values.size(), 4096u) << name;
+    ASSERT_TRUE(std::all_of(values.begin(), values.end(),
+                            [](double v) { return v < 0.0 || v > 0.0; }))
+        << name;
+    for (const bool reverse_ties : {false, true}) {
+      const std::vector<uint16_t> order = AscendingOrder(values, reverse_ties);
+      for (const uint32_t k : {1u, 2u, 3u, 5u}) {
+        for (const uint32_t max_iters : {0u, 1u, 2u, 3u, 50u}) {
+          const std::string where = name + " k=" + std::to_string(k) +
+                                    " iters=" + std::to_string(max_iters) +
+                                    (reverse_ties ? " reversed ties" : "");
+          telemetry::Reset();
+          const KmeansResult want = Kmeans1D(values, k, max_iters);
+          plain_iterations +=
+              telemetry::Capture().Counter("core.kmeans.iterations");
+          telemetry::Reset();
+          const KmeansResult got = Kmeans1D(values, order, k, max_iters);
+          ordered_iterations +=
+              telemetry::Capture().Counter("core.kmeans.iterations");
+          ExpectBitIdentical(got, want, where);
+        }
+      }
+    }
+  }
+  telemetry::SetEnabled(false);
+  telemetry::Reset();
+  // The early stop skips the confirming pass of most k = 2 runs.
+  EXPECT_LT(ordered_iterations, plain_iterations);
+
+  const std::vector<double> values = {2.0, 1.0, 3.0};
+  const std::vector<uint16_t> short_order = {1, 0};
+  EXPECT_THROW(Kmeans1D(values, short_order, 2), std::invalid_argument);
 }
 
 TEST(KmeansNdTest, SeparatesBlobs) {

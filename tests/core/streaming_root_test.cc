@@ -33,6 +33,11 @@ TEST(StreamingRootConfigTest, Validation) {
   EXPECT_NO_THROW(config.Validate());
   config.reservoir_capacity = 4;
   EXPECT_THROW(config.Validate(), std::invalid_argument);
+  // Reservoir slots are ordered by 16-bit index.
+  config.reservoir_capacity = 65536;
+  EXPECT_NO_THROW(config.Validate());
+  config.reservoir_capacity = 65537;
+  EXPECT_THROW(config.Validate(), std::invalid_argument);
   config = StreamingRootConfig{};
   config.min_split_observations = 1;
   EXPECT_THROW(config.Validate(), std::invalid_argument);

@@ -12,6 +12,7 @@
 #include "common/journal.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
+#include "eval/ledger.h"
 #include "eval/regress.h"
 
 namespace stemroot::eval {
@@ -261,8 +262,8 @@ TEST(ManifestTest, DistributionsBlockRejectsMalformed) {
 
 TEST(ManifestTest, CountsOutsideExactUint64RangeAreRejected) {
   // Counters, stage counts and mem.logical bytes become uint64_t: a value
-  // with no exact uint64_t (negative, fractional, beyond 2^53) is refused
-  // instead of cast, the journal::ReadLine rule.
+  // with no exact uint64_t (negative, fractional, beyond 2^64 - 1) is
+  // refused instead of cast, the journal::ReadLine rule.
   RunManifest m = MakeManifest();
   m.mem.present = true;
   m.mem.logical = {{"trace", 5}};
@@ -275,7 +276,7 @@ TEST(ManifestTest, CountsOutsideExactUint64RangeAreRejected) {
                                 "\"trace\":5"};
   for (const std::string& field : fields) {
     const std::string key = field.substr(0, field.rfind(':') + 1);
-    for (const char* bad : {"-1", "1e300", "2.5", "9007199254740994"}) {
+    for (const char* bad : {"-1", "1e300", "2.5", "18446744073709551616"}) {
       std::string doc = good;
       const size_t at = doc.find(field);
       ASSERT_NE(at, std::string::npos) << field;
@@ -283,15 +284,66 @@ TEST(ManifestTest, CountsOutsideExactUint64RangeAreRejected) {
       error.clear();
       EXPECT_FALSE(RunManifest::FromJson(doc, back, &error))
           << field << " -> " << bad;
-      EXPECT_NE(error.find("2^53"), std::string::npos) << error;
+      EXPECT_NE(error.find("2^64"), std::string::npos) << error;
     }
   }
-  // 2^53 itself is still exact.
+  // 2^64 - 1 itself is still exact.
   std::string edge = good;
   edge.replace(edge.find(fields[0]), fields[0].size(),
-               "\"core.kkt.solves\":9007199254740992");
+               "\"core.kkt.solves\":18446744073709551615");
   ASSERT_TRUE(RunManifest::FromJson(edge, back, &error)) << error;
-  EXPECT_EQ(back.counters.at("core.kkt.solves"), 9007199254740992ull);
+  EXPECT_EQ(back.counters.at("core.kkt.solves"), ~0ull);
+}
+
+TEST(ManifestTest, IntegersAbove2To53RoundTripExactly) {
+  // Every integer ToJson writes loads back exactly, through FromJson and
+  // through a ledger line; a double would round 2^53 + 1 to 2^53.
+  for (const uint64_t n : {(1ull << 53) + 1, ~0ull}) {
+    RunManifest m = MakeManifest();
+    m.stages[1].count = n;
+    m.counters["core.kkt.solves"] = n;
+    m.distributions["eval.error_pct"].count = n;
+    m.metrics.num_samples = n;
+    m.metrics.num_clusters = n;
+    m.journal = {.present = true, .emitted = n, .dropped = n, .errors = n};
+    m.mem = {.present = true,
+             .peak_rss_bytes = n,
+             .samples = n,
+             .logical = {{"trace", n}}};
+    m.trace_spill = {.present = true,
+                     .chunk_invocations = n,
+                     .chunks = n,
+                     .bytes = n};
+    const auto expect_exact = [&](const RunManifest& back,
+                                  const std::string& where) {
+      ExpectEqual(m, back);
+      EXPECT_EQ(back.journal.emitted, n) << where;
+      EXPECT_EQ(back.journal.dropped, n) << where;
+      EXPECT_EQ(back.journal.errors, n) << where;
+      EXPECT_EQ(back.mem.peak_rss_bytes, n) << where;
+      EXPECT_EQ(back.mem.samples, n) << where;
+      EXPECT_EQ(back.mem.logical, m.mem.logical) << where;
+      EXPECT_EQ(back.trace_spill.chunk_invocations, n) << where;
+      EXPECT_EQ(back.trace_spill.chunks, n) << where;
+      EXPECT_EQ(back.trace_spill.bytes, n) << where;
+    };
+    for (const bool pretty : {true, false}) {
+      RunManifest back;
+      std::string error;
+      ASSERT_TRUE(RunManifest::FromJson(m.ToJson(pretty), back, &error))
+          << error;
+      expect_exact(back, pretty ? "pretty" : "compact");
+    }
+    const std::string path = ::testing::TempDir() + "/manifest_test_" +
+                             std::to_string(::getpid()) + ".jsonl";
+    std::remove(path.c_str());
+    Ledger::Append(m, path);
+    const Ledger ledger = Ledger::Load(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(ledger.num_skipped(), 0u);
+    ASSERT_EQ(ledger.Entries().size(), 1u);
+    expect_exact(ledger.Entries()[0], "ledger");
+  }
 }
 
 TEST(ManifestTest, ConfigCountsAreRangeChecked) {
