@@ -344,16 +344,19 @@ StreamingTraceClusterer::StreamingTraceClusterer(
   roots_.reserve(header.NumKernelTypes());
   for (uint32_t k = 0; k < header.NumKernelTypes(); ++k)
     roots_.emplace_back(config, DeriveSeed(seed, k));
-  buckets_.resize(roots_.size());
 }
 
 void StreamingTraceClusterer::ObserveChunk(
     std::span<const KernelInvocation> chunk,
     const std::function<void()>& alongside) {
-  // Serial pass: validate the whole chunk before any state changes, and
-  // bucket durations by kernel in timeline order.
-  for (std::vector<double>& bucket : buckets_) bucket.clear();
-  uint64_t folded = 0;
+  BucketChunk(chunk, buckets_);
+  ObserveBuckets(buckets_, alongside);
+}
+
+void StreamingTraceClusterer::BucketChunk(
+    std::span<const KernelInvocation> chunk, Buckets& buckets) const {
+  buckets.resize(roots_.size());
+  for (std::vector<double>& bucket : buckets) bucket.clear();
   for (const KernelInvocation& inv : chunk) {
     if (inv.duration_us <= 0.0) continue;
     if (inv.kernel_id >= roots_.size())
@@ -362,20 +365,37 @@ void StreamingTraceClusterer::ObserveChunk(
     if (!(inv.duration_us > 0.0))
       throw std::invalid_argument(
           "StreamingTraceClusterer: duration must be positive (profiled)");
-    buckets_[inv.kernel_id].push_back(inv.duration_us);
-    ++folded;
+    buckets[inv.kernel_id].push_back(inv.duration_us);
   }
+}
 
+void StreamingTraceClusterer::ObserveBuckets(
+    const Buckets& buckets, const std::function<void()>& alongside) {
+  if (buckets.size() != roots_.size())
+    throw std::invalid_argument(
+        "StreamingTraceClusterer: one bucket per kernel type expected");
   // Kernels are independent (own seed, own durations), so the schedule is
-  // unobservable. Grain 1: one kernel per claim, since their costs are
-  // skewed.
-  const size_t kernels = roots_.size();
+  // unobservable. Grain 1: one lane per claim, since kernel costs are
+  // skewed. `alongside` is claimed first so it never ends after the
+  // kernels, then the largest buckets, so no heavy kernel starts late.
+  std::vector<size_t> by_size;
+  uint64_t folded = 0;
+  for (size_t k = 0; k < buckets.size(); ++k) {
+    if (buckets[k].empty()) continue;
+    by_size.push_back(k);
+    folded += buckets[k].size();
+  }
+  std::stable_sort(by_size.begin(), by_size.end(), [&](size_t a, size_t b) {
+    return buckets[a].size() > buckets[b].size();
+  });
+  const size_t first_kernel = alongside ? 1 : 0;
   std::exception_ptr alongside_error;
   ParallelFor(
-      0, kernels + (alongside ? 1 : 0),
-      [&](size_t k) {
-        if (k < kernels) {
-          for (double duration_us : buckets_[k])
+      0, first_kernel + by_size.size(),
+      [&](size_t lane) {
+        if (lane >= first_kernel) {
+          const size_t k = by_size[lane - first_kernel];
+          for (double duration_us : buckets[k])
             roots_[k].Observe(duration_us);
           return;
         }

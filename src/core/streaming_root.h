@@ -150,8 +150,8 @@ class StreamingRoot {
 /// Whole-trace streaming ROOT: one StreamingRoot per kernel type, fed
 /// chunk by chunk (trace/chunked.h). This is the clustering stage of the
 /// out-of-core pipeline -- it never needs more of the timeline resident
-/// than the chunk currently being folded, so a billion-invocation trace
-/// clusters in bounded memory.
+/// than the chunk currently being folded (as per-kernel duration buckets),
+/// so a billion-invocation trace clusters in bounded memory.
 ///
 /// Per-kernel seeds derive as DeriveSeed(seed, kernel_id), identical to
 /// feeding each kernel's durations to a standalone StreamingRoot, so the
@@ -165,21 +165,37 @@ class StreamingTraceClusterer {
   StreamingTraceClusterer(const StreamingRootConfig& config,
                           const KernelTrace& header, uint64_t seed);
 
-  /// Fold one chunk of invocations (timeline order across calls).
-  /// Invocations with non-positive durations are skipped, matching the
-  /// service-session feed contract. The whole chunk is validated before
-  /// anything is folded: a kernel_id outside the header table throws
-  /// std::out_of_range and a NaN duration std::invalid_argument, with the
-  /// clusterer unchanged.
-  ///
-  /// Kernels fold in parallel (one ParallelFor lane each). Every kernel's
-  /// StreamingRoot sees its own durations in timeline order, so the
-  /// structure is the same at any thread count. When given, `alongside`
-  /// runs on one more lane of the same region (StreamTrace reads the next
-  /// chunk there); the fold always completes before an exception it
-  /// threw is rethrown.
+  /// One chunk's durations split by kernel, in timeline order: index ==
+  /// kernel_id. 8 bytes per folded invocation.
+  using Buckets = std::vector<std::vector<double>>;
+
+  /// Fold one chunk of invocations (timeline order across calls):
+  /// BucketChunk into a member scratch, then ObserveBuckets, so a bad
+  /// chunk throws with the clusterer unchanged.
   void ObserveChunk(std::span<const KernelInvocation> chunk,
                     const std::function<void()>& alongside = {});
+
+  /// The first step of ObserveChunk: validate the whole chunk and fill
+  /// `buckets` (cleared first, capacity kept) with its durations by
+  /// kernel. Invocations with non-positive durations are skipped,
+  /// matching the service-session feed contract. A kernel_id outside the
+  /// header table throws std::out_of_range and a NaN duration
+  /// std::invalid_argument. Changes no clusterer state, so it may run
+  /// on another thread while ObserveBuckets folds an earlier chunk.
+  void BucketChunk(std::span<const KernelInvocation> chunk,
+                   Buckets& buckets) const;
+
+  /// The second step: fold buckets that BucketChunk filled. Kernels fold
+  /// in parallel, one lane each, so a chunk costs about its costliest
+  /// kernel. Every kernel's StreamingRoot sees its own durations in
+  /// timeline order, so the structure is the same at any thread count.
+  /// When given, `alongside` runs on one more lane of the same region
+  /// (StreamTrace reads and buckets the next chunk there). Lanes are
+  /// claimed `alongside` first, then kernels by descending bucket size,
+  /// ties by kernel id, so the heaviest work starts first; the fold
+  /// always completes before an exception `alongside` threw is rethrown.
+  void ObserveBuckets(const Buckets& buckets,
+                      const std::function<void()>& alongside = {});
 
   size_t NumKernels() const { return roots_.size(); }
   const StreamingRoot& Root(size_t kernel_id) const {
@@ -201,8 +217,7 @@ class StreamingTraceClusterer {
 
  private:
   std::vector<StreamingRoot> roots_;  ///< index == kernel_id
-  /// Per-kernel durations of the chunk being folded (reused scratch).
-  std::vector<std::vector<double>> buckets_;
+  Buckets buckets_;  ///< ObserveChunk's scratch, reused across chunks
   uint64_t observations_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "eval/stream.h"
 
+#include <functional>
 #include <memory>
 
 #include "common/resource.h"
@@ -23,26 +24,32 @@ StreamResult StreamTrace(const ChunkSource& source,
     clusterer = std::make_unique<core::StreamingTraceClusterer>(
         options.clustering, source.Header(), options.seed);
 
-  // Read ahead: chunk i + 1 is read, verified and decoded on one more lane
-  // of the region whose kernel lanes fold chunk i, so at most two chunks
-  // are resident. Reads stay serial: the file reader shares one stream.
-  const size_t num_chunks = source.NumChunks();
-  std::vector<KernelInvocation> chunk;
-  if (num_chunks > 0) chunk = source.Chunk(0);
-  for (size_t i = 0; i < num_chunks; ++i) {
-    std::vector<KernelInvocation> next;
-    const auto fold_and_read = [&] {
-      for (const KernelInvocation& inv : chunk) {
-        result.total_duration_us += inv.duration_us;
-        if (inv.duration_us > 0.0) result.durations.Add(inv.duration_us);
-      }
-      if (i + 1 < num_chunks) next = source.Chunk(i + 1);
-    };
-    if (clusterer) clusterer->ObserveChunk(chunk, fold_and_read);
-    else fold_and_read();
+  // Read ahead: one lane of the region that folds chunk i reads, verifies
+  // and decodes chunk i + 1, folds its durations in timeline order and
+  // buckets it by kernel, so only the first read runs outside a region.
+  // Reads stay serial: the file reader shares one stream. Resident at
+  // once: chunk i's buckets (8 B per invocation), chunk i + 1 and its
+  // buckets -- within the two chunk budgets charged above.
+  using Buckets = core::StreamingTraceClusterer::Buckets;
+  const auto read = [&](size_t i, Buckets& out) {
+    const std::vector<KernelInvocation> chunk = source.Chunk(i);
+    if (clusterer) clusterer->BucketChunk(chunk, out);
+    for (const KernelInvocation& inv : chunk) {
+      result.total_duration_us += inv.duration_us;
+      if (inv.duration_us > 0.0) result.durations.Add(inv.duration_us);
+    }
     result.invocations += chunk.size();
     ++result.chunks;
-    chunk = std::move(next);
+  };
+  const size_t num_chunks = source.NumChunks();
+  Buckets buckets, next;
+  if (num_chunks > 0) read(0, buckets);
+  for (size_t i = 0; i < num_chunks; ++i) {
+    std::function<void()> read_ahead;
+    if (i + 1 < num_chunks) read_ahead = [&] { read(i + 1, next); };
+    if (clusterer) clusterer->ObserveBuckets(buckets, read_ahead);
+    else if (read_ahead) read_ahead();
+    std::swap(buckets, next);
   }
 
   if (clusterer) {

@@ -11,13 +11,16 @@
 ///   - one StreamingStats over all durations (Welford: exact mean/var),
 ///   - one core::StreamingTraceClusterer (per-kernel streaming ROOT),
 ///
-/// while the next chunk is read and decoded alongside the fold, and
-/// discarding each chunk once folded. The logical "trace" charge is
-/// therefore AccountPeak(header + 2 chunk budgets) --
-/// a deterministic function of the header and the chunk capacity, never
-/// of the timeline length or the thread count. That is the memory
-/// contract that lets a 10^8..10^9-invocation synthetic suite stream
-/// end-to-end in a fixed footprint.
+/// One lane of the region that folds chunk i reads, verifies and decodes
+/// chunk i + 1, folds its durations and buckets them by kernel; kernel
+/// lanes are claimed after it, largest bucket first, so a pass waits
+/// only on its costliest kernel. A chunk is discarded once bucketed, and
+/// buckets take 8 bytes per invocation against a KernelInvocation's 104,
+/// so the logical "trace" charge stays AccountPeak(header + 2 chunk
+/// budgets) -- a deterministic function of the header and the chunk
+/// capacity, never of the timeline length or the thread count. That is
+/// the memory contract that lets a 10^8..10^9-invocation synthetic suite
+/// stream end-to-end in a fixed footprint.
 ///
 /// Results are a pure function of (header, chunk contents in order,
 /// seed): the same timeline streamed from memory, from an "SRTC" file,
