@@ -95,12 +95,7 @@ KktSolution SolveKkt(std::span<const ClusterStats> clusters,
       const ClusterStats& c = clusters[i];
       const double b = std::pow(static_cast<double>(c.n) * c.stddev, 2.0);
       const double m_real = lagrange_sum / budget * std::sqrt(b / c.mean);
-      // Clamp before the cast: converting +inf (a variance overflowed) or
-      // NaN (inf / inf, the budget overflowed too) to an integer is
-      // undefined. Both are sized as N, like any m_real >= N.
-      uint64_t m = c.n;
-      if (m_real < static_cast<double>(c.n))
-        m = static_cast<uint64_t>(std::ceil(m_real));
+      uint64_t m = static_cast<uint64_t>(std::ceil(m_real));
       m = std::max(m, config.min_samples);
       solution.sample_sizes[i] = m;
       const double ratio = m_real / static_cast<double>(c.n);

@@ -41,9 +41,6 @@ uint64_t SingleClusterSampleSize(const ClusterStats& cluster,
 
   const double m_real =
       std::pow(z / config.epsilon * cluster.stddev / cluster.mean, 2.0);
-  // Clamp before the cast: m_real is +inf when the variance overflowed,
-  // and converting that (or NaN) to an integer is undefined.
-  if (!(m_real < static_cast<double>(cluster.n))) return cluster.n;
   const uint64_t m = static_cast<uint64_t>(std::ceil(m_real));
   return std::min<uint64_t>(std::max(m, config.min_samples), cluster.n);
 }

@@ -1,6 +1,7 @@
 #include "core/streaming_root.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <exception>
 #include <numeric>
@@ -347,10 +348,9 @@ StreamingTraceClusterer::StreamingTraceClusterer(
 }
 
 void StreamingTraceClusterer::ObserveChunk(
-    std::span<const KernelInvocation> chunk,
-    const std::function<void()>& alongside) {
+    std::span<const KernelInvocation> chunk) {
   BucketChunk(chunk, buckets_);
-  ObserveBuckets(buckets_, alongside);
+  ObserveBuckets(buckets_);
 }
 
 void StreamingTraceClusterer::BucketChunk(
@@ -371,9 +371,7 @@ void StreamingTraceClusterer::BucketChunk(
 
 void StreamingTraceClusterer::ObserveBuckets(
     const Buckets& buckets, const std::function<void()>& alongside) {
-  if (buckets.size() != roots_.size())
-    throw std::invalid_argument(
-        "StreamingTraceClusterer: one bucket per kernel type expected");
+  assert(buckets.size() == roots_.size());  // as BucketChunk sized them
   // Kernels are independent (own seed, own durations), so the schedule is
   // unobservable. Grain 1: one lane per claim, since kernel costs are
   // skewed. `alongside` is claimed first so it never ends after the

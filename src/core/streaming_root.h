@@ -172,8 +172,7 @@ class StreamingTraceClusterer {
   /// Fold one chunk of invocations (timeline order across calls):
   /// BucketChunk into a member scratch, then ObserveBuckets, so a bad
   /// chunk throws with the clusterer unchanged.
-  void ObserveChunk(std::span<const KernelInvocation> chunk,
-                    const std::function<void()>& alongside = {});
+  void ObserveChunk(std::span<const KernelInvocation> chunk);
 
   /// The first step of ObserveChunk: validate the whole chunk and fill
   /// `buckets` (cleared first, capacity kept) with its durations by
@@ -185,15 +184,16 @@ class StreamingTraceClusterer {
   void BucketChunk(std::span<const KernelInvocation> chunk,
                    Buckets& buckets) const;
 
-  /// The second step: fold buckets that BucketChunk filled. Kernels fold
-  /// in parallel, one lane each, so a chunk costs about its costliest
-  /// kernel. Every kernel's StreamingRoot sees its own durations in
-  /// timeline order, so the structure is the same at any thread count.
-  /// When given, `alongside` runs on one more lane of the same region
-  /// (StreamTrace reads and buckets the next chunk there). Lanes are
-  /// claimed `alongside` first, then kernels by descending bucket size,
-  /// ties by kernel id, so the heaviest work starts first; the fold
-  /// always completes before an exception `alongside` threw is rethrown.
+  /// The second step: fold buckets that this clusterer's BucketChunk
+  /// filled (one per kernel type). Kernels fold in parallel, one lane
+  /// each, so a chunk costs about its costliest kernel. Every kernel's
+  /// StreamingRoot sees its own durations in timeline order, so the
+  /// structure is the same at any thread count. When given, `alongside`
+  /// runs on one more lane of the same region (StreamTrace reads and
+  /// buckets the next chunk there). Lanes are claimed `alongside` first,
+  /// then kernels by descending bucket size, ties by kernel id, so the
+  /// heaviest work starts first; the fold always completes before an
+  /// exception `alongside` threw is rethrown.
   void ObserveBuckets(const Buckets& buckets,
                       const std::function<void()>& alongside = {});
 
