@@ -7,7 +7,6 @@
 #include "baselines/pka.h"
 #include "baselines/random_sampler.h"
 #include "baselines/sieve.h"
-#include "baselines/tbpoint.h"
 #include "core/sampler_registry.h"
 
 namespace stemroot::baselines {
@@ -89,23 +88,6 @@ void EnsureBuiltinSamplers() {
         },
         {{"similarity_threshold", kDouble, "", "BBV similarity cut-off"},
          {"warp_tolerance", kDouble, "", "warp-count tolerance"}});
-
-    registry.Register(
-        "tbpoint",
-        [](const core::SamplerParams& params) {
-          TbPointConfig config;
-          config.merge_threshold =
-              params.GetDouble("merge_threshold", config.merge_threshold);
-          config.max_clusters =
-              params.GetUint("max_clusters", config.max_clusters, kMaxSize);
-          config.agglomeration_cap = params.GetUint(
-              "agglomeration_cap", config.agglomeration_cap, kMaxSize);
-          return std::make_unique<TbPointSampler>(config);
-        },
-        {{"merge_threshold", kDouble, "", "agglomerative merge distance"},
-         {"max_clusters", kUint, "", "cluster count cap", kMaxSize},
-         {"agglomeration_cap", kUint, "", "points clustered exactly",
-          kMaxSize}});
   });
 }
 

@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/telemetry.h"
-#include "profiler/instr_collector.h"
 
 namespace stemroot::baselines {
 

@@ -3,31 +3,22 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
-#include <stdexcept>
 #include <vector>
 
 namespace stemroot {
 
 namespace {
 /// Level is read on every log call, possibly from many threads at once
-/// (the parallel suite runner logs per-workload progress); counters are
-/// bumped the same way. Plain relaxed atomics: no ordering is needed,
-/// only tear-free reads.
+/// (the parallel suite runner logs per-workload progress). A plain
+/// relaxed atomic: no ordering is needed, only tear-free reads.
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
-std::atomic<uint64_t> g_counts[kNumLogLevels] = {};
 
 /// Serializes the actual stderr writes so messages from concurrent
 /// workers never interleave mid-line.
 std::mutex& EmitMutex() {
   static std::mutex mu;
   return mu;
-}
-
-void Count(LogLevel level) {
-  g_counts[static_cast<size_t>(level)].fetch_add(1,
-                                                 std::memory_order_relaxed);
 }
 }  // namespace
 
@@ -41,22 +32,10 @@ constexpr const char* kLevelNames[kNumLogLevels] = {"silent", "warn",
                                                     "inform", "debug"};
 }  // namespace
 
-const char* LogLevelName(LogLevel level) {
-  return kLevelNames[static_cast<size_t>(level)];
-}
-
 std::optional<LogLevel> LogLevelFromName(std::string_view name) {
   for (size_t i = 0; i < kNumLogLevels; ++i)
     if (name == kLevelNames[i]) return static_cast<LogLevel>(i);
   return std::nullopt;
-}
-
-uint64_t LogCount(LogLevel level) {
-  return g_counts[static_cast<size_t>(level)].load(std::memory_order_relaxed);
-}
-
-void ResetLogCounts() {
-  for (auto& c : g_counts) c.store(0, std::memory_order_relaxed);
 }
 
 std::string VFormat(const char* fmt, va_list args) {
@@ -104,7 +83,6 @@ void Emit(const char* prefix, const char* fmt, va_list args) {
 }  // namespace
 
 void Inform(const char* fmt, ...) {
-  Count(LogLevel::kInform);
   if (GetLogLevel() < LogLevel::kInform) return;
   va_list args;
   va_start(args, fmt);
@@ -113,42 +91,11 @@ void Inform(const char* fmt, ...) {
 }
 
 void Warn(const char* fmt, ...) {
-  Count(LogLevel::kWarn);
   if (GetLogLevel() < LogLevel::kWarn) return;
   va_list args;
   va_start(args, fmt);
   Emit("warn: ", fmt, args);
   va_end(args);
-}
-
-void Debug(const char* fmt, ...) {
-  Count(LogLevel::kDebug);
-  if (GetLogLevel() < LogLevel::kDebug) return;
-  va_list args;
-  va_start(args, fmt);
-  Emit("debug: ", fmt, args);
-  va_end(args);
-}
-
-void Fatal(const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  const std::string msg = VFormat(fmt, args);
-  va_end(args);
-  throw std::runtime_error("fatal: " + msg);
-}
-
-void Panic(const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  const std::string msg = VFormat(fmt, args);
-  va_end(args);
-  const uint64_t us = MonotonicMicros();
-  std::fprintf(stderr, "panic: [%llu.%06llu t%u] %s\n",
-               static_cast<unsigned long long>(us / 1000000),
-               static_cast<unsigned long long>(us % 1000000), LogThreadId(),
-               msg.c_str());
-  std::abort();
 }
 
 }  // namespace stemroot

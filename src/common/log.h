@@ -1,12 +1,6 @@
 /// \file
-/// Leveled logging with the gem5-style fatal/panic distinction.
-///
-/// - Fatal(...)  : user error (bad configuration / arguments); throws
-///                 std::runtime_error so callers and tests can recover.
-/// - Panic(...)  : internal invariant violation (a library bug); aborts.
-/// - Warn/Inform : status messages, never stop execution.
-///
-/// The global level filters Inform/Warn output; fatal/panic always act.
+/// Leveled status logging: Warn and Inform print to stderr when the
+/// global level admits them, and never stop execution.
 ///
 /// Every emitted line carries a monotonic timestamp (seconds since the
 /// process-wide epoch, first use of either the logger or the journal) and
@@ -34,43 +28,20 @@ enum class LogLevel { kSilent = 0, kWarn = 1, kInform = 2, kDebug = 3 };
 inline constexpr size_t kNumLogLevels = 4;
 
 /// Set the process-global verbosity (default kWarn). All logging entry
-/// points are thread-safe: the level and the per-level counters are
-/// atomics, and the stderr writes are serialized so concurrent workers
-/// never interleave mid-line.
+/// points are thread-safe: the level is an atomic, and the stderr writes
+/// are serialized so concurrent workers never interleave mid-line.
 void SetLogLevel(LogLevel level);
 LogLevel GetLogLevel();
-
-/// Canonical lowercase token ("silent", "warn", "inform", "debug");
-/// round-trips through LogLevelFromName.
-const char* LogLevelName(LogLevel level);
 
 /// Parse a CLI-style level token (case-sensitive, the canonical lowercase
 /// names); std::nullopt for unknown names.
 std::optional<LogLevel> LogLevelFromName(std::string_view name);
-
-/// How many times Warn/Inform/Debug have been called since process start
-/// (or the last ResetLogCounts), counted even when the message is
-/// filtered by the active level. Lets tests and tools assert on warning
-/// traffic without scraping stderr.
-uint64_t LogCount(LogLevel level);
-void ResetLogCounts();
 
 /// printf-style status message at kInform level.
 void Inform(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /// printf-style warning at kWarn level.
 void Warn(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/// printf-style debug message at kDebug level.
-void Debug(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/// User-caused error: format the message and throw std::runtime_error.
-[[noreturn]] void Fatal(const char* fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-/// Internal bug: print to stderr and abort().
-[[noreturn]] void Panic(const char* fmt, ...)
-    __attribute__((format(printf, 1, 2)));
 
 /// Format helper shared by the above (vsnprintf into a std::string).
 std::string VFormat(const char* fmt, va_list args);

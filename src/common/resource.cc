@@ -74,6 +74,16 @@ std::optional<std::string> ReadFileText(const std::string& path) {
   return buffer.str();
 }
 
+/// `count` units of `unit` bytes; std::nullopt for a negative count or a
+/// product past 2^64 - 1 (malformed, like any other bad value).
+std::optional<uint64_t> Bytes(int64_t count, uint64_t unit) {
+  uint64_t bytes = 0;
+  if (count < 0 ||
+      __builtin_mul_overflow(static_cast<uint64_t>(count), unit, &bytes))
+    return std::nullopt;
+  return bytes;
+}
+
 /// Trimmed whitespace-separated tokens of `text` (the shape of both
 /// proc files we parse).
 std::vector<std::string_view> Tokens(std::string_view text) {
@@ -180,8 +190,8 @@ std::optional<uint64_t> ParseStatmRssBytes(std::string_view text,
   const std::vector<std::string_view> tokens = Tokens(text);
   if (tokens.size() < 2) return std::nullopt;
   const std::optional<int64_t> pages = ParseInt(tokens[1]);
-  if (!pages || *pages < 0) return std::nullopt;
-  return static_cast<uint64_t>(*pages) * page_size_bytes;
+  if (!pages) return std::nullopt;
+  return Bytes(*pages, page_size_bytes);
 }
 
 StatusFields ParseStatusText(std::string_view text) {
@@ -209,8 +219,8 @@ StatusFields ParseStatusText(std::string_view text) {
     if (tokens.empty() || (tokens.size() >= 2 && tokens[1] != "kB"))
       continue;
     const std::optional<int64_t> kb = ParseInt(tokens[0]);
-    if (!kb || *kb < 0) continue;
-    *field = static_cast<uint64_t>(*kb) * 1024;
+    if (!kb) continue;
+    if (const std::optional<uint64_t> bytes = Bytes(*kb, 1024)) *field = bytes;
   }
   return out;
 }

@@ -96,13 +96,14 @@ struct PhysicalSample {
 
 /// Parse `/proc/self/statm` text ("size resident shared ..." in pages):
 /// resident pages * page_size_bytes. std::nullopt on truncated or
-/// malformed input. Locale-proof (common/str ParseInt).
+/// malformed input, including a product past 2^64 - 1. Locale-proof
+/// (common/str ParseInt).
 std::optional<uint64_t> ParseStatmRssBytes(std::string_view text,
                                            uint64_t page_size_bytes);
 
 /// The VmRSS/VmHWM lines of `/proc/self/status` ("VmRSS:   123 kB").
 /// Each field is independently optional; a truncated file yields
-/// whatever lines were intact.
+/// whatever lines were intact, and a value past 2^64 - 1 bytes is absent.
 struct StatusFields {
   std::optional<uint64_t> vm_rss_bytes;
   std::optional<uint64_t> vm_hwm_bytes;

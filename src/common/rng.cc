@@ -53,12 +53,6 @@ uint64_t Rng::NextBounded(uint64_t bound) {
   return static_cast<uint64_t>(m >> 64);
 }
 
-int64_t Rng::NextInt(int64_t lo, int64_t hi) {
-  if (lo > hi) throw std::invalid_argument("Rng::NextInt: lo > hi");
-  const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  return lo + static_cast<int64_t>(NextBounded(span));
-}
-
 double Rng::NextGaussian() {
   if (has_spare_) {
     has_spare_ = false;
@@ -82,30 +76,6 @@ double Rng::NextGaussian(double mean, double stddev) {
 
 double Rng::NextLogNormal(double mu, double sigma) {
   return std::exp(NextGaussian(mu, sigma));
-}
-
-double Rng::NextExponential(double lambda) {
-  if (lambda <= 0.0)
-    throw std::invalid_argument("Rng::NextExponential: lambda <= 0");
-  // 1 - NextDouble() is in (0, 1], so the log is finite.
-  return -std::log(1.0 - NextDouble()) / lambda;
-}
-
-void Rng::Jump() {
-  static constexpr uint64_t kJump[] = {0x180EC6D33CFD0ABAULL,
-                                       0xD5A61266F0C9392CULL,
-                                       0xA9582618E03FC9AAULL,
-                                       0x39ABDC4529B1661CULL};
-  std::array<uint64_t, 4> t{0, 0, 0, 0};
-  for (uint64_t jump : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (jump & (1ULL << b)) {
-        for (int w = 0; w < 4; ++w) t[w] ^= s_[w];
-      }
-      (*this)();
-    }
-  }
-  s_ = t;
 }
 
 }  // namespace stemroot

@@ -57,9 +57,6 @@ class Rng {
   /// method to avoid modulo bias. bound must be > 0.
   uint64_t NextBounded(uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  int64_t NextInt(int64_t lo, int64_t hi);
-
   /// Standard normal deviate (Marsaglia polar method; cached spare).
   double NextGaussian();
 
@@ -70,14 +67,8 @@ class Rng {
   /// normal (i.e. exp(N(mu, sigma))).
   double NextLogNormal(double mu, double sigma);
 
-  /// Exponential deviate with the given rate (lambda > 0).
-  double NextExponential(double lambda);
-
   /// Bernoulli draw with probability p of returning true.
   bool NextBool(double p);
-
-  /// Jump ahead 2^128 steps: yields a non-overlapping parallel stream.
-  void Jump();
 
  private:
   static uint64_t Rotl(uint64_t x, int k) {

@@ -94,17 +94,6 @@ double StreamingStats::Cov() const {
   return m != 0.0 ? Stddev() / m : 0.0;
 }
 
-SummaryStats StreamingStats::Summary() const {
-  SummaryStats s;
-  s.count = count_;
-  s.mean = Mean();
-  s.variance = Variance();
-  s.min = min_;
-  s.max = max_;
-  s.sum = sum_;
-  return s;
-}
-
 double NormalCdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
 
 double NormalQuantile(double p) {
@@ -186,18 +175,6 @@ double HarmonicMean(std::span<const double> values) {
     recip += 1.0 / v;
   }
   return static_cast<double>(values.size()) / recip;
-}
-
-double GeometricMean(std::span<const double> values) {
-  if (values.empty())
-    throw std::invalid_argument("GeometricMean: empty input");
-  double log_sum = 0.0;
-  for (double v : values) {
-    if (v <= 0.0)
-      throw std::invalid_argument("GeometricMean: values must be positive");
-    log_sum += std::log(v);
-  }
-  return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
 double Mad(std::span<const double> values) {

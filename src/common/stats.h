@@ -68,9 +68,6 @@ class StreamingStats {
   double Max() const { return max_; }
   double Sum() const { return sum_; }
 
-  /// Snapshot as a SummaryStats value.
-  SummaryStats Summary() const;
-
  private:
   size_t count_ = 0;
   double mean_ = 0.0;
@@ -102,9 +99,6 @@ double Mean(std::span<const double> values);
 /// Harmonic mean; used for averaging speedups per the paper (Sec. 5,
 /// citing Eeckhout's "RIP geomean speedup"). Throws if any value <= 0.
 double HarmonicMean(std::span<const double> values);
-
-/// Geometric mean. Throws if any value <= 0.
-double GeometricMean(std::span<const double> values);
 
 /// Median absolute deviation (scaled by 1.4826 to be consistent with the
 /// standard deviation under normality). Robust spread estimate used by the

@@ -51,17 +51,6 @@ std::string FormatDouble(double v) {
   return std::string(buf, ec == std::errc() ? ptr : buf);
 }
 
-std::string FormatDoubleFixed(double v, int precision) {
-  // Fixed notation of the largest doubles runs ~310 digits plus the
-  // fraction; 512 covers any sane precision.
-  char buf[512];
-  const auto [ptr, ec] =
-      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed,
-                    precision);
-  if (ec != std::errc()) return FormatDouble(v);
-  return std::string(buf, ptr);
-}
-
 std::vector<std::string> Split(std::string_view s, char delim) {
   std::vector<std::string> parts;
   size_t start = 0;
@@ -75,17 +64,6 @@ std::vector<std::string> Split(std::string_view s, char delim) {
     start = pos + 1;
   }
   return parts;
-}
-
-std::string_view Trim(std::string_view s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && (s[b] == ' ' || s[b] == '\t' || s[b] == '\n' || s[b] == '\r'))
-    ++b;
-  while (e > b && (s[e - 1] == ' ' || s[e - 1] == '\t' || s[e - 1] == '\n' ||
-                   s[e - 1] == '\r'))
-    --e;
-  return s.substr(b, e - b);
 }
 
 bool StartsWith(std::string_view s, std::string_view prefix) {

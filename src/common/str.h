@@ -13,7 +13,7 @@ namespace stemroot {
 
 /// printf-style std::string formatting. Note %f/%g/%e go through the C
 /// locale's decimal point; machine-readable output (JSON, CSV, cache keys,
-/// fingerprints) must use FormatDouble/FormatDoubleFixed below instead.
+/// fingerprints) must use FormatDouble below instead.
 std::string Format(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
@@ -29,14 +29,8 @@ std::optional<uint64_t> ParseUint(std::string_view s);  ///< '-' is malformed
 /// the shortest decimal string that parses back to exactly `v`.
 std::string FormatDouble(double v);
 
-/// Locale-independent fixed-precision formatting ("%.3f"-style).
-std::string FormatDoubleFixed(double v, int precision);
-
 /// Split on a delimiter; empty fields preserved.
 std::vector<std::string> Split(std::string_view s, char delim);
-
-/// Trim ASCII whitespace from both ends.
-std::string_view Trim(std::string_view s);
 
 /// True if s starts with prefix.
 bool StartsWith(std::string_view s, std::string_view prefix);

@@ -120,11 +120,6 @@ void Begin(std::string_view name) {
   Push(Phase::kBegin, name, 0.0);
 }
 
-void End(std::string_view name) {
-  if (!Enabled()) return;
-  Push(Phase::kEnd, name, 0.0);
-}
-
 void EndOpen(std::string_view name) { Push(Phase::kEnd, name, 0.0); }
 
 void Instant(std::string_view name) {

@@ -48,15 +48,14 @@ bool Enabled();
 void SetRingCapacity(size_t events);
 size_t RingCapacity();
 
-/// Record a duration-begin ("B") / duration-end ("E") event on the
-/// calling thread. Pairs must nest per thread; prefer Scope.
+/// Record a duration-begin ("B") event on the calling thread; EndOpen
+/// records its end. Pairs must nest per thread; prefer Scope.
 void Begin(std::string_view name);
-void End(std::string_view name);
 
-/// Record the matching end for a begin that was already emitted, even if
-/// tracing has been disabled since. RAII holders (Scope here,
-/// telemetry::Span) use this so begin/end pairs stay balanced across a
-/// mid-scope SetEnabled(false); everything else should call End.
+/// Record the duration-end ("E") event for a begin that was already
+/// emitted, even if tracing has been disabled since, so begin/end pairs
+/// stay balanced across a mid-scope SetEnabled(false). RAII holders (Scope
+/// here, telemetry::Span) call it only when their begin was recorded.
 void EndOpen(std::string_view name);
 
 /// Record an instant ("i", thread-scoped) event.

@@ -1,6 +1,5 @@
 #include "core/root.h"
 
-#include <numeric>
 #include <stdexcept>
 
 #include "common/telemetry.h"
@@ -117,13 +116,6 @@ std::vector<RootCluster> RootCluster1D(std::span<const double> durations,
   return RootCluster1D(std::vector<double>(durations.begin(), durations.end()),
                        std::vector<uint32_t>(indices.begin(), indices.end()),
                        config);
-}
-
-std::vector<RootCluster> RootCluster1D(std::span<const double> durations,
-                                       const RootConfig& config) {
-  std::vector<uint32_t> indices(durations.size());
-  std::iota(indices.begin(), indices.end(), 0u);
-  return RootCluster1D(durations, indices, config);
 }
 
 }  // namespace stemroot::core

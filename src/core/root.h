@@ -59,8 +59,4 @@ std::vector<RootCluster> RootCluster1D(std::vector<double>&& durations,
                                        std::vector<uint32_t>&& indices,
                                        const RootConfig& config);
 
-/// Convenience: cluster positions 0..durations.size()-1.
-std::vector<RootCluster> RootCluster1D(std::span<const double> durations,
-                                       const RootConfig& config);
-
 }  // namespace stemroot::core

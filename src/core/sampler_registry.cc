@@ -36,16 +36,6 @@ SamplerParams& SamplerParams::Set(const std::string& key, bool value) {
   return *this;
 }
 
-bool SamplerParams::Has(const std::string& key) const {
-  return values_.count(key) > 0;
-}
-
-std::string SamplerParams::GetString(const std::string& key,
-                                     const std::string& fallback) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
-}
-
 double SamplerParams::GetDouble(const std::string& key,
                                 double fallback) const {
   const auto it = values_.find(key);
@@ -122,11 +112,6 @@ void SamplerRegistry::Register(const std::string& name, Factory factory,
            .second)
     throw std::invalid_argument("SamplerRegistry: '" + name +
                                 "' is already registered");
-}
-
-bool SamplerRegistry::Contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return factories_.count(name) > 0;
 }
 
 std::vector<std::string> SamplerRegistry::Names() const {

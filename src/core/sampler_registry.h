@@ -40,9 +40,6 @@ class SamplerParams {
   SamplerParams& Set(const std::string& key, int64_t value);
   SamplerParams& Set(const std::string& key, bool value);
 
-  bool Has(const std::string& key) const;
-  std::string GetString(const std::string& key,
-                        const std::string& fallback) const;
   double GetDouble(const std::string& key, double fallback) const;
   /// A count or size: throws std::invalid_argument naming the key when
   /// the value is negative, malformed or above `max` (the range of the
@@ -73,8 +70,6 @@ class SamplerRegistry {
   /// duplicates (register once).
   void Register(const std::string& name, Factory factory,
                 std::vector<FlagSpec> params = {});
-
-  bool Contains(const std::string& name) const;
 
   /// Registered names, sorted.
   std::vector<std::string> Names() const;

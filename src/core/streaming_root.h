@@ -4,9 +4,9 @@
 ///
 /// Batch ROOT sees the whole population and recursively splits it; a
 /// resident sampling session (service/service.h) sees invocations one
-/// Feed() chunk at a time and must keep a useful cluster structure at all
-/// times. StreamingRoot maintains that structure with mini-batch k-means
-/// discipline:
+/// FeedFromSource() chunk at a time and must keep a useful cluster
+/// structure at all times. StreamingRoot maintains that structure with
+/// mini-batch k-means discipline:
 ///
 ///   - **Assign**: each new duration joins the cluster with the nearest
 ///     center (the running mean) and updates its Welford accumulator.

@@ -6,20 +6,12 @@
 namespace stemroot::dag {
 
 uint32_t DagWorkload::InternKernel(const std::string& kernel_name) {
-  auto it = name_to_id_.find(kernel_name);
-  if (it != name_to_id_.end()) return it->second;
-  const uint32_t id = static_cast<uint32_t>(kernel_names_.size());
-  name_to_id_.emplace(kernel_name, id);
-  kernel_names_.push_back(kernel_name);
-  return id;
-}
-
-const std::string& DagWorkload::KernelName(uint32_t kernel_id) const {
-  return kernel_names_.at(kernel_id);
+  const uint32_t next = static_cast<uint32_t>(name_to_id_.size());
+  return name_to_id_.try_emplace(kernel_name, next).first->second;
 }
 
 uint32_t DagWorkload::Add(DagOp op) {
-  if (op.kernel_id >= kernel_names_.size())
+  if (op.kernel_id >= name_to_id_.size())
     throw std::invalid_argument("DagWorkload::Add: unregistered kernel_id");
   if (op.device >= num_devices_)
     throw std::invalid_argument("DagWorkload::Add: device out of range");
@@ -36,7 +28,7 @@ uint32_t DagWorkload::Add(DagOp op) {
 }
 
 std::vector<std::vector<uint32_t>> DagWorkload::GroupByKernel() const {
-  std::vector<std::vector<uint32_t>> groups(kernel_names_.size());
+  std::vector<std::vector<uint32_t>> groups(name_to_id_.size());
   for (uint32_t i = 0; i < ops_.size(); ++i)
     groups[ops_[i].kernel_id].push_back(i);
   return groups;

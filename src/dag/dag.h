@@ -58,8 +58,7 @@ class DagWorkload {
 
   /// Register an op-type name; returns its kernel_id.
   uint32_t InternKernel(const std::string& kernel_name);
-  const std::string& KernelName(uint32_t kernel_id) const;
-  size_t NumKernelTypes() const { return kernel_names_.size(); }
+  size_t NumKernelTypes() const { return name_to_id_.size(); }
 
   /// Append an op; validates device/dep indices. Returns the op index.
   uint32_t Add(DagOp op);
@@ -79,7 +78,6 @@ class DagWorkload {
  private:
   std::string name_;
   uint32_t num_devices_ = 1;
-  std::vector<std::string> kernel_names_;
   std::unordered_map<std::string, uint32_t> name_to_id_;
   std::vector<DagOp> ops_;
 };

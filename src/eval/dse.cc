@@ -34,18 +34,6 @@ TimingFn AnalyticTiming(const hw::HardwareModel& gpu, uint64_t run_seed) {
   };
 }
 
-std::vector<EvalResult> EvaluatePlansOnVariant(
-    std::span<const core::SamplingPlan> plans,
-    std::span<const double> variant_durations_us,
-    const std::string& workload) {
-  std::vector<EvalResult> results;
-  results.reserve(plans.size());
-  for (const core::SamplingPlan& plan : plans)
-    results.push_back(
-        EvaluatePlanOnDurations(plan, variant_durations_us, workload));
-  return results;
-}
-
 // ---------------------------------------------------------------------------
 // Batched cycle-level DSE sweep
 
@@ -54,45 +42,6 @@ double DsePointResult::MeanErrorPct() const {
   double sum = 0.0;
   for (const DsePointMethod& m : methods) sum += m.error_pct;
   return sum / static_cast<double>(methods.size());
-}
-
-RunManifest DsePointResult::ToManifest(std::string_view tool,
-                                       std::string_view suite) const {
-  RunManifest m;
-  m.tool = std::string(tool);
-  m.command = "dse-point";
-  m.completed = true;
-  m.StampBuild();
-  m.config.suite = std::string(suite);
-  m.config.workload = workload;
-  m.config.gpu = variant;
-  std::string joined;
-  for (const DsePointMethod& row : methods) {
-    if (!joined.empty()) joined += '+';
-    joined += row.method;
-  }
-  m.config.method = joined;
-  m.config.seed = seed;
-  m.config.threads = NumThreads();
-
-  m.metrics.present = true;
-  m.metrics.error_pct = MeanErrorPct();
-  // Harmonic-mean speedup over methods (the paper's convention), where a
-  // method's speedup is full cost / its simulated cost.
-  double inv_sum = 0.0;
-  size_t speedup_rows = 0;
-  uint64_t kernels = 0;
-  for (const DsePointMethod& row : methods) {
-    kernels += row.kernels_simulated;
-    if (row.cost_cycles > 0.0 && full_cycles > 0.0) {
-      inv_sum += row.cost_cycles / full_cycles;
-      ++speedup_rows;
-    }
-  }
-  if (inv_sum > 0.0)
-    m.metrics.speedup = static_cast<double>(speedup_rows) / inv_sum;
-  m.metrics.num_samples = kernels;
-  return m;
 }
 
 const DsePointResult& DseSweepResult::At(size_t variant_index,

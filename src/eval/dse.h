@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "eval/manifest.h"
 #include "eval/metrics.h"
 #include "hw/hardware_model.h"
 #include "sim/sampled_sim.h"
@@ -50,13 +49,6 @@ std::vector<double> RetimeTrace(const KernelTrace& trace, const TimingFn& fn);
 /// TimingFn from an analytic hardware model (fixed run seed for
 /// reproducible jitter).
 TimingFn AnalyticTiming(const hw::HardwareModel& gpu, uint64_t run_seed);
-
-/// Evaluate pre-built plans (from the baseline profile) on a variant's
-/// durations. Returns one EvalResult per plan.
-std::vector<EvalResult> EvaluatePlansOnVariant(
-    std::span<const core::SamplingPlan> plans,
-    std::span<const double> variant_durations_us,
-    const std::string& workload);
 
 // ---------------------------------------------------------------------------
 // Batched cycle-level DSE sweep
@@ -102,12 +94,6 @@ struct DsePointResult {
 
   /// Arithmetic mean of the per-method errors (0 when no methods ran).
   double MeanErrorPct() const;
-
-  /// Package the point as a validated "dse-point" manifest: gpu carries
-  /// the variant name, method the '+'-joined method list, and metrics the
-  /// mean error and harmonic-mean speedup.
-  RunManifest ToManifest(std::string_view tool = "stemroot",
-                         std::string_view suite = "") const;
 };
 
 /// All points of a sweep, variant-major: points[v * num_workloads + w].

@@ -50,14 +50,6 @@ Ledger Ledger::Load(const std::string& path) {
   return ledger;
 }
 
-std::vector<const RunManifest*> Ledger::Filter(
-    const std::function<bool(const RunManifest&)>& pred) const {
-  std::vector<const RunManifest*> out;
-  for (const RunManifest& entry : entries_)
-    if (pred(entry)) out.push_back(&entry);
-  return out;
-}
-
 std::vector<const RunManifest*> Ledger::Baseline(const RunManifest& reference,
                                                  size_t before,
                                                  size_t window) const {

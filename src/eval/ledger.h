@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -52,10 +51,6 @@ class Ledger {
   const std::vector<RunManifest>& Entries() const { return entries_; }
   size_t num_skipped() const { return num_skipped_; }
   bool empty() const { return entries_.empty(); }
-
-  /// Entries satisfying `pred`, file order.
-  std::vector<const RunManifest*> Filter(
-      const std::function<bool(const RunManifest&)>& pred) const;
 
   /// The most recent `window` completed entries (0 = all) sharing
   /// `reference`'s fingerprint, newest last, excluding entries at or past

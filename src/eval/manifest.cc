@@ -340,9 +340,4 @@ void RunManifest::FillMetrics(const EvalResult& result) {
   metrics.num_clusters = result.num_clusters;
 }
 
-bool ValidateManifestJson(std::string_view text, std::string* error) {
-  RunManifest ignored;
-  return RunManifest::FromJson(text, ignored, error);
-}
-
 }  // namespace stemroot::eval

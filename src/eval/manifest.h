@@ -220,9 +220,4 @@ struct RunManifest {
   void StampBuild() { build = GetBuildInfo(); }
 };
 
-/// Validate a manifest document (tests; `stemroot validate manifest`
-/// loads through RunManifest::Load). Equivalent
-/// to RunManifest::FromJson with the result discarded.
-bool ValidateManifestJson(std::string_view text, std::string* error);
-
 }  // namespace stemroot::eval

@@ -46,18 +46,6 @@ std::string FormatSuiteTable(const SuiteResults& results,
   return table.Render();
 }
 
-std::string FormatSuiteAverages(const SuiteResults& results,
-                                const std::string& title) {
-  TextTable table({"Method", "Speedup (x)", "Error (%)"});
-  table.SetTitle(title);
-  for (const std::string& m : results.Methods()) {
-    const EvalResult agg = results.Aggregate(m);
-    table.AddRow({m, TextTable::Num(agg.speedup, 2),
-                  TextTable::Num(agg.error_pct, 2)});
-  }
-  return table.Render();
-}
-
 void WriteResultsCsv(const SuiteResults& results, const std::string& path) {
   CsvWriter csv(path);
   csv.WriteHeader({"workload", "method", "speedup", "error_pct",

@@ -15,11 +15,6 @@ namespace stemroot::eval {
 std::string FormatSuiteTable(const SuiteResults& results,
                              const std::string& title);
 
-/// Suite-average table: one row per method (the Table 3 layout for one
-/// suite column).
-std::string FormatSuiteAverages(const SuiteResults& results,
-                                const std::string& title);
-
 /// Dump raw rows as CSV (workload, method, speedup, error_pct,
 /// theoretical_error_pct, samples, clusters).
 void WriteResultsCsv(const SuiteResults& results, const std::string& path);

@@ -96,8 +96,6 @@ const std::vector<std::string>& GpuSpec::PresetNames() {
   return kNames;
 }
 
-std::string GpuSpec::Name() const { return ToLower(name); }
-
 GpuSpec GpuSpec::WithCacheScale(double factor) const {
   if (!FinitePositive(factor))
     throw std::invalid_argument(

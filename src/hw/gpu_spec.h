@@ -56,11 +56,6 @@ struct GpuSpec {
   /// Preset tokens accepted by FromName, sorted.
   static const std::vector<std::string>& PresetNames();
 
-  /// Canonical lowercase token of this spec's name; round-trips through
-  /// FromName for every preset (DSE variants return their decorated name
-  /// lowercased, which FromName does not accept).
-  std::string Name() const;
-
   /// DSE variants (Table 4): scale both cache levels by `factor`.
   GpuSpec WithCacheScale(double factor) const;
   /// DSE variants (Table 4): scale SM count by `factor` (rounded, >= 1).

@@ -28,14 +28,6 @@ Bbv BbvCollector::Extract(const KernelTrace& trace,
   return bbv;
 }
 
-std::vector<Bbv> BbvCollector::ExtractAll(const KernelTrace& trace) {
-  std::vector<Bbv> bbvs;
-  bbvs.reserve(trace.NumInvocations());
-  for (const KernelInvocation& inv : trace.Invocations())
-    bbvs.push_back(Extract(trace, inv));
-  return bbvs;
-}
-
 double BbvCollector::NormalizedDistance(const Bbv& a, const Bbv& b) {
   if (a.size() != b.size())
     throw std::invalid_argument("Bbv: dimension mismatch");

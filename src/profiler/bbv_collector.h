@@ -27,9 +27,6 @@ class BbvCollector {
   /// BBV of a single invocation.
   static Bbv Extract(const KernelTrace& trace, const KernelInvocation& inv);
 
-  /// BBVs for the whole trace (invocation order). Memory: N x num_blocks.
-  static std::vector<Bbv> ExtractAll(const KernelTrace& trace);
-
   /// Manhattan distance between two normalized BBVs, in [0, 2]. Used by
   /// Photon's similarity test. Throws std::invalid_argument on dimension
   /// mismatch.

@@ -1,21 +1,9 @@
 #include "profiler/metric_profiler.h"
 
 #include <cmath>
-#include <stdexcept>
+#include <algorithm>
 
 namespace stemroot::profiler {
-
-const char* PkaFeatures::Name(size_t i) {
-  static const char* kNames[kDim] = {
-      "log_dynamic_instructions", "mem_instr_fraction",
-      "shared_instr_fraction",    "fp16_fraction",
-      "fp32_fraction",            "control_fraction",
-      "log_num_ctas",             "threads_per_cta",
-      "warps_per_cta",            "branch_divergence",
-      "ilp",                      "instr_per_warp"};
-  if (i >= kDim) throw std::out_of_range("PkaFeatures::Name");
-  return kNames[i];
-}
 
 PkaFeatures MetricProfiler::Extract(const KernelTrace& trace,
                                     const KernelInvocation& inv) {
@@ -40,14 +28,6 @@ PkaFeatures MetricProfiler::Extract(const KernelTrace& trace,
   f.values[11] =
       instrs / std::max<double>(1.0, static_cast<double>(l.TotalWarps()));
   return f;
-}
-
-std::vector<PkaFeatures> MetricProfiler::ExtractAll(const KernelTrace& trace) {
-  std::vector<PkaFeatures> features;
-  features.reserve(trace.NumInvocations());
-  for (const KernelInvocation& inv : trace.Invocations())
-    features.push_back(Extract(trace, inv));
-  return features;
 }
 
 }  // namespace stemroot::profiler

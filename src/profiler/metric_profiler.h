@@ -13,19 +13,18 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "trace/trace.h"
 
 namespace stemroot::profiler {
 
-/// PKA feature vector: 12 instruction-level metrics.
+/// PKA feature vector: 12 instruction-level metrics, in index order
+/// log2 dynamic instructions, memory / shared / fp16 / fp32 / control
+/// instruction fractions, log2 CTA count, threads per CTA, warps per CTA,
+/// branch divergence, ILP and instructions per warp.
 struct PkaFeatures {
   static constexpr size_t kDim = 12;
   std::array<double, kDim> values{};
-
-  /// Metric names, index-aligned.
-  static const char* Name(size_t i);
 };
 
 /// Extract PKA features for every invocation of a trace. Deterministic:
@@ -36,9 +35,6 @@ class MetricProfiler {
   /// Features of a single invocation.
   static PkaFeatures Extract(const KernelTrace& trace,
                              const KernelInvocation& inv);
-
-  /// Features for the whole trace, invocation order.
-  static std::vector<PkaFeatures> ExtractAll(const KernelTrace& trace);
 };
 
 }  // namespace stemroot::profiler

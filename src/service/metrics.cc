@@ -51,10 +51,6 @@ std::vector<VerbStats> ServiceMetrics::AllVerbs() const {
   return out;
 }
 
-std::span<const std::string_view> RegisteredServiceCounters() {
-  return kRegisteredCounters;
-}
-
 bool IsRegisteredServiceCounter(std::string_view name) {
   for (std::string_view registered : kRegisteredCounters)
     if (name == registered) return true;

@@ -16,9 +16,10 @@
 ///
 /// **Counter registry.** Telemetry counters under the `service.*` prefix
 /// are environmental (excluded from the compare gate) and must be
-/// registered here: RegisteredServiceCounters() is the closed set that
-/// `stemroot validate manifest` enforces, so a typo'd or undocumented
-/// service counter fails CI instead of silently escaping the gates.
+/// registered here: IsRegisteredServiceCounter() answers for the closed
+/// set that `stemroot validate manifest` enforces, so a typo'd or
+/// undocumented service counter fails CI instead of silently escaping the
+/// gates.
 
 #pragma once
 
@@ -26,7 +27,6 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -125,11 +125,10 @@ class ServiceMetrics {
   std::array<std::atomic<uint64_t>, kNumVerbs> errors_{};
 };
 
-/// The closed set of telemetry counter names the service may emit under
-/// the environmental `service.*` prefix (sorted). Adding a counter to
-/// the service REQUIRES adding it here — `stemroot validate manifest`
-/// rejects any `service.*` name outside this set.
-std::span<const std::string_view> RegisteredServiceCounters();
+/// Whether `name` is in the closed set of telemetry counter names the
+/// service may emit under the environmental `service.*` prefix. Adding a
+/// counter to the service REQUIRES adding it to that set (metrics.cc) —
+/// `stemroot validate manifest` rejects any `service.*` name outside it.
 bool IsRegisteredServiceCounter(std::string_view name);
 
 }  // namespace stemroot::service

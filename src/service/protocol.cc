@@ -76,10 +76,6 @@ SessionConfig ConfigFromRequest(const json::Reader& in) {
       }
     }
   }
-  // Protocol sessions are source-fed; the service needs a workload.
-  if (config.workload.empty() || config.suite.empty())
-    throw std::invalid_argument(
-        "protocol: open needs both 'suite' and 'workload'");
   return config;
 }
 

@@ -44,10 +44,8 @@
 ///   shutdown                -> {"ok":true,"shutdown":true} and flags the
 ///            server loop to stop
 ///
-/// The protocol sessions are always source-fed: open names a suite and
-/// workload, and the service generates + profiles the source trace
-/// server-side (feeding external invocations over JSON is out of scope —
-/// embed the Service directly for that).
+/// Sessions are always source-fed: open names a suite and workload, and
+/// the service generates + profiles the source trace server-side.
 
 #pragma once
 

@@ -134,32 +134,43 @@ void SessionConfig::Validate() const {
     throw std::invalid_argument("session: reps must be >= 1");
   if (min_invocations == 0)
     throw std::invalid_argument("session: min_invocations must be >= 1");
-  if (!workload.empty() && suite.empty())
-    throw std::invalid_argument("session: workload requires a suite");
-  if (workload.empty() && !suite.empty())
-    throw std::invalid_argument("session: suite requires a workload");
+  if (suite.empty() || workload.empty())
+    throw std::invalid_argument("session: needs both a suite and a workload");
 }
 
 struct Service::Session {
+  /// Generates and profiles the workload `resolved` names, recording
+  /// into this session's sink.
+  Session(SessionConfig resolved, std::unique_ptr<core::Sampler> built)
+      : config(std::move(resolved)), sampler(std::move(built)),
+        source([this] {
+          const telemetry::Scope scope(&telemetry);
+          return eval::Pipeline::GenerateProfiled(
+              {.suite = eval::ResolveSuite(config.suite),
+               .workload = config.workload,
+               .options = PipelineOpts(config)},
+              eval::ResolveGpu(config.gpu));
+        }()) {}
+
   std::mutex mu;
   SessionConfig config;              ///< resolved (streaming stem injected)
   std::unique_ptr<core::Sampler> sampler;
+  /// What OpenSession, BuildPlan and Evaluate recorded, on every thread
+  /// that worked for them.
+  telemetry::Sink telemetry;
+  std::chrono::steady_clock::time_point opened_at =
+      std::chrono::steady_clock::now();
+  eval::Pipeline source;             ///< the generated, profiled workload
   uint64_t streaming_seed = 0;
   KernelTrace accumulated;           ///< everything fed, in feed order
   std::map<uint32_t, core::StreamingRoot> roots;  ///< by accumulated id
   StreamingStats seen;               ///< all fed durations
-  std::optional<eval::Pipeline> source;  ///< generated source, when any
   std::vector<uint32_t> feed_order;  ///< source permutation
   size_t cursor = 0;                 ///< next feed_order position
-  /// What OpenSession, BuildPlan and Evaluate recorded, on every thread
-  /// that worked for them.
-  telemetry::Sink telemetry;
   uint64_t feed_invocations = 0;
   bool early_stopped = false;
   bool converged_reported = false;  ///< journaled session.converged once
   std::optional<eval::EvalResult> last_eval;
-  std::chrono::steady_clock::time_point opened_at =
-      std::chrono::steady_clock::now();
 };
 
 Service::Service(const ServiceOptions& options) : options_(options) {
@@ -199,37 +210,24 @@ SessionId Service::OpenSession(const SessionConfig& config) {
                                std::to_string(options_.max_sessions) + ")");
   }
 
-  auto session = std::make_shared<Session>();
-  session->config = config;
-  session->config.streaming.root.stem.epsilon = config.epsilon;
-  session->config.streaming.root.stem.confidence = config.confidence;
-  session->config.streaming.Validate();
+  SessionConfig resolved = config;
+  resolved.streaming.root.stem.epsilon = config.epsilon;
+  resolved.streaming.root.stem.confidence = config.confidence;
+  resolved.streaming.Validate();
+  std::unique_ptr<core::Sampler> sampler = MakeSessionSampler(resolved);
+  auto session =
+      std::make_shared<Session>(std::move(resolved), std::move(sampler));
   session->streaming_seed = DeriveSeed(config.seed, kStreamingStream);
-  session->sampler = MakeSessionSampler(session->config);
-
-  if (!config.workload.empty()) {
-    const workloads::SuiteId suite = eval::ResolveSuite(config.suite);
-    const hw::GpuSpec spec = eval::ResolveGpu(config.gpu);
-    eval::Pipeline pipeline = [&] {
-      const telemetry::Scope scope(&session->telemetry);
-      return eval::Pipeline::GenerateProfiled(
-          {.suite = suite,
-           .workload = config.workload,
-           .options = PipelineOpts(config)},
-          spec);
-    }();
-    const size_t n = pipeline.Trace().NumInvocations();
-    session->feed_order.resize(n);
-    std::iota(session->feed_order.begin(), session->feed_order.end(), 0u);
-    if (config.order == FeedOrder::kShuffled && n > 1) {
-      Rng rng(DeriveSeed(config.seed, kShuffleStream));
-      for (size_t i = n - 1; i > 0; --i) {
-        const uint64_t j = rng.NextBounded(i + 1);
-        std::swap(session->feed_order[i],
-                  session->feed_order[static_cast<size_t>(j)]);
-      }
+  const size_t n = session->source.Trace().NumInvocations();
+  session->feed_order.resize(n);
+  std::iota(session->feed_order.begin(), session->feed_order.end(), 0u);
+  if (config.order == FeedOrder::kShuffled && n > 1) {
+    Rng rng(DeriveSeed(config.seed, kShuffleStream));
+    for (size_t i = n - 1; i > 0; --i) {
+      const uint64_t j = rng.NextBounded(i + 1);
+      std::swap(session->feed_order[i],
+                session->feed_order[static_cast<size_t>(j)]);
     }
-    session->source.emplace(std::move(pipeline));
   }
 
   telemetry::Count("service.sessions");
@@ -253,29 +251,6 @@ SessionId Service::OpenSession(const SessionConfig& config) {
   return id;
 }
 
-void Service::Feed(SessionId id, const KernelTrace& source,
-                   std::span<const KernelInvocation> invocations) {
-  RequestTimer timer(metrics_, Verb::kFeed, options_.slow_request_us, id);
-  const std::shared_ptr<Session> session = Find(id);
-  uint64_t seen = 0;
-  {
-    std::lock_guard<std::mutex> lock(session->mu);
-    FeedChunk(*session, source, invocations);
-    seen = session->accumulated.NumInvocations();
-  }
-  feed_invocations_.fetch_add(invocations.size(),
-                              std::memory_order_relaxed);
-  if (journal::Enabled())
-    journal::Emit(journal::Severity::kDebug, "session.feed",
-                  {{"session", id},
-                   {"count", static_cast<uint64_t>(invocations.size())},
-                   {"seen", seen}});
-}
-
-void Service::Feed(SessionId id, const KernelTrace& source) {
-  Feed(id, source, source.Invocations());
-}
-
 uint64_t Service::FeedFromSource(SessionId id, uint64_t count,
                                   SessionStatus* progress) {
   RequestTimer timer(metrics_, Verb::kFeed, options_.slow_request_us, id);
@@ -284,10 +259,7 @@ uint64_t Service::FeedFromSource(SessionId id, uint64_t count,
   uint64_t seen = 0;
   {
     std::lock_guard<std::mutex> lock(session->mu);
-    if (!session->source)
-      throw std::logic_error(
-          "service: FeedFromSource needs a session opened with a workload");
-    const KernelTrace& trace = session->source->Trace();
+    const KernelTrace& trace = session->source.Trace();
     const uint64_t available = session->feed_order.size() - session->cursor;
     n = std::min<uint64_t>(count, available);
     std::vector<KernelInvocation> chunk;
@@ -401,9 +373,7 @@ SessionStatus Service::Query(SessionId id) {
 void Service::FillProgress(Session& session, SessionId id,
                            SessionStatus& status) {
   status.invocations_seen = session.accumulated.NumInvocations();
-  status.invocations_total = session.source
-                                 ? session.source->Trace().NumInvocations()
-                                 : session.config.expected_invocations;
+  status.invocations_total = session.source.Trace().NumInvocations();
   status.seen_total_us = session.seen.Sum();
   const uint64_t n = session.seen.Count();
   if (n > 0 && session.seen.Mean() > 0.0) {
@@ -414,10 +384,8 @@ void Service::FillProgress(Session& session, SessionId id,
                        status.predicted_error <= session.config.epsilon;
   }
   status.estimated_total_us =
-      status.invocations_total > 0
-          ? session.seen.Mean() * static_cast<double>(status.invocations_total)
-          : session.seen.Sum();
-  status.early_stop = status.converged && status.invocations_total > 0 &&
+      session.seen.Mean() * static_cast<double>(status.invocations_total);
+  status.early_stop = status.converged &&
                       status.invocations_seen < status.invocations_total;
   if (status.converged && !session.converged_reported) {
     session.converged_reported = true;
@@ -487,13 +455,11 @@ eval::RunManifest Service::CloseSession(SessionId id) {
   manifest.command = "session";
   manifest.completed = true;
   manifest.StampBuild();
-  manifest.config.suite =
-      session->source ? session->source->SuiteName() : session->config.suite;
+  manifest.config.suite = session->source.SuiteName();
   manifest.config.workload = session->accumulated.WorkloadName().empty()
                                  ? session->config.workload
                                  : session->accumulated.WorkloadName();
-  manifest.config.gpu =
-      session->source ? session->source->GpuName() : session->config.gpu;
+  manifest.config.gpu = session->source.GpuName();
   manifest.config.method = session->config.method;
   manifest.config.epsilon = session->config.epsilon;
   manifest.config.confidence = session->config.confidence;
@@ -580,9 +546,6 @@ ServiceStats Service::GetStats() const {
 eval::EvalResult Service::RunBatch(const SessionConfig& config,
                                    eval::RunManifest* manifest) {
   config.Validate();
-  if (config.workload.empty())
-    throw std::invalid_argument(
-        "service: RunBatch needs a suite and workload in the config");
   const workloads::SuiteId suite = eval::ResolveSuite(config.suite);
   const hw::GpuSpec spec = eval::ResolveGpu(config.gpu);
   const std::unique_ptr<core::Sampler> sampler = MakeSessionSampler(config);

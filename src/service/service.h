@@ -3,8 +3,8 @@
 /// (the ROADMAP's "library first, CLI second" north star; DESIGN.md §13).
 ///
 /// The batch pipeline profiles everything, clusters once and samples
-/// once. A Service session inverts that: invocations arrive in Feed()
-/// chunks, each kernel's cluster structure updates online
+/// once. A Service session inverts that: invocations arrive in
+/// FeedFromSource() chunks, each kernel's cluster structure updates online
 /// (core::StreamingRoot), and Query() recomputes the STEM allocation and
 /// error bounds on the data seen so far — so a client can stop profiling
 /// the moment `converged` reports that the session's epsilon is already
@@ -30,8 +30,8 @@
 /// instrumented pipeline stages (OpenSession's generate+profile,
 /// BuildPlan, Evaluate) run under a telemetry::Scope on it, which the
 /// thread pool carries to every lane, so each session's manifest holds
-/// exactly its own counters and stages. Feed and Query record nothing but
-/// the service.* counters.
+/// exactly its own counters and stages. FeedFromSource and Query record
+/// nothing but the service.* counters.
 ///
 /// **Manifests.** CloseSession returns a stemroot-manifest-v1 document
 /// (command "session") whose deterministic fields mirror what the batch
@@ -106,12 +106,9 @@ struct SessionConfig {
   /// invocations were fed (guards against a lucky CoV estimate on a
   /// handful of points).
   uint64_t min_invocations = 256;
-  /// Expected workload size for sessions fed externally (0 = unknown).
-  /// Sessions opened with a generated source use the source's size.
-  uint64_t expected_invocations = 0;
-  /// Non-empty workload (plus suite) makes the service generate and
-  /// profile the source trace itself at OpenSession; clients then feed
-  /// with FeedFromSource. Empty = the client feeds external chunks.
+  /// The workload (both required): the service generates and profiles
+  /// the source trace at OpenSession, and clients feed it with
+  /// FeedFromSource.
   std::string suite;
   std::string workload;
   std::string gpu = "rtx2080";
@@ -141,9 +138,7 @@ struct ClusterSummary {
 /// Query response: the current sampling plan summary + convergence state.
 struct SessionStatus {
   uint64_t invocations_seen = 0;
-  /// Workload size when known (generated source or expected_invocations);
-  /// 0 = unknown.
-  uint64_t invocations_total = 0;
+  uint64_t invocations_total = 0;  ///< size of the session's source trace
   double seen_total_us = 0.0;
   std::vector<ClusterSummary> clusters;  ///< kernel id, then mean order
   size_t num_kernels = 0;
@@ -163,9 +158,7 @@ struct SessionStatus {
   /// Converged while invocations remain unfed — the client may stop
   /// profiling now (counted once per session as service.early_stops).
   bool early_stop = false;
-  /// mean(seen) * invocations_total when the total is known, else the
-  /// seen sum.
-  double estimated_total_us = 0.0;
+  double estimated_total_us = 0.0;  ///< mean(seen) * invocations_total
 };
 
 /// The resident facade. See the file comment for contracts.
@@ -179,25 +172,14 @@ class Service {
 
   /// Open a session. Validates the config, builds the sampler through the
   /// registry (epsilon/confidence are injected into the sampler params),
-  /// and — when the config names a workload — generates and profiles the
-  /// source trace (served by the trace cache when warm). Throws
-  /// std::runtime_error when max_sessions are already open.
+  /// and generates and profiles the source trace (served by the trace
+  /// cache when warm). Throws std::runtime_error when max_sessions are
+  /// already open.
   SessionId OpenSession(const SessionConfig& config);
-
-  /// Feed one chunk of profiled invocations whose kernel_id fields index
-  /// `source`'s type table (the session interns the types and remaps).
-  /// Throws std::invalid_argument on an unprofiled invocation
-  /// (duration_us <= 0) and std::out_of_range on a bad kernel id.
-  void Feed(SessionId id, const KernelTrace& source,
-            std::span<const KernelInvocation> invocations);
-
-  /// Feed the whole of `source` in timeline order (one-chunk feed).
-  void Feed(SessionId id, const KernelTrace& source);
 
   /// Feed the next `count` invocations of the session's generated source
   /// in the session's feed order; returns how many were actually fed
-  /// (less than `count` at the end of the trace). Throws std::logic_error
-  /// when the session was opened without a workload. With `progress`,
+  /// (less than `count` at the end of the trace). With `progress`,
   /// also fills its seen counts, error bound, `converged` and `early_stop`
   /// as Query would (clusters and allocation stay empty), firing the same
   /// once-per-session convergence events, within this feed request.
@@ -234,8 +216,7 @@ class Service {
   /// The one-shot batch path (`stemroot run` is a thin client of this):
   /// generate + profile + evaluate with the session seed contract, no
   /// resident state, no service.* counters. Fills the manifest's config
-  /// and metrics sections when `manifest` is non-null. Requires
-  /// suite/workload in the config.
+  /// and metrics sections when `manifest` is non-null.
   static eval::EvalResult RunBatch(const SessionConfig& config,
                                    eval::RunManifest* manifest);
 

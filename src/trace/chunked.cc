@@ -242,8 +242,6 @@ std::string ReadAt(std::ifstream& in, uint64_t offset, uint64_t n,
 
 uint32_t ChunkedTraceFormatVersion() { return kVersion; }
 
-uint64_t ChunkWireBytesPerInvocation() { return kColumnarBytesPerInvocation; }
-
 std::string EncodeChunk(std::span<const KernelInvocation> invocations) {
   std::string out;
   AppendChunk(out, invocations);

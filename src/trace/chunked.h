@@ -101,9 +101,6 @@ uint32_t ChunkedTraceFormatVersion();
 /// Default invocations per chunk (2^20 invocations ~= 96 MiB resident).
 inline constexpr uint64_t kDefaultChunkInvocations = 1u << 20;
 
-/// Bytes one invocation occupies in a chunk payload (the columnar record).
-uint64_t ChunkWireBytesPerInvocation();
-
 /// Footer metadata of one chunk.
 struct ChunkInfo {
   uint64_t offset = 0;  ///< absolute file offset of the chunk payload

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
+#include <iterator>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/telemetry.h"
 
 #ifndef SR_TESTDATA_DIR
@@ -134,6 +140,127 @@ TEST(ResourceParseTest, ReadProcFilesMissingFilesAbsentNotFatal) {
   EXPECT_FALSE(sample.rss_bytes.has_value());
   EXPECT_FALSE(sample.hwm_bytes.has_value());
   EXPECT_FALSE(sample.max_rss_bytes.has_value());
+}
+
+TEST(ResourceParseTest, ValuesPastUint64AreAbsent) {
+  // 2^54 kB and 2^52 pages of 4 KiB are both 2^64 bytes, one past the
+  // range: absent, not wrapped to 0.
+  EXPECT_FALSE(ParseStatusText("VmRSS:\t18014398509481984 kB\n")
+                   .vm_rss_bytes.has_value());
+  EXPECT_FALSE(ParseStatusText("VmHWM:\t18014398509481984 kB\n")
+                   .vm_hwm_bytes.has_value());
+  EXPECT_FALSE(ParseStatmRssBytes("1 4503599627370496 0", 4096).has_value());
+  // One unit less still fits and reads exactly.
+  EXPECT_EQ(ParseStatusText("VmRSS:\t18014398509481983 kB\n").vm_rss_bytes,
+            UINT64_MAX - 1023);
+  EXPECT_EQ(ParseStatmRssBytes("1 4503599627370495 0", 4096),
+            UINT64_MAX - 4095);
+}
+
+bool IsBlank(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+}
+
+/// The parsers' tokenization: runs of anything but space, tab, CR, LF.
+std::vector<std::string_view> Words(std::string_view text) {
+  std::vector<std::string_view> out;
+  size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() && IsBlank(text[i])) ++i;
+    const size_t start = i;
+    while (i < text.size() && !IsBlank(text[i])) ++i;
+    if (i > start) out.push_back(text.substr(start, i - start));
+  }
+  return out;
+}
+
+/// `word` as a signed decimal count times `unit`, exact in 128 bits;
+/// std::nullopt when the word is no such count, is negative or the
+/// product passes 2^64 - 1.
+std::optional<uint64_t> StatedBytes(std::string_view word, uint64_t unit) {
+  bool negative = false;
+  if (!word.empty() && (word[0] == '+' || word[0] == '-')) {
+    negative = word[0] == '-';
+    word.remove_prefix(1);
+  }
+  if (word.empty()) return std::nullopt;
+  unsigned __int128 count = 0;
+  for (const char c : word) {
+    if (c < '0' || c > '9') return std::nullopt;
+    count = count * 10 + static_cast<unsigned>(c - '0');
+    if (count > UINT64_MAX) return std::nullopt;
+  }
+  if (negative && count != 0) return std::nullopt;
+  const unsigned __int128 bytes = count * unit;
+  if (bytes > UINT64_MAX) return std::nullopt;
+  return static_cast<uint64_t>(bytes);
+}
+
+/// Whether some `key` line of status text states `bytes` ("N kB" or "N").
+bool StatusStates(std::string_view text, std::string_view key,
+                  uint64_t bytes) {
+  size_t pos = 0;
+  while (pos < text.size()) {
+    size_t end = text.find('\n', pos);
+    if (end == std::string_view::npos) end = text.size();
+    const std::string_view line = text.substr(pos, end - pos);
+    pos = end + 1;
+    if (!line.starts_with(key)) continue;
+    const std::vector<std::string_view> words = Words(line.substr(key.size()));
+    if (words.empty() || (words.size() >= 2 && words[1] != "kB")) continue;
+    if (StatedBytes(words[0], 1024) == bytes) return true;
+  }
+  return false;
+}
+
+TEST(ResourceParseTest, MutatedFixturesNeverThrowAndReadOnlyWhatTheyState) {
+  std::vector<std::string> texts;
+  for (const char* name :
+       {"statm_good.txt", "statm_truncated.txt", "statm_garbage.txt",
+        "status_good.txt", "status_truncated.txt", "status_bad_unit.txt"}) {
+    std::ifstream in(Fixture(name), std::ios::binary);
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
+    ASSERT_FALSE(text.empty()) << name;
+    for (size_t i = 0; i < text.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string flipped = text;
+        flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+        texts.push_back(std::move(flipped));
+      }
+      texts.push_back(text.substr(0, i));
+    }
+    Rng rng(0x5052'4f43u + texts.size());  // "PROC"
+    for (int k = 0; k < 2048; ++k) {
+      std::string overwritten = text;
+      overwritten[rng.NextBounded(text.size())] =
+          static_cast<char>(rng.NextBounded(256));
+      texts.push_back(std::move(overwritten));
+    }
+  }
+
+  size_t values = 0;
+  for (const std::string& text : texts) {
+    std::optional<uint64_t> rss;
+    StatusFields fields;
+    ASSERT_NO_THROW(rss = ParseStatmRssBytes(text, 4096)) << text;
+    ASSERT_NO_THROW(fields = ParseStatusText(text)) << text;
+    if (rss) {
+      const std::vector<std::string_view> words = Words(text);
+      ASSERT_GE(words.size(), 2u) << text;
+      EXPECT_EQ(StatedBytes(words[1], 4096), rss) << text;
+      ++values;
+    }
+    if (fields.vm_rss_bytes) {
+      EXPECT_TRUE(StatusStates(text, "VmRSS:", *fields.vm_rss_bytes)) << text;
+      ++values;
+    }
+    if (fields.vm_hwm_bytes) {
+      EXPECT_TRUE(StatusStates(text, "VmHWM:", *fields.vm_hwm_bytes)) << text;
+      ++values;
+    }
+  }
+  // Most mutations leave a value to check, so the oracle is exercised.
+  EXPECT_GT(values, texts.size() / 2);
 }
 
 TEST_F(AccountingTest, DisabledIsNoOp) {

@@ -117,11 +117,9 @@ TEST(PercentileTest, InterpolatesLinearly) {
 TEST(MeansTest, HarmonicAndGeometric) {
   const std::vector<double> values = {1.0, 4.0, 4.0};
   EXPECT_NEAR(HarmonicMean(values), 3.0 / (1.0 + 0.25 + 0.25), 1e-12);
-  EXPECT_NEAR(GeometricMean(values), std::cbrt(16.0), 1e-12);
   EXPECT_DOUBLE_EQ(Mean(values), 3.0);
   const std::vector<double> with_zero = {1.0, 0.0};
   EXPECT_THROW(HarmonicMean(with_zero), std::invalid_argument);
-  EXPECT_THROW(GeometricMean(with_zero), std::invalid_argument);
 }
 
 TEST(MeansTest, HarmonicDominatedBySlowest) {

@@ -35,7 +35,6 @@ class TraceEventsTest : public ::testing::Test {
 
 TEST_F(TraceEventsTest, DisabledRecordsNothing) {
   Begin("a");
-  End("a");
   Instant("i");
   CounterValue("c", 1.0);
   { Scope scope("s"); }
@@ -59,7 +58,7 @@ TEST_F(TraceEventsTest, RecordsAllPhasesAndValidates) {
     Scope scope("inner");
     Instant("nested");
   }
-  End("outer");
+  EndOpen("outer");
   SetEnabled(false);
 
   std::string error;
@@ -84,7 +83,7 @@ TEST_F(TraceEventsTest, RingWrapDropsOldestAndExportStaysBalanced) {
   // leaving E's whose begins are gone. Export must repair to balance.
   for (int i = 0; i < 50; ++i) {
     Begin("work");
-    End("work");
+    EndOpen("work");
   }
   SetEnabled(false);
 

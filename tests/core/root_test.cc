@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <set>
 
 #include "common/rng.h"
@@ -22,6 +23,14 @@ std::vector<double> BimodalDurations(size_t per_mode, Rng& rng) {
   return durations;
 }
 
+/// Cluster positions 0..durations.size()-1.
+std::vector<RootCluster> ClusterPositions(std::span<const double> durations,
+                                          const RootConfig& config) {
+  std::vector<uint32_t> indices(durations.size());
+  std::iota(indices.begin(), indices.end(), 0u);
+  return RootCluster1D(durations, indices, config);
+}
+
 TEST(RootConfigTest, Validation) {
   RootConfig config;
   EXPECT_NO_THROW(config.Validate());
@@ -38,7 +47,7 @@ TEST(RootConfigTest, Validation) {
 TEST(RootTest, SplitsBimodalPopulation) {
   Rng rng(3);
   const auto durations = BimodalDurations(2000, rng);
-  const auto clusters = RootCluster1D(durations, RootConfig{});
+  const auto clusters = ClusterPositions(durations, RootConfig{});
   ASSERT_GE(clusters.size(), 2u);
 
   // Each final cluster must be unimodal-ish: no cluster spans both modes.
@@ -56,7 +65,7 @@ TEST(RootTest, DoesNotSplitNarrowUnimodal) {
   std::vector<double> durations;
   for (int i = 0; i < 5000; ++i)
     durations.push_back(rng.NextGaussian(100.0, 1.0));
-  const auto clusters = RootCluster1D(durations, RootConfig{});
+  const auto clusters = ClusterPositions(durations, RootConfig{});
   // A 1% CoV population needs no splitting: Eq. (3) already gives m ~ 1.
   EXPECT_LE(clusters.size(), 2u);
 }
@@ -66,7 +75,7 @@ TEST(RootTest, PartitionIsExactAndDisjoint) {
   std::vector<double> durations;
   for (int i = 0; i < 3000; ++i)
     durations.push_back(rng.NextLogNormal(3.0, 0.8));
-  const auto clusters = RootCluster1D(durations, RootConfig{});
+  const auto clusters = ClusterPositions(durations, RootConfig{});
 
   std::set<uint32_t> seen;
   for (const RootCluster& c : clusters) {
@@ -90,7 +99,7 @@ TEST(RootTest, SplittingReducesPredictedCost) {
   const double tau_old = static_cast<double>(SingleClusterSampleSize(
                              whole, config.stem)) * whole.mean;
 
-  const auto clusters = RootCluster1D(durations, config);
+  const auto clusters = ClusterPositions(durations, config);
   std::vector<ClusterStats> stats;
   for (const auto& c : clusters) stats.push_back(c.stats);
   const double tau_new = SolveKkt(stats, config.stem).cost_us;
@@ -104,7 +113,7 @@ TEST(RootTest, ThreePeaksYieldAtLeastThreeClusters) {
   for (double mode : {15.0, 40.0, 95.0})
     for (int i = 0; i < 4000; ++i)
       durations.push_back(rng.NextGaussian(mode, mode * 0.02));
-  const auto clusters = RootCluster1D(durations, RootConfig{});
+  const auto clusters = ClusterPositions(durations, RootConfig{});
   EXPECT_GE(clusters.size(), 3u);
 }
 
@@ -113,7 +122,7 @@ TEST(RootTest, RespectsMinSplitSize) {
   auto durations = BimodalDurations(3, rng);  // 6 points total
   RootConfig config;
   config.min_split_size = 100;
-  const auto clusters = RootCluster1D(durations, config);
+  const auto clusters = ClusterPositions(durations, config);
   EXPECT_EQ(clusters.size(), 1u);
 }
 
@@ -124,7 +133,7 @@ TEST(RootTest, RespectsMaxDepth) {
     durations.push_back(rng.NextLogNormal(2.0, 1.5));
   RootConfig config;
   config.max_depth = 1;
-  const auto clusters = RootCluster1D(durations, config);
+  const auto clusters = ClusterPositions(durations, config);
   EXPECT_LE(clusters.size(), 2u);
   for (const auto& c : clusters) EXPECT_LE(c.depth, 1u);
 }
@@ -145,7 +154,7 @@ TEST(RootTest, ExternalIndicesArePreserved) {
 }
 
 TEST(RootTest, EmptyInputYieldsNoClusters) {
-  EXPECT_TRUE(RootCluster1D({}, RootConfig{}).empty());
+  EXPECT_TRUE(ClusterPositions({}, RootConfig{}).empty());
 }
 
 TEST(RootTest, ArityMismatchThrows) {
@@ -161,7 +170,7 @@ TEST(RootTest, HigherBranchingAlsoWorks) {
   const auto durations = BimodalDurations(2000, rng);
   RootConfig config;
   config.branch_k = 4;
-  const auto clusters = RootCluster1D(durations, config);
+  const auto clusters = ClusterPositions(durations, config);
   std::set<uint32_t> seen;
   for (const auto& c : clusters)
     for (uint32_t idx : c.members) seen.insert(idx);

@@ -147,7 +147,7 @@ TEST_F(BuildPlansTest, PlanREqualsBuildPlanAtBaseSeedPlusR) {
   constexpr uint64_t kBase = 1000;
   constexpr uint32_t kCount = 4;
   const SamplerRegistry& registry = SamplerRegistry::Global();
-  ASSERT_EQ(registry.Names().size(), 6u);
+  ASSERT_EQ(registry.Names().size(), 5u);
   for (const std::string& name : registry.Names()) {
     const std::unique_ptr<Sampler> sampler = registry.Create(name);
     std::vector<SamplingPlan> singles;

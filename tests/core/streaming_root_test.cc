@@ -9,6 +9,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -336,7 +337,9 @@ TEST(StreamingRootTest, ApproximatesBatchStructure) {
   StreamingRootConfig config;
   StreamingRoot streaming(config, 31);
   for (double d : durations) streaming.Observe(d);
-  const auto batch = RootCluster1D(durations, config.root);
+  std::vector<uint32_t> positions(durations.size());
+  std::iota(positions.begin(), positions.end(), 0u);
+  const auto batch = RootCluster1D(durations, positions, config.root);
   // Mode membership: population mass below/above the valley must agree.
   uint64_t stream_low = 0;
   for (const ClusterStats& c : streaming.Stats())

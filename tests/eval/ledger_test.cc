@@ -90,18 +90,6 @@ TEST(LedgerTest, AppendCreatesParentDirectories) {
   std::remove(path.c_str());
 }
 
-TEST(LedgerTest, FilterKeepsFileOrder) {
-  Ledger ledger;
-  ledger.Add(MakeRun(1.0, 42));
-  ledger.Add(MakeRun(2.0, 7));
-  ledger.Add(MakeRun(3.0, 42));
-  const auto hits = ledger.Filter(
-      [](const RunManifest& m) { return m.config.seed == 42; });
-  ASSERT_EQ(hits.size(), 2u);
-  EXPECT_DOUBLE_EQ(hits[0]->wall_time_seconds, 1.0);
-  EXPECT_DOUBLE_EQ(hits[1]->wall_time_seconds, 3.0);
-}
-
 TEST(LedgerTest, BaselineMatchesFingerprintWindowAndCompleteness) {
   Ledger ledger;
   ledger.Add(MakeRun(1.0));

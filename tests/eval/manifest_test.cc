@@ -18,6 +18,12 @@
 namespace stemroot::eval {
 namespace {
 
+/// Whether `text` loads as a manifest.
+bool Loads(std::string_view text, std::string* error) {
+  RunManifest ignored;
+  return RunManifest::FromJson(text, ignored, error);
+}
+
 RunManifest MakeManifest() {
   RunManifest m;
   m.tool = "stemroot";
@@ -447,7 +453,6 @@ TEST(ManifestTest, LegacyOneLaneBlockReadsAsAbsent) {
   // is the same run as a fresh one: same ledger series, clean compare.
   const std::string legacy_json = LegacyDsePointJson("1");
   std::string error;
-  EXPECT_TRUE(ValidateManifestJson(legacy_json, &error)) << error;
   RunManifest legacy;
   ASSERT_TRUE(RunManifest::FromJson(legacy_json, legacy, &error)) << error;
   EXPECT_EQ(legacy.config.sim_shards, 0u);
@@ -605,16 +610,15 @@ TEST(ManifestTest, ChunkSizeSplitsFingerprintLikeEpochCycles) {
 
 TEST(ManifestTest, ValidationRejectsNonConformingDocuments) {
   std::string error;
-  EXPECT_FALSE(ValidateManifestJson("not json at all", &error));
-  EXPECT_FALSE(ValidateManifestJson("[]", &error));
-  EXPECT_FALSE(ValidateManifestJson("{}", &error));
-  EXPECT_FALSE(
-      ValidateManifestJson(R"({"schema": "some-other-schema"})", &error));
+  EXPECT_FALSE(Loads("not json at all", &error));
+  EXPECT_FALSE(Loads("[]", &error));
+  EXPECT_FALSE(Loads("{}", &error));
+  EXPECT_FALSE(Loads(R"({"schema": "some-other-schema"})", &error));
 
   // Field-level violations: start from a valid doc and break one thing.
   const RunManifest m = MakeManifest();
   const std::string good = m.ToJson(/*pretty=*/false);
-  ASSERT_TRUE(ValidateManifestJson(good, &error)) << error;
+  ASSERT_TRUE(Loads(good, &error)) << error;
 
   auto broke = [&](const std::string& from, const std::string& to) {
     std::string doc = good;
@@ -624,26 +628,22 @@ TEST(ManifestTest, ValidationRejectsNonConformingDocuments) {
     return doc;
   };
   // Missing build stamp member.
-  EXPECT_FALSE(
-      ValidateManifestJson(broke("\"git_hash\"", "\"nope\""), &error));
+  EXPECT_FALSE(Loads(broke("\"git_hash\"", "\"nope\""), &error));
   // completed must be a bool.
   EXPECT_FALSE(
-      ValidateManifestJson(broke("\"completed\":true", "\"completed\":1"),
-                           &error));
+      Loads(broke("\"completed\":true", "\"completed\":1"), &error));
   // Negative wall time.
-  EXPECT_FALSE(ValidateManifestJson(
+  EXPECT_FALSE(Loads(
       broke("\"wall_time_seconds\":1.25", "\"wall_time_seconds\":-1"),
       &error));
   // Stage entry missing its count.
-  EXPECT_FALSE(
-      ValidateManifestJson(broke("\"count\":1,", "\"clowns\":1,"), &error));
+  EXPECT_FALSE(Loads(broke("\"count\":1,", "\"clowns\":1,"), &error));
   // Non-numeric counter value.
-  EXPECT_FALSE(ValidateManifestJson(
+  EXPECT_FALSE(Loads(
       broke("\"core.kkt.solves\":100", "\"core.kkt.solves\":\"x\""),
       &error));
   // Metrics present but incomplete.
-  EXPECT_FALSE(
-      ValidateManifestJson(broke("\"speedup\"", "\"speedip\""), &error));
+  EXPECT_FALSE(Loads(broke("\"speedup\"", "\"speedip\""), &error));
 }
 
 TEST(ManifestTest, FingerprintCoversConfigButNotBuild) {

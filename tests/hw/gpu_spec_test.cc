@@ -18,14 +18,16 @@ TEST(GpuSpecTest, PresetNamesRoundTripThroughFromName) {
   for (const std::string& token : GpuSpec::PresetNames()) {
     const std::optional<GpuSpec> spec = GpuSpec::FromName(token);
     ASSERT_TRUE(spec.has_value()) << token;
-    EXPECT_EQ(spec->Name(), token);
+    const std::optional<GpuSpec> again = GpuSpec::FromName(spec->name);
+    ASSERT_TRUE(again.has_value()) << spec->name;
+    EXPECT_EQ(again->name, spec->name);
     EXPECT_NO_THROW(spec->Validate());
   }
-  // Every factory preset is reachable by its Name() token.
+  // Every factory preset is reachable by its name.
   for (const GpuSpec& spec :
        {GpuSpec::Rtx2080(), GpuSpec::H100(), GpuSpec::H200()}) {
-    const std::optional<GpuSpec> parsed = GpuSpec::FromName(spec.Name());
-    ASSERT_TRUE(parsed.has_value()) << spec.Name();
+    const std::optional<GpuSpec> parsed = GpuSpec::FromName(spec.name);
+    ASSERT_TRUE(parsed.has_value()) << spec.name;
     EXPECT_EQ(parsed->num_sms, spec.num_sms);
     EXPECT_EQ(parsed->dram_bw_gbps, spec.dram_bw_gbps);
   }

@@ -65,7 +65,7 @@ TEST_F(ProtocolTest, RejectsMalformedLines) {
 }
 
 TEST_F(ProtocolTest, OpenValidatesRequests) {
-  // Protocol sessions are source-fed: suite+workload are mandatory.
+  // Sessions are source-fed: suite+workload are mandatory.
   EXPECT_FALSE(Handle(R"({"op":"open"})").ok);
   EXPECT_FALSE(Handle(R"({"op":"open","suite":"casio"})").ok);
   EXPECT_FALSE(

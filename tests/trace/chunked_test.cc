@@ -43,6 +43,9 @@ std::atomic<size_t> g_largest_allocation{0};
 namespace stemroot {
 namespace {
 
+/// Bytes one invocation's columnar record occupies in a chunk payload.
+constexpr uint64_t kRowBytes = 96;
+
 std::string TempPath(const char* name) {
   return testing::TempDir() + "/" + name;
 }
@@ -108,8 +111,7 @@ TEST(ChunkPayloadTest, RoundTripPreservesEveryColumn) {
   const KernelTrace trace = MakeTrace(3);
   const auto invocations = InMemoryChunkSource(trace, 64).Chunk(0);
   const std::string payload = EncodeChunk(invocations);
-  EXPECT_EQ(payload.size(),
-            8 + invocations.size() * ChunkWireBytesPerInvocation());
+  EXPECT_EQ(payload.size(), 8 + invocations.size() * kRowBytes);
   const std::vector<KernelInvocation> decoded = DecodeChunk(payload, 0);
   ASSERT_EQ(decoded.size(), invocations.size());
   for (size_t i = 0; i < decoded.size(); ++i)
@@ -398,15 +400,14 @@ TEST(ChunkedFileTest, ChunksMustTileHeaderToFooter) {
     second = reader.Chunk(1);
   }
   // The footer (one 24-byte record per chunk) follows the last chunk.
-  const size_t footer =
-      second.offset + 8 + second.count * ChunkWireBytesPerInvocation();
+  const size_t footer = second.offset + 8 + second.count * kRowBytes;
   // Chunk 1 moved back by one row into chunk 0: still inside the file, so
   // only the tiling check can reject it before a chunk is read.
   EXPECT_THROW(ChunkedTraceReader{WriteBytes(
                    "tiling_bad.srtc",
                    CorruptAt<uint64_t>(bytes, footer + 24,
                                        second.offset -
-                                           ChunkWireBytesPerInvocation()))},
+                                           kRowBytes))},
                std::runtime_error);
   // Chunk 0 moved into the header.
   EXPECT_THROW(ChunkedTraceReader{WriteBytes(

@@ -1,9 +1,11 @@
 #!/bin/sh
 # Out-of-core drill (DESIGN.md section 16), in the current directory: a
 # chunked, spilled run compares clean against the in-memory run; a
-# bounded-memory `stemroot stream` keeps its logical trace peak under
-# 1 MB, reuses its verified spill, compares clean at 1, 2 and 4 threads,
-# and rebuilds a corrupted or truncated spill instead of trusting it.
+# `stemroot stream` of the pipeline's own chunks, spilled or in memory,
+# streams every generated invocation once; a bounded-memory stream keeps
+# its logical trace peak under 1 MB, reuses its verified spill, compares
+# clean at 1, 2 and 4 threads, and rebuilds a corrupted or truncated
+# spill instead of trusting it.
 #
 #   ooc.sh STEMROOT
 set -eu
@@ -18,6 +20,22 @@ run="run --suite casio --workload bert_infer --method stem --scale 0.02
 "$sr" validate manifest chunked.json --require-completed true \
   --require-spill true --require-counter cache.spill_write >/dev/null
 "$sr" compare inmem.json chunked.json >/dev/null
+
+# Without --target-invocations, stream reads the pipeline's own chunks:
+# from the spill file, or from the trace in memory. Both stream each
+# generated invocation once and agree with each other.
+counter() { sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p" "$2"; }
+whole="stream --suite casio --workload bert_infer --scale 0.02 --seed 13
+       --cache cache --trace-chunk-invocations 512 --threads 2"
+"$sr" $whole --trace-spill spill-whole --manifest whole.json >/dev/null
+"$sr" $whole --manifest whole-mem.json >/dev/null
+for m in whole whole-mem; do
+  n="$(counter workloads.invocations_generated $m.json)"
+  test "$n" -gt 0
+  test "$(counter eval.stream.invocations $m.json)" = "$n"
+done
+"$sr" validate manifest whole.json --require-spill true >/dev/null
+"$sr" compare whole.json whole-mem.json >/dev/null
 
 # A 120k-invocation stream through 512-invocation chunks: the logical
 # trace peak is about two decoded chunks, so 1 MB proves the stream never

@@ -99,16 +99,24 @@ const std::vector<FlagSpec>& SamplerFlags() {
   return block;
 }
 
-/// Refuse a sampler parameter that none of the --method list takes (a
-/// flag the command declares itself, like audit's --epsilon, is exempt).
+/// Refuse a --method name the registry does not know, and a sampler
+/// parameter that none of the --method list takes (a flag the command
+/// declares itself, like audit's --epsilon, is exempt).
 void CheckSamplerKeys(const Flags& flags, const std::vector<FlagSpec>& own) {
   const core::SamplerRegistry& registry = core::SamplerRegistry::Global();
   std::set<std::string> taken;
   std::string takes;
-  for (const std::string& method : flags.List("method"))
-    for (const FlagSpec& param : registry.Params(method))
+  for (const std::string& method : flags.List("method")) {
+    std::vector<FlagSpec> params;
+    try {
+      params = registry.Params(method);
+    } catch (const std::invalid_argument& e) {
+      throw FlagError(std::string("Flags: --method: ") + e.what());
+    }
+    for (const FlagSpec& param : params)
       if (taken.insert(param.name).second)
         takes += (takes.empty() ? "--" : ", --") + param.name;
+  }
   for (const FlagSpec& spec : SamplerFlags())
     if (flags.Has(spec.name) && taken.count(spec.name) == 0 &&
         FindFlag(own, spec.name) == nullptr)
